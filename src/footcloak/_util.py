@@ -1,7 +1,9 @@
-"""Small shared helpers: deterministic rounding, seeding, ordered parallel map."""
+"""Small shared helpers: deterministic rounding, seeding, ordered parallel map,
+result-file writers."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -45,6 +47,19 @@ def canonical_json(obj: Any) -> str:
     Used for every result file so that reruns are byte-identical.
     """
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as a CSV result file with newline line ends.
+
+    Fields holding `,`, `"` or a line break are quoted, None is written as
+    an empty field, and floats as their repr, so plain values keep the bytes
+    of a naive comma join.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def as_float_list(values: Iterable) -> list:

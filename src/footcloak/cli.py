@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import canonical_json, derive_seed
+from ._util import canonical_json, derive_seed, write_csv
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -431,11 +431,12 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     cpath = outdir / "protection_curve.csv"
     save_protection_curve(jpath, curve, meta)
     save_protection_curve_csv(cpath, curve)
-    final = curve.protection[-1] if curve.protection else float("nan")
+    final = curve.protection[-1]
     print(
         f"simulate: task {cfg['task']}, strategy {cfg['strategy']}, "
         f"population {curve.population_size}, protection at "
-        f"{curve.fractions[-1]:.1f} re-add: {final:.3f}"
+        f"{curve.fractions[-1]:.1f} re-add: "
+        + ("undefined" if final is None else f"{final:.3f}")
     )
     return [str(jpath), str(cpath)]
 
@@ -488,13 +489,14 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     jpath = outdir / "tradeoff.json"
     jpath.write_text(canonical_json(obj))
     cpath = outdir / "tradeoff.csv"
-    lines = ["task,strategy,avg_cloak_cost,protection_at_full,population_size"]
-    for r in rows:
-        lines.append(
-            f"{r.task},{r.strategy},{r.avg_cloak_cost!r},"
-            f"{r.protection_at_full!r},{r.population_size}"
-        )
-    cpath.write_text("\n".join(lines) + "\n")
+    write_csv(
+        cpath,
+        ("task", "strategy", "avg_cloak_cost", "protection_at_full", "population_size"),
+        (
+            (r.task, r.strategy, r.avg_cloak_cost, r.protection_at_full, r.population_size)
+            for r in rows
+        ),
+    )
     print(f"report: {len(rows)} task x strategy rows -> {jpath}")
     return [str(jpath), str(cpath)]
 

@@ -90,8 +90,13 @@ class FootprintMatrix:
         """Same users and item space, replaced row contents."""
         return from_rows(rows, self.n_items, self.user_ids, self.item_ids)
 
-    def to_scipy(self):
-        """CSR scipy matrix with float64 ones (for linear-algebra interop)."""
+    @cached_property
+    def csr(self):
+        """CSR scipy matrix with float64 ones; every sparse product uses it.
+
+        `csr.T` is a CSC view over the same arrays, so X^T products need no
+        cached transpose.
+        """
         from scipy import sparse
 
         data = np.ones(self.nnz, dtype=np.float64)

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .data import FootprintMatrix
 
 logger = logging.getLogger(__name__)
@@ -62,13 +61,11 @@ class MetafeatureModel:
 # NMF
 
 
-def _nmf_objective(nnz: float, W, H, XHt) -> float:
+def _nmf_objective(nnz: float, W, XHt, WtW, HHt) -> float:
     # ||X - WH||_F^2 for binary X, via ||X||^2 - 2<X, WH> + ||WH||^2;
     # <X, WH> = sum(W * XH^T) and ||WH||^2 = <W^T W, H H^T>
     cross = float(np.sum(W * XHt))
-    wtw = W.T @ W
-    hht = H @ H.T
-    return nnz - 2.0 * cross + float(np.sum(wtw * hht))
+    return nnz - 2.0 * cross + float(np.sum(WtW * HHt))
 
 
 def nmf_fit(
@@ -95,21 +92,24 @@ def nmf_fit(
     W = rng.uniform(0.0, 1.0, size=(n, k))
     H = rng.uniform(0.0, 1.0, size=(k, m))
     nnz = float(X.nnz)
+    Xs = X.csr
 
+    # X H^T and H H^T of the current H serve both the objective and the
+    # next W update, so each iteration makes two sparse products
+    XHt = Xs @ H.T
+    HHt = H @ H.T
     objectives = []
     prev = None
     for _ in range(max_iters):
         # W <- W * (X H^T) / (W (H H^T))
-        XHt = _kernels.row_component_sums(X.indptr, X.indices, H)
-        denom = W @ (H @ H.T)
-        W = W * (XHt / np.maximum(denom, _EPS))
+        W = W * (XHt / np.maximum(W @ HHt, _EPS))
         # H <- H * (W^T X) / ((W^T W) H)
-        WtX = _kernels.component_col_sums(X.indptr, X.indices, W, m)
-        denom = (W.T @ W) @ H
-        H = H * (WtX / np.maximum(denom, _EPS))
+        WtW = W.T @ W
+        H = H * ((Xs.T @ W).T / np.maximum(WtW @ H, _EPS))
 
-        XHt = _kernels.row_component_sums(X.indptr, X.indices, H)
-        obj = _nmf_objective(nnz, W, H, XHt)
+        XHt = Xs @ H.T
+        HHt = H @ H.T
+        obj = _nmf_objective(nnz, W, XHt, WtW, HHt)
         objectives.append(obj)
         if prev is not None and prev > 0 and (prev - obj) / prev < tol:
             break

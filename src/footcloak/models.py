@@ -6,7 +6,7 @@ The classifier objective is
 
 with y in {-1, +1} and an unpenalized intercept, so C multiplies the data
 loss (larger C = weaker regularization). Value and gradient are computed
-with the sparse kernels; the convex minimization itself is delegated to
+with scipy CSR products; the convex minimization itself is delegated to
 L-BFGS-B from scipy.
 """
 
@@ -24,7 +24,6 @@ from scipy import optimize
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from . import _kernels
 from .data import FootprintMatrix
 
 logger = logging.getLogger(__name__)
@@ -90,12 +89,12 @@ def logreg_value_and_grad(
     y01 holds labels in {0, 1}; internally they map to {-1, +1}.
     """
     y_signed = 2.0 * y01 - 1.0
-    margins = _kernels.row_margins(m.indptr, m.indices, w, b)
+    margins = m.csr @ w + b
     z = y_signed * margins
     loss = np.logaddexp(0.0, -z).sum()
     value = 0.5 * float(w @ w) + C * float(loss)
     coef = C * (-y_signed * expit(-z))
-    grad_w = w + _kernels.scatter_add_rows(m.indptr, m.indices, coef, m.n_items)
+    grad_w = w + m.csr.T @ coef
     grad_b = float(coef.sum())
     return value, grad_w, grad_b
 
@@ -160,7 +159,10 @@ def train_logreg_l2(
 
 def decision_margins(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
     """w.x + b per user; items outside the model vocabulary contribute 0."""
-    return _kernels.row_margins(m.indptr, m.indices, model.weights, model.intercept)
+    w = model.weights[: m.n_items]
+    if len(w) < m.n_items:
+        w = np.concatenate((w, np.zeros(m.n_items - len(w))))
+    return m.csr @ w + model.intercept
 
 
 def predict_score(model: LinearModel, row: np.ndarray) -> float:
@@ -335,7 +337,7 @@ def train_ridge(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m.n_users)
     fold_idx = np.array_split(perm, folds)
-    Xs_full = m.to_scipy()
+    Xs_full = m.csr
 
     fold_cache = []
     for f in range(folds):
@@ -357,7 +359,7 @@ def train_ridge(
                 continue
             w, b = _ridge_solve(Xs_trn, y_trn, alpha, mu, lam, Q)
             sub = m.select_users(val)
-            preds = _kernels.row_margins(sub.indptr, sub.indices, w, b)
+            preds = sub.csr @ w + b
             try:
                 corrs.append(pearson(preds, y[val]))
             except ValueError:

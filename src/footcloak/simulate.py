@@ -10,7 +10,6 @@ cloaked score is strictly below that fraction's threshold.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import derive_seed, map_ordered
+from ._util import canonical_json, derive_seed, map_ordered, write_csv
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -100,12 +99,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ProtectionCurve:
-    """Protection over simulated time for one task and strategy."""
+    """Protection over simulated time for one task and strategy.
+
+    A protection rate over an empty population is undefined and held as
+    None (null in JSON, an empty CSV field).
+    """
 
     task: str
     strategy: str
     fractions: tuple[float, ...]
-    protection: tuple[float, ...]
+    protection: tuple[Optional[float], ...]
     thresholds: tuple[float, ...]
     population_size: int
     population_user_ids: tuple[str, ...]
@@ -117,12 +120,15 @@ class ProtectionCurve:
 
 @dataclass(frozen=True)
 class TradeoffRow:
-    """Cost versus protection for one task and strategy."""
+    """Cost versus protection for one task and strategy.
+
+    Cost and protection are None when no target user got a directive.
+    """
 
     task: str
     strategy: str
-    avg_cloak_cost: float
-    protection_at_full: float
+    avg_cloak_cost: Optional[float]
+    protection_at_full: Optional[float]
     population_size: int
 
 
@@ -299,8 +305,11 @@ def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[Metafeature
 
 def run_strategy(
     ctx: ProtectionContext, strategy: str
-) -> tuple[ProtectionCurve, float]:
-    """Protection curve plus the average cloaking cost on full rows."""
+) -> tuple[ProtectionCurve, Optional[float]]:
+    """Protection curve plus the average cloaking cost on full rows.
+
+    The cost is None when no population user got a directive.
+    """
     config = ctx.config
     mfm = _strategy_mfm(ctx, strategy)
 
@@ -339,13 +348,10 @@ def run_strategy(
 
     results = map_ordered(protection_at, list(config.schedule), config.jobs)
 
-    def rate(protected: dict, members: np.ndarray) -> float:
-        return float(np.mean([protected[int(i)] for i in members])) if len(members) else float("nan")
+    def rate(protected: dict, members: np.ndarray) -> Optional[float]:
+        return float(np.mean([protected[int(i)] for i in members])) if len(members) else None
 
-    protection = tuple(
-        rate(protected, pop) if len(pop) else float("nan")
-        for _, protected in results
-    )
+    protection = tuple(rate(protected, pop) for _, protected in results)
     thresholds = tuple(th for th, _ in results)
     group_curves = {
         name: tuple(rate(protected, members) for _, protected in results)
@@ -355,7 +361,7 @@ def run_strategy(
     costs = [
         cloak_cost(ctx.test_full.row(int(i)), directives[int(i)], mfm) for i in pop
     ]
-    avg_cost = float(np.mean(costs)) if costs else float("nan")
+    avg_cost = float(np.mean(costs)) if costs else None
 
     diagnostics = dict(ctx.diagnostics)
     diagnostics.update(
@@ -476,15 +482,17 @@ def curve_to_dict(curve: ProtectionCurve, meta: Optional[dict] = None) -> dict:
 
 
 def save_protection_curve(path, curve: ProtectionCurve, meta: Optional[dict] = None):
-    Path(path).write_text(
-        json.dumps(curve_to_dict(curve, meta), indent=2, sort_keys=True) + "\n"
-    )
+    Path(path).write_text(canonical_json(curve_to_dict(curve, meta)))
 
 
 def save_protection_curve_csv(path, curve: ProtectionCurve):
     """CSV mirror: fraction, protection, group (group 'all' plus tp/fp)."""
-    lines = ["fraction,protection,group"]
-    for name, vals in [("all", curve.protection)] + sorted(curve.group_curves.items()):
-        for f, v in zip(curve.fractions, vals):
-            lines.append(f"{f!r},{v!r},{name}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ("fraction", "protection", "group"),
+        (
+            (f, v, name)
+            for name, vals in [("all", curve.protection)] + sorted(curve.group_curves.items())
+            for f, v in zip(curve.fractions, vals)
+        ),
+    )

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, write_csv
 from .cloak import CloakDirective, apply_cloak, cloak_fg, cloak_mf
 from .data import FootprintMatrix, LabelTable, filter_min_activity, split_train_test
 from .metafeatures import MetafeatureModel, build_nmf_metafeatures
@@ -254,8 +254,12 @@ def save_spillover_report(path, report: SpilloverReport, meta: Optional[dict] = 
 
 def save_spillover_csv(path, report: SpilloverReport):
     """CSV mirror: trait, strategy, pearson_r, n."""
-    lines = ["trait,strategy,pearson_r,n"]
-    for r in report.rows:
-        for strategy, val in (("none", r.r_none), ("fg", r.r_fg), ("mf", r.r_mf)):
-            lines.append(f"{r.trait},{strategy},{val!r},{r.n}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ("trait", "strategy", "pearson_r", "n"),
+        (
+            (r.trait, strategy, val, r.n)
+            for r in report.rows
+            for strategy, val in (("none", r.r_none), ("fg", r.r_fg), ("mf", r.r_mf))
+        ),
+    )

@@ -1,12 +1,26 @@
+import csv
 import json
 
 import pytest
 
+from footcloak import cli, simulate
 from footcloak.cli import main
 
 
 def _run(*args):
     return main([str(a) for a in args])
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name} holds bare {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +248,45 @@ def test_report_command(data, tmp_path):
     lines = (out / "tradeoff.csv").read_text().splitlines()
     assert lines[0].startswith("task,strategy,")
     assert len(lines) == 3
+
+
+def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
+    # no population user gets a directive: rates and costs are undefined
+    monkeypatch.setattr(simulate, "_make_directive", lambda ctx, strategy, i: None)
+    out = tmp_path / "sim"
+    assert _run(*_simulate_args(data, out)) == 0
+    curve = _strict_json(out / "protection_curve.json")
+    assert curve["population_size"] == 0
+    assert curve["protection"] == [None, None, None]
+    assert curve["diagnostics"]["avg_cloak_cost_full"] is None
+    assert _csv_rows(out / "protection_curve.csv")[1:] == [
+        ["0.0", "", "all"], ["0.5", "", "all"], ["1.0", "", "all"]
+    ]
+    assert "undefined" in capsys.readouterr().out
+
+    out = tmp_path / "rep"
+    rc = _run(
+        "report", "--footprints", data["footprints"], "--labels", data["labels"],
+        "--tasks", "task_a", "--strategies", "fg",
+        "--quantile", 0.9, "--schedule", "0,1", "--out", out,
+    )
+    assert rc == 0
+    row = _strict_json(out / "tradeoff.json")["rows"][0]
+    assert row["avg_cloak_cost"] is None and row["protection_at_full"] is None
+    assert _csv_rows(out / "tradeoff.csv")[1] == ["task_a", "FG", "", "", "0"]
+
+
+def test_tradeoff_csv_roundtrips_names(data, tmp_path, monkeypatch):
+    name = 'a,"b"'
+    rows = [simulate.TradeoffRow(name, "FG", 0.25, 0.5, 3)]
+    monkeypatch.setattr(cli, "tradeoff_report", lambda *a, **k: rows)
+    out = tmp_path / "rep"
+    rc = _run(
+        "report", "--footprints", data["footprints"], "--labels", data["labels"],
+        "--tasks", "task_a", "--strategies", "fg", "--out", out,
+    )
+    assert rc == 0
+    assert _csv_rows(out / "tradeoff.csv")[1] == [name, "FG", "0.25", "0.5", "3"]
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_load_labels_malformed(tmp_path):
 
 def _brute_filter(m, min_user, min_item):
     """Independent oracle: same contract, dense arithmetic."""
-    dense = m.to_scipy().toarray()
+    dense = m.csr.toarray()
     keep_items = dense.sum(axis=0) >= min_item
     reduced = dense[:, keep_items]
     keep_users = reduced.sum(axis=1) >= min_user
@@ -131,8 +131,8 @@ def test_filter_matches_oracle():
         mu, mi = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         got = filter_min_activity(m, mu, mi)
         want = _brute_filter(m, mu, mi)
-        assert got.to_scipy().toarray().shape == want.shape
-        np.testing.assert_array_equal(got.to_scipy().toarray(), want)
+        assert got.csr.toarray().shape == want.shape
+        np.testing.assert_array_equal(got.csr.toarray(), want)
 
 
 def test_filter_zero_thresholds_keep_everything():

@@ -1,103 +1,102 @@
+"""The sparse products of the pipeline, checked against a dense oracle.
+
+Every product the models and NMF compute on `FootprintMatrix.csr` is
+compared with the same product on `csr.toarray()`, over generated binary
+footprints that include empty rows and zero users.
+"""
+
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from footcloak import _kernels
-from footcloak.data import from_rows
+from footcloak.data import FootprintMatrix, from_rows
+from footcloak.models import LinearModel, decision_margins, logreg_value_and_grad
 
-from conftest import random_footprints
-
-
-def _random_csr(rng, n, m, density=0.3, empty_rows=False):
-    mat = random_footprints(rng, n, m, density)
-    if empty_rows:
-        rows = [mat.row(i) if i % 3 else np.empty(0, np.int64) for i in range(n)]
-        mat = from_rows(rows, m, mat.user_ids, mat.item_ids)
-    return mat
+_SETTINGS = settings(max_examples=60, deadline=None)
 
 
-@pytest.mark.parametrize("empty_rows", [False, True])
-def test_row_margins_backends_agree(empty_rows):
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        m = _random_csr(rng, 17, 23, empty_rows=empty_rows)
-        w = rng.normal(size=23)
-        b = rng.normal()
-        loop = _kernels._row_margins_loop(m.indptr, m.indices, w, b)
-        vec = _kernels._row_margins_numpy(m.indptr, m.indices, w, b)
-        active = _kernels.row_margins(m.indptr, m.indices, w, b)
-        np.testing.assert_allclose(loop, vec, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(active, vec, rtol=1e-12, atol=1e-12)
+@st.composite
+def footprints(draw, max_users=12, max_items=10):
+    n_items = draw(st.integers(1, max_items))
+    n_users = draw(st.integers(0, max_users))
+    rows = [
+        np.array(
+            sorted(draw(st.sets(st.integers(0, n_items - 1), max_size=n_items))),
+            dtype=np.int64,
+        )
+        for _ in range(n_users)
+    ]
+    users = tuple(f"u{i}" for i in range(n_users))
+    items = tuple(f"i{j}" for j in range(n_items))
+    return from_rows(rows, n_items, users, items)
+
+
+def _floats(shape, lo=-5.0, hi=5.0):
+    return arrays(np.float64, shape, elements=st.floats(lo, hi))
+
+
+@_SETTINGS
+@given(data=st.data(), m=footprints(), width_delta=st.integers(-3, 3))
+def test_decision_margins_matches_dense(data, m: FootprintMatrix, width_delta):
+    # the model may be narrower (out-of-vocabulary items count 0), as wide
+    # as, or wider (unused weights) than the matrix
+    width = max(0, m.n_items + width_delta)
+    w = data.draw(_floats((width,)))
+    b = data.draw(st.floats(-5.0, 5.0))
+    dense = m.csr.toarray()
+    w_dense = np.zeros(m.n_items)
+    n = min(width, m.n_items)
+    w_dense[:n] = w[:n]
+    got = decision_margins(LinearModel(w, b, 1.0), m)
+    assert got.shape == (m.n_users,)
+    np.testing.assert_allclose(got, dense @ w_dense + b, rtol=1e-12, atol=1e-12)
 
 
 def test_row_margins_ignores_out_of_vocab():
     # row references item 5 but the model only knows 4 items
     m = from_rows([np.array([0, 5])], 6, ("u0",), tuple(f"i{j}" for j in range(6)))
-    w = np.array([2.0, 0.0, 0.0, 0.0])
-    out = _kernels.row_margins(m.indptr, m.indices, w, 1.0)
-    np.testing.assert_allclose(out, [3.0])
+    model = LinearModel(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1.0)
+    np.testing.assert_allclose(decision_margins(model, m), [3.0])
 
 
-def test_scatter_add_rows_backends_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        m = _random_csr(rng, 19, 31, empty_rows=True)
-        v = rng.normal(size=19)
-        loop = _kernels._scatter_add_rows_loop(m.indptr, m.indices, v, 31)
-        vec = _kernels._scatter_add_rows_numpy(m.indptr, m.indices, v, 31)
-        active = _kernels.scatter_add_rows(m.indptr, m.indices, v, 31)
-        np.testing.assert_allclose(loop, vec, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(active, vec, rtol=1e-12, atol=1e-12)
-
-
-def test_scatter_add_rows_matches_dense():
-    rng = np.random.default_rng(2)
-    m = _random_csr(rng, 12, 9)
-    v = rng.normal(size=12)
-    dense = m.to_scipy().toarray()
+@_SETTINGS
+@given(data=st.data(), m=footprints())
+def test_logistic_gradient_matches_dense(data, m: FootprintMatrix):
+    # the gradient's X^T v, and the value's X w, against the dense formulas
+    y01 = data.draw(_floats((m.n_users,), 0.0, 1.0)).round()
+    w = data.draw(_floats((m.n_items,)))
+    b, C = 0.3, 2.0
+    X = m.csr.toarray()
+    y = 2.0 * y01 - 1.0
+    z = y * (X @ w + b)
+    coef = C * (-y / (1.0 + np.exp(z)))
+    value, grad_w, grad_b = logreg_value_and_grad(m, y01, w, b, C)
     np.testing.assert_allclose(
-        _kernels.scatter_add_rows(m.indptr, m.indices, v, 9), dense.T @ v, atol=1e-12
+        value, 0.5 * w @ w + C * np.logaddexp(0.0, -z).sum(), rtol=1e-12
     )
+    np.testing.assert_allclose(grad_w, w + X.T @ coef, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad_b, coef.sum(), rtol=1e-12, atol=1e-12)
 
 
-def test_component_sums_backends_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        m = _random_csr(rng, 15, 21, empty_rows=True)
-        W = rng.uniform(size=(15, 4))
-        H = rng.uniform(size=(4, 21))
-        loop_w = _kernels._component_col_sums_loop(m.indptr, m.indices, W, 21)
-        vec_w = _kernels._component_col_sums_numpy(m.indptr, m.indices, W, 21)
-        np.testing.assert_allclose(loop_w, vec_w, rtol=1e-12, atol=1e-12)
-        loop_h = _kernels._row_component_sums_loop(m.indptr, m.indices, H)
-        vec_h = _kernels._row_component_sums_numpy(m.indptr, m.indices, H)
-        np.testing.assert_allclose(loop_h, vec_h, rtol=1e-12, atol=1e-12)
-        dense = m.to_scipy().toarray()
-        np.testing.assert_allclose(vec_w, W.T @ dense, atol=1e-12)
-        np.testing.assert_allclose(vec_h, dense @ H.T, atol=1e-12)
+@_SETTINGS
+@given(data=st.data(), m=footprints(), k=st.integers(1, 4))
+def test_nmf_products_match_dense(data, m: FootprintMatrix, k):
+    # the two products of an NMF iteration: X H^T and W^T X
+    W = data.draw(_floats((m.n_users, k), 0.0, 1.0))
+    H = data.draw(_floats((k, m.n_items), 0.0, 1.0))
+    X = m.csr.toarray()
+    XHt = m.csr @ H.T
+    WtX = (m.csr.T @ W).T
+    assert XHt.shape == (m.n_users, k) and WtX.shape == (k, m.n_items)
+    np.testing.assert_allclose(XHt, X @ H.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(WtX, W.T @ X, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_size_inputs():
-    indptr = np.zeros(1, dtype=np.int64)
-    indices = np.empty(0, dtype=np.int64)
-    w = np.array([1.0])
-    assert _kernels.row_margins(indptr, indices, w, 0.5).shape == (0,)
-    out = _kernels.scatter_add_rows(indptr, indices, np.empty(0), 3)
-    np.testing.assert_allclose(out, np.zeros(3))
-
-
-def test_backend_flag_reflects_numba():
-    try:
-        import numba  # noqa: F401
-
-        have = True
-    except ImportError:
-        have = False
-    import os
-
-    disabled = os.environ.get("FOOTCLOAK_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-    assert _kernels.NUMBA_ENABLED == (have and not disabled)
+    m = from_rows([], 3, (), ("a", "b", "c"))
+    assert m.csr.shape == (0, 3)
+    assert decision_margins(LinearModel(np.ones(3), 0.5, 1.0), m).shape == (0,)
+    np.testing.assert_allclose(m.csr.T @ np.empty(0), np.zeros(3))
+    assert (m.csr @ np.ones((2, 3)).T).shape == (0, 2)
+    np.testing.assert_allclose((m.csr.T @ np.empty((0, 2))).T, np.zeros((2, 3)))

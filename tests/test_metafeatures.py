@@ -80,6 +80,33 @@ def test_nmf_shapes_nonnegative_and_deterministic():
     assert not np.array_equal(W1, W3)
 
 
+def test_nmf_reused_products_match_recomputed_bit_for_bit():
+    # oracle: every product of every iteration computed afresh from the
+    # current W and H, with the objective written out in full
+    rng = np.random.default_rng(54)
+    m = random_footprints(rng, 35, 28, density=0.2)
+    W, H, objectives = nmf_fit(m, k=4, max_iters=40, tol=0.0, seed=3)
+
+    Xs = m.csr
+    gen = np.random.default_rng(3)
+    W_ref = gen.uniform(0.0, 1.0, size=(35, 4))
+    H_ref = gen.uniform(0.0, 1.0, size=(4, 28))
+    ref = []
+    for _ in range(40):
+        XHt = Xs @ H_ref.T
+        W_ref = W_ref * (XHt / np.maximum(W_ref @ (H_ref @ H_ref.T), 1e-12))
+        WtX = (Xs.T @ W_ref).T
+        H_ref = H_ref * (WtX / np.maximum((W_ref.T @ W_ref) @ H_ref, 1e-12))
+        XHt = Xs @ H_ref.T
+        cross = float(np.sum(W_ref * XHt))
+        ref.append(
+            m.nnz - 2.0 * cross + float(np.sum((W_ref.T @ W_ref) * (H_ref @ H_ref.T)))
+        )
+    np.testing.assert_array_equal(objectives, np.array(ref))
+    np.testing.assert_array_equal(W, W_ref)
+    np.testing.assert_array_equal(H, H_ref)
+
+
 def test_nmf_tol_stops_early():
     rng = np.random.default_rng(52)
     m = random_footprints(rng, 30, 20, density=0.2)

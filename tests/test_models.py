@@ -60,7 +60,7 @@ def test_train_objective_matches_dense_oracle():
     y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     C = 2.0
     model = train_logreg_l2(m, y, C)
-    X = m.to_scipy().toarray()
+    X = m.csr.toarray()
     val, gw, gb = logreg_value_and_grad(m, y, model.weights, model.intercept, C)
     assert val == pytest.approx(
         _dense_objective(X, y, model.weights, model.intercept, C), rel=1e-10
@@ -325,7 +325,7 @@ def test_ridge_recovers_noiseless_linear_target():
     rng = np.random.default_rng(33)
     m = random_footprints(rng, 90, 25, density=0.35)
     w_true = rng.normal(0, 1, 25)
-    X = m.to_scipy().toarray()
+    X = m.csr.toarray()
     y = X @ w_true + 0.7
     train_idx = np.arange(70)
     test_idx = np.arange(70, 90)
@@ -357,7 +357,7 @@ def test_ridge_noisy_random_target_has_low_correlation():
     m = random_footprints(rng, 60, 8)
     y = rng.normal(0, 1, 60)  # unrelated to the footprint
     model = train_ridge(m, y, folds=3, seed=1)
-    X = m.to_scipy().toarray()
+    X = m.csr.toarray()
     held = np.arange(40, 60)
     r = pearson(X[held] @ model.weights + model.intercept, y[held])
     assert abs(r) < 0.6

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import logging
@@ -142,3 +143,10 @@ def test_report_serialization(report, tmp_path):
     assert trait == "trait_a" and strategy == "none"
     assert float(val) == report.rows[0].r_none
     assert int(n) == report.rows[0].n
+
+    # a trait name from the labels file may hold the CSV delimiter and quote
+    odd = dataclasses.replace(report.rows[0], trait='a,"b"')
+    save_spillover_csv(cpath, dataclasses.replace(report, rows=(odd,)))
+    with open(cpath, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ['a,"b"', "none", repr(odd.r_none), str(odd.n)]
