@@ -6,12 +6,15 @@ footprints that include empty rows and zero users.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.models import LinearModel, decision_margins, logreg_value_and_grad
+
+from conftest import random_footprints
 
 _SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -53,11 +56,64 @@ def test_decision_margins_matches_dense(data, m: FootprintMatrix, width_delta):
     np.testing.assert_allclose(got, dense @ w_dense + b, rtol=1e-12, atol=1e-12)
 
 
+def _random_csr(rng, n, m, density=0.3, empty_rows=False):
+    mat = random_footprints(rng, n, m, density)
+    if empty_rows:
+        rows = [mat.row(i) if i % 3 else np.empty(0, np.int64) for i in range(n)]
+        mat = from_rows(rows, m, mat.user_ids, mat.item_ids)
+    return mat
+
+
+def _row_margins_loop(m: FootprintMatrix, w, b):
+    # per-row sum of the weights of the active items, one row at a time
+    return np.array([w[m.row(i)].sum() + b for i in range(m.n_users)])
+
+
+def _scatter_add_rows_loop(m: FootprintMatrix, v):
+    # X^T v: add v[i] to every active item of row i
+    out = np.zeros(m.n_items)
+    for i in range(m.n_users):
+        out[m.row(i)] += v[i]
+    return out
+
+
+@pytest.mark.parametrize("empty_rows", [False, True])
+def test_row_margins_backends_agree(empty_rows):
+    # X w + b on csr (decision_margins) agrees with a per-row loop
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        m = _random_csr(rng, 17, 23, empty_rows=empty_rows)
+        w = rng.normal(size=23)
+        b = rng.normal()
+        loop = _row_margins_loop(m, w, b)
+        got = decision_margins(LinearModel(w, b, 1.0), m)
+        np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.csr @ w + b, loop, rtol=1e-12, atol=1e-12)
+
+
 def test_row_margins_ignores_out_of_vocab():
     # row references item 5 but the model only knows 4 items
     m = from_rows([np.array([0, 5])], 6, ("u0",), tuple(f"i{j}" for j in range(6)))
     model = LinearModel(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1.0)
     np.testing.assert_allclose(decision_margins(model, m), [3.0])
+
+
+def test_scatter_add_rows_backends_agree():
+    # X^T v on csr.T agrees with a per-row scatter-add loop
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        m = _random_csr(rng, 19, 31, empty_rows=True)
+        v = rng.normal(size=19)
+        loop = _scatter_add_rows_loop(m, v)
+        np.testing.assert_allclose(m.csr.T @ v, loop, rtol=1e-12, atol=1e-12)
+
+
+def test_scatter_add_rows_matches_dense():
+    rng = np.random.default_rng(2)
+    m = _random_csr(rng, 12, 9)
+    v = rng.normal(size=12)
+    dense = m.csr.toarray()
+    np.testing.assert_allclose(m.csr.T @ v, dense.T @ v, rtol=1e-12, atol=1e-12)
 
 
 @_SETTINGS
