@@ -1,13 +1,12 @@
-"""Small shared helpers: deterministic rounding, seeding, ordered parallel map,
-result-file writers."""
+"""Small shared helpers: deterministic rounding, seeding and the seed-stream
+table, result-file writers."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +18,19 @@ def round_half_up(x: float) -> int:
     return -int(math.floor(-x + 0.5))
 
 
+# Seed streams: each random stage draws from derive_seed(seed, stream). The
+# protection experiment and the full-footprint classifier (train, explain,
+# cloak, spillover) use separate ids; changing one changes every output.
+STREAM_PROTECTION_SPLIT = 1
+STREAM_PROTECTION_DROP = 2
+STREAM_PROTECTION_CV = 3
+STREAM_PROTECTION_NMF = 4
+STREAM_SPLIT = 21
+STREAM_CV = 22
+STREAM_NMF = 23
+STREAM_RIDGE = 24
+
+
 def derive_seed(base_seed: int, stream: int) -> int:
     """Derive an independent child seed from a base seed and a stream id.
 
@@ -27,18 +39,6 @@ def derive_seed(base_seed: int, stream: int) -> int:
     """
     ss = np.random.SeedSequence([int(base_seed), int(stream)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def map_ordered(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """Map fn over items, optionally with a thread pool.
-
-    Results come back in input order regardless of jobs, so any
-    reduction over them is independent of the parallelism degree.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def canonical_json(obj: Any) -> str:

@@ -3,10 +3,9 @@ spillover, report.
 
 Every run writes a manifest.json recording the command, library version,
 seed, resolved config and its hash. Reruns from the same manifest write
-byte-identical result files at any --jobs setting: nothing time- or
-order-dependent is serialized. Config files are plain key=value lines
-(or a previously written manifest.json); explicit flags win over config
-entries.
+byte-identical result files: nothing time- or order-dependent is
+serialized. Config files are plain key=value lines (or a previously
+written manifest.json); explicit flags win over config entries.
 """
 
 from __future__ import annotations
@@ -21,23 +20,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import canonical_json, derive_seed, write_csv
+from ._util import (
+    STREAM_CV,
+    STREAM_NMF,
+    STREAM_SPLIT,
+    canonical_json,
+    derive_seed,
+    write_csv,
+)
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    cloak_fg,
-    cloak_mf,
-    cloak_tolerance,
+    make_directive,
     save_directives,
 )
-from .data import (
-    filter_min_activity,
-    load_labels,
-    load_triplets,
-    split_train_test,
-)
+from .data import filter_min_activity, load_labels, load_triplets, task_split
 from .explain import linear_explain
 from .metafeatures import (
     build_nmf_metafeatures,
@@ -45,12 +44,12 @@ from .metafeatures import (
     save_metafeature_report,
 )
 from .models import (
+    DEFAULT_C_GRID,
     auc,
-    grid_search_cv,
+    fit_classifier,
     predict_scores,
     quantile_threshold,
     save_model,
-    train_logreg_l2,
 )
 from .simulate import (
     DEFAULT_SCHEDULE,
@@ -93,7 +92,6 @@ _DEFAULTS_COMMON = {
     "drop_fraction": 0.5,
     "nmf_max_iters": 200,
     "nmf_tol": 1e-4,
-    "jobs": 1,
 }
 
 _DEFAULTS = {
@@ -201,8 +199,7 @@ _OPTIONAL_KEYS = {"domain_mapping", "user"}
 
 
 def _config_hash(command: str, cfg: dict) -> str:
-    semantic = {k: v for k, v in sorted(cfg.items()) if k not in ("jobs",)}
-    payload = json.dumps({"command": command, "config": semantic}, sort_keys=True)
+    payload = json.dumps({"command": command, "config": cfg}, sort_keys=True)
     return sha256(payload.encode()).hexdigest()
 
 
@@ -212,7 +209,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict) -> dict:
         "command": command,
         "version": __version__,
         "seed": cfg.get("seed"),
-        "config": {k: v for k, v in sorted(cfg.items()) if k != "jobs"},
+        "config": cfg,
         "config_hash": h,
     }
     outdir.mkdir(parents=True, exist_ok=True)
@@ -238,7 +235,6 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         min_item=cfg["min_item"],
         nmf_max_iters=cfg["nmf_max_iters"],
         nmf_tol=cfg["nmf_tol"],
-        jobs=cfg["jobs"],
     )
 
 
@@ -248,28 +244,33 @@ def _load_dataset(cfg: dict):
     return m, labels
 
 
+def _domain_model(cfg: dict, item_ids):
+    if not cfg.get("domain_mapping"):
+        raise ValueError("--domain-mapping is required for the domain strategy")
+    return load_domain_categories(cfg["domain_mapping"], item_ids)
+
+
 def _classifier_pipeline(cfg: dict):
     """Shared by train/explain/cloak: filter, per-task subset, split,
     CV-train on the full (undropped) training rows, threshold."""
     matrix, labels = _load_dataset(cfg)
     task = cfg["task"]
-    if task not in labels.values:
-        raise ValueError(f"unknown task {task!r}")
-    fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
-    keep = np.array([matrix.user_index[u] for u in fm.user_ids], dtype=np.int64)
-    flabels = labels.select_users(keep)
-    labeled = np.nonzero(flabels.labeled_mask(task))[0]
-    fm = fm.select_users(labeled)
-    flabels = flabels.select_users(labeled)
-    train, test = split_train_test(
-        fm, flabels, cfg["train_frac"], derive_seed(cfg["seed"], 21)
+    fm, train, test = task_split(
+        matrix,
+        labels,
+        task,
+        cfg["min_user"],
+        cfg["min_item"],
+        cfg["train_frac"],
+        derive_seed(cfg["seed"], STREAM_SPLIT),
     )
-    y_train = train.labels.values[task]
-    best_c = grid_search_cv(
-        train.matrix, y_train, folds=cfg["folds"], seed=derive_seed(cfg["seed"], 22)
+    best_c, model, train_scores = fit_classifier(
+        train.matrix,
+        train.labels.values[task],
+        DEFAULT_C_GRID,
+        cfg["folds"],
+        derive_seed(cfg["seed"], STREAM_CV),
     )
-    model = train_logreg_l2(train.matrix, y_train, best_c)
-    train_scores = predict_scores(model, train.matrix)
     threshold = quantile_threshold(train_scores, cfg["quantile"], source="training scores")
     return fm, train, test, model, threshold, train_scores, best_c
 
@@ -366,12 +367,10 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> list[str]:
             cfg["k"],
             max_iters=cfg["nmf_max_iters"],
             tol=cfg["nmf_tol"],
-            seed=derive_seed(cfg["seed"], 23),
+            seed=derive_seed(cfg["seed"], STREAM_NMF),
         )
     elif strategy == STRATEGY_DOMAIN_MF:
-        if not cfg.get("domain_mapping"):
-            raise ValueError("--domain-mapping is required for the domain strategy")
-        mfm = load_domain_categories(cfg["domain_mapping"], fm.item_ids)
+        mfm = _domain_model(cfg, fm.item_ids)
 
     test_scores = predict_scores(model, test.matrix)
     if cfg.get("user"):
@@ -387,14 +386,16 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> list[str]:
         i = int(i)
         row = test.matrix.row(i)
         uid = test.matrix.user_ids[i]
-        if strategy == STRATEGY_FG:
-            d = cloak_fg(model, row, threshold.value, user=uid)
-        elif strategy == STRATEGY_FG_TOL:
-            d = cloak_tolerance(
-                model, row, threshold.value, train_scores, cfg["tolerance_quantile"], user=uid
-            )
-        else:
-            d = cloak_mf(model, row, threshold.value, mfm, user=uid)
+        d = make_directive(
+            strategy,
+            model,
+            row,
+            threshold.value,
+            mfm,
+            train_scores,
+            cfg["tolerance_quantile"],
+            user=uid,
+        )
         if d is None:
             not_found += 1
         else:
@@ -420,10 +421,8 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     econf = _experiment_config(cfg)
     domain = None
     if strategy == STRATEGY_DOMAIN_MF:
-        if not cfg.get("domain_mapping"):
-            raise ValueError("--domain-mapping is required for the domain strategy")
         fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
-        domain = load_domain_categories(cfg["domain_mapping"], fm.item_ids)
+        domain = _domain_model(cfg, fm.item_ids)
     curve = run_protection_experiment(
         cfg["task"], strategy, matrix, labels, econf, domain=domain
     )
@@ -468,10 +467,8 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     ]
     domain = None
     if STRATEGY_DOMAIN_MF in strategies:
-        if not cfg.get("domain_mapping"):
-            raise ValueError("--domain-mapping is required for the domain strategy")
         fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
-        domain = load_domain_categories(cfg["domain_mapping"], fm.item_ids)
+        domain = _domain_model(cfg, fm.item_ids)
     rows = tradeoff_report(tasks, strategies, matrix, labels, econf, domain=domain)
     obj = {
         "rows": [
@@ -528,7 +525,6 @@ def _add_common(p: argparse.ArgumentParser, *, data: bool = True):
         p.add_argument("--folds", type=int, default=None)
         p.add_argument("--min-user", dest="min_user", type=int, default=None)
         p.add_argument("--min-item", dest="min_item", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,13 +10,13 @@ persistence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ._util import canonical_json
 from .data import FootprintMatrix
 from .explain import linear_explain
 from .metafeatures import MetafeatureModel
@@ -137,6 +137,39 @@ def cloak_tolerance(
     )
 
 
+def make_directive(
+    strategy: str,
+    model: LinearModel,
+    row: np.ndarray,
+    threshold: float,
+    mfm: Optional[MetafeatureModel] = None,
+    population_scores: Optional[np.ndarray] = None,
+    quantile_tol: float = 0.90,
+    user: str = "",
+) -> Optional[CloakDirective]:
+    """Directive for one row under the named strategy.
+
+    MF and DOMAIN_MF sweep the groups of mfm (NMF or domain categories);
+    FG_TOL explains against the quantile_tol threshold of
+    population_scores. Returns None when no explanation exists.
+    """
+    if strategy == STRATEGY_FG:
+        return cloak_fg(model, row, threshold, user=user)
+    if strategy == STRATEGY_MF:
+        if mfm is None:
+            raise ValueError("MF requires NMF metafeatures")
+        return cloak_mf(model, row, threshold, mfm, user=user)
+    if strategy == STRATEGY_DOMAIN_MF:
+        if mfm is None:
+            raise ValueError("DOMAIN_MF requires a domain category mapping")
+        return cloak_mf(model, row, threshold, mfm, user=user)
+    if strategy == STRATEGY_FG_TOL:
+        return cloak_tolerance(
+            model, row, threshold, population_scores, quantile_tol, user=user
+        )
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def apply_cloak(
     row: np.ndarray,
     directive: CloakDirective,
@@ -199,22 +232,4 @@ def save_directives(path, directives, m: FootprintMatrix, meta=None) -> None:
     obj = {"directives": items}
     if meta:
         obj.update(meta)
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def load_directives(path, m: FootprintMatrix) -> list[CloakDirective]:
-    """Read directives written by save_directives."""
-    raw = json.loads(Path(path).read_text())["directives"]
-    out = []
-    for d in raw:
-        feats = frozenset(m.item_index[it] for it in d["cloaked_features"])
-        out.append(
-            CloakDirective(
-                user=d["user"],
-                strategy=d["strategy"],
-                cloaked_features=feats,
-                cloaked_metafeatures=frozenset(d["cloaked_metafeatures"]),
-                created_at_fraction=float(d["created_at_fraction"]),
-            )
-        )
-    return out
+    Path(path).write_text(canonical_json(obj))

@@ -9,7 +9,6 @@ every artifact written to disk speaks item/user ids, not dense indices.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -350,6 +349,36 @@ def split_train_test(
     return train, test
 
 
+def task_split(
+    matrix: FootprintMatrix,
+    labels: LabelTable,
+    task: str,
+    min_user: int,
+    min_item: int,
+    train_frac: float,
+    seed: int,
+) -> tuple[FootprintMatrix, Partition, Partition]:
+    """Filter inactivity, keep the users labeled for a binary task, split.
+
+    Returns the filtered, labeled matrix and its train/test partitions,
+    whose indices point into that matrix. An unknown or non-binary task
+    raises ValueError.
+    """
+    if task not in labels.values:
+        raise ValueError(f"unknown task {task!r}")
+    fm = filter_min_activity(matrix, min_user, min_item)
+    keep = np.array([matrix.user_index[u] for u in fm.user_ids], dtype=np.int64)
+    flabels = labels.select_users(keep)
+    if not flabels.is_binary(task):
+        raise ValueError(f"task {task!r} is not binary")
+    labeled = np.nonzero(flabels.labeled_mask(task))[0]
+    fm = fm.select_users(labeled)
+    train, test = split_train_test(
+        fm, flabels.select_users(labeled), train_frac, seed
+    )
+    return fm, train, test
+
+
 # ---------------------------------------------------------------------------
 # drop plans (simulated time)
 
@@ -402,27 +431,3 @@ def readd(m_reduced: FootprintMatrix, plan: DropPlan, fraction: float) -> Footpr
         else:
             rows.append(np.sort(np.concatenate((m_reduced.row(i), drp[:t]))))
     return m_reduced.with_rows(rows)
-
-
-def save_drop_plan(path, plan: DropPlan, m: FootprintMatrix) -> None:
-    """Write a drop plan as JSON keyed by external user and item ids."""
-    obj = {
-        "drop_fraction": plan.drop_fraction,
-        "seed": plan.seed,
-        "dropped": {
-            m.user_ids[i]: [m.item_ids[j] for j in plan.dropped[i]]
-            for i in range(m.n_users)
-        },
-    }
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def load_drop_plan(path, m: FootprintMatrix) -> DropPlan:
-    """Read a drop plan written by save_drop_plan, aligned to matrix m."""
-    obj = json.loads(Path(path).read_text())
-    by_user = obj["dropped"]
-    dropped = []
-    for uid in m.user_ids:
-        items = by_user.get(uid, [])
-        dropped.append(np.array([m.item_index[it] for it in items], dtype=np.int64))
-    return DropPlan(float(obj["drop_fraction"]), obj["seed"], tuple(dropped))

@@ -9,15 +9,14 @@ column, ties to the lowest metafeature index.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import FootprintMatrix
+from ._util import canonical_json
+from .data import FootprintMatrix, _read_records
 
 logger = logging.getLogger(__name__)
 
@@ -166,17 +165,9 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
     """
     item_index = {it: j for j, it in enumerate(item_ids)}
     n_items = len(item_ids)
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    delim = "\t" if lines and "\t" in lines[0] else ","
     cat_index: dict[str, int] = {}
     item_cat = np.full(n_items, -1, dtype=np.int64)
-    body = []
-    for ln, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        fields = [f.strip() for f in next(csv.reader([raw], delimiter=delim))]
-        body.append((ln, fields))
+    body, _ = _read_records(path)
     if body:
         first = tuple(f.lower() for f in body[0][1])
         if first in _CATEGORY_HEADERS:
@@ -247,4 +238,4 @@ def save_metafeature_report(path, mfm: MetafeatureModel, item_ids, top_n: int = 
         "reserved": mfm.reserved,
         "metafeatures": top_items(mfm, item_ids, top_n),
     }
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(canonical_json(obj))

@@ -24,6 +24,7 @@ from scipy import optimize
 from scipy.special import expit
 from scipy.stats import rankdata
 
+from ._util import canonical_json
 from .data import FootprintMatrix
 
 logger = logging.getLogger(__name__)
@@ -236,6 +237,19 @@ def grid_search_cv(
     return best_c
 
 
+def fit_classifier(
+    m: FootprintMatrix, y01: np.ndarray, c_grid, folds: int, seed: int
+) -> tuple[float, LinearModel, np.ndarray]:
+    """Pick C by cross-validation, fit on all rows, score the training rows.
+
+    Returns (best_c, model, train_scores); the caller sets its threshold
+    from train_scores.
+    """
+    best_c = grid_search_cv(m, y01, c_grid, folds, seed)
+    model = train_logreg_l2(m, y01, best_c)
+    return best_c, model, predict_scores(model, m)
+
+
 # ---------------------------------------------------------------------------
 # thresholds and metrics
 
@@ -408,7 +422,7 @@ def save_model(path, model: LinearModel, item_ids) -> None:
         "weights": {item_ids[j]: float(model.weights[j]) for j in nz},
         "vocabulary_sha256": vocabulary_hash(item_ids),
     }
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(canonical_json(obj))
 
 
 def load_model(path, item_ids) -> LinearModel:

@@ -17,28 +17,31 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import canonical_json, derive_seed, map_ordered, write_csv
+from ._util import (
+    STREAM_PROTECTION_CV,
+    STREAM_PROTECTION_DROP,
+    STREAM_PROTECTION_NMF,
+    STREAM_PROTECTION_SPLIT,
+    canonical_json,
+    derive_seed,
+    write_csv,
+)
 from .cloak import (
     STRATEGY_DOMAIN_MF,
-    STRATEGY_FG,
-    STRATEGY_FG_TOL,
     STRATEGY_MF,
     CloakDirective,
     apply_cloak,
     cloak_cost,
-    cloak_fg,
-    cloak_mf,
-    cloak_tolerance,
+    make_directive,
 )
 from .data import (
     DropPlan,
     FootprintMatrix,
     LabelTable,
     apply_drop,
-    filter_min_activity,
     make_drop_plan,
     readd,
-    split_train_test,
+    task_split,
 )
 from .metafeatures import MetafeatureModel, build_nmf_metafeatures
 from .models import (
@@ -46,19 +49,13 @@ from .models import (
     DEFAULT_C_GRID,
     LinearModel,
     ThresholdSpec,
-    grid_search_cv,
+    fit_classifier,
     predict_score,
     predict_scores,
     quantile_threshold,
-    train_logreg_l2,
 )
 
 logger = logging.getLogger(__name__)
-
-_STREAM_SPLIT = 1
-_STREAM_DROP = 2
-_STREAM_CV = 3
-_STREAM_NMF = 4
 
 DEFAULT_SCHEDULE = tuple(round(f * 0.1, 1) for f in range(11))
 
@@ -81,7 +78,6 @@ class ExperimentConfig:
     min_item: int = 10
     nmf_max_iters: int = 200
     nmf_tol: float = 1e-4
-    jobs: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.quantile < 1.0:
@@ -155,21 +151,6 @@ class ProtectionContext:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _task_view(
-    matrix: FootprintMatrix, labels: LabelTable, task: str, config: ExperimentConfig
-) -> tuple[FootprintMatrix, LabelTable]:
-    """Filter inactivity, then keep only users labeled for the task."""
-    if task not in labels.values:
-        raise ValueError(f"unknown task {task!r}")
-    fm = filter_min_activity(matrix, config.min_user, config.min_item)
-    keep = np.array([matrix.user_index[u] for u in fm.user_ids], dtype=np.int64)
-    flabels = labels.select_users(keep)
-    if not flabels.is_binary(task):
-        raise ValueError(f"task {task!r} is not binary")
-    labeled = np.nonzero(flabels.labeled_mask(task))[0]
-    return fm.select_users(labeled), flabels.select_users(labeled)
-
-
 def build_protection_context(
     task: str,
     matrix: FootprintMatrix,
@@ -185,29 +166,30 @@ def build_protection_context(
     the test users positive under both: cloaking a user never targeted is
     meaningless, and one never re-identified needs no longer-term story.
     """
-    fm, flabels = _task_view(matrix, labels, task, config)
-    plan = make_drop_plan(
-        fm, config.drop_fraction, derive_seed(config.seed, _STREAM_DROP)
+    fm, train, test = task_split(
+        matrix,
+        labels,
+        task,
+        config.min_user,
+        config.min_item,
+        config.train_frac,
+        derive_seed(config.seed, STREAM_PROTECTION_SPLIT),
     )
-    train, test = split_train_test(
-        fm, flabels, config.train_frac, derive_seed(config.seed, _STREAM_SPLIT)
+    plan = make_drop_plan(
+        fm, config.drop_fraction, derive_seed(config.seed, STREAM_PROTECTION_DROP)
     )
     train_plan = plan.select_users(train.indices)
     test_plan = plan.select_users(test.indices)
     train_reduced = apply_drop(train.matrix, train_plan)
     test_reduced = apply_drop(test.matrix, test_plan)
 
-    y_train = train.labels.values[task]
-    best_c = grid_search_cv(
+    best_c, model, train_scores_reduced = fit_classifier(
         train_reduced,
-        y_train,
+        train.labels.values[task],
         config.c_grid,
         config.folds,
-        derive_seed(config.seed, _STREAM_CV),
+        derive_seed(config.seed, STREAM_PROTECTION_CV),
     )
-    model = train_logreg_l2(train_reduced, y_train, best_c)
-
-    train_scores_reduced = predict_scores(model, train_reduced)
     threshold0 = quantile_threshold(
         train_scores_reduced, config.quantile, source="training scores, fraction 0.0"
     )
@@ -235,7 +217,7 @@ def build_protection_context(
             config.k_metafeatures,
             max_iters=config.nmf_max_iters,
             tol=config.nmf_tol,
-            seed=derive_seed(config.seed, _STREAM_NMF),
+            seed=derive_seed(config.seed, STREAM_PROTECTION_NMF),
         )
 
     diagnostics = {
@@ -267,34 +249,6 @@ def build_protection_context(
     )
 
 
-def _make_directive(
-    ctx: ProtectionContext, strategy: str, i: int
-) -> Optional[CloakDirective]:
-    row = ctx.test_reduced.row(i)
-    uid = ctx.test_reduced.user_ids[i]
-    th = ctx.threshold0.value
-    if strategy == STRATEGY_FG:
-        return cloak_fg(ctx.model, row, th, user=uid)
-    if strategy == STRATEGY_MF:
-        if ctx.nmf is None:
-            raise ValueError("context built without NMF metafeatures")
-        return cloak_mf(ctx.model, row, th, ctx.nmf, user=uid)
-    if strategy == STRATEGY_DOMAIN_MF:
-        if ctx.domain is None:
-            raise ValueError("DOMAIN_MF requires a domain category mapping")
-        return cloak_mf(ctx.model, row, th, ctx.domain, user=uid)
-    if strategy == STRATEGY_FG_TOL:
-        return cloak_tolerance(
-            ctx.model,
-            row,
-            th,
-            ctx.train_scores_reduced,
-            ctx.config.tolerance_quantile,
-            user=uid,
-        )
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[MetafeatureModel]:
     if strategy == STRATEGY_MF:
         return ctx.nmf
@@ -316,11 +270,21 @@ def run_strategy(
     directives: dict[int, CloakDirective] = {}
     not_found = 0
     for i in ctx.population:
-        d = _make_directive(ctx, strategy, int(i))
+        i = int(i)
+        d = make_directive(
+            strategy,
+            ctx.model,
+            ctx.test_reduced.row(i),
+            ctx.threshold0.value,
+            mfm,
+            ctx.train_scores_reduced,
+            config.tolerance_quantile,
+            user=ctx.test_reduced.user_ids[i],
+        )
         if d is None:
             not_found += 1
         else:
-            directives[int(i)] = d
+            directives[i] = d
     pop = np.array(sorted(directives), dtype=np.int64)
 
     y = ctx.test_labels
@@ -346,7 +310,7 @@ def run_strategy(
             protected[int(i)] = predict_score(ctx.model, kept) < th_f
         return th_f, protected
 
-    results = map_ordered(protection_at, list(config.schedule), config.jobs)
+    results = [protection_at(f) for f in config.schedule]
 
     def rate(protected: dict, members: np.ndarray) -> Optional[float]:
         return float(np.mean([protected[int(i)] for i in members])) if len(members) else None

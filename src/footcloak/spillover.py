@@ -10,7 +10,6 @@ three columns.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,28 +17,28 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import derive_seed, write_csv
+from ._util import (
+    STREAM_CV,
+    STREAM_NMF,
+    STREAM_RIDGE,
+    STREAM_SPLIT,
+    canonical_json,
+    derive_seed,
+    write_csv,
+)
 from .cloak import CloakDirective, apply_cloak, cloak_fg, cloak_mf
-from .data import FootprintMatrix, LabelTable, filter_min_activity, split_train_test
-from .metafeatures import MetafeatureModel, build_nmf_metafeatures
+from .data import FootprintMatrix, LabelTable, task_split
+from .metafeatures import build_nmf_metafeatures
 from .models import (
-    LinearModel,
-    grid_search_cv,
+    fit_classifier,
     pearson,
-    predict_score,
     predict_scores,
     quantile_threshold,
-    train_logreg_l2,
     train_ridge,
 )
 from .simulate import ExperimentConfig
 
 logger = logging.getLogger(__name__)
-
-_STREAM_SPLIT = 21
-_STREAM_CV = 22
-_STREAM_NMF = 23
-_STREAM_RIDGE = 24
 
 POPULATION_CLOAKED = "cloaked"
 POPULATION_ALL_TEST = "all-test"
@@ -91,31 +90,24 @@ def run_spillover_experiment(
     if population not in (POPULATION_CLOAKED, POPULATION_ALL_TEST):
         raise ValueError(f"unknown population mode {population!r}")
 
-    if sensitive_task not in labels.values:
-        raise ValueError(f"unknown task {sensitive_task!r}")
-    fm = filter_min_activity(matrix, config.min_user, config.min_item)
-    keep = np.array([matrix.user_index[u] for u in fm.user_ids], dtype=np.int64)
-    flabels = labels.select_users(keep)
-    if not flabels.is_binary(sensitive_task):
-        raise ValueError(f"task {sensitive_task!r} is not binary")
-    labeled = np.nonzero(flabels.labeled_mask(sensitive_task))[0]
-    fm = fm.select_users(labeled)
-    flabels = flabels.select_users(labeled)
-
-    train, test = split_train_test(
-        fm, flabels, config.train_frac, derive_seed(config.seed, _STREAM_SPLIT)
+    _, train, test = task_split(
+        matrix,
+        labels,
+        sensitive_task,
+        config.min_user,
+        config.min_item,
+        config.train_frac,
+        derive_seed(config.seed, STREAM_SPLIT),
     )
-    y_train = train.labels.values[sensitive_task]
-    best_c = grid_search_cv(
+    best_c, model, train_scores = fit_classifier(
         train.matrix,
-        y_train,
+        train.labels.values[sensitive_task],
         config.c_grid,
         config.folds,
-        derive_seed(config.seed, _STREAM_CV),
+        derive_seed(config.seed, STREAM_CV),
     )
-    model = train_logreg_l2(train.matrix, y_train, best_c)
     threshold = quantile_threshold(
-        predict_scores(model, train.matrix), config.quantile, source="training scores"
+        train_scores, config.quantile, source="training scores"
     )
     test_scores = predict_scores(model, test.matrix)
     positives = np.nonzero(test_scores >= threshold.value)[0]
@@ -125,7 +117,7 @@ def run_spillover_experiment(
         config.k_metafeatures,
         max_iters=config.nmf_max_iters,
         tol=config.nmf_tol,
-        seed=derive_seed(config.seed, _STREAM_NMF),
+        seed=derive_seed(config.seed, STREAM_NMF),
     )
 
     fg: dict[int, CloakDirective] = {}
@@ -165,7 +157,7 @@ def run_spillover_experiment(
             train.labels.values[trait][trn_idx],
             config.alpha_grid,
             config.folds,
-            derive_seed(config.seed, _STREAM_RIDGE),
+            derive_seed(config.seed, STREAM_RIDGE),
         )
         eval_idx = np.array(
             [i for i in pop if not np.isnan(test.labels.values[trait][i])],
@@ -247,9 +239,7 @@ def report_to_dict(report: SpilloverReport, meta: Optional[dict] = None) -> dict
 
 
 def save_spillover_report(path, report: SpilloverReport, meta: Optional[dict] = None):
-    Path(path).write_text(
-        json.dumps(report_to_dict(report, meta), indent=2, sort_keys=True) + "\n"
-    )
+    Path(path).write_text(canonical_json(report_to_dict(report, meta)))
 
 
 def save_spillover_csv(path, report: SpilloverReport):

@@ -10,7 +10,6 @@ range. The planted structure is emitted as a ground-truth sidecar.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from ._util import canonical_json
 from .data import FootprintMatrix, LabelTable, from_rows
 
 logger = logging.getLogger(__name__)
@@ -265,7 +265,7 @@ def write_dataset(outdir, result: SynthResult) -> dict:
         "item_topics": [int(t) for t in result.item_topics],
         "diagnostics": result.diagnostics,
     }
-    gt.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    gt.write_text(canonical_json(obj))
     return {
         "footprints": str(fp),
         "labels": str(lp),

@@ -466,20 +466,20 @@ def test_criterion_11_manifest_replay_determinism(tiny_dataset_dir, tmp_path):
         "--task", "task_a", "--quantile", "0.9",
     ]
     sim1 = tmp_path / "sim1"
-    assert cli_main(["simulate", *base, "--schedule", "0,0.5,1", "--jobs", "1",
+    assert cli_main(["simulate", *base, "--schedule", "0,0.5,1",
                      "--out", str(sim1)]) == 0
     sim2 = tmp_path / "sim2"
     assert cli_main(["simulate", "--config", str(sim1 / "manifest.json"),
-                     "--jobs", "4", "--out", str(sim2)]) == 0
+                     "--out", str(sim2)]) == 0
 
     sp1 = tmp_path / "sp1"
     assert cli_main(["spillover", *base, "--traits", ",".join(TRAITS),
                      "--population", "all-test", "--k", "8",
-                     "--nmf-max-iters", "60", "--jobs", "1",
+                     "--nmf-max-iters", "60",
                      "--out", str(sp1)]) == 0
     sp2 = tmp_path / "sp2"
     assert cli_main(["spillover", "--config", str(sp1 / "manifest.json"),
-                     "--jobs", "3", "--out", str(sp2)]) == 0
+                     "--out", str(sp2)]) == 0
 
     mismatched = []
     for a, b, name in (
@@ -496,6 +496,6 @@ def test_criterion_11_manifest_replay_determinism(tiny_dataset_dir, tmp_path):
     _criterion(
         11,
         not mismatched and curve["protection"][0] == 1.0,
-        f"manifest replays at different --jobs byte-identical "
+        f"manifest replays byte-identical "
         f"(mismatches: {mismatched or 'none'})",
     )

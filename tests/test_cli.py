@@ -189,8 +189,8 @@ def _simulate_args(data, out, *extra):
 
 def test_simulate_jobs_do_not_change_files(data, tmp_path):
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert _run(*_simulate_args(data, out1, "--jobs", 1)) == 0
-    assert _run(*_simulate_args(data, out2, "--jobs", 2)) == 0
+    assert _run(*_simulate_args(data, out1)) == 0
+    assert _run(*_simulate_args(data, out2)) == 0
     for name in ("protection_curve.json", "protection_curve.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     curve = json.loads((out1 / "protection_curve.json").read_text())
@@ -204,9 +204,7 @@ def test_simulate_manifest_replay(data, tmp_path):
     out1 = tmp_path / "m1"
     assert _run(*_simulate_args(data, out1)) == 0
     out2 = tmp_path / "m2"
-    rc = _run(
-        "simulate", "--config", out1 / "manifest.json", "--out", out2, "--jobs", 4
-    )
+    rc = _run("simulate", "--config", out1 / "manifest.json", "--out", out2)
     assert rc == 0
     for name in ("protection_curve.json", "protection_curve.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -252,7 +250,7 @@ def test_report_command(data, tmp_path):
 
 def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
     # no population user gets a directive: rates and costs are undefined
-    monkeypatch.setattr(simulate, "_make_directive", lambda ctx, strategy, i: None)
+    monkeypatch.setattr(simulate, "make_directive", lambda *a, **k: None)
     out = tmp_path / "sim"
     assert _run(*_simulate_args(data, out)) == 0
     curve = _strict_json(out / "protection_curve.json")
@@ -342,6 +340,25 @@ def test_missing_required_options(data, tmp_path, capsys):
     assert "task" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("train", ()),
+        ("simulate", ()),
+        ("spillover", ("--traits", "trait_b")),
+    ],
+    ids=["train", "simulate", "spillover"],
+)
+def test_continuous_task_is_structured_error(data, tmp_path, capsys, command, extra):
+    rc = _run(
+        command, "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "trait_a", *extra, "--out", tmp_path / command,
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "task 'trait_a' is not binary"}
+
+
 def test_unknown_task_is_structured_error(data, tmp_path, capsys):
     rc = _run(
         "train", "--footprints", data["footprints"], "--labels", data["labels"],
@@ -355,6 +372,9 @@ def test_unknown_task_is_structured_error(data, tmp_path, capsys):
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # --out is required by argparse
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", "x", "--jobs", "2"])  # no such option
     assert exc.value.code == 2
 
 

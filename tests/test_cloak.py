@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from footcloak.cloak import (
     cloak_fg,
     cloak_mf,
     cloak_tolerance,
-    load_directives,
     save_directives,
 )
 from footcloak.data import from_rows
@@ -193,13 +194,17 @@ def test_directive_roundtrip(tmp_path):
     d1 = cloak_fg(_MODEL, m.row(0), _TH, user="u1")
     path = tmp_path / "directives.json"
     save_directives(path, [d0, d1], m, meta={"config_hash": "h", "seed": 3})
-    loaded = load_directives(path, m)
-    assert len(loaded) == 2
-    for orig, back in zip([d0, d1], loaded):
-        assert back.user == orig.user
-        assert back.strategy == orig.strategy
-        assert back.cloaked_features == orig.cloaked_features
-        assert back.cloaked_metafeatures == orig.cloaked_metafeatures
-        assert back.created_at_fraction == orig.created_at_fraction
+    written = json.loads(path.read_text())["directives"]
+    assert len(written) == 2
+    assert d0.cloaked_metafeatures
+    for orig, back in zip([d0, d1], written):
+        assert back["user"] == orig.user
+        assert back["strategy"] == orig.strategy
+        # external item ids, in item-index order
+        assert back["cloaked_features"] == [
+            f"it{j}" for j in sorted(orig.cloaked_features)
+        ]
+        assert back["cloaked_metafeatures"] == sorted(orig.cloaked_metafeatures)
+        assert back["created_at_fraction"] == orig.created_at_fraction
     text = path.read_text()
     assert '"config_hash": "h"' in text and '"seed": 3' in text

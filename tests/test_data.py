@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,10 @@ from footcloak.data import (
     apply_drop,
     filter_min_activity,
     from_rows,
-    load_drop_plan,
     load_labels,
     load_triplets,
     make_drop_plan,
     readd,
-    save_drop_plan,
     split_train_test,
 )
 from footcloak.data import LabelTable
@@ -263,19 +259,6 @@ def test_drop_plan_deterministic():
     p2 = make_drop_plan(m, 0.5, seed=9)
     for a, b in zip(p1.dropped, p2.dropped):
         np.testing.assert_array_equal(a, b)
-
-
-def test_drop_plan_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    m = random_footprints(rng, 10, 12)
-    plan = make_drop_plan(m, 0.6, seed=7)
-    path = tmp_path / "plan.json"
-    save_drop_plan(path, plan, m)
-    loaded = load_drop_plan(path, m)
-    assert loaded.drop_fraction == plan.drop_fraction
-    assert loaded.seed == plan.seed
-    for a, b in zip(plan.dropped, loaded.dropped):
-        np.testing.assert_array_equal(a, b)  # permutation order preserved
 
 
 def test_drop_plan_select_users():

@@ -381,3 +381,12 @@ def test_model_roundtrip(tmp_path):
     assert loaded.C == model.C and loaded.kind == model.kind
     with pytest.raises(ValueError, match="vocabulary"):
         load_model(path, tuple(reversed(m.item_ids)))
+
+
+def test_save_model_rejects_nan(tmp_path):
+    # strict JSON: a NaN weight fails loudly instead of writing bare NaN
+    model = LinearModel(np.array([0.5, np.nan]), 0.0, 1.0)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError):
+        save_model(path, model, ("a", "b"))
+    assert not path.exists()

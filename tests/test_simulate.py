@@ -81,16 +81,6 @@ def test_mf_cost_at_least_fg(ctx):
     assert cost_mf >= cost_fg
 
 
-def test_jobs_do_not_change_results(ctx):
-    curve1, cost1 = run_strategy(ctx, STRATEGY_FG)
-    ctx3 = dataclasses.replace(ctx, config=dataclasses.replace(_CONFIG, jobs=3))
-    curve3, cost3 = run_strategy(ctx3, STRATEGY_FG)
-    assert curve1.protection == curve3.protection
-    assert curve1.thresholds == curve3.thresholds
-    assert curve1.group_curves == curve3.group_curves
-    assert cost1 == cost3
-
-
 def test_group_curves_partition_population(ctx):
     curve, _ = run_strategy(ctx, STRATEGY_FG)
     tp = curve.diagnostics["tp_count"]
