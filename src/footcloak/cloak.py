@@ -170,19 +170,19 @@ def make_directive(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def apply_cloak(
+def cloaked_mask(
     row: np.ndarray,
     directive: CloakDirective,
     mfm: Optional[MetafeatureModel] = None,
 ) -> np.ndarray:
-    """Footprint row after the directive: cloaked items and all items in
-    cloaked metafeatures removed. Idempotent."""
+    """True for each item of row the directive removes: a cloaked feature,
+    or an in-vocabulary item assigned to a cloaked metafeature."""
     row = np.asarray(row, dtype=np.int64)
     if directive.cloaked_metafeatures and mfm is None:
         raise ValueError("directive sweeps metafeatures; a metafeature model is required")
-    if row.size == 0:
-        return row
     mask = np.zeros(row.shape, dtype=bool)
+    if row.size == 0:
+        return mask
     if directive.cloaked_features:
         feats = np.fromiter(directive.cloaked_features, dtype=np.int64)
         mask |= np.isin(row, feats)
@@ -191,7 +191,18 @@ def apply_cloak(
         in_vocab = row < mfm.n_items
         safe = np.where(in_vocab, row, 0)
         mask |= in_vocab & np.isin(mfm.assignment[safe], metas)
-    return row[~mask]
+    return mask
+
+
+def apply_cloak(
+    row: np.ndarray,
+    directive: CloakDirective,
+    mfm: Optional[MetafeatureModel] = None,
+) -> np.ndarray:
+    """Footprint row after the directive: cloaked items and all items in
+    cloaked metafeatures removed. Idempotent."""
+    row = np.asarray(row, dtype=np.int64)
+    return row[~cloaked_mask(row, directive, mfm)]
 
 
 def cloak_cost(

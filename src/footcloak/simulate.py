@@ -6,6 +6,14 @@ trained once on the reduced training split and never retrained; only the
 decision threshold moves, recomputed at each fraction from the uncloaked
 training scores. A user counts as protected at fraction f when their
 cloaked score is strictly below that fraction's threshold.
+
+The schedule is evaluated in closed form. Re-adding fraction f restores
+the first round_half_up(f * len) items of each user's drop order, so the
+re-added sets are nested prefixes and the margin at f is the reduced
+margin plus a prefix sum of the weights over that order (with the
+directive's cloaked items weighted 0 for cloaked users). No re-added
+matrix is built; `data.readd` with `cloak.apply_cloak` is the slow,
+obvious path the tests check this against.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from ._util import (
     STREAM_PROTECTION_CV,
@@ -28,10 +37,11 @@ from ._util import (
 )
 from .cloak import (
     STRATEGY_DOMAIN_MF,
+    STRATEGY_FG_TOL,
     STRATEGY_MF,
     CloakDirective,
-    apply_cloak,
     cloak_cost,
+    cloaked_mask,
     make_directive,
 )
 from .data import (
@@ -40,7 +50,6 @@ from .data import (
     LabelTable,
     apply_drop,
     make_drop_plan,
-    readd,
     task_split,
 )
 from .metafeatures import MetafeatureModel, build_nmf_metafeatures
@@ -49,8 +58,8 @@ from .models import (
     DEFAULT_C_GRID,
     LinearModel,
     ThresholdSpec,
+    decision_margins,
     fit_classifier,
-    predict_score,
     predict_scores,
     quantile_threshold,
 )
@@ -62,7 +71,11 @@ DEFAULT_SCHEDULE = tuple(round(f * 0.1, 1) for f in range(11))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the protection and spillover experiments."""
+    """Knobs shared by the protection and spillover experiments.
+
+    Only FG_TOL reads tolerance_quantile, so its bound (at most quantile)
+    is checked where FG_TOL runs, not here.
+    """
 
     seed: int = 0
     quantile: float = 0.95
@@ -84,8 +97,6 @@ class ExperimentConfig:
             raise ValueError("quantile must be in (0, 1)")
         if not 0.0 < self.tolerance_quantile < 1.0:
             raise ValueError("tolerance_quantile must be in (0, 1)")
-        if self.tolerance_quantile > self.quantile:
-            raise ValueError("tolerance_quantile must not exceed quantile")
         if not self.schedule:
             raise ValueError("schedule must be non-empty")
         for f in self.schedule:
@@ -129,9 +140,47 @@ class TradeoffRow:
 
 
 @dataclass(frozen=True, eq=False)
+class ReaddMargins:
+    """Decision margins of a set of users at any re-add fraction.
+
+    base[i] is user i's margin on the reduced row; sums holds, per user
+    and starting at offsets[i], 0.0 followed by the running sum of the
+    weights over the user's drop order. Built in O(dropped items).
+    """
+
+    base: np.ndarray
+    lengths: np.ndarray
+    offsets: np.ndarray
+    sums: np.ndarray
+
+    @classmethod
+    def build(
+        cls, base: np.ndarray, readd_weights: Sequence[np.ndarray]
+    ) -> "ReaddMargins":
+        """readd_weights[i] holds the weights of user i's dropped items in
+        re-add order."""
+        lengths = np.array([len(w) for w in readd_weights], dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(lengths + 1)[:-1])).astype(np.int64)
+        sums = np.concatenate(
+            [np.zeros(0)] + [np.concatenate(([0.0], np.cumsum(w))) for w in readd_weights]
+        )
+        return cls(np.asarray(base, dtype=np.float64), lengths, offsets, sums)
+
+    def at(self, fraction: float) -> np.ndarray:
+        """Margins once the first round_half_up(fraction * len) dropped
+        items of every user are back, the count `data.readd` restores."""
+        t = np.floor(fraction * self.lengths + 0.5).astype(np.int64)
+        return self.base + self.sums[self.offsets + t]
+
+
+@dataclass(frozen=True, eq=False)
 class ProtectionContext:
     """Everything shared by strategies for one task: model, thresholds,
-    drop plans, target population. Built once, reused across strategies."""
+    drop plans, target population. Built once, reused across strategies.
+
+    train_margins evaluates the training margins at any fraction; the
+    threshold of each fraction is computed from them once and cached.
+    """
 
     task: str
     config: ExperimentConfig
@@ -144,11 +193,23 @@ class ProtectionContext:
     test_full: FootprintMatrix
     test_plan: DropPlan
     train_scores_reduced: np.ndarray
+    train_margins: ReaddMargins
     test_labels: np.ndarray
     population: np.ndarray
     nmf: Optional[MetafeatureModel]
     domain: Optional[MetafeatureModel]
     diagnostics: dict = field(default_factory=dict)
+    _thresholds: dict = field(default_factory=dict, init=False, repr=False)
+
+    def threshold_at(self, fraction: float) -> float:
+        """Decision threshold at one re-add fraction, from the uncloaked
+        training scores; at 0.0 it equals threshold0.value exactly."""
+        th = self._thresholds.get(fraction)
+        if th is None:
+            scores = expit(self.train_margins.at(fraction))
+            th = quantile_threshold(scores, self.config.quantile).value
+            self._thresholds[fraction] = th
+        return th
 
 
 def build_protection_context(
@@ -220,6 +281,13 @@ def build_protection_context(
             seed=derive_seed(config.seed, STREAM_PROTECTION_NMF),
         )
 
+    # the same w.x + b that train_scores_reduced came from, so fraction 0.0
+    # reproduces threshold0 bit for bit
+    train_margins = ReaddMargins.build(
+        decision_margins(model, train_reduced),
+        [_scored_weights(model, d) for d in train_plan.dropped],
+    )
+
     diagnostics = {
         "n_filtered_users": fm.n_users,
         "n_train": train.matrix.n_users,
@@ -241,6 +309,7 @@ def build_protection_context(
         test_full=test.matrix,
         test_plan=test_plan,
         train_scores_reduced=train_scores_reduced,
+        train_margins=train_margins,
         test_labels=test.labels.values[task],
         population=population,
         nmf=nmf,
@@ -257,16 +326,32 @@ def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[Metafeature
     return None
 
 
-def run_strategy(
+def _check_strategy(config: ExperimentConfig, strategy: str) -> None:
+    """Reject settings a strategy cannot run with, before any work."""
+    if strategy == STRATEGY_FG_TOL and config.tolerance_quantile > config.quantile:
+        raise ValueError("tolerance_quantile must not exceed quantile")
+
+
+def _scored_weights(
+    model: LinearModel, items: np.ndarray, removed: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Weight of each item as the model scores it: 0 outside the model
+    vocabulary and where removed is True."""
+    items = np.asarray(items, dtype=np.int64)
+    keep = items < model.n_items
+    if removed is not None:
+        keep &= ~removed
+    w = np.zeros(items.shape)
+    w[keep] = model.weights[items[keep]]
+    return w
+
+
+def cloak_population(
     ctx: ProtectionContext, strategy: str
-) -> tuple[ProtectionCurve, Optional[float]]:
-    """Protection curve plus the average cloaking cost on full rows.
-
-    The cost is None when no population user got a directive.
-    """
-    config = ctx.config
+) -> tuple[dict[int, CloakDirective], int]:
+    """Directive per population user (by test row) that has one under the
+    strategy, created at fraction 0.0, and the count of users without."""
     mfm = _strategy_mfm(ctx, strategy)
-
     directives: dict[int, CloakDirective] = {}
     not_found = 0
     for i in ctx.population:
@@ -278,49 +363,80 @@ def run_strategy(
             ctx.threshold0.value,
             mfm,
             ctx.train_scores_reduced,
-            config.tolerance_quantile,
+            ctx.config.tolerance_quantile,
             user=ctx.test_reduced.user_ids[i],
         )
         if d is None:
             not_found += 1
         else:
             directives[i] = d
+    return directives, not_found
+
+
+def protection_flags(
+    ctx: ProtectionContext,
+    directives: dict[int, CloakDirective],
+    mfm: Optional[MetafeatureModel] = None,
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """Threshold per schedule fraction, and protected[k, u]: whether the
+    u-th directive user (ascending test row) scores strictly below the
+    threshold of fraction k.
+
+    Re-added items the directive cloaks weigh 0. The reduced margin sums
+    the kept weights as predict_score sums apply_cloak's row, so fraction
+    0.0 is bit-exact.
+    """
+    w, b = ctx.model.weights, ctx.model.intercept
+    base, readd_weights = [], []
+    for i in sorted(directives):
+        d = directives[i]
+        row = ctx.test_reduced.row(i)
+        kept = row[~cloaked_mask(row, d, mfm)]
+        base.append(float(w[kept[kept < ctx.model.n_items]].sum()) + b)
+        dropped = ctx.test_plan.dropped[i]
+        readd_weights.append(
+            _scored_weights(ctx.model, dropped, cloaked_mask(dropped, d, mfm))
+        )
+    margins = ReaddMargins.build(np.array(base), readd_weights)
+    schedule = ctx.config.schedule
+    thresholds = tuple(ctx.threshold_at(f) for f in schedule)
+    protected = np.array(
+        [expit(margins.at(f)) < th for f, th in zip(schedule, thresholds)]
+    )
+    return thresholds, protected
+
+
+def run_strategy(
+    ctx: ProtectionContext, strategy: str
+) -> tuple[ProtectionCurve, Optional[float]]:
+    """Protection curve plus the average cloaking cost on full rows.
+
+    The schedule is evaluated in closed form by protection_flags, with no
+    re-added matrix built. The cost is None when no population user got a
+    directive.
+    """
+    config = ctx.config
+    _check_strategy(config, strategy)
+    mfm = _strategy_mfm(ctx, strategy)
+    directives, not_found = cloak_population(ctx, strategy)
     pop = np.array(sorted(directives), dtype=np.int64)
 
-    y = ctx.test_labels
-    groups = {
-        "tp": np.array([i for i in pop if y[i] == 1.0], dtype=np.int64),
-        "fp": np.array([i for i in pop if y[i] == 0.0], dtype=np.int64),
-    }
+    y = ctx.test_labels[pop]
+    groups = {"tp": y == 1.0, "fp": y == 0.0}
     for name, members in groups.items():
-        if len(members) == 0:
+        if not members.any():
             logger.debug("run_strategy: group %s empty for %s", name, ctx.task)
 
-    def protection_at(fraction: float):
-        m_train_f = readd(ctx.train_reduced, ctx.train_plan, fraction)
-        th_f = quantile_threshold(
-            predict_scores(ctx.model, m_train_f),
-            config.quantile,
-            source=f"training scores, fraction {fraction}",
-        ).value
-        m_test_f = readd(ctx.test_reduced, ctx.test_plan, fraction)
-        protected = {}
-        for i in pop:
-            kept = apply_cloak(m_test_f.row(i), directives[int(i)], mfm)
-            protected[int(i)] = predict_score(ctx.model, kept) < th_f
-        return th_f, protected
+    thresholds, protected = protection_flags(ctx, directives, mfm)
 
-    results = [protection_at(f) for f in config.schedule]
+    def rate(flags: np.ndarray) -> Optional[float]:
+        return float(np.mean(flags)) if flags.size else None
 
-    def rate(protected: dict, members: np.ndarray) -> Optional[float]:
-        return float(np.mean([protected[int(i)] for i in members])) if len(members) else None
-
-    protection = tuple(rate(protected, pop) for _, protected in results)
-    thresholds = tuple(th for th, _ in results)
+    protection = tuple(rate(p) for p in protected)
     group_curves = {
-        name: tuple(rate(protected, members) for _, protected in results)
+        name: tuple(rate(p[members]) for p in protected)
         for name, members in groups.items()
-        if len(members)
+        if members.any()
     }
     costs = [
         cloak_cost(ctx.test_full.row(int(i)), directives[int(i)], mfm) for i in pop
@@ -332,10 +448,10 @@ def run_strategy(
         {
             "not_found": not_found,
             "n_cloaked": int(len(pop)),
-            "tp_count": int(len(groups["tp"])),
-            "fp_count": int(len(groups["fp"])),
+            "tp_count": int(groups["tp"].sum()),
+            "fp_count": int(groups["fp"].sum()),
             "unprotected_at_creation": int(
-                sum(1 for i in pop if not results[_zero_index(config.schedule)][1][int(i)])
+                (~protected[list(config.schedule).index(0.0)]).sum()
             )
             if 0.0 in config.schedule
             else -1,
@@ -358,10 +474,6 @@ def run_strategy(
     return curve, avg_cost
 
 
-def _zero_index(schedule: Sequence[float]) -> int:
-    return list(schedule).index(0.0)
-
-
 def run_protection_experiment(
     task: str,
     strategy: str,
@@ -371,6 +483,7 @@ def run_protection_experiment(
     domain: Optional[MetafeatureModel] = None,
 ) -> ProtectionCurve:
     """End-to-end protection experiment for one task and strategy."""
+    _check_strategy(config, strategy)
     ctx = build_protection_context(
         task, matrix, labels, config, need_nmf=(strategy == STRATEGY_MF), domain=domain
     )
@@ -401,6 +514,8 @@ def tradeoff_report(
     """
     if 1.0 not in config.schedule:
         raise ValueError("tradeoff report needs fraction 1.0 in the schedule")
+    for strategy in strategies:
+        _check_strategy(config, strategy)
     rows = []
     for task in tasks:
         need_nmf = STRATEGY_MF in strategies

@@ -248,6 +248,29 @@ def test_report_command(data, tmp_path):
     assert len(lines) == 3
 
 
+def test_tolerance_quantile_only_limits_fg_tol(data, tmp_path, capsys):
+    # the default tolerance quantile (0.90) is above this quantile
+    out = tmp_path / "sim"
+    rc = _run(
+        "simulate", "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "task_a", "--strategy", "fg", "--quantile", 0.85,
+        "--schedule", "0,1", "--out", out,
+    )
+    assert rc == 0
+    assert _strict_json(out / "protection_curve.json")["quantile"] == 0.85
+    rc = _run(
+        "report", "--footprints", data["footprints"], "--labels", data["labels"],
+        "--tasks", "task_a", "--strategies", "fg-tol", "--quantile", 0.85,
+        "--schedule", "0,1", "--out", tmp_path / "rep",
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "error": "ValueError",
+        "message": "tolerance_quantile must not exceed quantile",
+    }
+
+
 def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
     # no population user gets a directive: rates and costs are undefined
     monkeypatch.setattr(simulate, "make_directive", lambda *a, **k: None)

@@ -1,20 +1,34 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from footcloak import simulate
 from footcloak.cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
+    apply_cloak,
 )
-from footcloak.models import predict_score, predict_scores
+from footcloak.data import LabelTable, readd
+from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
+from footcloak.models import (
+    LinearModel,
+    predict_score,
+    predict_scores,
+    quantile_threshold,
+)
 from footcloak.simulate import (
     DEFAULT_SCHEDULE,
     ExperimentConfig,
     build_protection_context,
+    cloak_population,
+    protection_flags,
     run_protection_experiment,
     run_strategy,
     save_protection_curve,
@@ -22,6 +36,8 @@ from footcloak.simulate import (
     tp_fp_breakdown,
     tradeoff_report,
 )
+
+from conftest import random_footprints
 
 _CONFIG = ExperimentConfig(
     seed=4,
@@ -140,13 +156,27 @@ def test_continuous_task_rejected(small_synth):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(quantile=1.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(tolerance_quantile=0.97, quantile=0.95)
+    # only FG_TOL needs tolerance_quantile <= quantile; it is checked there
+    ExperimentConfig(tolerance_quantile=0.97, quantile=0.95)
     with pytest.raises(ValueError):
         ExperimentConfig(schedule=())
     with pytest.raises(ValueError):
         ExperimentConfig(schedule=(0.0, 1.5))
     assert ExperimentConfig().schedule == DEFAULT_SCHEDULE
+
+
+def test_tolerance_quantile_checked_where_fg_tol_runs(ctx, small_synth):
+    loose = dataclasses.replace(_CONFIG, tolerance_quantile=0.85)
+    above = dataclasses.replace(ctx, config=loose)
+    curve, _ = run_strategy(above, STRATEGY_FG)
+    assert curve.protection[0] == 1.0
+    with pytest.raises(ValueError, match="tolerance_quantile must not exceed"):
+        run_strategy(above, STRATEGY_FG_TOL)
+    res = small_synth
+    with pytest.raises(ValueError, match="tolerance_quantile must not exceed"):
+        tradeoff_report(
+            ["task_a"], [STRATEGY_FG, STRATEGY_FG_TOL], res.matrix, res.labels, loose
+        )
 
 
 def test_tradeoff_report_rows(small_synth):
@@ -197,3 +227,88 @@ def test_curve_serialization(ctx, tmp_path):
     # numbers roundtrip exactly through repr
     f, v, g = lines[1].split(",")
     assert float(f) == curve.fractions[0] and float(v) == curve.protection[0]
+
+
+# ---------------------------------------------------------------------------
+# closed-form schedule against the re-add oracle
+
+_ORACLE_STRATEGIES = (STRATEGY_FG, STRATEGY_MF, STRATEGY_FG_TOL, STRATEGY_DOMAIN_MF)
+_fraction = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _random_context(seed, drop_fraction, schedule, width_delta):
+    """A protection context on random footprints whose classifier has
+    random weights; the model may be narrower or wider than the item space,
+    and the domain mapping narrower, so out-of-vocabulary guards are hit."""
+    rng = np.random.default_rng(seed)
+    m = random_footprints(rng, 48, 30, density=rng.uniform(0.05, 0.5))
+    labels = LabelTable({"t": rng.integers(0, 2, m.n_users).astype(float)}, m.n_users)
+
+    def fit(mat, *_):
+        w = rng.normal(size=max(1, mat.n_items + width_delta))
+        model = LinearModel(w, float(rng.normal()), 1.0)
+        return 1.0, model, predict_scores(model, mat)
+
+    n_domain = m.n_items - 2
+    assignment = rng.integers(0, 4, n_domain)
+    H = np.zeros((4, n_domain))
+    H[assignment, np.arange(n_domain)] = 1.0
+    domain = MetafeatureModel(4, H, assignment, SOURCE_DOMAIN, reserved=3)
+    config = ExperimentConfig(
+        seed=seed,
+        quantile=0.6,
+        tolerance_quantile=0.5,
+        drop_fraction=drop_fraction,
+        schedule=schedule,
+        k_metafeatures=3,
+        min_user=1,
+        min_item=1,
+        nmf_max_iters=20,
+    )
+    with mock.patch.object(simulate, "fit_classifier", fit):
+        try:
+            return build_protection_context("t", m, labels, config, domain=domain)
+        except ValueError:  # empty target population
+            return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    drop_fraction=_fraction,
+    fractions=st.lists(_fraction, min_size=1, max_size=5),
+    with_zero=st.booleans(),
+    width_delta=st.integers(-3, 2),
+)
+def test_closed_form_matches_readd_oracle(
+    seed, drop_fraction, fractions, with_zero, width_delta
+):
+    schedule = tuple(([0.0] if with_zero else []) + fractions)
+    ctx = _random_context(seed, drop_fraction, schedule, width_delta)
+    assume(ctx is not None)
+    q = ctx.config.quantile
+    oracle_th = []
+    for f in schedule:
+        scores = predict_scores(ctx.model, readd(ctx.train_reduced, ctx.train_plan, f))
+        oracle_th.append(quantile_threshold(scores, q).value)
+    for strategy in _ORACLE_STRATEGIES:
+        mfm = simulate._strategy_mfm(ctx, strategy)
+        directives, _ = cloak_population(ctx, strategy)
+        thresholds, protected = protection_flags(ctx, directives, mfm)
+        np.testing.assert_allclose(thresholds, oracle_th, rtol=1e-12, atol=0)
+        assert protected.shape == (len(schedule), len(directives))
+        oracle = np.zeros(protected.shape, dtype=bool)
+        tie = np.zeros(protected.shape, dtype=bool)
+        for k, f in enumerate(schedule):
+            test_f = readd(ctx.test_reduced, ctx.test_plan, f)
+            for u, i in enumerate(sorted(directives)):
+                kept = apply_cloak(test_f.row(i), directives[i], mfm)
+                score = predict_score(ctx.model, kept)
+                oracle[k, u] = score < oracle_th[k]
+                tie[k, u] = abs(score - oracle_th[k]) < 1e-12
+        np.testing.assert_array_equal(protected[~tie], oracle[~tie], err_msg=strategy)
+        curve, _ = run_strategy(ctx, strategy)
+        assert curve.thresholds == thresholds
+        if not tie.any():
+            expect = [float(np.mean(p)) if p.size else None for p in oracle]
+            assert list(curve.protection) == expect
