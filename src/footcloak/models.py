@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from ._util import canonical_json
 from .data import FootprintMatrix
@@ -208,24 +207,26 @@ def grid_search_cv(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     fold_idx = np.array_split(perm, folds)
+    splits = []
+    for f in range(folds):
+        val = np.sort(fold_idx[f])
+        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
+        y_trn, y_val = y01[trn], y01[val]
+        if np.unique(y_trn).size < 2 or np.unique(y_val).size < 2:
+            logger.debug("grid_search_cv: fold %d skipped (single class)", f)
+            continue
+        splits.append((f, m.select_users(trn), y_trn, m.select_users(val), y_val))
     best_c = None
     best_mean = -np.inf
     for C in sorted(float(c) for c in grid):
         scores = []
-        for f in range(folds):
-            val = np.sort(fold_idx[f])
-            trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
-            y_trn, y_val = y01[trn], y01[val]
-            if np.unique(y_trn).size < 2 or np.unique(y_val).size < 2:
-                logger.debug("grid_search_cv: fold %d skipped (single class)", f)
-                continue
+        for f, m_trn, y_trn, m_val, y_val in splits:
             try:
-                model = train_logreg_l2(m.select_users(trn), y_trn, C)
+                model = train_logreg_l2(m_trn, y_trn, C)
             except ConvergenceError:
                 logger.debug("grid_search_cv: fold %d skipped (no convergence)", f)
                 continue
-            preds = predict_scores(model, m.select_users(val))
-            scores.append(auc(preds, y_val))
+            scores.append(auc(predict_scores(model, m_val), y_val))
         if not scores:
             continue
         mean = float(np.mean(scores))
@@ -278,9 +279,26 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ranks.
+
+    Same values as scipy.stats.rankdata(x, method="average"), which costs
+    every CLI process its import. A tie group at sorted positions
+    [s, e) gets rank (s + e + 1) / 2, exact in float64.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.concatenate(([True], xs[1:] != xs[:-1]))
+    bounds = np.append(np.flatnonzero(new), x.size)
+    dense = np.cumsum(new)
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    return ranks
 
 
 def pearson(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -325,41 +343,69 @@ def _ridge_solve(Xs, y, alpha, mu, lam, Q):
     return w, b
 
 
-def train_ridge(
-    m: FootprintMatrix,
-    y: np.ndarray,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    folds: int = 3,
-    seed: int = 0,
+@dataclass(frozen=True, eq=False)
+class RidgeFold:
+    """One CV fold: row indices, its train/validation rows, the train Gram."""
+
+    trn: np.ndarray
+    val: np.ndarray
+    Xs_trn: object
+    Xs_val: object
+    mu: np.ndarray
+    lam: np.ndarray
+    Q: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RidgeBasis:
+    """The target-independent part of a ridge fit.
+
+    Holds the CV folds and the centered-Gram eigendecompositions of each
+    fold's train rows and of all rows. It depends only on the rows, the
+    fold count and the seed, so targets labeled on the same rows share one.
+    """
+
+    folds: tuple[RidgeFold, ...]
+    Xs: object
+    mu: np.ndarray
+    lam: np.ndarray
+    Q: np.ndarray
+
+
+def ridge_basis(m: FootprintMatrix, folds: int = 3, seed: int = 0) -> RidgeBasis:
+    """Split m into deterministic CV folds and decompose every train set."""
+    if m.n_users < folds + 1:
+        raise ValueError("need more users than folds")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m.n_users)
+    fold_idx = np.array_split(perm, folds)
+    Xs = m.csr
+    fold_list = []
+    for f in range(folds):
+        val = np.sort(fold_idx[f])
+        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
+        Xs_trn = Xs[trn]
+        Xs_val = m.select_users(val).csr
+        fold_list.append(RidgeFold(trn, val, Xs_trn, Xs_val, *_centered_gram(Xs_trn)))
+    return RidgeBasis(tuple(fold_list), Xs, *_centered_gram(Xs))
+
+
+def fit_ridge(
+    basis: RidgeBasis, y: np.ndarray, alpha_grid=DEFAULT_ALPHA_GRID
 ) -> LinearModel:
-    """Fit L2-penalized least squares with the penalty picked by CV Pearson.
+    """Fit L2-penalized least squares on the basis rows, alpha by CV Pearson.
 
     The intercept is unpenalized (data and targets are centered). Ties in
     mean validation correlation go to the smallest alpha. Constant targets
     raise ValueError.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (m.n_users,):
+    if y.shape != (basis.Xs.shape[0],):
         raise ValueError("targets not aligned with matrix users")
     if np.isnan(y).any():
         raise ValueError("targets contain missing values; select labeled users first")
-    if m.n_users < folds + 1:
-        raise ValueError("need more users than folds")
     if np.ptp(y) == 0.0:
         raise ValueError("constant target; correlation objective undefined")
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m.n_users)
-    fold_idx = np.array_split(perm, folds)
-    Xs_full = m.csr
-
-    fold_cache = []
-    for f in range(folds):
-        val = np.sort(fold_idx[f])
-        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
-        Xs_trn = Xs_full[trn]
-        mu, lam, Q = _centered_gram(Xs_trn)
-        fold_cache.append((trn, val, Xs_trn, mu, lam, Q))
 
     best_alpha = None
     best_mean = -np.inf
@@ -367,17 +413,16 @@ def train_ridge(
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         corrs = []
-        for trn, val, Xs_trn, mu, lam, Q in fold_cache:
-            y_trn = y[trn]
+        for fold in basis.folds:
+            y_trn = y[fold.trn]
             if np.ptp(y_trn) == 0.0:
                 continue
-            w, b = _ridge_solve(Xs_trn, y_trn, alpha, mu, lam, Q)
-            sub = m.select_users(val)
-            preds = sub.csr @ w + b
+            w, b = _ridge_solve(fold.Xs_trn, y_trn, alpha, fold.mu, fold.lam, fold.Q)
+            preds = fold.Xs_val @ w + b
             try:
-                corrs.append(pearson(preds, y[val]))
+                corrs.append(pearson(preds, y[fold.val]))
             except ValueError:
-                logger.debug("train_ridge: fold skipped (undefined correlation)")
+                logger.debug("fit_ridge: fold skipped (undefined correlation)")
                 continue
         if not corrs:
             continue
@@ -388,9 +433,19 @@ def train_ridge(
     if best_alpha is None:
         raise ValueError("no alpha candidate produced a usable fold")
 
-    mu, lam, Q = _centered_gram(Xs_full)
-    w, b = _ridge_solve(Xs_full, y, best_alpha, mu, lam, Q)
+    w, b = _ridge_solve(basis.Xs, y, best_alpha, basis.mu, basis.lam, basis.Q)
     return LinearModel(w, b, best_alpha, KIND_REGRESSOR)
+
+
+def train_ridge(
+    m: FootprintMatrix,
+    y: np.ndarray,
+    alpha_grid=DEFAULT_ALPHA_GRID,
+    folds: int = 3,
+    seed: int = 0,
+) -> LinearModel:
+    """Fit ridge on the rows of m: fit_ridge(ridge_basis(m, folds, seed), y)."""
+    return fit_ridge(ridge_basis(m, folds, seed), y, alpha_grid)
 
 
 # ---------------------------------------------------------------------------

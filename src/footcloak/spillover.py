@@ -31,10 +31,11 @@ from .data import FootprintMatrix, LabelTable, task_split
 from .metafeatures import build_nmf_metafeatures
 from .models import (
     fit_classifier,
+    fit_ridge,
     pearson,
     predict_scores,
     quantile_threshold,
-    train_ridge,
+    ridge_basis,
 )
 from .simulate import ExperimentConfig
 
@@ -89,6 +90,9 @@ def run_spillover_experiment(
     """
     if population not in (POPULATION_CLOAKED, POPULATION_ALL_TEST):
         raise ValueError(f"unknown population mode {population!r}")
+    for trait in traits:
+        if trait not in labels.values:
+            raise ValueError(f"unknown trait {trait!r}")
 
     _, train, test = task_split(
         matrix,
@@ -147,18 +151,31 @@ def run_spillover_experiment(
     if small:
         logger.warning("spillover population has only %d users", len(pop))
 
-    def trait_row(trait: str) -> SpilloverRow:
-        if trait not in labels.values:
-            raise ValueError(f"unknown trait {trait!r}")
-        trn_mask = train.labels.labeled_mask(trait)
-        trn_idx = np.nonzero(trn_mask)[0]
-        ridge = train_ridge(
+    # traits labeled on the same training users share one ridge basis (fold
+    # splits and Gram eigendecompositions); fitting group by group keeps at
+    # most one basis alive
+    groups: dict[bytes, tuple[np.ndarray, list[str]]] = {}
+    for trait in traits:
+        trn_idx = np.nonzero(train.labels.labeled_mask(trait))[0]
+        groups.setdefault(trn_idx.tobytes(), (trn_idx, []))[1].append(trait)
+
+    def fit_group(trn_idx: np.ndarray, group: list[str]) -> dict:
+        basis = ridge_basis(
             train.matrix.select_users(trn_idx),
-            train.labels.values[trait][trn_idx],
-            config.alpha_grid,
             config.folds,
             derive_seed(config.seed, STREAM_RIDGE),
         )
+        return {
+            t: fit_ridge(basis, train.labels.values[t][trn_idx], config.alpha_grid)
+            for t in group
+        }
+
+    ridges = {}
+    for trn_idx, group in groups.values():
+        ridges.update(fit_group(trn_idx, group))
+
+    def trait_row(trait: str) -> SpilloverRow:
+        ridge = ridges[trait]
         eval_idx = np.array(
             [i for i in pop if not np.isnan(test.labels.values[trait][i])],
             dtype=np.int64,

@@ -1,13 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
+import footcloak
 from footcloak.data import from_rows
 from footcloak.models import (
+    DEFAULT_ALPHA_GRID,
     ConvergenceError,
     LinearModel,
+    _average_ranks,
+    _centered_gram,
+    _ridge_solve,
     auc,
+    fit_ridge,
     grid_search_cv,
     load_model,
     logreg_value_and_grad,
@@ -15,6 +29,7 @@ from footcloak.models import (
     predict_score,
     predict_scores,
     quantile_threshold,
+    ridge_basis,
     save_model,
     train_logreg_l2,
     train_ridge,
@@ -295,6 +310,46 @@ def test_auc_invariant_to_monotone_transform():
     assert auc(scores, labels) == pytest.approx(auc(scores * 10 + 3, labels), abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    scores=arrays(
+        np.float64,
+        st.integers(2, 40),
+        # a few repeated values make tie groups of every size
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+            st.floats(allow_nan=False),
+        ),
+    ),
+)
+def test_auc_ranks_match_scipy_rankdata(data, scores):
+    # scipy.stats.rankdata is the oracle the numpy average rank replaced
+    binary = st.sampled_from([0.0, 1.0])
+    labels = data.draw(arrays(np.float64, scores.size, elements=binary))
+    labels[0], labels[-1] = 1.0, 0.0
+    ranks = rankdata(scores, method="average")
+    assert np.array_equal(_average_ranks(scores), ranks)
+    n_pos = int(labels.sum())
+    n_neg = scores.size - n_pos
+    want = (float(ranks[labels == 1.0].sum()) - n_pos * (n_pos + 1) / 2.0) / (
+        n_pos * n_neg
+    )
+    assert auc(scores, labels) == want
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs every CLI process about 0.6 s of start-up
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, footcloak.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_pearson_frozen_example():
     r = pearson(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0]))
     assert r == pytest.approx(9.0 / math.sqrt(84.0), abs=1e-15)
@@ -361,6 +416,99 @@ def test_ridge_noisy_random_target_has_low_correlation():
     held = np.arange(40, 60)
     r = pearson(X[held] @ model.weights + model.intercept, y[held])
     assert abs(r) < 0.6
+
+
+def _train_ridge_oracle(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
+    """Ridge with every decomposition recomputed per call (no shared basis)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (m.n_users,):
+        raise ValueError("targets not aligned with matrix users")
+    if np.isnan(y).any():
+        raise ValueError("targets contain missing values; select labeled users first")
+    if m.n_users < folds + 1:
+        raise ValueError("need more users than folds")
+    if np.ptp(y) == 0.0:
+        raise ValueError("constant target; correlation objective undefined")
+    perm = np.random.default_rng(seed).permutation(m.n_users)
+    fold_idx = np.array_split(perm, folds)
+    Xs_full = m.csr
+    fold_cache = []
+    for f in range(folds):
+        val = np.sort(fold_idx[f])
+        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
+        Xs_trn = Xs_full[trn]
+        fold_cache.append((trn, val, Xs_trn, *_centered_gram(Xs_trn)))
+    best_alpha = None
+    best_mean = -np.inf
+    for alpha in sorted(float(a) for a in alpha_grid):
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        corrs = []
+        for trn, val, Xs_trn, mu, lam, Q in fold_cache:
+            if np.ptp(y[trn]) == 0.0:
+                continue
+            w, b = _ridge_solve(Xs_trn, y[trn], alpha, mu, lam, Q)
+            preds = m.select_users(val).csr @ w + b
+            try:
+                corrs.append(pearson(preds, y[val]))
+            except ValueError:
+                continue
+        if corrs and float(np.mean(corrs)) > best_mean:
+            best_mean = float(np.mean(corrs))
+            best_alpha = alpha
+    if best_alpha is None:
+        raise ValueError("no alpha candidate produced a usable fold")
+    w, b = _ridge_solve(Xs_full, y, best_alpha, *_centered_gram(Xs_full))
+    return LinearModel(w, b, best_alpha, "continuous-regressor")
+
+
+def _outcome(fit):
+    try:
+        return fit()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    matrix_seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(4, 24),
+    n_items=st.integers(1, 10),
+    folds=st.integers(2, 4),
+    seed=st.integers(0, 1000),
+    alpha_grid=st.sampled_from([DEFAULT_ALPHA_GRID, (1e-3,), (1e3, 0.5, 2.0)]),
+)
+def test_shared_ridge_basis_matches_per_target_fit(
+    data, matrix_seed, n_users, n_items, folds, seed, alpha_grid
+):
+    rng = np.random.default_rng(matrix_seed)
+    m = random_footprints(rng, n_users, n_items, density=0.4)
+    values = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-5.0, 5.0))
+    targets = data.draw(
+        st.lists(arrays(np.float64, n_users, elements=values), min_size=1, max_size=3)
+    )
+    # constant on every fold but the first, so that fold's training part is
+    # constant and the fold is skipped
+    first = np.array_split(np.random.default_rng(seed).permutation(n_users), folds)[0]
+    y_fold = np.full(n_users, 2.0)
+    y_fold[first] = data.draw(arrays(np.float64, len(first), elements=values))
+    targets.append(y_fold)
+    if n_users < folds + 1:
+        with pytest.raises(ValueError, match="need more users than folds"):
+            ridge_basis(m, folds, seed)
+        return
+    basis = ridge_basis(m, folds, seed)
+    for y in targets:
+        got = _outcome(lambda: fit_ridge(basis, y, alpha_grid))
+        want = _outcome(lambda: _train_ridge_oracle(m, y, alpha_grid, folds, seed))
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for model in (got, train_ridge(m, y, alpha_grid, folds, seed)):
+            assert np.array_equal(model.weights, want.weights)
+            assert model.intercept == want.intercept
+            assert model.C == want.C
 
 
 # ---------------------------------------------------------------------------

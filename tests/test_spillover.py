@@ -6,6 +6,8 @@ import logging
 import numpy as np
 import pytest
 
+from footcloak import models, spillover
+from footcloak.data import LabelTable
 from footcloak.simulate import ExperimentConfig
 from footcloak.spillover import (
     POPULATION_ALL_TEST,
@@ -106,6 +108,63 @@ def test_unknown_task_and_trait(small_synth):
         run_spillover_experiment("nope", ["trait_a"], res.matrix, res.labels, _CONFIG)
     with pytest.raises(ValueError, match="unknown trait"):
         run_spillover_experiment("task_a", ["nope"], res.matrix, res.labels, _CONFIG)
+
+
+def test_unknown_trait_fails_before_fitting(small_synth, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("classifier fitted before the trait check")
+
+    monkeypatch.setattr(spillover, "fit_classifier", no_fit)
+    res = small_synth
+    with pytest.raises(ValueError, match="unknown trait 'x'"):
+        run_spillover_experiment(
+            "task_a", ["trait_a", "x"], res.matrix, res.labels, _CONFIG
+        )
+
+
+def _with_gap_trait(labels):
+    """Labels plus trait_gap: trait_a with every 5th user unlabeled."""
+    values = dict(labels.values)
+    values["trait_gap"] = values["trait_a"].copy()
+    values["trait_gap"][::5] = np.nan
+    return LabelTable(values, labels.n_users)
+
+
+@pytest.mark.parametrize(
+    "traits, gram_calls",
+    [
+        (["trait_a", "trait_b", "trait_c", "trait_d", "trait_e"], 4),
+        (["trait_a", "trait_gap", "trait_b"], 8),
+    ],
+)
+def test_ridge_basis_shared_by_training_users(
+    small_synth, monkeypatch, traits, gram_calls
+):
+    # one basis (3 fold decompositions and the full one) per distinct set of
+    # labeled training users; the rows equal a separate train_ridge per trait
+    res = small_synth
+    labels = _with_gap_trait(res.labels)
+    cfg = dataclasses.replace(_CONFIG, nmf_max_iters=20)
+    calls = []
+    gram = models._centered_gram
+
+    def counted(Xs):
+        calls.append(Xs.shape[0])
+        return gram(Xs)
+
+    monkeypatch.setattr(models, "_centered_gram", counted)
+    shared = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
+    assert len(calls) == gram_calls
+
+    def per_trait_fit(basis, y, alpha_grid):
+        return models.train_ridge(basis[0], y, alpha_grid, *basis[1:])
+
+    monkeypatch.setattr(spillover, "ridge_basis", lambda *args: args)
+    monkeypatch.setattr(spillover, "fit_ridge", per_trait_fit)
+    calls.clear()
+    per_trait = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
+    assert len(calls) == 4 * len(traits)
+    assert shared.rows == per_trait.rows
 
 
 def test_population_too_small_errors(small_synth):
