@@ -31,7 +31,6 @@ from .data import (
     load_labels,
     load_triplets,
     make_drop_plan,
-    readd,
     split_train_test,
 )
 from .explain import Explanation, linear_explain, sedc_explain

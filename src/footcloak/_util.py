@@ -60,7 +60,3 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def as_float_list(values: Iterable) -> list:
-    return [float(v) for v in values]

@@ -12,8 +12,9 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,10 +52,6 @@ class FootprintMatrix:
     def user_index(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.user_ids)}
 
-    @cached_property
-    def item_index(self) -> dict[str, int]:
-        return {it: j for j, it in enumerate(self.item_ids)}
-
     def row(self, i: int) -> np.ndarray:
         """Active item indices of user i (ascending, read-only view)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -67,27 +64,16 @@ class FootprintMatrix:
         """Number of users per item."""
         return np.bincount(self.indices, minlength=self.n_items)
 
-    def density(self) -> float:
-        total = self.n_users * self.n_items
-        return self.nnz / total if total else 0.0
-
     def select_users(self, order: np.ndarray) -> "FootprintMatrix":
         """New matrix with the given rows, in the given order; item space kept."""
         order = np.asarray(order, dtype=np.int64)
-        rows = [self.row(i) for i in order]
-        counts = np.array([len(r) for r in rows], dtype=np.int64)
-        indptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-        indices = (
-            np.concatenate(rows).astype(np.int64)
-            if rows
-            else np.empty(0, dtype=np.int64)
-        )
+        starts = self.indptr[order]
+        counts = self.indptr[order + 1] - starts
+        indptr = _indptr(counts)
+        gather = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        indices = self.indices[gather].astype(np.int64, copy=False)
         users = tuple(self.user_ids[i] for i in order)
         return FootprintMatrix(indptr, indices, self.n_items, users, self.item_ids)
-
-    def with_rows(self, rows: Sequence[np.ndarray]) -> "FootprintMatrix":
-        """Same users and item space, replaced row contents."""
-        return from_rows(rows, self.n_items, self.user_ids, self.item_ids)
 
     @cached_property
     def csr(self):
@@ -119,20 +105,22 @@ def from_rows(
         raise ValueError("duplicate user ids")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("duplicate item ids")
-    counts = np.array([len(r) for r in rows], dtype=np.int64)
-    indptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-    if rows and sum(len(r) for r in rows) > 0:
-        indices = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
-    else:
-        indices = np.empty(0, dtype=np.int64)
-    for i, r in enumerate(rows):
-        arr = np.asarray(r, dtype=np.int64)
-        if arr.size == 0:
-            continue
-        if arr.min() < 0 or arr.max() >= n_items:
+    indptr = _indptr(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+    indices = np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [np.asarray(r, dtype=np.int64) for r in rows]
+    )
+    # the first bad entry names its row; a range error wins within a row
+    out_of_range = (indices < 0) | (indices >= n_items)
+    not_ascending = np.zeros(len(indices), dtype=bool)
+    not_ascending[1:] = np.diff(indices) <= 0
+    not_ascending[indptr[:-1][np.diff(indptr) > 0]] = False  # row starts
+    bad = out_of_range | not_ascending
+    if bad.any():
+        i = int(np.searchsorted(indptr, np.argmax(bad), side="right")) - 1
+        row = slice(indptr[i], indptr[i + 1])
+        if out_of_range[row].any():
             raise ValueError(f"row {i}: item index out of range")
-        if np.any(np.diff(arr) <= 0):
-            raise ValueError(f"row {i}: item indices must be strictly ascending")
+        raise ValueError(f"row {i}: item indices must be strictly ascending")
     return FootprintMatrix(
         indptr, indices, int(n_items), tuple(user_ids), tuple(item_ids)
     )
@@ -193,36 +181,86 @@ class DropPlan:
     so re-added sets are nested across fractions.
     """
 
-    drop_fraction: float
-    seed: int
     dropped: tuple[np.ndarray, ...]
 
     def select_users(self, order: np.ndarray) -> "DropPlan":
         order = np.asarray(order, dtype=np.int64)
-        return DropPlan(
-            self.drop_fraction, self.seed, tuple(self.dropped[i] for i in order)
-        )
+        return DropPlan(tuple(self.dropped[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
 # loading
 
 
-def _sniff_delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers from per-row entry counts."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
 
 
-def _read_records(path) -> tuple[list[tuple[int, list[str]]], str]:
+def _read_columns(path, headers) -> tuple[list[int], list[list[str]], Optional[int]]:
+    """Read a delimited file once into columns of stripped fields.
+
+    Lines are split at "\n" only (after read_text's universal-newline
+    translation), so line numbers are the file's own. Blank lines are
+    skipped; the delimiter is a tab when the first non-blank line holds one,
+    else a comma. Lines holding a double quote go through csv.reader one at
+    a time, so an unterminated quote cannot swallow the next line; every
+    other line is a plain split. A first row matching `headers` (compared
+    lowercased) is dropped. Every row must have len(header) non-empty fields.
+
+    Returns the 1-based line numbers of the rows, the columns, and the line
+    number of the first malformed row (None when there is none); the rows
+    returned are the ones before it, so a caller's own checks on them come
+    first, as a line-by-line loader's would.
+    """
+    width = len(next(iter(headers)))
     text = Path(path).read_text()
-    lines = text.splitlines()
-    delim = _sniff_delimiter(lines[0]) if lines else ","
-    records = []
-    for ln, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        fields = [f.strip() for f in next(csv.reader([raw], delimiter=delim))]
-        records.append((ln, fields))
-    return records, delim
+    lines = text.split("\n")
+    numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    rows = [lines[n - 1] for n in numbers]
+    delim = "\t" if rows and "\t" in rows[0] else ","
+    if '"' in text:
+        records = [
+            next(csv.reader([r], delimiter=delim)) if '"' in r else r.split(delim)
+            for r in rows
+        ]
+        counts = list(map(len, records))
+        fields = list(chain.from_iterable(records))
+    else:  # one list for the file: a list per line keeps the cyclic GC busy
+        counts = [r.count(delim) + 1 for r in rows]
+        fields = delim.join(rows).split(delim)
+    n_rows = len(rows)
+    if counts.count(width) != n_rows:
+        n_rows = next(k for k, c in enumerate(counts) if c != width)
+    fields = [f.strip() for f in fields[: n_rows * width]]
+    cols = [fields[k::width] for k in range(width)]
+    start = int(n_rows > 0 and tuple(c[0].lower() for c in cols) in headers)
+    end = min([n_rows] + [c.index("") for c in cols if "" in c])
+    bad = numbers[end] if end < len(numbers) else None
+    return numbers[start:end], [c[start:end] for c in cols], bad
+
+
+def _first_seen_codes(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct values in first-seen order, and each value's index in it."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return tuple(index), codes
+
+
+def _last_occurrence(keys: np.ndarray) -> np.ndarray:
+    """Position of the last occurrence of each distinct non-negative key,
+    in ascending key order."""
+    order = np.argsort(keys, kind="stable")
+    return order[np.diff(keys[order], append=-1) != 0]
+
+
+def _codes(index: dict[str, int], values: list[str]) -> np.ndarray:
+    """index[v] for each value, -1 for values not in index."""
+    return np.fromiter(
+        map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values)
+    )
 
 
 def load_triplets(path) -> FootprintMatrix:
@@ -233,28 +271,17 @@ def load_triplets(path) -> FootprintMatrix:
     indices in first-seen order. Malformed rows raise ValueError with
     the 1-based line number.
     """
-    records, _ = _read_records(path)
-    if records:
-        first = tuple(f.lower() for f in records[0][1])
-        if first in _FOOTPRINT_HEADERS:
-            records = records[1:]
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    per_user: list[set[int]] = []
-    for ln, fields in records:
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise ValueError(f"line {ln}: expected 2 fields 'user_id,item_id'")
-        uid, iid = fields
-        if uid not in user_index:
-            user_index[uid] = len(user_index)
-            per_user.append(set())
-        if iid not in item_index:
-            item_index[iid] = len(item_index)
-        per_user[user_index[uid]].add(item_index[iid])
-    rows = [np.array(sorted(s), dtype=np.int64) for s in per_user]
-    return from_rows(
-        rows, len(item_index), tuple(user_index), tuple(item_index)
-    )
+    _, (users, items), bad = _read_columns(path, _FOOTPRINT_HEADERS)
+    if bad is not None:
+        raise ValueError(f"line {bad}: expected 2 fields 'user_id,item_id'")
+    user_ids, user_codes = _first_seen_codes(users)
+    item_ids, item_codes = _first_seen_codes(items)
+    n_items = len(item_ids)
+    keys = np.sort(user_codes * n_items + item_codes)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, less its hash pass
+    rows, indices = np.divmod(keys, max(n_items, 1))
+    indptr = _indptr(np.bincount(rows, minlength=len(user_ids)))
+    return FootprintMatrix(indptr, indices, n_items, user_ids, item_ids)
 
 
 def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
@@ -264,28 +291,26 @@ def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
     (they may have been filtered out upstream). Missing combinations
     stay NaN. Malformed rows raise ValueError with the line number.
     """
-    records, _ = _read_records(path)
-    if records:
-        first = tuple(f.lower() for f in records[0][1])
-        if first in _LABEL_HEADERS:
-            records = records[1:]
-    values: dict[str, np.ndarray] = {}
-    skipped = 0
-    for ln, fields in records:
-        if len(fields) != 3 or not all(fields):
-            raise ValueError(f"line {ln}: expected 3 fields 'user_id,task_name,value'")
-        uid, task, raw = fields
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ValueError(f"line {ln}: value {raw!r} is not a number") from None
-        i = matrix.user_index.get(uid)
-        if i is None:
-            skipped += 1
-            continue
-        if task not in values:
-            values[task] = np.full(matrix.n_users, np.nan)
-        values[task][i] = val
+    numbers, (uids, tasks, raws), bad = _read_columns(path, _LABEL_HEADERS)
+    try:
+        vals = np.fromiter(map(float, raws), dtype=np.float64, count=len(raws))
+    except ValueError:
+        for ln, raw in zip(numbers, raws):
+            try:
+                float(raw)
+            except ValueError:
+                raise ValueError(f"line {ln}: value {raw!r} is not a number") from None
+    if bad is not None:
+        raise ValueError(f"line {bad}: expected 3 fields 'user_id,task_name,value'")
+    rows = _codes(matrix.user_index, uids)
+    known = rows >= 0
+    skipped = len(rows) - int(known.sum())
+    task_names, task_codes = _first_seen_codes(list(compress(tasks, known)))
+    keys = task_codes * matrix.n_users + rows[known]
+    last = _last_occurrence(keys)
+    table = np.full((len(task_names), matrix.n_users), np.nan)
+    table.flat[keys[last]] = vals[known][last]
+    values = dict(zip(task_names, table))
     if skipped:
         logger.debug("load_labels: skipped %d rows for unknown users", skipped)
     return LabelTable(values, matrix.n_users)
@@ -308,17 +333,13 @@ def filter_min_activity(
     counts = m.item_counts()
     keep_item = counts >= min_item
     remap = np.cumsum(keep_item, dtype=np.int64) - 1
-    entry_keep = keep_item[m.indices] if m.nnz else np.zeros(0, dtype=bool)
-    csum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(entry_keep)))
+    entry_keep = keep_item[m.indices]
+    csum = _indptr(entry_keep)
     kept_deg = csum[m.indptr[1:]] - csum[m.indptr[:-1]]
     keep_user = kept_deg >= min_user
-    entry_user = (
-        np.repeat(np.arange(m.n_users), m.degrees()) if m.nnz else np.zeros(0, int)
-    )
-    final = entry_keep & keep_user[entry_user] if m.nnz else entry_keep
-    new_indices = remap[m.indices[final]] if m.nnz else np.empty(0, dtype=np.int64)
-    new_counts = kept_deg[keep_user]
-    new_indptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(new_counts)))
+    final = entry_keep & np.repeat(keep_user, m.degrees())
+    new_indices = remap[m.indices[final]]
+    new_indptr = _indptr(kept_deg[keep_user])
     users = tuple(u for u, k in zip(m.user_ids, keep_user) if k)
     items = tuple(it for it, k in zip(m.item_ids, keep_item) if k)
     return FootprintMatrix(new_indptr, new_indices, len(items), users, items)
@@ -390,7 +411,7 @@ def make_drop_plan(
 
     Per user, round(drop_fraction * degree) items are removed; the dropped
     items are stored in a random permutation order that later re-adds
-    follow, so readd sets are nested across fractions.
+    follow, so re-added sets are nested across fractions.
     """
     if not 0.0 <= drop_fraction <= 1.0:
         raise ValueError("drop_fraction must be in [0, 1]")
@@ -401,33 +422,22 @@ def make_drop_plan(
         d = round_half_up(drop_fraction * len(row))
         perm = rng.permutation(len(row))
         dropped.append(row[perm[:d]].copy())
-    return DropPlan(float(drop_fraction), seed, tuple(dropped))
+    return DropPlan(tuple(dropped))
 
 
 def apply_drop(m: FootprintMatrix, plan: DropPlan) -> FootprintMatrix:
     """Matrix with each user's planned dropped items removed."""
     if len(plan.dropped) != m.n_users:
         raise ValueError("plan does not cover this matrix's users")
-    rows = [np.setdiff1d(m.row(i), plan.dropped[i]) for i in range(m.n_users)]
-    return m.with_rows(rows)
-
-
-def readd(m_reduced: FootprintMatrix, plan: DropPlan, fraction: float) -> FootprintMatrix:
-    """Restore the first round(fraction * len(dropped)) items per user.
-
-    fraction=0 returns the reduced matrix unchanged; fraction=1 restores
-    the original matrix exactly.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    if len(plan.dropped) != m_reduced.n_users:
-        raise ValueError("plan does not cover this matrix's users")
-    rows = []
-    for i in range(m_reduced.n_users):
-        drp = plan.dropped[i]
-        t = round_half_up(fraction * len(drp))
-        if t == 0:
-            rows.append(m_reduced.row(i))
-        else:
-            rows.append(np.sort(np.concatenate((m_reduced.row(i), drp[:t]))))
-    return m_reduced.with_rows(rows)
+    rows = np.repeat(np.arange(m.n_users, dtype=np.int64), m.degrees())
+    counts = np.fromiter(map(len, plan.dropped), dtype=np.int64, count=m.n_users)
+    dropped = np.repeat(np.arange(m.n_users, dtype=np.int64), counts) * m.n_items
+    dropped += np.concatenate([np.empty(0, dtype=np.int64), *plan.dropped])
+    keys = rows * m.n_items + m.indices  # ascending, so a binary search finds them
+    found = np.searchsorted(keys, dropped)
+    hit = found < m.nnz
+    found, dropped = found[hit], dropped[hit]
+    keep = np.ones(m.nnz, dtype=bool)
+    keep[found[keys[found] == dropped]] = False  # items not in the row are ignored
+    indptr = _indptr(np.bincount(rows[keep], minlength=m.n_users))
+    return FootprintMatrix(indptr, m.indices[keep], m.n_items, m.user_ids, m.item_ids)

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from ._util import canonical_json
-from .data import FootprintMatrix, _read_records
+from .data import (
+    FootprintMatrix,
+    _codes,
+    _first_seen_codes,
+    _last_occurrence,
+    _read_columns,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -163,36 +170,26 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
     never sweeps. Items in the file but not in the item space are
     ignored. Malformed rows raise ValueError with the line number.
     """
-    item_index = {it: j for j, it in enumerate(item_ids)}
     n_items = len(item_ids)
-    cat_index: dict[str, int] = {}
+    _, (iids, cats), bad = _read_columns(path, _CATEGORY_HEADERS)
+    if bad is not None:
+        raise ValueError(f"line {bad}: expected 2 fields 'item_id,category'")
+    items = _codes({it: j for j, it in enumerate(item_ids)}, iids)
+    known = items >= 0
+    unknown = len(items) - int(known.sum())
+    cat_names, cat_codes = _first_seen_codes(list(compress(cats, known)))
+    last = _last_occurrence(items[known])
     item_cat = np.full(n_items, -1, dtype=np.int64)
-    body, _ = _read_records(path)
-    if body:
-        first = tuple(f.lower() for f in body[0][1])
-        if first in _CATEGORY_HEADERS:
-            body = body[1:]
-    unknown = 0
-    for ln, fields in body:
-        if len(fields) != 2 or not all(fields):
-            raise ValueError(f"line {ln}: expected 2 fields 'item_id,category'")
-        iid, cat = fields
-        j = item_index.get(iid)
-        if j is None:
-            unknown += 1
-            continue
-        if cat not in cat_index:
-            cat_index[cat] = len(cat_index)
-        item_cat[j] = cat_index[cat]
+    item_cat[items[known][last]] = cat_codes[last]
     if unknown:
         logger.debug("load_domain_categories: %d rows for unknown items", unknown)
-    n_cat = len(cat_index)
+    n_cat = len(cat_names)
     reserved = n_cat
     item_cat[item_cat < 0] = reserved
     k = n_cat + 1
     H = np.zeros((k, n_items))
     H[item_cat, np.arange(n_items)] = 1.0
-    labels = tuple(cat_index) + ("uncategorized",)
+    labels = cat_names + ("uncategorized",)
     return MetafeatureModel(
         k=k,
         H=H,

@@ -182,11 +182,6 @@ def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
     return expit(decision_margins(model, m))
 
 
-def predict_values(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
-    """Linear predictions per user (for regressors)."""
-    return decision_margins(model, m)
-
-
 def grid_search_cv(
     m: FootprintMatrix,
     y01: np.ndarray,

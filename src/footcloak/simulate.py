@@ -12,8 +12,8 @@ the first round_half_up(f * len) items of each user's drop order, so the
 re-added sets are nested prefixes and the margin at f is the reduced
 margin plus a prefix sum of the weights over that order (with the
 directive's cloaked items weighted 0 for cloaked users). No re-added
-matrix is built; `data.readd` with `cloak.apply_cloak` is the slow,
-obvious path the tests check this against.
+matrix is built; the tests check this against the slow, obvious path:
+rebuild each re-added matrix, then `cloak.apply_cloak` per user.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class ReaddMargins:
 
     def at(self, fraction: float) -> np.ndarray:
         """Margins once the first round_half_up(fraction * len) dropped
-        items of every user are back, the count `data.readd` restores."""
+        items of every user are back."""
         t = np.floor(fraction * self.lengths + 0.5).astype(np.int64)
         return self.base + self.sums[self.offsets + t]
 

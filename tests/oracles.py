@@ -1,0 +1,162 @@
+"""Slow, obvious versions of the data layer, kept as test oracles.
+
+Each function is the per-line or per-row implementation the array code in
+`footcloak.data` and `footcloak.metafeatures` replaced: one `csv.reader`
+per line, dict/set loaders, `np.setdiff1d` per row, list-concatenated row
+gathers and the matrix-rebuilding re-add. Differential tests check the
+fast paths against them.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+import numpy as np
+
+from footcloak._util import round_half_up
+from footcloak.data import FootprintMatrix, from_rows
+
+FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
+LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
+CATEGORY_HEADERS = {("item_id", "category"), ("item", "category")}
+
+
+def read_records(path):
+    """Non-blank lines as (1-based line number, stripped fields).
+
+    Lines come from `str.splitlines` and the delimiter from the first line,
+    blank or not; the array reader differs from this on exactly those two
+    points.
+    """
+    lines = Path(path).read_text().splitlines()
+    delim = ("\t" if "\t" in lines[0] else ",") if lines else ","
+    records = []
+    for ln, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        fields = [f.strip() for f in next(csv.reader([raw], delimiter=delim))]
+        records.append((ln, fields))
+    return records
+
+
+def _body(records, headers):
+    if records and tuple(f.lower() for f in records[0][1]) in headers:
+        return records[1:]
+    return records
+
+
+def load_triplets(path):
+    """(user_ids, item_ids, indptr, indices) from per-user sets."""
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    per_user: list[set[int]] = []
+    for ln, fields in _body(read_records(path), FOOTPRINT_HEADERS):
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise ValueError(f"line {ln}: expected 2 fields 'user_id,item_id'")
+        uid, iid = fields
+        if uid not in user_index:
+            user_index[uid] = len(user_index)
+            per_user.append(set())
+        if iid not in item_index:
+            item_index[iid] = len(item_index)
+        per_user[user_index[uid]].add(item_index[iid])
+    m = from_rows(
+        [np.array(sorted(s), dtype=np.int64) for s in per_user],
+        len(item_index),
+        tuple(user_index),
+        tuple(item_index),
+    )
+    return m.user_ids, m.item_ids, m.indptr, m.indices
+
+
+def load_labels(path, user_ids):
+    """{task: float vector aligned with user_ids}, in first-seen task order."""
+    user_index = {u: i for i, u in enumerate(user_ids)}
+    values: dict[str, np.ndarray] = {}
+    for ln, fields in _body(read_records(path), LABEL_HEADERS):
+        if len(fields) != 3 or not all(fields):
+            raise ValueError(f"line {ln}: expected 3 fields 'user_id,task_name,value'")
+        uid, task, raw = fields
+        try:
+            val = float(raw)
+        except ValueError:
+            raise ValueError(f"line {ln}: value {raw!r} is not a number") from None
+        i = user_index.get(uid)
+        if i is None:
+            continue
+        if task not in values:
+            values[task] = np.full(len(user_ids), np.nan)
+        values[task][i] = val
+    return values
+
+
+def load_domain_categories(path, item_ids):
+    """(category names, per-item category index or -1 when unmapped)."""
+    item_index = {it: j for j, it in enumerate(item_ids)}
+    cat_index: dict[str, int] = {}
+    item_cat = np.full(len(item_ids), -1, dtype=np.int64)
+    for ln, fields in _body(read_records(path), CATEGORY_HEADERS):
+        if len(fields) != 2 or not all(fields):
+            raise ValueError(f"line {ln}: expected 2 fields 'item_id,category'")
+        iid, cat = fields
+        j = item_index.get(iid)
+        if j is None:
+            continue
+        if cat not in cat_index:
+            cat_index[cat] = len(cat_index)
+        item_cat[j] = cat_index[cat]
+    return tuple(cat_index), item_cat
+
+
+def select_users(m, order):
+    """Rows of m in the given order, concatenated row by row."""
+    order = np.asarray(order, dtype=np.int64)
+    rows = [m.row(i) for i in order]
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    indptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
+    indices = (
+        np.concatenate(rows).astype(np.int64) if rows else np.empty(0, dtype=np.int64)
+    )
+    users = tuple(m.user_ids[i] for i in order)
+    return FootprintMatrix(indptr, indices, m.n_items, users, m.item_ids)
+
+
+def apply_drop(m, plan):
+    """Each user's planned items removed with one `np.setdiff1d` per row."""
+    rows = [np.setdiff1d(m.row(i), plan.dropped[i]) for i in range(m.n_users)]
+    return from_rows(rows, m.n_items, m.user_ids, m.item_ids)
+
+
+def readd(m_reduced, plan, fraction):
+    """Restore the first round(fraction * len(dropped)) items per user.
+
+    fraction=0 returns the reduced matrix unchanged; fraction=1 restores
+    the original matrix exactly.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    if len(plan.dropped) != m_reduced.n_users:
+        raise ValueError("plan does not cover this matrix's users")
+    rows = []
+    for i in range(m_reduced.n_users):
+        drp = plan.dropped[i]
+        t = round_half_up(fraction * len(drp))
+        if t == 0:
+            rows.append(m_reduced.row(i))
+        else:
+            rows.append(np.sort(np.concatenate((m_reduced.row(i), drp[:t]))))
+    return from_rows(rows, m_reduced.n_items, m_reduced.user_ids, m_reduced.item_ids)
+
+
+def from_rows_error(rows, n_items):
+    """The message from_rows raises for these rows, checked row by row."""
+    for i, r in enumerate(rows):
+        arr = np.asarray(r, dtype=np.int64)
+        if arr.size == 0:
+            continue
+        if arr.min() < 0 or arr.max() >= n_items:
+            return f"row {i}: item index out of range"
+        if np.any(np.diff(arr) <= 0):
+            return f"row {i}: item indices must be strictly ascending"
+    return None

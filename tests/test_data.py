@@ -9,12 +9,12 @@ from footcloak.data import (
     load_labels,
     load_triplets,
     make_drop_plan,
-    readd,
     split_train_test,
 )
 from footcloak.data import LabelTable
 
 from conftest import random_footprints
+from oracles import readd
 
 
 def _write(tmp_path, name, text):

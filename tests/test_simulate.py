@@ -15,7 +15,7 @@ from footcloak.cloak import (
     STRATEGY_MF,
     apply_cloak,
 )
-from footcloak.data import LabelTable, readd
+from footcloak.data import LabelTable
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
 from footcloak.models import (
     LinearModel,
@@ -38,6 +38,7 @@ from footcloak.simulate import (
 )
 
 from conftest import random_footprints
+from oracles import readd
 
 _CONFIG = ExperimentConfig(
     seed=4,
