@@ -9,6 +9,7 @@ arrive, and measures what cloaking costs other prediction tasks.
 
 __version__ = "0.1.0"
 
+from ._util import ExperimentConfig
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -55,7 +56,6 @@ from .models import (
     train_ridge,
 )
 from .simulate import (
-    ExperimentConfig,
     ProtectionCurve,
     TradeoffRow,
     run_protection_experiment,

@@ -1,11 +1,12 @@
-"""Small shared helpers: deterministic rounding, seeding and the seed-stream
-table, result-file writers."""
+"""Small shared helpers: deterministic rounding, the experiment config and
+its seed-stream table, result-file writers."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -39,6 +40,47 @@ def derive_seed(base_seed: int, stream: int) -> int:
     """
     ss = np.random.SeedSequence([int(base_seed), int(stream)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
+DEFAULT_ALPHA_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3)
+DEFAULT_SCHEDULE = tuple(round(f * 0.1, 1) for f in range(11))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Knobs shared by every stage that trains on a task: the classifier
+    (split, C grid, threshold), metafeatures, protection and spillover.
+
+    Only FG_TOL reads tolerance_quantile, so its bound (at most quantile)
+    is checked where FG_TOL runs, not here.
+    """
+
+    seed: int = 0
+    quantile: float = 0.95
+    tolerance_quantile: float = 0.90
+    drop_fraction: float = 0.5
+    train_frac: float = 0.66
+    schedule: tuple[float, ...] = DEFAULT_SCHEDULE
+    k_metafeatures: int = 50
+    c_grid: tuple[float, ...] = DEFAULT_C_GRID
+    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
+    folds: int = 3
+    min_user: int = 10
+    min_item: int = 10
+    nmf_max_iters: int = 200
+    nmf_tol: float = 1e-4
+
+    def __post_init__(self):
+        if not 0.0 < self.quantile < 1.0:
+            raise ValueError("quantile must be in (0, 1)")
+        if not 0.0 < self.tolerance_quantile < 1.0:
+            raise ValueError("tolerance_quantile must be in (0, 1)")
+        if not self.schedule:
+            raise ValueError("schedule must be non-empty")
+        for f in self.schedule:
+            if not 0.0 <= f <= 1.0:
+                raise ValueError("schedule fractions must be in [0, 1]")
 
 
 def canonical_json(obj: Any) -> str:

@@ -20,46 +20,31 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import (
-    STREAM_CV,
-    STREAM_NMF,
-    STREAM_SPLIT,
-    canonical_json,
-    derive_seed,
-    write_csv,
-)
+from ._util import ExperimentConfig, canonical_json, write_csv
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    make_directive,
+    cloak_population,
     save_directives,
 )
-from .data import filter_min_activity, load_labels, load_triplets, task_split
+from .data import filter_min_activity, load_labels, load_triplets
 from .explain import linear_explain
 from .metafeatures import (
-    build_nmf_metafeatures,
     load_domain_categories,
     save_metafeature_report,
+    task_nmf_metafeatures,
 )
-from .models import (
-    DEFAULT_C_GRID,
-    auc,
-    fit_classifier,
-    predict_scores,
-    quantile_threshold,
-    save_model,
-)
+from .models import auc, fit_task_classifier, predict_scores, save_model
 from .simulate import (
-    DEFAULT_SCHEDULE,
-    ExperimentConfig,
     run_protection_experiment,
     save_protection_curve,
     save_protection_curve_csv,
     tradeoff_report,
 )
 from .spillover import (
+    POPULATION_ALL_TEST,
     POPULATION_CLOAKED,
     run_spillover_experiment,
     save_spillover_csv,
@@ -76,75 +61,60 @@ _STRATEGY_BY_FLAG = {
     "fg-tol": STRATEGY_FG_TOL,
 }
 
-_SCHEDULE_DEFAULT = ",".join(str(f) for f in DEFAULT_SCHEDULE)
-
-# defaults per command; config files and flags override these
-_DEFAULTS_COMMON = {
-    "seed": 0,
-    "quantile": 0.95,
-    "tolerance_quantile": 0.90,
-    "train_frac": 0.66,
-    "folds": 3,
-    "min_user": 10,
-    "min_item": 10,
-    "k": 50,
-    "schedule": _SCHEDULE_DEFAULT,
-    "drop_fraction": 0.5,
-    "nmf_max_iters": 200,
-    "nmf_tol": 1e-4,
+# config key -> the config dataclass field it sets
+_SYNTH_KEYS = {
+    "seed": "seed",
+    "users": "n_users",
+    "items": "n_items",
+    "topics": "k_topics",
+    "dirichlet_alpha": "dirichlet_alpha",
+    "popularity_exponent": "popularity_exponent",
+    "mean_likes": "mean_likes",
+}
+_EXPERIMENT_KEYS = {
+    "seed": "seed",
+    "quantile": "quantile",
+    "tolerance_quantile": "tolerance_quantile",
+    "train_frac": "train_frac",
+    "folds": "folds",
+    "min_user": "min_user",
+    "min_item": "min_item",
+    "k": "k_metafeatures",
+    "schedule": "schedule",
+    "drop_fraction": "drop_fraction",
+    "nmf_max_iters": "nmf_max_iters",
+    "nmf_tol": "nmf_tol",
 }
 
+
+def _field_defaults(config, keys: dict) -> dict:
+    return {key: getattr(config, field) for key, field in keys.items()}
+
+
+# defaults per command, read from the config dataclasses; config files and
+# flags override these. schedule is held as the text the flag takes.
+_DEFAULTS_COMMON = dict(
+    _field_defaults(ExperimentConfig(), _EXPERIMENT_KEYS),
+    schedule=",".join(str(f) for f in ExperimentConfig().schedule),
+    footprints=None,
+    labels=None,
+)
 _DEFAULTS = {
-    "synth": {
-        "seed": 0,
-        "users": 2000,
-        "items": 5000,
-        "topics": 12,
-        "dirichlet_alpha": 0.3,
-        "popularity_exponent": 1.1,
-        "mean_likes": 100,
-    },
-    "train": dict(_DEFAULTS_COMMON, footprints=None, labels=None, task=None),
-    "explain": dict(_DEFAULTS_COMMON, footprints=None, labels=None, task=None, user=None),
+    "synth": _field_defaults(SynthConfig(), _SYNTH_KEYS),
+    "train": dict(_DEFAULTS_COMMON, task=None),
+    "explain": dict(_DEFAULTS_COMMON, task=None, user=None),
     "cloak": dict(
-        _DEFAULTS_COMMON,
-        footprints=None,
-        labels=None,
-        task=None,
-        strategy="fg",
-        user=None,
-        domain_mapping=None,
+        _DEFAULTS_COMMON, task=None, strategy="fg", user=None, domain_mapping=None
     ),
-    "simulate": dict(
-        _DEFAULTS_COMMON,
-        footprints=None,
-        labels=None,
-        task=None,
-        strategy="fg",
-        domain_mapping=None,
-    ),
+    "simulate": dict(_DEFAULTS_COMMON, task=None, strategy="fg", domain_mapping=None),
     "spillover": dict(
-        _DEFAULTS_COMMON,
-        footprints=None,
-        labels=None,
-        task=None,
-        traits=None,
-        population=POPULATION_CLOAKED,
+        _DEFAULTS_COMMON, task=None, traits=None, population=POPULATION_CLOAKED
     ),
-    "report": dict(
-        _DEFAULTS_COMMON,
-        footprints=None,
-        labels=None,
-        tasks=None,
-        strategies="fg,mf",
-        domain_mapping=None,
-    ),
+    "report": dict(_DEFAULTS_COMMON, tasks=None, strategies="fg,mf", domain_mapping=None),
 }
 
 
-def _coerce(key: str, raw: str, default):
-    if isinstance(default, bool):
-        return raw.strip().lower() in {"1", "true", "yes", "on"}
+def _coerce(raw: str, default):
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -177,6 +147,9 @@ def _read_config_file(path: str, command: str) -> dict:
     return out
 
 
+_OPTIONAL_KEYS = {"domain_mapping", "user"}
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS[command])
     if args.config:
@@ -184,7 +157,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         for key, val in file_cfg.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {command}")
-            cfg[key] = _coerce(key, val, _DEFAULTS[command][key]) if isinstance(val, str) else val
+            cfg[key] = _coerce(val, cfg[key]) if isinstance(val, str) else val
     for key in cfg:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -193,9 +166,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     if missing:
         raise ValueError(f"missing required options: {', '.join(sorted(missing))}")
     return cfg
-
-
-_OPTIONAL_KEYS = {"domain_mapping", "user"}
 
 
 def _config_hash(command: str, cfg: dict) -> str:
@@ -222,20 +192,8 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        seed=cfg["seed"],
-        quantile=cfg["quantile"],
-        tolerance_quantile=cfg["tolerance_quantile"],
-        drop_fraction=cfg["drop_fraction"],
-        train_frac=cfg["train_frac"],
-        schedule=_parse_schedule(cfg["schedule"]),
-        k_metafeatures=cfg["k"],
-        folds=cfg["folds"],
-        min_user=cfg["min_user"],
-        min_item=cfg["min_item"],
-        nmf_max_iters=cfg["nmf_max_iters"],
-        nmf_tol=cfg["nmf_tol"],
-    )
+    fields = {field: cfg[key] for key, field in _EXPERIMENT_KEYS.items()}
+    return ExperimentConfig(**dict(fields, schedule=_parse_schedule(cfg["schedule"])))
 
 
 def _load_dataset(cfg: dict):
@@ -244,35 +202,12 @@ def _load_dataset(cfg: dict):
     return m, labels
 
 
-def _domain_model(cfg: dict, item_ids):
+def _domain_model(cfg: dict, matrix):
+    """The domain mapping over the items that survive activity filtering."""
     if not cfg.get("domain_mapping"):
         raise ValueError("--domain-mapping is required for the domain strategy")
-    return load_domain_categories(cfg["domain_mapping"], item_ids)
-
-
-def _classifier_pipeline(cfg: dict):
-    """Shared by train/explain/cloak: filter, per-task subset, split,
-    CV-train on the full (undropped) training rows, threshold."""
-    matrix, labels = _load_dataset(cfg)
-    task = cfg["task"]
-    fm, train, test = task_split(
-        matrix,
-        labels,
-        task,
-        cfg["min_user"],
-        cfg["min_item"],
-        cfg["train_frac"],
-        derive_seed(cfg["seed"], STREAM_SPLIT),
-    )
-    best_c, model, train_scores = fit_classifier(
-        train.matrix,
-        train.labels.values[task],
-        DEFAULT_C_GRID,
-        cfg["folds"],
-        derive_seed(cfg["seed"], STREAM_CV),
-    )
-    threshold = quantile_threshold(train_scores, cfg["quantile"], source="training scores")
-    return fm, train, test, model, threshold, train_scores, best_c
+    fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
+    return load_domain_categories(cfg["domain_mapping"], fm.item_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +215,7 @@ def _classifier_pipeline(cfg: dict):
 
 
 def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> list[str]:
-    sconf = SynthConfig(
-        n_users=cfg["users"],
-        n_items=cfg["items"],
-        k_topics=cfg["topics"],
-        dirichlet_alpha=cfg["dirichlet_alpha"],
-        popularity_exponent=cfg["popularity_exponent"],
-        mean_likes=cfg["mean_likes"],
-        seed=cfg["seed"],
-    )
-    result = generate(sconf)
+    result = generate(SynthConfig(**{f: cfg[k] for k, f in _SYNTH_KEYS.items()}))
     paths = write_dataset(outdir, result)
     print(
         f"synth: {result.matrix.n_users} users, {result.matrix.n_items} items, "
@@ -299,48 +225,50 @@ def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> list[str]:
 
 
 def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> list[str]:
-    fm, train, test, model, threshold, _, best_c = _classifier_pipeline(cfg)
+    matrix, labels = _load_dataset(cfg)
     task = cfg["task"]
-    test_scores = predict_scores(model, test.matrix)
-    y_test = test.labels.values[task]
+    clf = fit_task_classifier(task, matrix, labels, _experiment_config(cfg))
+    threshold = clf.threshold.value
+    test_scores = predict_scores(clf.model, clf.test.matrix)
     metrics = {
         "task": task,
-        "best_c": best_c,
-        "threshold": threshold.value,
-        "threshold_quantile": threshold.quantile,
-        "n_train": train.matrix.n_users,
-        "n_test": test.matrix.n_users,
-        "auc_test": auc(test_scores, y_test),
-        "positive_rate_test": float(np.mean(test_scores >= threshold.value)),
+        "best_c": clf.best_c,
+        "threshold": threshold,
+        "threshold_quantile": clf.threshold.quantile,
+        "n_train": clf.train.matrix.n_users,
+        "n_test": clf.test.matrix.n_users,
+        "auc_test": auc(test_scores, clf.test.labels.values[task]),
+        "positive_rate_test": float(np.mean(test_scores >= threshold)),
     }
     metrics.update(meta)
     model_path = outdir / "model.json"
-    save_model(model_path, model, fm.item_ids)
+    save_model(model_path, clf.model, clf.filtered.item_ids)
     metrics_path = outdir / "train_metrics.json"
     metrics_path.write_text(canonical_json(metrics))
     print(
-        f"train: task {task}, C={best_c}, test AUC {metrics['auc_test']:.3f}, "
-        f"threshold {threshold.value:.3f}"
+        f"train: task {task}, C={clf.best_c}, test AUC {metrics['auc_test']:.3f}, "
+        f"threshold {threshold:.3f}"
     )
     return [str(model_path), str(metrics_path)]
 
 
 def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> list[str]:
-    fm, train, test, model, threshold, _, _ = _classifier_pipeline(cfg)
+    matrix, labels = _load_dataset(cfg)
+    clf = fit_task_classifier(cfg["task"], matrix, labels, _experiment_config(cfg))
+    test, threshold = clf.test.matrix, clf.threshold.value
     uid = cfg["user"]
     if uid is None:
         raise ValueError("--user is required for explain")
-    if uid not in test.matrix.user_index:
+    if uid not in test.user_index:
         raise ValueError(f"user {uid!r} is not in the test partition")
-    i = test.matrix.user_index[uid]
-    expl = linear_explain(model, test.matrix.row(i), threshold.value)
+    expl = linear_explain(clf.model, test.row(test.user_index[uid]), threshold)
     if expl is None:
         raise ValueError(f"no explanation found for user {uid!r}")
-    item_names = [fm.item_ids[j] for j in expl.features]
+    item_names = [clf.filtered.item_ids[j] for j in expl.features]
     obj = {
         "user": uid,
         "task": cfg["task"],
-        "threshold": threshold.value,
+        "threshold": threshold,
         "score_before": expl.score_before,
         "score_after": expl.score_after,
         "features": item_names,
@@ -351,62 +279,48 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     print(
         f"explain: if user {uid} removed {', '.join(item_names)}, "
         f"the score would drop from {expl.score_before:.3f} to "
-        f"{expl.score_after:.3f} (threshold {threshold.value:.3f})"
+        f"{expl.score_after:.3f} (threshold {threshold:.3f})"
     )
     return [str(path)]
 
 
 def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> list[str]:
-    fm, train, test, model, threshold, train_scores, _ = _classifier_pipeline(cfg)
+    matrix, labels = _load_dataset(cfg)
+    econf = _experiment_config(cfg)
+    clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
+    test, threshold = clf.test.matrix, clf.threshold.value
     strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
     mfm = None
-    written = []
     if strategy == STRATEGY_MF:
-        mfm = build_nmf_metafeatures(
-            train.matrix,
-            cfg["k"],
-            max_iters=cfg["nmf_max_iters"],
-            tol=cfg["nmf_tol"],
-            seed=derive_seed(cfg["seed"], STREAM_NMF),
-        )
+        mfm = task_nmf_metafeatures(clf.train.matrix, econf)
     elif strategy == STRATEGY_DOMAIN_MF:
-        mfm = _domain_model(cfg, fm.item_ids)
+        mfm = _domain_model(cfg, matrix)
 
-    test_scores = predict_scores(model, test.matrix)
     if cfg.get("user"):
-        if cfg["user"] not in test.matrix.user_index:
+        if cfg["user"] not in test.user_index:
             raise ValueError(f"user {cfg['user']!r} is not in the test partition")
-        targets = [test.matrix.user_index[cfg["user"]]]
+        targets = [test.user_index[cfg["user"]]]
     else:
-        targets = list(np.nonzero(test_scores >= threshold.value)[0])
-
-    directives = []
-    not_found = 0
-    for i in targets:
-        i = int(i)
-        row = test.matrix.row(i)
-        uid = test.matrix.user_ids[i]
-        d = make_directive(
-            strategy,
-            model,
-            row,
-            threshold.value,
-            mfm,
-            train_scores,
-            cfg["tolerance_quantile"],
-            user=uid,
-        )
-        if d is None:
-            not_found += 1
-        else:
-            directives.append(d)
+        targets = np.nonzero(predict_scores(clf.model, test) >= threshold)[0]
+    directives, not_found = cloak_population(
+        strategy,
+        clf.model,
+        test,
+        targets,
+        threshold,
+        mfm,
+        clf.train_scores,
+        econf.tolerance_quantile,
+    )
 
     dpath = outdir / "directives.json"
-    save_directives(dpath, directives, fm, dict(meta, not_found=not_found))
-    written.append(str(dpath))
+    save_directives(
+        dpath, directives.values(), clf.filtered, dict(meta, not_found=not_found)
+    )
+    written = [str(dpath)]
     if mfm is not None:
         rpath = outdir / "metafeatures.json"
-        save_metafeature_report(rpath, mfm, fm.item_ids)
+        save_metafeature_report(rpath, mfm, clf.filtered.item_ids)
         written.append(str(rpath))
     print(
         f"cloak: {len(directives)} directives ({cfg['strategy']}), "
@@ -419,10 +333,7 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     matrix, labels = _load_dataset(cfg)
     strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
     econf = _experiment_config(cfg)
-    domain = None
-    if strategy == STRATEGY_DOMAIN_MF:
-        fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
-        domain = _domain_model(cfg, fm.item_ids)
+    domain = _domain_model(cfg, matrix) if strategy == STRATEGY_DOMAIN_MF else None
     curve = run_protection_experiment(
         cfg["task"], strategy, matrix, labels, econf, domain=domain
     )
@@ -465,10 +376,7 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     strategies = [
         _STRATEGY_BY_FLAG[s.strip()] for s in cfg["strategies"].split(",") if s.strip()
     ]
-    domain = None
-    if STRATEGY_DOMAIN_MF in strategies:
-        fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
-        domain = _domain_model(cfg, fm.item_ids)
+    domain = _domain_model(cfg, matrix) if STRATEGY_DOMAIN_MF in strategies else None
     rows = tradeoff_report(tasks, strategies, matrix, labels, econf, domain=domain)
     obj = {
         "rows": [
@@ -498,33 +406,94 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     return [str(jpath), str(cpath)]
 
 
+# every flag, declared once: config key -> add_argument keywords. The flag
+# is the key with "-" for "_". No flag has a default: an unset flag leaves
+# the config file's value or the command's default.
+_FLAGS = {
+    "seed": dict(type=int, help="base random seed"),
+    "out": dict(required=True, help="output directory"),
+    "config": dict(help="key=value config file or manifest.json"),
+    "footprints": dict(help="user_id,item_id CSV/TSV"),
+    "labels": dict(help="user_id,task_name,value CSV"),
+    "quantile": dict(type=float, help="targeting quantile"),
+    "train_frac": dict(type=float),
+    "folds": dict(type=int),
+    "min_user": dict(type=int),
+    "min_item": dict(type=int),
+    "task": dict(help="sensitive binary task"),
+    "tasks": dict(help="comma-separated binary tasks"),
+    "user": dict(help="external user id (test partition)"),
+    "strategy": dict(choices=sorted(_STRATEGY_BY_FLAG)),
+    "strategies": dict(help="comma-separated strategies"),
+    "tolerance_quantile": dict(type=float),
+    "k": dict(type=int, help="metafeature count"),
+    "schedule": dict(help="comma-separated re-add fractions"),
+    "drop_fraction": dict(type=float),
+    "domain_mapping": dict(help="item_id,category CSV"),
+    "nmf_max_iters": dict(type=int),
+    "nmf_tol": dict(type=float),
+    "traits": dict(help="comma-separated continuous traits"),
+    "population": dict(choices=[POPULATION_CLOAKED, POPULATION_ALL_TEST]),
+    "users": dict(type=int),
+    "items": dict(type=int),
+    "topics": dict(type=int),
+    "dirichlet_alpha": dict(type=float),
+    "popularity_exponent": dict(type=float),
+    "mean_likes": dict(type=int),
+}
+
+_BASE_FLAGS = "seed out config"
+_DATA_FLAGS = (
+    f"{_BASE_FLAGS} footprints labels quantile train_frac folds min_user min_item"
+)
+_NMF_FLAGS = "k nmf_max_iters nmf_tol"
+
+# subcommand -> (runner, help, the config keys it takes as flags)
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "explain": _cmd_explain,
-    "cloak": _cmd_cloak,
-    "simulate": _cmd_simulate,
-    "spillover": _cmd_spillover,
-    "report": _cmd_report,
+    "synth": (
+        _cmd_synth,
+        "generate a synthetic dataset",
+        f"{_BASE_FLAGS} users items topics dirichlet_alpha popularity_exponent "
+        "mean_likes",
+    ),
+    "train": (
+        _cmd_train,
+        "train a classifier and its threshold",
+        f"{_DATA_FLAGS} task",
+    ),
+    "explain": (
+        _cmd_explain,
+        "explain one positive prediction",
+        f"{_DATA_FLAGS} task user",
+    ),
+    "cloak": (
+        _cmd_cloak,
+        "build cloaking directives",
+        f"{_DATA_FLAGS} task strategy user tolerance_quantile domain_mapping "
+        f"{_NMF_FLAGS}",
+    ),
+    "simulate": (
+        _cmd_simulate,
+        "protection over simulated time",
+        f"{_DATA_FLAGS} task strategy tolerance_quantile schedule drop_fraction "
+        f"domain_mapping {_NMF_FLAGS}",
+    ),
+    "spillover": (
+        _cmd_spillover,
+        "cost of cloaking on other tasks",
+        f"{_DATA_FLAGS} task traits population {_NMF_FLAGS}",
+    ),
+    "report": (
+        _cmd_report,
+        "cost versus protection per task and strategy",
+        f"{_DATA_FLAGS} tasks strategies tolerance_quantile schedule drop_fraction "
+        f"domain_mapping {_NMF_FLAGS}",
+    ),
 }
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _add_common(p: argparse.ArgumentParser, *, data: bool = True):
-    p.add_argument("--seed", type=int, default=None, help="base random seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None, help="key=value config file or manifest.json")
-    if data:
-        p.add_argument("--footprints", default=None, help="user_id,item_id CSV/TSV")
-        p.add_argument("--labels", default=None, help="user_id,task_name,value CSV")
-        p.add_argument("--quantile", type=float, default=None, help="targeting quantile")
-        p.add_argument("--train-frac", dest="train_frac", type=float, default=None)
-        p.add_argument("--folds", type=int, default=None)
-        p.add_argument("--min-user", dest="min_user", type=int, default=None)
-        p.add_argument("--min-item", dest="min_item", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,71 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p, data=False)
-    p.add_argument("--users", type=int, default=None)
-    p.add_argument("--items", type=int, default=None)
-    p.add_argument("--topics", type=int, default=None)
-    p.add_argument("--dirichlet-alpha", dest="dirichlet_alpha", type=float, default=None)
-    p.add_argument(
-        "--popularity-exponent", dest="popularity_exponent", type=float, default=None
-    )
-    p.add_argument("--mean-likes", dest="mean_likes", type=int, default=None)
-
-    p = sub.add_parser("train", help="train a classifier and its threshold")
-    _add_common(p)
-    p.add_argument("--task", default=None)
-
-    p = sub.add_parser("explain", help="explain one positive prediction")
-    _add_common(p)
-    p.add_argument("--task", default=None)
-    p.add_argument("--user", default=None, help="external user id (test partition)")
-
-    p = sub.add_parser("cloak", help="build cloaking directives")
-    _add_common(p)
-    p.add_argument("--task", default=None)
-    p.add_argument("--strategy", choices=sorted(_STRATEGY_BY_FLAG), default=None)
-    p.add_argument("--user", default=None, help="restrict to one user id")
-    p.add_argument("--tolerance-quantile", dest="tolerance_quantile", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="metafeature count")
-    p.add_argument("--domain-mapping", dest="domain_mapping", default=None)
-    p.add_argument("--nmf-max-iters", dest="nmf_max_iters", type=int, default=None)
-    p.add_argument("--nmf-tol", dest="nmf_tol", type=float, default=None)
-
-    p = sub.add_parser("simulate", help="protection over simulated time")
-    _add_common(p)
-    p.add_argument("--task", default=None)
-    p.add_argument("--strategy", choices=sorted(_STRATEGY_BY_FLAG), default=None)
-    p.add_argument("--tolerance-quantile", dest="tolerance_quantile", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="metafeature count")
-    p.add_argument("--schedule", default=None, help="comma-separated re-add fractions")
-    p.add_argument("--drop-fraction", dest="drop_fraction", type=float, default=None)
-    p.add_argument("--domain-mapping", dest="domain_mapping", default=None)
-    p.add_argument("--nmf-max-iters", dest="nmf_max_iters", type=int, default=None)
-    p.add_argument("--nmf-tol", dest="nmf_tol", type=float, default=None)
-
-    p = sub.add_parser("spillover", help="cost of cloaking on other tasks")
-    _add_common(p)
-    p.add_argument("--task", default=None, help="sensitive binary task")
-    p.add_argument("--traits", default=None, help="comma-separated continuous traits")
-    p.add_argument("--population", choices=["cloaked", "all-test"], default=None)
-    p.add_argument("--k", type=int, default=None, help="metafeature count")
-    p.add_argument("--nmf-max-iters", dest="nmf_max_iters", type=int, default=None)
-    p.add_argument("--nmf-tol", dest="nmf_tol", type=float, default=None)
-
-    p = sub.add_parser("report", help="cost versus protection per task and strategy")
-    _add_common(p)
-    p.add_argument("--tasks", default=None, help="comma-separated binary tasks")
-    p.add_argument("--strategies", default=None, help="comma-separated strategies")
-    p.add_argument("--tolerance-quantile", dest="tolerance_quantile", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--schedule", default=None)
-    p.add_argument("--drop-fraction", dest="drop_fraction", type=float, default=None)
-    p.add_argument("--domain-mapping", dest="domain_mapping", default=None)
-    p.add_argument("--nmf-max-iters", dest="nmf_max_iters", type=int, default=None)
-    p.add_argument("--nmf-tol", dest="nmf_tol", type=float, default=None)
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in flags.split():
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
@@ -610,7 +518,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args.command, args)
         outdir = Path(args.out)
         meta = _write_manifest(outdir, args.command, cfg)
-        written = _COMMANDS[args.command](cfg, outdir, meta)
+        written = _COMMANDS[args.command][0](cfg, outdir, meta)
         for path in written:
             logger.info("wrote %s", path)
         return 0

@@ -155,19 +155,53 @@ def make_directive(
     """
     if strategy == STRATEGY_FG:
         return cloak_fg(model, row, threshold, user=user)
-    if strategy == STRATEGY_MF:
+    if strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
         if mfm is None:
-            raise ValueError("MF requires NMF metafeatures")
-        return cloak_mf(model, row, threshold, mfm, user=user)
-    if strategy == STRATEGY_DOMAIN_MF:
-        if mfm is None:
-            raise ValueError("DOMAIN_MF requires a domain category mapping")
+            raise ValueError(
+                f"{strategy} requires metafeatures (NMF or a domain category mapping)"
+            )
         return cloak_mf(model, row, threshold, mfm, user=user)
     if strategy == STRATEGY_FG_TOL:
         return cloak_tolerance(
             model, row, threshold, population_scores, quantile_tol, user=user
         )
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def cloak_population(
+    strategy: str,
+    model: LinearModel,
+    matrix: FootprintMatrix,
+    rows,
+    threshold: float,
+    mfm: Optional[MetafeatureModel] = None,
+    population_scores: Optional[np.ndarray] = None,
+    quantile_tol: float = 0.90,
+) -> tuple[dict[int, CloakDirective], int]:
+    """make_directive for each of the given rows of matrix.
+
+    Returns the directives keyed by row, in the order of rows, and the
+    count of rows that got none because no explanation exists.
+    """
+    directives: dict[int, CloakDirective] = {}
+    not_found = 0
+    for i in rows:
+        i = int(i)
+        d = make_directive(
+            strategy,
+            model,
+            matrix.row(i),
+            threshold,
+            mfm,
+            population_scores,
+            quantile_tol,
+            user=matrix.user_ids[i],
+        )
+        if d is None:
+            not_found += 1
+        else:
+            directives[i] = d
+    return directives, not_found
 
 
 def cloaked_mask(

@@ -10,7 +10,6 @@ fast path for linear models, where descending-weight removal is optimal.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -27,8 +26,7 @@ class Explanation:
     features lists item indices in removal order; removing any proper
     prefix leaves the score at or above the threshold, removing all of
     them lands strictly below. expansions counts best-first node
-    expansions (0 for the linear path). wall_time is informational only
-    and never serialized.
+    expansions (0 for the linear path).
     """
 
     features: tuple[int, ...]
@@ -36,7 +34,6 @@ class Explanation:
     score_after: float
     target_threshold: float
     expansions: int
-    wall_time: float
 
     @property
     def size(self) -> int:
@@ -74,7 +71,6 @@ def _finalize(
     threshold: float,
     score_before: float,
     expansions: int,
-    t0: float,
 ) -> Explanation:
     # order by single-feature removal score (strongest drop first, ties to
     # the lower index), then keep the shortest prefix that crosses
@@ -92,7 +88,6 @@ def _finalize(
         score_after=score_after,
         target_threshold=float(threshold),
         expansions=expansions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -111,7 +106,6 @@ def sedc_explain(
     tuple. Returns None when no subset within max_size crosses the
     threshold or the expansion budget runs out.
     """
-    t0 = time.perf_counter()
     row = np.asarray(row, dtype=np.int64)
     if isinstance(model, LinearModel):
         if model.kind != KIND_CLASSIFIER:
@@ -134,7 +128,7 @@ def sedc_explain(
     while heap:
         score, feats = heapq.heappop(heap)
         if score < threshold:
-            return _finalize(score_of, feats, threshold, score_before, expansions, t0)
+            return _finalize(score_of, feats, threshold, score_before, expansions)
         if expansions >= max_expansions:
             return None
         if len(feats) >= max_size:
@@ -162,7 +156,6 @@ def linear_explain(
     scoring this prefix is a minimum-cardinality flipping set. Returns
     None when even removing everything cannot cross.
     """
-    t0 = time.perf_counter()
     if model.kind != KIND_CLASSIFIER:
         raise ValueError("explanations require a binary classifier")
     row = np.asarray(row, dtype=np.int64)
@@ -188,5 +181,4 @@ def linear_explain(
         score_after=float(prefix_scores[t]),
         target_threshold=float(threshold),
         expansions=0,
-        wall_time=time.perf_counter() - t0,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_json
+from ._util import STREAM_NMF, ExperimentConfig, canonical_json, derive_seed
 from .data import (
     FootprintMatrix,
     _codes,
@@ -155,6 +155,20 @@ def build_nmf_metafeatures(
         assignment=assign_exclusive(H),
         source=SOURCE_NMF,
         zero_loading=zero,
+    )
+
+
+def task_nmf_metafeatures(
+    train: FootprintMatrix, config: ExperimentConfig
+) -> MetafeatureModel:
+    """NMF metafeatures of a task classifier's training rows, with the
+    config's k, iteration cap and tolerance."""
+    return build_nmf_metafeatures(
+        train,
+        config.k_metafeatures,
+        max_iters=config.nmf_max_iters,
+        tol=config.nmf_tol,
+        seed=derive_seed(config.seed, STREAM_NMF),
     )
 
 

@@ -12,7 +12,6 @@ L-BFGS-B from scipy.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -23,16 +22,21 @@ import numpy as np
 from scipy import optimize
 from scipy.special import expit
 
-from ._util import canonical_json
-from .data import FootprintMatrix
+from ._util import (
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_C_GRID,
+    STREAM_CV,
+    STREAM_SPLIT,
+    ExperimentConfig,
+    canonical_json,
+    derive_seed,
+)
+from .data import FootprintMatrix, LabelTable, Partition, task_split
 
 logger = logging.getLogger(__name__)
 
 KIND_CLASSIFIER = "binary-classifier"
 KIND_REGRESSOR = "continuous-regressor"
-
-DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
-DEFAULT_ALPHA_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3)
 
 
 class ConvergenceError(RuntimeError):
@@ -182,6 +186,19 @@ def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
     return expit(decision_margins(model, m))
 
 
+def _kfold(n: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Deterministic k-fold split of n rows: (validation, train) row indices
+    per fold, both ascending."""
+    fold_idx = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    return [
+        (
+            np.sort(fold_idx[f]),
+            np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f])),
+        )
+        for f in range(folds)
+    ]
+
+
 def grid_search_cv(
     m: FootprintMatrix,
     y01: np.ndarray,
@@ -199,13 +216,8 @@ def grid_search_cv(
     n = m.n_users
     if n < folds:
         raise ValueError("need at least one user per fold")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    fold_idx = np.array_split(perm, folds)
     splits = []
-    for f in range(folds):
-        val = np.sort(fold_idx[f])
-        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
+    for f, (val, trn) in enumerate(_kfold(n, folds, seed)):
         y_trn, y_val = y01[trn], y01[val]
         if np.unique(y_trn).size < 2 or np.unique(y_val).size < 2:
             logger.debug("grid_search_cv: fold %d skipped (single class)", f)
@@ -244,6 +256,51 @@ def fit_classifier(
     best_c = grid_search_cv(m, y01, c_grid, folds, seed)
     model = train_logreg_l2(m, y01, best_c)
     return best_c, model, predict_scores(model, m)
+
+
+@dataclass(frozen=True, eq=False)
+class TaskClassifier:
+    """The classifier of one binary task on full footprints, as train,
+    explain, cloak and spillover use it.
+
+    filtered is the activity-filtered, task-labeled matrix; train and test
+    partition it. threshold is the quantile threshold of train_scores.
+    """
+
+    filtered: FootprintMatrix
+    train: Partition
+    test: Partition
+    best_c: float
+    model: LinearModel
+    train_scores: np.ndarray
+    threshold: ThresholdSpec
+
+
+def fit_task_classifier(
+    task: str, matrix: FootprintMatrix, labels: LabelTable, config: ExperimentConfig
+) -> TaskClassifier:
+    """Filter and split for the task, pick C by cross-validation on the
+    training rows, fit, and set the threshold from the training scores."""
+    fm, train, test = task_split(
+        matrix,
+        labels,
+        task,
+        config.min_user,
+        config.min_item,
+        config.train_frac,
+        derive_seed(config.seed, STREAM_SPLIT),
+    )
+    best_c, model, train_scores = fit_classifier(
+        train.matrix,
+        train.labels.values[task],
+        config.c_grid,
+        config.folds,
+        derive_seed(config.seed, STREAM_CV),
+    )
+    threshold = quantile_threshold(
+        train_scores, config.quantile, source="training scores"
+    )
+    return TaskClassifier(fm, train, test, best_c, model, train_scores, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +428,9 @@ def ridge_basis(m: FootprintMatrix, folds: int = 3, seed: int = 0) -> RidgeBasis
     """Split m into deterministic CV folds and decompose every train set."""
     if m.n_users < folds + 1:
         raise ValueError("need more users than folds")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m.n_users)
-    fold_idx = np.array_split(perm, folds)
     Xs = m.csr
     fold_list = []
-    for f in range(folds):
-        val = np.sort(fold_idx[f])
-        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
+    for val, trn in _kfold(m.n_users, folds, seed):
         Xs_trn = Xs[trn]
         Xs_val = m.select_users(val).csr
         fold_list.append(RidgeFold(trn, val, Xs_trn, Xs_val, *_centered_gram(Xs_trn)))
@@ -473,15 +525,3 @@ def save_model(path, model: LinearModel, item_ids) -> None:
         "vocabulary_sha256": vocabulary_hash(item_ids),
     }
     Path(path).write_text(canonical_json(obj))
-
-
-def load_model(path, item_ids) -> LinearModel:
-    """Read a model written by save_model; verifies the vocabulary hash."""
-    obj = json.loads(Path(path).read_text())
-    if obj["vocabulary_sha256"] != vocabulary_hash(item_ids):
-        raise ValueError("model vocabulary does not match this item space")
-    index = {it: j for j, it in enumerate(item_ids)}
-    w = np.zeros(obj["n_items"])
-    for it, val in obj["weights"].items():
-        w[index[it]] = val
-    return LinearModel(w, float(obj["intercept"]), float(obj["C"]), obj["kind"])

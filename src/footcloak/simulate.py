@@ -31,6 +31,7 @@ from ._util import (
     STREAM_PROTECTION_DROP,
     STREAM_PROTECTION_NMF,
     STREAM_PROTECTION_SPLIT,
+    ExperimentConfig,
     canonical_json,
     derive_seed,
     write_csv,
@@ -41,8 +42,8 @@ from .cloak import (
     STRATEGY_MF,
     CloakDirective,
     cloak_cost,
+    cloak_population,
     cloaked_mask,
-    make_directive,
 )
 from .data import (
     DropPlan,
@@ -54,8 +55,6 @@ from .data import (
 )
 from .metafeatures import MetafeatureModel, build_nmf_metafeatures
 from .models import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_C_GRID,
     LinearModel,
     ThresholdSpec,
     decision_margins,
@@ -65,43 +64,6 @@ from .models import (
 )
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_SCHEDULE = tuple(round(f * 0.1, 1) for f in range(11))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs shared by the protection and spillover experiments.
-
-    Only FG_TOL reads tolerance_quantile, so its bound (at most quantile)
-    is checked where FG_TOL runs, not here.
-    """
-
-    seed: int = 0
-    quantile: float = 0.95
-    tolerance_quantile: float = 0.90
-    drop_fraction: float = 0.5
-    train_frac: float = 0.66
-    schedule: tuple[float, ...] = DEFAULT_SCHEDULE
-    k_metafeatures: int = 50
-    c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    folds: int = 3
-    min_user: int = 10
-    min_item: int = 10
-    nmf_max_iters: int = 200
-    nmf_tol: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        if not 0.0 < self.tolerance_quantile < 1.0:
-            raise ValueError("tolerance_quantile must be in (0, 1)")
-        if not self.schedule:
-            raise ValueError("schedule must be non-empty")
-        for f in self.schedule:
-            if not 0.0 <= f <= 1.0:
-                raise ValueError("schedule fractions must be in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,33 +308,6 @@ def _scored_weights(
     return w
 
 
-def cloak_population(
-    ctx: ProtectionContext, strategy: str
-) -> tuple[dict[int, CloakDirective], int]:
-    """Directive per population user (by test row) that has one under the
-    strategy, created at fraction 0.0, and the count of users without."""
-    mfm = _strategy_mfm(ctx, strategy)
-    directives: dict[int, CloakDirective] = {}
-    not_found = 0
-    for i in ctx.population:
-        i = int(i)
-        d = make_directive(
-            strategy,
-            ctx.model,
-            ctx.test_reduced.row(i),
-            ctx.threshold0.value,
-            mfm,
-            ctx.train_scores_reduced,
-            ctx.config.tolerance_quantile,
-            user=ctx.test_reduced.user_ids[i],
-        )
-        if d is None:
-            not_found += 1
-        else:
-            directives[i] = d
-    return directives, not_found
-
-
 def protection_flags(
     ctx: ProtectionContext,
     directives: dict[int, CloakDirective],
@@ -418,7 +353,16 @@ def run_strategy(
     config = ctx.config
     _check_strategy(config, strategy)
     mfm = _strategy_mfm(ctx, strategy)
-    directives, not_found = cloak_population(ctx, strategy)
+    directives, not_found = cloak_population(
+        strategy,
+        ctx.model,
+        ctx.test_reduced,
+        ctx.population,
+        ctx.threshold0.value,
+        mfm,
+        ctx.train_scores_reduced,
+        config.tolerance_quantile,
+    )
     pop = np.array(sorted(directives), dtype=np.int64)
 
     y = ctx.test_labels[pop]

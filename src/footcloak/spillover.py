@@ -17,27 +17,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import (
-    STREAM_CV,
-    STREAM_NMF,
-    STREAM_RIDGE,
-    STREAM_SPLIT,
-    canonical_json,
-    derive_seed,
-    write_csv,
-)
-from .cloak import CloakDirective, apply_cloak, cloak_fg, cloak_mf
-from .data import FootprintMatrix, LabelTable, task_split
-from .metafeatures import build_nmf_metafeatures
+from ._util import STREAM_RIDGE, ExperimentConfig, canonical_json, derive_seed, write_csv
+from .cloak import STRATEGY_FG, STRATEGY_MF, apply_cloak, cloak_population
+from .data import FootprintMatrix, LabelTable
+from .metafeatures import task_nmf_metafeatures
 from .models import (
-    fit_classifier,
     fit_ridge,
+    fit_task_classifier,
     pearson,
     predict_scores,
-    quantile_threshold,
     ridge_basis,
 )
-from .simulate import ExperimentConfig
 
 logger = logging.getLogger(__name__)
 
@@ -94,49 +84,20 @@ def run_spillover_experiment(
         if trait not in labels.values:
             raise ValueError(f"unknown trait {trait!r}")
 
-    _, train, test = task_split(
-        matrix,
-        labels,
-        sensitive_task,
-        config.min_user,
-        config.min_item,
-        config.train_frac,
-        derive_seed(config.seed, STREAM_SPLIT),
-    )
-    best_c, model, train_scores = fit_classifier(
-        train.matrix,
-        train.labels.values[sensitive_task],
-        config.c_grid,
-        config.folds,
-        derive_seed(config.seed, STREAM_CV),
-    )
-    threshold = quantile_threshold(
-        train_scores, config.quantile, source="training scores"
-    )
-    test_scores = predict_scores(model, test.matrix)
-    positives = np.nonzero(test_scores >= threshold.value)[0]
+    clf = fit_task_classifier(sensitive_task, matrix, labels, config)
+    train, test, threshold = clf.train, clf.test, clf.threshold.value
+    positives = np.nonzero(predict_scores(clf.model, test.matrix) >= threshold)[0]
+    mfm = task_nmf_metafeatures(train.matrix, config)
 
-    mfm = build_nmf_metafeatures(
-        train.matrix,
-        config.k_metafeatures,
-        max_iters=config.nmf_max_iters,
-        tol=config.nmf_tol,
-        seed=derive_seed(config.seed, STREAM_NMF),
+    # cloak_mf finds no explanation exactly where cloak_fg finds none (both
+    # explain the same row against the same threshold), so MF directs the
+    # same users as FG
+    fg, not_found = cloak_population(
+        STRATEGY_FG, clf.model, test.matrix, positives, threshold
     )
-
-    fg: dict[int, CloakDirective] = {}
-    mf: dict[int, CloakDirective] = {}
-    not_found = 0
-    for i in positives:
-        i = int(i)
-        row = test.matrix.row(i)
-        uid = test.matrix.user_ids[i]
-        d_fg = cloak_fg(model, row, threshold.value, user=uid)
-        if d_fg is None:
-            not_found += 1
-            continue
-        fg[i] = d_fg
-        mf[i] = cloak_mf(model, row, threshold.value, mfm, user=uid)
+    mf, _ = cloak_population(
+        STRATEGY_MF, clf.model, test.matrix, positives, threshold, mfm
+    )
 
     cloaked = np.array(sorted(fg), dtype=np.int64)
     if population == POPULATION_CLOAKED:
@@ -208,8 +169,8 @@ def run_spillover_experiment(
     diagnostics = {
         "n_train": train.matrix.n_users,
         "n_test": test.matrix.n_users,
-        "best_c": best_c,
-        "threshold": threshold.value,
+        "best_c": clf.best_c,
+        "threshold": threshold,
         "n_positive": int(len(positives)),
         "n_cloaked": int(len(cloaked)),
         "not_found": not_found,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from footcloak import cli, simulate
+from footcloak import cli, cloak, simulate
 from footcloak.cli import main
 
 
@@ -273,7 +273,7 @@ def test_tolerance_quantile_only_limits_fg_tol(data, tmp_path, capsys):
 
 def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
     # no population user gets a directive: rates and costs are undefined
-    monkeypatch.setattr(simulate, "make_directive", lambda *a, **k: None)
+    monkeypatch.setattr(cloak, "make_directive", lambda *a, **k: None)
     out = tmp_path / "sim"
     assert _run(*_simulate_args(data, out)) == 0
     curve = _strict_json(out / "protection_curve.json")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from footcloak.cloak import (
     STRATEGY_DOMAIN_MF,
@@ -75,6 +77,37 @@ def test_mf_superset_of_fg():
             continue
         assert fg.cloaked_features <= mf.cloaked_features
         assert cloak_cost(row, mf, mfm) >= cloak_cost(row, fg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(1, 12),
+    width_delta=st.integers(-3, 2),
+    threshold=st.floats(0.01, 0.99),
+    reserved=st.booleans(),
+)
+def test_mf_finds_none_exactly_when_fg_does(
+    seed, n_items, width_delta, threshold, reserved
+):
+    # the spillover experiment directs the same users under FG and MF
+    rng = np.random.default_rng(seed)
+    model = LinearModel(
+        rng.normal(0.3, 1.0, max(1, n_items + width_delta)), float(rng.normal()), 1.0
+    )
+    row = np.flatnonzero(rng.random(n_items) < 0.6)
+    assignment = rng.integers(0, 3, n_items)
+    mfm = _mfm(assignment, reserved=int(assignment.max()) if reserved else None)
+    if predict_score(model, row) < threshold:
+        for cloak in (cloak_fg, lambda *a: cloak_mf(*a, mfm)):
+            with pytest.raises(ValueError, match="already below"):
+                cloak(model, row, threshold)
+        return
+    fg = cloak_fg(model, row, threshold)
+    mf = cloak_mf(model, row, threshold, mfm)
+    assert (fg is None) == (mf is None)
+    if fg is not None:
+        assert fg.cloaked_features <= mf.cloaked_features
 
 
 def test_domain_mf_never_sweeps_reserved():

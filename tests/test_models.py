@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,6 @@ from footcloak.models import (
     auc,
     fit_ridge,
     grid_search_cv,
-    load_model,
     logreg_value_and_grad,
     pearson,
     predict_score,
@@ -523,12 +524,17 @@ def test_model_roundtrip(tmp_path):
     model = train_logreg_l2(m, y, C=0.3)
     path = tmp_path / "model.json"
     save_model(path, model, m.item_ids)
-    loaded = load_model(path, m.item_ids)
-    np.testing.assert_allclose(loaded.weights, model.weights)
-    assert loaded.intercept == model.intercept
-    assert loaded.C == model.C and loaded.kind == model.kind
-    with pytest.raises(ValueError, match="vocabulary"):
-        load_model(path, tuple(reversed(m.item_ids)))
+    obj = json.loads(path.read_text())
+    # the sparse id -> weight map gives back every weight exactly
+    weights = np.zeros(obj["n_items"])
+    for item, w in obj["weights"].items():
+        weights[m.item_ids.index(item)] = w
+    np.testing.assert_array_equal(weights, model.weights)
+    assert obj["intercept"] == model.intercept
+    assert obj["C"] == model.C and obj["kind"] == model.kind
+    # sha256 over the item ids in model order, each followed by a NUL byte
+    vocab = b"".join(item.encode() + b"\0" for item in m.item_ids)
+    assert obj["vocabulary_sha256"] == sha256(vocab).hexdigest()
 
 
 def test_save_model_rejects_nan(tmp_path):

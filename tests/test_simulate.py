@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from footcloak import simulate
+from footcloak._util import DEFAULT_SCHEDULE
 from footcloak.cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
     apply_cloak,
+    cloak_population,
 )
 from footcloak.data import LabelTable
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
@@ -24,10 +26,8 @@ from footcloak.models import (
     quantile_threshold,
 )
 from footcloak.simulate import (
-    DEFAULT_SCHEDULE,
     ExperimentConfig,
     build_protection_context,
-    cloak_population,
     protection_flags,
     run_protection_experiment,
     run_strategy,
@@ -294,7 +294,16 @@ def test_closed_form_matches_readd_oracle(
         oracle_th.append(quantile_threshold(scores, q).value)
     for strategy in _ORACLE_STRATEGIES:
         mfm = simulate._strategy_mfm(ctx, strategy)
-        directives, _ = cloak_population(ctx, strategy)
+        directives, _ = cloak_population(
+            strategy,
+            ctx.model,
+            ctx.test_reduced,
+            ctx.population,
+            ctx.threshold0.value,
+            mfm,
+            ctx.train_scores_reduced,
+            ctx.config.tolerance_quantile,
+        )
         thresholds, protected = protection_flags(ctx, directives, mfm)
         np.testing.assert_allclose(thresholds, oracle_th, rtol=1e-12, atol=0)
         assert protected.shape == (len(schedule), len(directives))

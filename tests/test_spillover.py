@@ -6,9 +6,8 @@ import logging
 import numpy as np
 import pytest
 
-from footcloak import models, spillover
+from footcloak import ExperimentConfig, models, spillover
 from footcloak.data import LabelTable
-from footcloak.simulate import ExperimentConfig
 from footcloak.spillover import (
     POPULATION_ALL_TEST,
     POPULATION_CLOAKED,
@@ -114,7 +113,7 @@ def test_unknown_trait_fails_before_fitting(small_synth, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("classifier fitted before the trait check")
 
-    monkeypatch.setattr(spillover, "fit_classifier", no_fit)
+    monkeypatch.setattr(spillover, "fit_task_classifier", no_fit)
     res = small_synth
     with pytest.raises(ValueError, match="unknown trait 'x'"):
         run_spillover_experiment(
