@@ -12,9 +12,9 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,54 +199,166 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
-def _read_columns(path, headers) -> tuple[list[int], list[list[str]], Optional[int]]:
-    """Read a delimited file once into columns of stripped fields.
+# Byte flags for the tokenizer. A line is blank when str.strip() empties it:
+# an ASCII byte outside str.isspace makes it non-blank, and a line of
+# whitespace and non-ASCII bytes is decoded to tell.
+_SOLID, _HIGH, _QUOTE = 1, 2, 4
+_BYTE_FLAGS = np.full(256, _SOLID, dtype=np.uint8)
+_BYTE_FLAGS[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = 0
+_BYTE_FLAGS[0x80:] = _HIGH
+_BYTE_FLAGS[ord('"')] |= _QUOTE
 
-    Lines are split at "\n" only (after read_text's universal-newline
-    translation), so line numbers are the file's own. Blank lines are
-    skipped; the delimiter is a tab when the first non-blank line holds one,
-    else a comma. Lines holding a double quote go through csv.reader one at
-    a time, so an unterminated quote cannot swallow the next line; every
-    other line is a plain split. A first row matching `headers` (compared
-    lowercased) is dropped. Every row must have len(header) non-empty fields.
 
-    Returns the 1-based line numbers of the rows, the columns, and the line
-    number of the first malformed row (None when there is none); the rows
+def _read_columns(
+    path, headers
+) -> tuple[np.ndarray, list[tuple[tuple[str, ...], np.ndarray]], int | None]:
+    """Read a delimited file once into columns of codes over stripped fields.
+
+    The text is read_text()'s, less one leading U+FEFF, and is tokenized as
+    UTF-8 bytes, which never hold "\n", ",", "\t" or '"' inside a multi-byte
+    character. Lines are split at "\n" only (after read_text's
+    universal-newline translation), so line numbers are the file's own.
+    Blank lines are skipped; the delimiter is a tab when the first non-blank
+    line holds one, else a comma. Lines holding a double quote go through
+    csv.reader one at a time, so an unterminated quote cannot swallow the
+    next line; every other line is split at the delimiter. A first row
+    matching `headers` (compared lowercased) is dropped. Every row must have
+    len(header) non-empty fields.
+
+    Fields are grouped by their raw bytes, and only the distinct raw values
+    are decoded and stripped, so no Python object is made per field. Each
+    column is (distinct stripped values in first-seen order, int64 code per
+    row). Also returned: the 1-based line numbers of the rows and the line
+    number of the first malformed row (None when there is none). The rows
     returned are the ones before it, so a caller's own checks on them come
     first, as a line-by-line loader's would.
     """
     width = len(next(iter(headers)))
-    text = Path(path).read_text()
-    lines = text.split("\n")
-    numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
-    rows = [lines[n - 1] for n in numbers]
-    delim = "\t" if rows and "\t" in rows[0] else ","
-    if '"' in text:
-        records = [
-            next(csv.reader([r], delimiter=delim)) if '"' in r else r.split(delim)
-            for r in rows
-        ]
-        counts = list(map(len, records))
-        fields = list(chain.from_iterable(records))
-    else:  # one list for the file: a list per line keeps the cyclic GC busy
-        counts = [r.count(delim) + 1 for r in rows]
-        fields = delim.join(rows).split(delim)
-    n_rows = len(rows)
-    if counts.count(width) != n_rows:
-        n_rows = next(k for k, c in enumerate(counts) if c != width)
-    fields = [f.strip() for f in fields[: n_rows * width]]
-    cols = [fields[k::width] for k in range(width)]
-    start = int(n_rows > 0 and tuple(c[0].lower() for c in cols) in headers)
-    end = min([n_rows] + [c.index("") for c in cols if "" in c])
-    bad = numbers[end] if end < len(numbers) else None
-    return numbers[start:end], [c[start:end] for c in cols], bad
+    raw = Path(path).read_text().removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+    buf = np.empty(len(raw) + 1, dtype=np.uint8)
+    buf[:-1] = np.frombuffer(raw, dtype=np.uint8)
+    buf[-1] = ord("\n")  # so the last line ends at a newline too
+    del raw
+    pos_t = np.int32 if len(buf) < 2**31 else np.int64  # byte offsets, line indices
+    ends = np.flatnonzero(buf == ord("\n")).astype(pos_t)
+    starts = np.concatenate((np.zeros(1, pos_t), ends[:-1] + 1))
+    flags = np.bitwise_or.reduceat(_BYTE_FLAGS[buf], starts)
+    nonblank = (flags & _SOLID) != 0
+    high = np.flatnonzero(flags == _HIGH)
+    lines = _decode_all(buf, starts[high], ends[high])
+    nonblank[high] = [bool(v.strip()) for v in lines]
+    rows = np.flatnonzero(nonblank).astype(pos_t)
+    tab = len(rows) > 0 and ord("\t") in buf[starts[rows[0]] : ends[rows[0]]]
+    delim = "\t" if tab else ","
+    marks = np.flatnonzero(buf == ord(delim)).astype(pos_t)
+    first = np.searchsorted(marks, starts).astype(pos_t)  # a line's first mark
+    counts = np.diff(first, append=len(marks))[rows] + 1  # fields per row
+    quoted = (flags[rows] & _QUOTE) != 0
+    starts, ends, first = starts[rows], ends[rows], first[rows]
+    at = np.flatnonzero(quoted)
+    lines = _decode_all(buf, starts[at], ends[at])
+    records = {i: next(csv.reader([v], delimiter=delim)) for i, v in zip(at, lines)}
+    counts[at] = [len(r) for r in records.values()]
+    wrong = np.flatnonzero(counts != width)
+    n_rows = int(wrong[0]) if len(wrong) else len(counts)
+    start = 0
+    if n_rows:
+        line = _decode_all(buf, starts[:1], ends[:1])[0]
+        head = records[0] if quoted[0] else line.split(delim)
+        start = int(tuple(f.strip().lower() for f in head) in headers)
+    plain = np.flatnonzero(~quoted[start:n_rows]) + start
+    by_csv = np.flatnonzero(quoted[start:n_rows]) + start
+    end, columns = n_rows, []
+    for k in range(width):  # a plain row's field k ends at its k-th mark
+        s = starts[plain] if k == 0 else marks[first[plain] + k - 1] + 1
+        e = ends[plain] if k == width - 1 else marks[first[plain] + k]
+        codes, raw_first = _factorize(buf, s, e)
+        names = _decode_all(buf, s[raw_first], e[raw_first])
+        names = [v.strip() for v in names + [records[i][k] for i in by_csv]]
+        seen = np.concatenate((plain[raw_first], by_csv)).argsort().tolist()
+        in_order = dict.fromkeys([names[j] for j in seen])
+        index = {v: c for c, v in enumerate(in_order)}
+        remap = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+        column = np.empty(n_rows - start, dtype=np.int64)
+        column[plain - start] = remap[codes]
+        column[by_csv - start] = remap[len(raw_first) :]
+        if "" in index:
+            end = min(end, start + int(np.argmax(column == index[""])))
+        columns.append((tuple(index), column))
+    numbers = rows + 1
+    bad = int(numbers[end]) if end < len(numbers) else None
+    kept = end - start
+    columns = [  # codes are first-seen, so the kept rows use the first values
+        (values[: int(column[:kept].max(initial=-1)) + 1], column[:kept])
+        for values, column in columns
+    ]
+    return numbers[start:end], columns, bad
 
 
-def _first_seen_codes(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct values in first-seen order, and each value's index in it."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
-    return tuple(index), codes
+def _decode_all(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """Each buf[s:e] as a str, from one decode of the fields joined by "\n"."""
+    lengths = ends - starts + 1
+    bounds = _indptr(lengths)
+    blob = buf[np.repeat(starts - bounds[:-1], lengths) + np.arange(bounds[-1])]
+    blob[bounds[1:] - 1] = ord("\n")
+    return blob.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+
+def _factorize(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Group the byte strings buf[s:e] by value, with no Python object each.
+
+    Strings are bucketed by length, so b"a" and b"a\x00" stay apart. Returns
+    a code per string and, per code, the index of its first string.
+    """
+    lengths = ends - starts
+    order = np.argsort(lengths, kind="stable")
+    codes = np.empty(len(starts), dtype=starts.dtype)
+    firsts = [np.empty(0, dtype=np.int64)]
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if not len(group):
+            continue
+        sort, new = _sort_runs(buf, starts[group], int(lengths[group[0]]))
+        ids = np.cumsum(new, dtype=codes.dtype)
+        ids += sum(map(len, firsts)) - 1
+        codes[group[sort]] = ids
+        firsts.append(group[sort[new]])  # the sort is stable: runs start first
+    return codes, np.concatenate(firsts)
+
+
+def _sort_runs(buf: np.ndarray, pos: np.ndarray, length: int):
+    """A stable sort of the byte strings buf[p : p + length], compared as
+    big-endian 8-byte words, and a mask of where each run of equal strings
+    starts in sorted order."""
+    words = []
+    for offset in range(0, length, 8):
+        word = np.zeros(len(pos), dtype=np.uint64)
+        for j in range(offset, min(offset + 8, length)):
+            word <<= 8
+            word |= buf[pos + j]
+        words.append(word)
+    sort = np.lexsort(words[::-1]) if words else np.arange(len(pos))
+    new = np.zeros(len(pos), dtype=bool)
+    new[0] = True
+    while words:
+        word = words.pop()[sort]
+        new[1:] |= word[1:] != word[:-1]
+    return sort, new
+
+
+def _first_seen(values: tuple[str, ...], codes: np.ndarray):
+    """The values that codes use, in first-seen order, and codes into them."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first)]
+    remap = np.empty(len(values), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return tuple(values[i] for i in used), remap[codes]
+
+
+def _lookup(index: dict[str, int], column) -> np.ndarray:
+    """index[v] for each row's value v, -1 for values not in index."""
+    values, codes = column
+    found = np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
+    return found[codes]
 
 
 def _last_occurrence(keys: np.ndarray) -> np.ndarray:
@@ -254,13 +366,6 @@ def _last_occurrence(keys: np.ndarray) -> np.ndarray:
     in ascending key order."""
     order = np.argsort(keys, kind="stable")
     return order[np.diff(keys[order], append=-1) != 0]
-
-
-def _codes(index: dict[str, int], values: list[str]) -> np.ndarray:
-    """index[v] for each value, -1 for values not in index."""
-    return np.fromiter(
-        map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values)
-    )
 
 
 def load_triplets(path) -> FootprintMatrix:
@@ -271,11 +376,10 @@ def load_triplets(path) -> FootprintMatrix:
     indices in first-seen order. Malformed rows raise ValueError with
     the 1-based line number.
     """
-    _, (users, items), bad = _read_columns(path, _FOOTPRINT_HEADERS)
+    _, columns, bad = _read_columns(path, _FOOTPRINT_HEADERS)
     if bad is not None:
         raise ValueError(f"line {bad}: expected 2 fields 'user_id,item_id'")
-    user_ids, user_codes = _first_seen_codes(users)
-    item_ids, item_codes = _first_seen_codes(items)
+    (user_ids, user_codes), (item_ids, item_codes) = columns
     n_items = len(item_ids)
     keys = np.sort(user_codes * n_items + item_codes)
     keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, less its hash pass
@@ -291,25 +395,30 @@ def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
     (they may have been filtered out upstream). Missing combinations
     stay NaN. Malformed rows raise ValueError with the line number.
     """
-    numbers, (uids, tasks, raws), bad = _read_columns(path, _LABEL_HEADERS)
-    try:
-        vals = np.fromiter(map(float, raws), dtype=np.float64, count=len(raws))
-    except ValueError:
-        for ln, raw in zip(numbers, raws):
-            try:
-                float(raw)
-            except ValueError:
-                raise ValueError(f"line {ln}: value {raw!r} is not a number") from None
+    numbers, (users, tasks, (raws, value_codes)), bad = _read_columns(
+        path, _LABEL_HEADERS
+    )
+    floats = np.full(len(raws), np.nan)
+    not_number = np.zeros(len(raws), dtype=bool)
+    for j, raw in enumerate(raws):
+        try:
+            floats[j] = float(raw)
+        except ValueError:
+            not_number[j] = True
+    if not_number.any():
+        r = int(np.argmax(not_number[value_codes]))
+        raw = raws[value_codes[r]]
+        raise ValueError(f"line {numbers[r]}: value {raw!r} is not a number")
     if bad is not None:
         raise ValueError(f"line {bad}: expected 3 fields 'user_id,task_name,value'")
-    rows = _codes(matrix.user_index, uids)
+    rows = _lookup(matrix.user_index, users)
     known = rows >= 0
     skipped = len(rows) - int(known.sum())
-    task_names, task_codes = _first_seen_codes(list(compress(tasks, known)))
+    task_names, task_codes = _first_seen(tasks[0], tasks[1][known])
     keys = task_codes * matrix.n_users + rows[known]
     last = _last_occurrence(keys)
     table = np.full((len(task_names), matrix.n_users), np.nan)
-    table.flat[keys[last]] = vals[known][last]
+    table.flat[keys[last]] = floats[value_codes[known][last]]
     values = dict(zip(task_names, table))
     if skipped:
         logger.debug("load_labels: skipped %d rows for unknown users", skipped)

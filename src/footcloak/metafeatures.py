@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +18,9 @@ import numpy as np
 from ._util import STREAM_NMF, ExperimentConfig, canonical_json, derive_seed
 from .data import (
     FootprintMatrix,
-    _codes,
-    _first_seen_codes,
+    _first_seen,
     _last_occurrence,
+    _lookup,
     _read_columns,
 )
 
@@ -185,13 +184,13 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
     ignored. Malformed rows raise ValueError with the line number.
     """
     n_items = len(item_ids)
-    _, (iids, cats), bad = _read_columns(path, _CATEGORY_HEADERS)
+    _, (items, cats), bad = _read_columns(path, _CATEGORY_HEADERS)
     if bad is not None:
         raise ValueError(f"line {bad}: expected 2 fields 'item_id,category'")
-    items = _codes({it: j for j, it in enumerate(item_ids)}, iids)
+    items = _lookup({it: j for j, it in enumerate(item_ids)}, items)
     known = items >= 0
     unknown = len(items) - int(known.sum())
-    cat_names, cat_codes = _first_seen_codes(list(compress(cats, known)))
+    cat_names, cat_codes = _first_seen(cats[0], cats[1][known])
     last = _last_occurrence(items[known])
     item_cat = np.full(n_items, -1, dtype=np.int64)
     item_cat[items[known][last]] = cat_codes[last]

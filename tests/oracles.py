@@ -25,11 +25,11 @@ CATEGORY_HEADERS = {("item_id", "category"), ("item", "category")}
 def read_records(path):
     """Non-blank lines as (1-based line number, stripped fields).
 
-    Lines come from `str.splitlines` and the delimiter from the first line,
-    blank or not; the array reader differs from this on exactly those two
-    points.
+    One leading U+FEFF is dropped. Lines come from `str.splitlines` and the
+    delimiter from the first line, blank or not; the array reader differs
+    from this on exactly those two points.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().removeprefix("\ufeff").splitlines()
     delim = ("\t" if "\t" in lines[0] else ",") if lines else ","
     records = []
     for ln, raw in enumerate(lines, start=1):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,25 @@ def test_load_labels_malformed(tmp_path):
     m = load_triplets(fp)
     with pytest.raises(ValueError, match="line 1"):
         load_labels(lp, m)
+
+
+def test_load_triplets_memory_is_bounded_by_file_size(tmp_path):
+    """Loading the default 2000 x 5000 synthetic footprints (199k lines)
+    allocates at most 10x the file's bytes at its peak."""
+    import tracemalloc
+
+    from footcloak import synth
+
+    res = synth.generate(synth.SynthConfig(n_users=2000, n_items=5000))
+    path = Path(synth.write_dataset(tmp_path, res)["footprints"])
+    tracemalloc.start()
+    try:
+        m = load_triplets(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == res.matrix.nnz
+    assert peak <= 10 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------

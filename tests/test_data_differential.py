@@ -167,6 +167,85 @@ def test_load_domain_categories_matches_line_oracle(scratch, case):
 
 
 # ---------------------------------------------------------------------------
+# the byte-order mark, dropped by reader and oracle alike
+
+
+def test_bom_before_footprint_header(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("\ufeffuser_id,item_id\nu1,i1\nu2,i2\n", encoding="utf-8")
+    m = load_triplets(p)
+    assert m.user_ids == ("u1", "u2") and m.item_ids == ("i1", "i2")
+    assert (m.user_ids, m.item_ids) == oracles.load_triplets(p)[:2]
+
+
+def test_bom_before_label_header(tmp_path):
+    p = tmp_path / "l.csv"
+    p.write_text("\ufeffuser_id,task_name,value\nu1,t,1\nu2,t,0\n", encoding="utf-8")
+    m = from_rows([np.zeros(1, dtype=np.int64)] * 2, 1, ("u1", "u2"), ("i",))
+    labels = load_labels(p, m)
+    assert labels.task_names == ("t",)
+    np.testing.assert_array_equal(labels.values["t"], [1.0, 0.0])
+    np.testing.assert_array_equal(oracles.load_labels(p, m.user_ids)["t"], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("header", ["item_id,category\n", ""])
+def test_bom_before_categories(tmp_path, header):
+    p = tmp_path / "c.csv"
+    p.write_text(f"\ufeff{header}i1,c1\n", encoding="utf-8")
+    mfm = load_domain_categories(p, ("i1", "i2"))
+    assert mfm.labels == ("c1", "uncategorized")
+    np.testing.assert_array_equal(mfm.assignment, [0, 1])
+    names, item_cat = oracles.load_domain_categories(p, ("i1", "i2"))
+    assert names == ("c1",) and list(item_cat) == [0, -1]
+
+
+def test_only_one_leading_bom_is_dropped(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("\ufeff\ufeffu1,i1\nu2,\ufeffi2\n", encoding="utf-8")
+    m = load_triplets(p)
+    assert m.user_ids == ("\ufeffu1", "u2") and m.item_ids == ("i1", "\ufeffi2")
+
+
+# ---------------------------------------------------------------------------
+# ids the generated files leave out: NUL, and whitespace that str.strip drops
+
+
+def test_trailing_nuls_keep_ids_apart(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("a,i\na\x00,i\na\x00\x00,i\na\x00,j\n")
+    m = load_triplets(p)
+    assert m.user_ids == ("a", "a\x00", "a\x00\x00")
+    assert m.item_ids == ("i", "j")
+    np.testing.assert_array_equal(m.indptr, [0, 1, 3, 4])
+    assert (m.user_ids, m.item_ids) == oracles.load_triplets(p)[:2]
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\xa0", "\x1f", " \xa0\x1f"])
+def test_ids_differing_by_stripped_padding_merge(tmp_path, pad):
+    p = tmp_path / "f.csv"
+    p.write_text(f"u1,i1\n{pad}u1,i2\nu1{pad},i1{pad}\n{pad}u2{pad},{pad}i2\n")
+    m = load_triplets(p)
+    assert m.user_ids == ("u1", "u2") and m.item_ids == ("i1", "i2")
+    np.testing.assert_array_equal(m.indptr, [0, 2, 3])
+    np.testing.assert_array_equal(m.indices, [0, 1, 1])
+    want = oracles.load_triplets(p)
+    assert (m.user_ids, m.item_ids) == want[:2]
+    _assert_equal_arrays((m.indptr, m.indices), want[2:])
+
+
+def test_quoted_and_plain_lines_share_codes(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text('u1,i1\n"u1", i2\nu2,"i1"\n" u2 ",i2\n"u3",i3\nu3,i1\n')
+    m = load_triplets(p)
+    assert m.user_ids == ("u1", "u2", "u3") and m.item_ids == ("i1", "i2", "i3")
+    np.testing.assert_array_equal(m.indptr, [0, 2, 4, 6])
+    np.testing.assert_array_equal(m.indices, [0, 1, 0, 1, 0, 2])
+    want = oracles.load_triplets(p)
+    assert (m.user_ids, m.item_ids) == want[:2]
+    _assert_equal_arrays((m.indptr, m.indices), want[2:])
+
+
+# ---------------------------------------------------------------------------
 # the two reader fixes (the oracle shows the old behaviour)
 
 
