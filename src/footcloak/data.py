@@ -214,10 +214,10 @@ def _read_columns(
 ) -> tuple[np.ndarray, list[tuple[tuple[str, ...], np.ndarray]], int | None]:
     """Read a delimited file once into columns of codes over stripped fields.
 
-    The text is read_text()'s, less one leading U+FEFF, and is tokenized as
-    UTF-8 bytes, which never hold "\n", ",", "\t" or '"' inside a multi-byte
-    character. Lines are split at "\n" only (after read_text's
-    universal-newline translation), so line numbers are the file's own.
+    The file's bytes (see _read_utf8) are tokenized as UTF-8, which never
+    holds "\n", ",", "\t" or '"' inside a multi-byte character. Lines are
+    split at "\n" only (after the universal-newline translation), so line
+    numbers are the file's own.
     Blank lines are skipped; the delimiter is a tab when the first non-blank
     line holds one, else a comma. Lines holding a double quote go through
     csv.reader one at a time, so an unterminated quote cannot swallow the
@@ -234,7 +234,7 @@ def _read_columns(
     first, as a line-by-line loader's would.
     """
     width = len(next(iter(headers)))
-    raw = Path(path).read_text().removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+    raw = _read_utf8(path)
     buf = np.empty(len(raw) + 1, dtype=np.uint8)
     buf[:-1] = np.frombuffer(raw, dtype=np.uint8)
     buf[-1] = ord("\n")  # so the last line ends at a newline too
@@ -293,6 +293,22 @@ def _read_columns(
         for values, column in columns
     ]
     return numbers[start:end], columns, bad
+
+
+def _read_utf8(path) -> bytes:
+    """The file's UTF-8 bytes with read_text()'s universal newlines ("\r\n"
+    and a lone "\r" become "\n") and one leading byte-order mark dropped.
+    A file that is not UTF-8 raises ValueError naming the line of the
+    first bad byte, counted by the same newlines."""
+    raw = Path(path).read_bytes()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = raw[: err.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise ValueError(f"line {line}: not valid UTF-8") from None
+    return raw.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _decode_all(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:

@@ -19,7 +19,7 @@ from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 from scipy.special import expit
 
 from ._util import (
@@ -374,114 +374,176 @@ def pearson(pred: np.ndarray, actual: np.ndarray) -> float:
 # ridge regression (continuous traits)
 
 
-def _centered_gram(Xs):
-    """Eigendecomposition of the centered Gram matrix X_c X_c^T."""
+# rows of X per sparse product when building K = X X^T, so no sparse
+# intermediate holds more than _GRAM_ROWS * n entries
+_GRAM_ROWS = 256
+
+
+def _gram(Xs) -> np.ndarray:
+    """The dense uncentered Gram matrix K = X X^T, a block of rows at a time."""
     n = Xs.shape[0]
-    mu = np.asarray(Xs.mean(axis=0)).ravel()
-    K = (Xs @ Xs.T).toarray().astype(np.float64)
-    p = np.asarray(Xs @ mu).ravel()
-    Kc = K - p[:, None] - p[None, :] + float(mu @ mu)
-    lam, Q = np.linalg.eigh(Kc)
-    return mu, np.maximum(lam, 0.0), Q
+    K = np.empty((n, n))
+    Xs_t = Xs.T.tocsr()
+    for r in range(0, n, _GRAM_ROWS):
+        (Xs[r : r + _GRAM_ROWS] @ Xs_t).toarray(out=K[r : r + _GRAM_ROWS])
+    return K
 
 
-def _ridge_solve(Xs, y, alpha, mu, lam, Q):
-    """Dual-form ridge solution with centering; intercept unpenalized."""
-    ybar = float(y.mean())
-    yc = y - ybar
-    beta = Q @ ((Q.T @ yc) / (lam + alpha))
-    w = np.asarray(Xs.T @ beta).ravel() - mu * float(beta.sum())
-    b = ybar - float(mu @ w)
-    return w, b
+def _centered(G: np.ndarray, p_rows: np.ndarray, p_cols: np.ndarray, pp: float):
+    """G - p_rows 1^T - 1 p_cols^T + pp, in place.
+
+    With G = K[rows][:, trn], p_* the means of K[i, trn] and pp the mean of
+    K[trn][:, trn], this is the Gram matrix of the rows centered by the
+    mean of the trn rows: (x_i - mu).(x_j - mu).
+    """
+    G -= p_rows[:, None]
+    G -= p_cols[None, :]
+    G += pp
+    return G
 
 
-@dataclass(frozen=True, eq=False)
-class RidgeFold:
-    """One CV fold: row indices, its train/validation rows, the train Gram."""
-
-    trn: np.ndarray
-    val: np.ndarray
-    Xs_trn: object
-    Xs_val: object
-    mu: np.ndarray
-    lam: np.ndarray
-    Q: np.ndarray
+def _cho_factor(A: np.ndarray, alpha: float):
+    """Cholesky factor of A + alpha*I, in A's memory (A symmetric, C order)."""
+    A.reshape(-1)[:: A.shape[0] + 1] += alpha
+    try:
+        # A.T is the same symmetric matrix in Fortran order, which LAPACK
+        # factors in place
+        return linalg.cho_factor(A.T, overwrite_a=True, check_finite=False)
+    except linalg.LinAlgError:
+        raise ValueError(
+            f"ridge system not positive definite at alpha={alpha!r}"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
 class RidgeBasis:
     """The target-independent part of a ridge fit.
 
-    Holds the CV folds and the centered-Gram eigendecompositions of each
-    fold's train rows and of all rows. It depends only on the rows, the
-    fold count and the seed, so targets labeled on the same rows share one.
+    Holds the rows, their CV folds as (validation, train) row indices and
+    the uncentered Gram matrix K = X X^T of all rows, of which every fold's
+    centered train Gram matrix and validation cross-products are slices.
+    It depends only on the rows, the fold count and the seed, so targets
+    labeled on the same rows share one.
     """
 
-    folds: tuple[RidgeFold, ...]
     Xs: object
-    mu: np.ndarray
-    lam: np.ndarray
-    Q: np.ndarray
+    K: np.ndarray
+    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def ridge_basis(m: FootprintMatrix, folds: int = 3, seed: int = 0) -> RidgeBasis:
-    """Split m into deterministic CV folds and decompose every train set."""
+    """Split m into deterministic CV folds and build the Gram matrix once."""
     if m.n_users < folds + 1:
         raise ValueError("need more users than folds")
-    Xs = m.csr
-    fold_list = []
-    for val, trn in _kfold(m.n_users, folds, seed):
-        Xs_trn = Xs[trn]
-        Xs_val = m.select_users(val).csr
-        fold_list.append(RidgeFold(trn, val, Xs_trn, Xs_val, *_centered_gram(Xs_trn)))
-    return RidgeBasis(tuple(fold_list), Xs, *_centered_gram(Xs))
+    return RidgeBasis(m.csr, _gram(m.csr), tuple(_kfold(m.n_users, folds, seed)))
+
+
+def _target_error(y: np.ndarray) -> str | None:
+    if np.isnan(y).any():
+        return "targets contain missing values; select labeled users first"
+    if np.ptp(y) == 0.0:
+        return "constant target; correlation objective undefined"
+    return None
+
+
+def _fold_correlations(K, val, trn, Y, alphas, out) -> None:
+    """One fold's validation Pearson per (alpha, target column), into out;
+    a column whose training targets are constant or whose Pearson is
+    undefined is left as it is.
+
+    The train rows' centered Gram matrix Kc and the validation rows'
+    centered cross-products are slices of K. Per alpha, Kc + alpha*I is
+    factored once and every target is solved at once. A validation row x
+    predicts (x - mu).X_c^T beta + ybar, its row of cross-products times
+    beta, so no item-space weights are formed.
+    """
+    Y_trn = Y[trn]
+    cols = np.flatnonzero(np.ptp(Y_trn, axis=0) > 0.0)
+    if not len(cols):
+        return
+    Kc = K[np.ix_(trn, trn)]
+    p_trn = Kc.mean(axis=1)
+    pp = float(p_trn.mean())
+    _centered(Kc, p_trn, p_trn, pp)
+    K_val = K[np.ix_(val, trn)]
+    _centered(K_val, K_val.mean(axis=1), p_trn, pp)
+    ybar = Y_trn[:, cols].mean(axis=0)
+    Yc = Y_trn[:, cols] - ybar
+    A = np.empty_like(Kc)
+    for a, alpha in enumerate(alphas):
+        np.copyto(A, Kc)
+        B = linalg.cho_solve(_cho_factor(A, alpha), Yc, check_finite=False)
+        preds = K_val @ B + ybar
+        for j, c in enumerate(cols):
+            try:
+                out[a, c] = pearson(preds[:, j], Y[val, c])
+            except ValueError:
+                logger.debug("fit_ridge: fold skipped (undefined correlation)")
 
 
 def fit_ridge(
-    basis: RidgeBasis, y: np.ndarray, alpha_grid=DEFAULT_ALPHA_GRID
-) -> LinearModel:
-    """Fit L2-penalized least squares on the basis rows, alpha by CV Pearson.
+    basis: RidgeBasis, Y: np.ndarray, alpha_grid=DEFAULT_ALPHA_GRID
+) -> list[LinearModel]:
+    """Fit L2-penalized least squares on the basis rows, one model per
+    column of Y, each column's alpha by CV Pearson.
 
     The intercept is unpenalized (data and targets are centered). Ties in
-    mean validation correlation go to the smallest alpha. Constant targets
-    raise ValueError.
+    mean validation correlation go to the smallest alpha. A column that is
+    constant, holds NaN or has no usable fold raises ValueError; the first
+    such column raises first.
+
+    The fit is in dual form on the centered Gram matrix: one Cholesky
+    factorization of Kc + alpha*I per (fold, alpha) serves every column,
+    and the final fit factors the all-rows Kc + alpha*I once per distinct
+    chosen alpha. Item-space weights w = X^T beta - mu sum(beta) are formed
+    only there.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (basis.Xs.shape[0],):
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] != basis.K.shape[0]:
         raise ValueError("targets not aligned with matrix users")
-    if np.isnan(y).any():
-        raise ValueError("targets contain missing values; select labeled users first")
-    if np.ptp(y) == 0.0:
-        raise ValueError("constant target; correlation objective undefined")
+    errors = [_target_error(y) for y in Y.T]
+    # the first column's own errors come before the grid's, as they do
+    # when that column is fitted alone
+    if errors and errors[0] is not None:
+        raise ValueError(errors[0])
+    alphas = sorted(float(a) for a in alpha_grid)
+    if alphas and alphas[0] <= 0:
+        raise ValueError("alpha must be positive")
 
-    best_alpha = None
-    best_mean = -np.inf
-    for alpha in sorted(float(a) for a in alpha_grid):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        corrs = []
-        for fold in basis.folds:
-            y_trn = y[fold.trn]
-            if np.ptp(y_trn) == 0.0:
-                continue
-            w, b = _ridge_solve(fold.Xs_trn, y_trn, alpha, fold.mu, fold.lam, fold.Q)
-            preds = fold.Xs_val @ w + b
-            try:
-                corrs.append(pearson(preds, y[fold.val]))
-            except ValueError:
-                logger.debug("fit_ridge: fold skipped (undefined correlation)")
-                continue
-        if not corrs:
-            continue
-        mean = float(np.mean(corrs))
-        if mean > best_mean:
-            best_mean = mean
-            best_alpha = alpha
-    if best_alpha is None:
-        raise ValueError("no alpha candidate produced a usable fold")
+    # validation Pearson per (alpha, fold, column), NaN where the column
+    # skips the fold. Columns with an error are left out; the walk below
+    # raises at the first of them, so the columns before it keep their index
+    Y_fit = Y[:, [e is None for e in errors]]
+    corrs = np.full((len(alphas), len(basis.folds), Y_fit.shape[1]), np.nan)
+    for f, (val, trn) in enumerate(basis.folds):
+        _fold_correlations(basis.K, val, trn, Y_fit, alphas, corrs[:, f])
+    used = ~np.isnan(corrs)
+    n_used = used.sum(axis=1)
+    means = np.where(used, corrs, 0.0).sum(axis=1) / np.maximum(n_used, 1)
+    means[n_used == 0] = -np.inf
+    chosen = []
+    for c, err in enumerate(errors):
+        if err is not None:
+            raise ValueError(err)
+        if not n_used[:, c].any():
+            raise ValueError("no alpha candidate produced a usable fold")
+        chosen.append(alphas[int(np.argmax(means[:, c]))])
 
-    w, b = _ridge_solve(basis.Xs, y, best_alpha, basis.mu, basis.lam, basis.Q)
-    return LinearModel(w, b, best_alpha, KIND_REGRESSOR)
+    mu = np.asarray(basis.Xs.mean(axis=0)).ravel()
+    p = basis.K.mean(axis=1)
+    pp = float(p.mean())
+    models: list = [None] * len(chosen)
+    for alpha in sorted(set(chosen)):
+        factor = _cho_factor(_centered(basis.K.copy(), p, p, pp), alpha)
+        # one column at a time, so at a given alpha a target's model does
+        # not depend on which other targets share the call
+        for c in (c for c, a in enumerate(chosen) if a == alpha):
+            ybar = float(Y[:, c].mean())
+            beta = linalg.cho_solve(factor, Y[:, c] - ybar, check_finite=False)
+            w = np.asarray(basis.Xs.T @ beta).ravel() - mu * float(beta.sum())
+            models[c] = LinearModel(w, ybar - float(mu @ w), alpha, KIND_REGRESSOR)
+        del factor  # before the next alpha copies K
+    return models
 
 
 def train_ridge(
@@ -491,8 +553,10 @@ def train_ridge(
     folds: int = 3,
     seed: int = 0,
 ) -> LinearModel:
-    """Fit ridge on the rows of m: fit_ridge(ridge_basis(m, folds, seed), y)."""
-    return fit_ridge(ridge_basis(m, folds, seed), y, alpha_grid)
+    """Fit ridge on the rows of m: fit_ridge on ridge_basis(m, folds, seed)
+    with y as the only column."""
+    y = np.asarray(y, dtype=np.float64)
+    return fit_ridge(ridge_basis(m, folds, seed), y[..., None], alpha_grid)[0]
 
 
 # ---------------------------------------------------------------------------

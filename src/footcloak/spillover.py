@@ -113,8 +113,8 @@ def run_spillover_experiment(
         logger.warning("spillover population has only %d users", len(pop))
 
     # traits labeled on the same training users share one ridge basis (fold
-    # splits and Gram eigendecompositions); fitting group by group keeps at
-    # most one basis alive
+    # splits and one Gram matrix) and one fit_ridge call; fitting group by
+    # group keeps at most one basis alive
     groups: dict[bytes, tuple[np.ndarray, list[str]]] = {}
     for trait in traits:
         trn_idx = np.nonzero(train.labels.labeled_mask(trait))[0]
@@ -126,10 +126,8 @@ def run_spillover_experiment(
             config.folds,
             derive_seed(config.seed, STREAM_RIDGE),
         )
-        return {
-            t: fit_ridge(basis, train.labels.values[t][trn_idx], config.alpha_grid)
-            for t in group
-        }
+        Y = np.column_stack([train.labels.values[t][trn_idx] for t in group])
+        return dict(zip(group, fit_ridge(basis, Y, config.alpha_grid)))
 
     ridges = {}
     for trn_idx, group in groups.values():

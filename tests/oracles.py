@@ -1,21 +1,26 @@
-"""Slow, obvious versions of the data layer, kept as test oracles.
+"""Slow, obvious versions of the data layer and the ridge fit, kept as test
+oracles.
 
 Each function is the per-line or per-row implementation the array code in
 `footcloak.data` and `footcloak.metafeatures` replaced: one `csv.reader`
 per line, dict/set loaders, `np.setdiff1d` per row, list-concatenated row
-gathers and the matrix-rebuilding re-add. Differential tests check the
-fast paths against them.
+gathers and the matrix-rebuilding re-add. The ridge oracle is the dual
+solve `footcloak.models` replaced: per fold, a CSR slice of the train rows
+and an eigendecomposition of their centered Gram matrix. Differential
+tests check the fast paths against them.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from footcloak._util import round_half_up
+from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up
 from footcloak.data import FootprintMatrix, from_rows
+from footcloak.models import KIND_REGRESSOR, LinearModel, pearson
 
 FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
 LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
@@ -160,3 +165,103 @@ def from_rows_error(rows, n_items):
         if np.any(np.diff(arr) <= 0):
             return f"row {i}: item indices must be strictly ascending"
     return None
+
+
+def centered_gram(Xs):
+    """Eigendecomposition of the centered Gram matrix X_c X_c^T."""
+    mu = np.asarray(Xs.mean(axis=0)).ravel()
+    K = (Xs @ Xs.T).toarray().astype(np.float64)
+    p = np.asarray(Xs @ mu).ravel()
+    Kc = K - p[:, None] - p[None, :] + float(mu @ mu)
+    lam, Q = np.linalg.eigh(Kc)
+    return mu, np.maximum(lam, 0.0), Q
+
+
+def ridge_solve(Xs, y, alpha, mu, lam, Q):
+    """Dual-form ridge solution with centering; intercept unpenalized.
+
+    Returns (w, b, beta) with w = X_c^T beta.
+    """
+    ybar = float(y.mean())
+    yc = y - ybar
+    beta = Q @ ((Q.T @ yc) / (lam + alpha))
+    w = np.asarray(Xs.T @ beta).ravel() - mu * float(beta.sum())
+    b = ybar - float(mu @ w)
+    return w, b, beta
+
+
+def ridge_cv(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
+    """CV of ridge with every fold decomposed by eigh.
+
+    Returns (means, spreads): per alpha with a usable fold, the mean
+    validation Pearson; per alpha, the smallest relative spread of the
+    validation predictions over the folds whose Pearson could be defined
+    (training and validation targets not constant). The relative spread is
+    ptp(preds) over the most the predictions can spread, which is
+    2 max ||x - mu|| ||X_c||_F ||beta||; near roundoff, Pearson is noise.
+    """
+    fold_idx = np.array_split(np.random.default_rng(seed).permutation(m.n_users), folds)
+    fold_cache = []
+    for f in range(folds):
+        val = np.sort(fold_idx[f])
+        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
+        Xs_trn = m.csr[trn]
+        fold_cache.append((trn, val, Xs_trn, *centered_gram(Xs_trn)))
+    means, spreads = {}, {}
+    for alpha in sorted(float(a) for a in alpha_grid):
+        corrs = []
+        for trn, val, Xs_trn, mu, lam, Q in fold_cache:
+            if np.ptp(y[trn]) == 0.0:
+                continue
+            w, b, beta = ridge_solve(Xs_trn, y[trn], alpha, mu, lam, Q)
+            X_val = m.select_users(val).csr
+            preds = X_val @ w + b
+            if len(val) > 1 and np.ptp(y[val]) > 0.0:
+                scale = (
+                    2.0
+                    * np.linalg.norm(X_val.toarray() - mu, axis=1).max()
+                    * np.linalg.norm(Xs_trn.toarray() - mu)
+                    * np.linalg.norm(beta)
+                )
+                spread = np.ptp(preds) / scale if scale > 0.0 else 0.0
+                spreads[alpha] = min(spreads.get(alpha, np.inf), spread)
+            try:
+                corrs.append(pearson(preds, y[val]))
+            except ValueError:
+                continue
+        if corrs:
+            means[alpha] = float(np.mean(corrs))
+    return means, spreads
+
+
+@dataclass(frozen=True, eq=False)
+class RidgeFit:
+    """The oracle's model and its mean validation Pearson per alpha (alphas
+    with no usable fold left out)."""
+
+    model: LinearModel
+    means: dict
+
+
+def train_ridge(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0) -> RidgeFit:
+    """Ridge with alpha by CV Pearson, every fold decomposed by eigh."""
+    y = np.asarray(y, dtype=np.float64)
+    if m.n_users < folds + 1:
+        raise ValueError("need more users than folds")
+    if y.shape != (m.n_users,):
+        raise ValueError("targets not aligned with matrix users")
+    if np.isnan(y).any():
+        raise ValueError("targets contain missing values; select labeled users first")
+    if np.ptp(y) == 0.0:
+        raise ValueError("constant target; correlation objective undefined")
+    if any(float(a) <= 0 for a in alpha_grid):
+        raise ValueError("alpha must be positive")
+    means, _ = ridge_cv(m, y, alpha_grid, folds, seed)
+    best_alpha, best_mean = None, -np.inf
+    for alpha, mean in means.items():  # ascending, so ties go to the smallest
+        if mean > best_mean:
+            best_alpha, best_mean = alpha, mean
+    if best_alpha is None:
+        raise ValueError("no alpha candidate produced a usable fold")
+    w, b, _ = ridge_solve(m.csr, y, best_alpha, *centered_gram(m.csr))
+    return RidgeFit(LinearModel(w, b, best_alpha, KIND_REGRESSOR), means)

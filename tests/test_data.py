@@ -14,6 +14,7 @@ from footcloak.data import (
     split_train_test,
 )
 from footcloak.data import LabelTable
+from footcloak.metafeatures import load_domain_categories
 
 from conftest import random_footprints
 from oracles import readd
@@ -89,6 +90,36 @@ def test_load_labels_malformed(tmp_path):
     m = load_triplets(fp)
     with pytest.raises(ValueError, match="line 1"):
         load_labels(lp, m)
+
+
+_LOADERS = {
+    "footprints": ("user_id,item_id", "u{},i{}", load_triplets),
+    "labels": (
+        "user_id,task_name,value",
+        "u{},t,{}",
+        lambda p: load_labels(p, from_rows([], 1, (), ("i",))),
+    ),
+    "categories": (
+        "item_id,category",
+        "i{},c{}",
+        lambda p: load_domain_categories(p, ("i1", "i2")),
+    ),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad_line", [2, 5])
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_invalid_utf8_names_its_line(tmp_path, kind, bad_line, newline):
+    # a Latin-1 "\xe9" is not UTF-8; lines end at "\n", "\r\n" or a lone
+    # "\r", as read_text's universal newlines count them
+    header, row, load = _LOADERS[kind]
+    lines = [header.encode()] + [row.format(i, i).encode() for i in range(1, 7)]
+    lines[bad_line - 1] += b"caf\xe9"
+    p = tmp_path / "bad.csv"
+    p.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(ValueError, match=f"^line {bad_line}: not valid UTF-8$"):
+        load(p)
 
 
 def test_load_triplets_memory_is_bounded_by_file_size(tmp_path):

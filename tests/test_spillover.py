@@ -130,39 +130,39 @@ def _with_gap_trait(labels):
 
 
 @pytest.mark.parametrize(
-    "traits, gram_calls",
+    "traits, gram_builds",
     [
-        (["trait_a", "trait_b", "trait_c", "trait_d", "trait_e"], 4),
-        (["trait_a", "trait_gap", "trait_b"], 8),
+        (["trait_a", "trait_b", "trait_c", "trait_d", "trait_e"], 1),
+        (["trait_a", "trait_gap", "trait_b"], 2),
     ],
 )
 def test_ridge_basis_shared_by_training_users(
-    small_synth, monkeypatch, traits, gram_calls
+    small_synth, monkeypatch, traits, gram_builds
 ):
-    # one basis (3 fold decompositions and the full one) per distinct set of
-    # labeled training users; the rows equal a separate train_ridge per trait
+    # one basis (one Gram matrix) per distinct set of labeled training users;
+    # the rows equal a separate train_ridge per trait
     res = small_synth
     labels = _with_gap_trait(res.labels)
     cfg = dataclasses.replace(_CONFIG, nmf_max_iters=20)
     calls = []
-    gram = models._centered_gram
+    gram = models._gram
 
     def counted(Xs):
         calls.append(Xs.shape[0])
         return gram(Xs)
 
-    monkeypatch.setattr(models, "_centered_gram", counted)
+    monkeypatch.setattr(models, "_gram", counted)
     shared = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
-    assert len(calls) == gram_calls
+    assert len(calls) == gram_builds
 
-    def per_trait_fit(basis, y, alpha_grid):
-        return models.train_ridge(basis[0], y, alpha_grid, *basis[1:])
+    def per_trait_fit(basis, Y, alpha_grid):
+        return [models.train_ridge(basis[0], y, alpha_grid, *basis[1:]) for y in Y.T]
 
     monkeypatch.setattr(spillover, "ridge_basis", lambda *args: args)
     monkeypatch.setattr(spillover, "fit_ridge", per_trait_fit)
     calls.clear()
     per_trait = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
-    assert len(calls) == 4 * len(traits)
+    assert len(calls) == len(traits)
     assert shared.rows == per_trait.rows
 
 
