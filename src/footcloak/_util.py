@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic rounding, the experiment config and
-its seed-stream table, result-file writers."""
+its seed-stream table, and the one result-file writer."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ DEFAULT_SCHEDULE = tuple(round(f * 0.1, 1) for f in range(11))
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by every stage that trains on a task: the classifier
-    (split, C grid, threshold), metafeatures, protection and spillover.
+    (split, CV folds, threshold), metafeatures, protection and spillover.
 
     Only FG_TOL reads tolerance_quantile, so its bound (at most quantile)
     is checked where FG_TOL runs, not here.
@@ -63,8 +64,6 @@ class ExperimentConfig:
     train_frac: float = 0.66
     schedule: tuple[float, ...] = DEFAULT_SCHEDULE
     k_metafeatures: int = 50
-    c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     folds: int = 3
     min_user: int = 10
     min_item: int = 10
@@ -86,7 +85,7 @@ class ExperimentConfig:
 def canonical_json(obj: Any) -> str:
     """Serialize to JSON with sorted keys and a trailing newline.
 
-    Used for every result file so that reruns are byte-identical.
+    Used for every JSON result file so that reruns are byte-identical.
     """
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -102,3 +101,20 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_results(outdir, files: dict[str, Any]) -> None:
+    """Write a command's result files into outdir, creating it if needed.
+
+    files maps a file name to its content: a name ending in `.csv` takes
+    (header, rows) and is written by write_csv; any other name takes a JSON
+    object and is written by canonical_json. Each JSON text is built before
+    its file is opened, so an object that is not strict JSON writes no file.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            write_csv(outdir / name, *content)
+        else:
+            (outdir / name).write_text(canonical_json(content))

@@ -11,6 +11,7 @@ written manifest.json); explicit flags win over config entries.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -20,39 +21,38 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import ExperimentConfig, canonical_json, write_csv
+from ._util import ExperimentConfig, write_results
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
     cloak_population,
-    save_directives,
+    directives_to_dict,
 )
 from .data import filter_min_activity, load_labels, load_triplets
 from .explain import linear_explain
 from .metafeatures import (
     load_domain_categories,
-    save_metafeature_report,
+    metafeature_report,
     task_nmf_metafeatures,
 )
-from .models import auc, fit_task_classifier, predict_scores, save_model
+from .models import auc, fit_task_classifier, model_to_dict, predict_scores
 from .simulate import (
+    TradeoffRow,
+    curve_csv,
+    curve_to_dict,
     run_protection_experiment,
-    save_protection_curve,
-    save_protection_curve_csv,
     tradeoff_report,
 )
 from .spillover import (
     POPULATION_ALL_TEST,
     POPULATION_CLOAKED,
+    report_to_dict,
     run_spillover_experiment,
-    save_spillover_csv,
-    save_spillover_report,
+    spillover_csv,
 )
 from .synth import SynthConfig, generate, write_dataset
-
-logger = logging.getLogger(__name__)
 
 _STRATEGY_BY_FLAG = {
     "fg": STRATEGY_FG,
@@ -173,20 +173,6 @@ def _config_hash(command: str, cfg: dict) -> str:
     return sha256(payload.encode()).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, cfg: dict) -> dict:
-    h = _config_hash(command, cfg)
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": cfg.get("seed"),
-        "config": cfg,
-        "config_hash": h,
-    }
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").write_text(canonical_json(manifest))
-    return {"config_hash": h, "seed": cfg.get("seed")}
-
-
 def _parse_schedule(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip() != "")
 
@@ -214,17 +200,17 @@ def _domain_model(cfg: dict, matrix):
 # commands
 
 
-def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
     result = generate(SynthConfig(**{f: cfg[k] for k, f in _SYNTH_KEYS.items()}))
-    paths = write_dataset(outdir, result)
+    write_dataset(outdir, result)
     print(
         f"synth: {result.matrix.n_users} users, {result.matrix.n_items} items, "
         f"{result.matrix.nnz} likes -> {outdir}"
     )
-    return list(paths.values())
+    return {}
 
 
-def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     task = cfg["task"]
     clf = fit_task_classifier(task, matrix, labels, _experiment_config(cfg))
@@ -239,20 +225,19 @@ def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> list[str]:
         "n_test": clf.test.matrix.n_users,
         "auc_test": auc(test_scores, clf.test.labels.values[task]),
         "positive_rate_test": float(np.mean(test_scores >= threshold)),
+        **meta,
     }
-    metrics.update(meta)
-    model_path = outdir / "model.json"
-    save_model(model_path, clf.model, clf.filtered.item_ids)
-    metrics_path = outdir / "train_metrics.json"
-    metrics_path.write_text(canonical_json(metrics))
     print(
         f"train: task {task}, C={clf.best_c}, test AUC {metrics['auc_test']:.3f}, "
         f"threshold {threshold:.3f}"
     )
-    return [str(model_path), str(metrics_path)]
+    return {
+        "model.json": model_to_dict(clf.model, clf.filtered.item_ids),
+        "train_metrics.json": metrics,
+    }
 
 
-def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, _experiment_config(cfg))
     test, threshold = clf.test.matrix, clf.threshold.value
@@ -265,26 +250,25 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     if expl is None:
         raise ValueError(f"no explanation found for user {uid!r}")
     item_names = [clf.filtered.item_ids[j] for j in expl.features]
-    obj = {
-        "user": uid,
-        "task": cfg["task"],
-        "threshold": threshold,
-        "score_before": expl.score_before,
-        "score_after": expl.score_after,
-        "features": item_names,
-    }
-    obj.update(meta)
-    path = outdir / "explanation.json"
-    path.write_text(canonical_json(obj))
     print(
         f"explain: if user {uid} removed {', '.join(item_names)}, "
         f"the score would drop from {expl.score_before:.3f} to "
         f"{expl.score_after:.3f} (threshold {threshold:.3f})"
     )
-    return [str(path)]
+    return {
+        "explanation.json": {
+            "user": uid,
+            "task": cfg["task"],
+            "threshold": threshold,
+            "score_before": expl.score_before,
+            "score_after": expl.score_after,
+            "features": item_names,
+            **meta,
+        }
+    }
 
 
-def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     econf = _experiment_config(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
@@ -312,24 +296,24 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> list[str]:
         clf.train_scores,
         econf.tolerance_quantile,
     )
-
-    dpath = outdir / "directives.json"
-    save_directives(
-        dpath, directives.values(), clf.filtered, dict(meta, not_found=not_found)
-    )
-    written = [str(dpath)]
-    if mfm is not None:
-        rpath = outdir / "metafeatures.json"
-        save_metafeature_report(rpath, mfm, clf.filtered.item_ids)
-        written.append(str(rpath))
     print(
         f"cloak: {len(directives)} directives ({cfg['strategy']}), "
-        f"{not_found} without explanation -> {dpath}"
+        f"{not_found} without explanation -> {outdir / 'directives.json'}"
     )
-    return written
+    item_ids = clf.filtered.item_ids
+    files = {
+        "directives.json": {
+            **directives_to_dict(directives.values(), item_ids),
+            **meta,
+            "not_found": not_found,
+        }
+    }
+    if mfm is not None:
+        files["metafeatures.json"] = metafeature_report(mfm, item_ids)
+    return files
 
 
-def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
     econf = _experiment_config(cfg)
@@ -337,10 +321,6 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     curve = run_protection_experiment(
         cfg["task"], strategy, matrix, labels, econf, domain=domain
     )
-    jpath = outdir / "protection_curve.json"
-    cpath = outdir / "protection_curve.csv"
-    save_protection_curve(jpath, curve, meta)
-    save_protection_curve_csv(cpath, curve)
     final = curve.protection[-1]
     print(
         f"simulate: task {cfg['task']}, strategy {cfg['strategy']}, "
@@ -348,28 +328,31 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> list[str]:
         f"{curve.fractions[-1]:.1f} re-add: "
         + ("undefined" if final is None else f"{final:.3f}")
     )
-    return [str(jpath), str(cpath)]
+    return {
+        "protection_curve.json": {**curve_to_dict(curve), **meta},
+        "protection_curve.csv": curve_csv(curve),
+    }
 
 
-def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     econf = _experiment_config(cfg)
     traits = [t.strip() for t in cfg["traits"].split(",") if t.strip()]
     report = run_spillover_experiment(
         cfg["task"], traits, matrix, labels, econf, population=cfg["population"]
     )
-    jpath = outdir / "spillover.json"
-    cpath = outdir / "spillover.csv"
-    save_spillover_report(jpath, report, meta)
-    save_spillover_csv(cpath, report)
     print(
         f"spillover: task {cfg['task']}, population {report.n_population} "
-        f"({report.population_mode}), {len(report.rows)} traits -> {jpath}"
+        f"({report.population_mode}), {len(report.rows)} traits -> "
+        f"{outdir / 'spillover.json'}"
     )
-    return [str(jpath), str(cpath)]
+    return {
+        "spillover.json": {**report_to_dict(report), **meta},
+        "spillover.csv": spillover_csv(report),
+    }
 
 
-def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> list[str]:
+def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     econf = _experiment_config(cfg)
     tasks = [t.strip() for t in cfg["tasks"].split(",") if t.strip()]
@@ -378,32 +361,12 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> list[str]:
     ]
     domain = _domain_model(cfg, matrix) if STRATEGY_DOMAIN_MF in strategies else None
     rows = tradeoff_report(tasks, strategies, matrix, labels, econf, domain=domain)
-    obj = {
-        "rows": [
-            {
-                "task": r.task,
-                "strategy": r.strategy,
-                "avg_cloak_cost": r.avg_cloak_cost,
-                "protection_at_full": r.protection_at_full,
-                "population_size": r.population_size,
-            }
-            for r in rows
-        ]
+    print(f"report: {len(rows)} task x strategy rows -> {outdir / 'tradeoff.json'}")
+    header = [f.name for f in dataclasses.fields(TradeoffRow)]
+    return {
+        "tradeoff.json": {"rows": [dataclasses.asdict(r) for r in rows], **meta},
+        "tradeoff.csv": (header, [dataclasses.astuple(r) for r in rows]),
     }
-    obj.update(meta)
-    jpath = outdir / "tradeoff.json"
-    jpath.write_text(canonical_json(obj))
-    cpath = outdir / "tradeoff.csv"
-    write_csv(
-        cpath,
-        ("task", "strategy", "avg_cloak_cost", "protection_at_full", "population_size"),
-        (
-            (r.task, r.strategy, r.avg_cloak_cost, r.protection_at_full, r.population_size)
-            for r in rows
-        ),
-    )
-    print(f"report: {len(rows)} task x strategy rows -> {jpath}")
-    return [str(jpath), str(cpath)]
 
 
 # every flag, declared once: config key -> add_argument keywords. The flag
@@ -517,10 +480,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args.command, args)
         outdir = Path(args.out)
-        meta = _write_manifest(outdir, args.command, cfg)
-        written = _COMMANDS[args.command][0](cfg, outdir, meta)
-        for path in written:
-            logger.info("wrote %s", path)
+        meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
+        manifest = {"command": args.command, "version": __version__, "config": cfg}
+        write_results(outdir, {"manifest.json": {**manifest, **meta}})
+        write_results(outdir, _COMMANDS[args.command][0](cfg, outdir, meta))
         return 0
     except BrokenPipeError:
         raise

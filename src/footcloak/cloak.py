@@ -11,12 +11,10 @@ persistence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ._util import canonical_json
 from .data import FootprintMatrix
 from .explain import linear_explain
 from .metafeatures import MetafeatureModel
@@ -47,28 +45,46 @@ class CloakDirective:
     created_at_fraction: float = 0.0
 
 
-def cloak_fg(
+def _directive(
+    strategy: str,
     model: LinearModel,
     row: np.ndarray,
     threshold: float,
+    mfm: Optional[MetafeatureModel] = None,
     user: str = "",
-    created_at_fraction: float = 0.0,
+) -> Optional[CloakDirective]:
+    """Explain row against threshold and freeze the outcome as a directive.
+
+    The explanation features are always cloaked. With mfm, their
+    metafeatures (less mfm.reserved) are swept: every in-vocabulary item of
+    row assigned to one is cloaked too, and they stay suppressed. Returns
+    None when no explanation exists.
+    """
+    expl = linear_explain(model, row, threshold)
+    if expl is None:
+        return None
+    cloaked = frozenset(expl.features)
+    metas = frozenset()
+    if mfm is not None:
+        metas = frozenset(
+            int(mfm.assignment[f]) for f in expl.features if f < mfm.n_items
+        ) - {mfm.reserved}
+        row = np.asarray(row, dtype=np.int64)
+        in_vocab = row[row < mfm.n_items]
+        swept = in_vocab[np.isin(mfm.assignment[in_vocab], sorted(metas))]
+        cloaked |= frozenset(int(j) for j in swept)
+    return CloakDirective(user, strategy, cloaked, metas)
+
+
+def cloak_fg(
+    model: LinearModel, row: np.ndarray, threshold: float, user: str = ""
 ) -> Optional[CloakDirective]:
     """Remove exactly the minimal explanation features.
 
     Returns None when no explanation exists (removal cannot cross the
     threshold).
     """
-    expl = linear_explain(model, row, threshold)
-    if expl is None:
-        return None
-    return CloakDirective(
-        user=user,
-        strategy=STRATEGY_FG,
-        cloaked_features=frozenset(expl.features),
-        cloaked_metafeatures=frozenset(),
-        created_at_fraction=created_at_fraction,
-    )
+    return _directive(STRATEGY_FG, model, row, threshold, user=user)
 
 
 def cloak_mf(
@@ -77,7 +93,6 @@ def cloak_mf(
     threshold: float,
     mfm: MetafeatureModel,
     user: str = "",
-    created_at_fraction: float = 0.0,
 ) -> Optional[CloakDirective]:
     """Remove the explanation plus everything sharing its metafeatures.
 
@@ -86,24 +101,8 @@ def cloak_mf(
     domain mappings the reserved uncategorized group is never swept, but
     explanation features always stay cloaked individually.
     """
-    expl = linear_explain(model, row, threshold)
-    if expl is None:
-        return None
-    metas = {int(mfm.assignment[f]) for f in expl.features if f < mfm.n_items}
-    if mfm.reserved is not None:
-        metas.discard(mfm.reserved)
-    row = np.asarray(row, dtype=np.int64)
-    in_vocab = row[row < mfm.n_items]
-    swept = in_vocab[np.isin(mfm.assignment[in_vocab], sorted(metas))] if metas else []
-    cloaked = frozenset(expl.features) | frozenset(int(j) for j in swept)
-    strategy = STRATEGY_DOMAIN_MF if mfm.reserved is not None else STRATEGY_MF
-    return CloakDirective(
-        user=user,
-        strategy=strategy,
-        cloaked_features=cloaked,
-        cloaked_metafeatures=frozenset(metas),
-        created_at_fraction=created_at_fraction,
-    )
+    strategy = STRATEGY_MF if mfm.reserved is None else STRATEGY_DOMAIN_MF
+    return _directive(strategy, model, row, threshold, mfm, user)
 
 
 def cloak_tolerance(
@@ -113,7 +112,6 @@ def cloak_tolerance(
     population_scores: np.ndarray,
     quantile_tol: float = 0.90,
     user: str = "",
-    created_at_fraction: float = 0.0,
 ) -> Optional[CloakDirective]:
     """Explain against a lower tolerance threshold for a safety margin.
 
@@ -125,16 +123,7 @@ def cloak_tolerance(
     tol = quantile_threshold(population_scores, quantile_tol).value
     if tol > threshold:
         raise ValueError("tolerance threshold exceeds the prediction threshold")
-    expl = linear_explain(model, row, tol)
-    if expl is None:
-        return None
-    return CloakDirective(
-        user=user,
-        strategy=STRATEGY_FG_TOL,
-        cloaked_features=frozenset(expl.features),
-        cloaked_metafeatures=frozenset(),
-        created_at_fraction=created_at_fraction,
-    )
+    return _directive(STRATEGY_FG_TOL, model, row, tol, user=user)
 
 
 def make_directive(
@@ -256,25 +245,21 @@ def cloak_cost(
 # serialization
 
 
-def save_directives(path, directives, m: FootprintMatrix, meta=None) -> None:
-    """Write directives as JSON with external item ids.
+def directives_to_dict(directives, item_ids) -> dict:
+    """Directives as a JSON object with external item ids.
 
     Metafeature ids are integers into the paired metafeature model; they
-    are only meaningful next to that model's report. meta (config hash,
-    seed) is merged into the top-level object.
+    are only meaningful next to that model's report.
     """
-    items = []
-    for d in directives:
-        items.append(
+    return {
+        "directives": [
             {
                 "user": d.user,
                 "strategy": d.strategy,
                 "created_at_fraction": d.created_at_fraction,
-                "cloaked_features": [m.item_ids[j] for j in sorted(d.cloaked_features)],
+                "cloaked_features": [item_ids[j] for j in sorted(d.cloaked_features)],
                 "cloaked_metafeatures": sorted(d.cloaked_metafeatures),
             }
-        )
-    obj = {"directives": items}
-    if meta:
-        obj.update(meta)
-    Path(path).write_text(canonical_json(obj))
+            for d in directives
+        ]
+    }

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._util import STREAM_NMF, ExperimentConfig, canonical_json, derive_seed
+from ._util import STREAM_NMF, ExperimentConfig, derive_seed
 from .data import (
     FootprintMatrix,
     _first_seen,
@@ -241,11 +240,10 @@ def top_items(mfm: MetafeatureModel, item_ids, top_n: int = 10) -> dict:
     return report
 
 
-def save_metafeature_report(path, mfm: MetafeatureModel, item_ids, top_n: int = 10):
-    obj = {
+def metafeature_report(mfm: MetafeatureModel, item_ids, top_n: int = 10) -> dict:
+    return {
         "source": mfm.source,
         "k": mfm.k,
         "reserved": mfm.reserved,
         "metafeatures": top_items(mfm, item_ids, top_n),
     }
-    Path(path).write_text(canonical_json(obj))

@@ -16,7 +16,6 @@ import logging
 import math
 from dataclasses import dataclass
 from hashlib import sha256
-from pathlib import Path
 
 import numpy as np
 from scipy import linalg, optimize
@@ -28,7 +27,6 @@ from ._util import (
     STREAM_CV,
     STREAM_SPLIT,
     ExperimentConfig,
-    canonical_json,
     derive_seed,
 )
 from .data import FootprintMatrix, LabelTable, Partition, task_split
@@ -189,6 +187,8 @@ def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
 def _kfold(n: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic k-fold split of n rows: (validation, train) row indices
     per fold, both ascending."""
+    if folds < 2:
+        raise ValueError("folds must be at least 2")
     fold_idx = np.array_split(np.random.default_rng(seed).permutation(n), folds)
     return [
         (
@@ -246,14 +246,14 @@ def grid_search_cv(
 
 
 def fit_classifier(
-    m: FootprintMatrix, y01: np.ndarray, c_grid, folds: int, seed: int
+    m: FootprintMatrix, y01: np.ndarray, folds: int, seed: int
 ) -> tuple[float, LinearModel, np.ndarray]:
     """Pick C by cross-validation, fit on all rows, score the training rows.
 
     Returns (best_c, model, train_scores); the caller sets its threshold
     from train_scores.
     """
-    best_c = grid_search_cv(m, y01, c_grid, folds, seed)
+    best_c = grid_search_cv(m, y01, folds=folds, seed=seed)
     model = train_logreg_l2(m, y01, best_c)
     return best_c, model, predict_scores(model, m)
 
@@ -293,7 +293,6 @@ def fit_task_classifier(
     best_c, model, train_scores = fit_classifier(
         train.matrix,
         train.labels.values[task],
-        config.c_grid,
         config.folds,
         derive_seed(config.seed, STREAM_CV),
     )
@@ -571,8 +570,8 @@ def vocabulary_hash(item_ids) -> str:
     return h.hexdigest()
 
 
-def save_model(path, model: LinearModel, item_ids) -> None:
-    """Write a model as JSON with a sparse id -> weight map.
+def model_to_dict(model: LinearModel, item_ids) -> dict:
+    """A model as a JSON object with a sparse id -> weight map.
 
     Zero weights are omitted; the vocabulary hash guards against applying
     the model to a mismatched item space.
@@ -580,7 +579,7 @@ def save_model(path, model: LinearModel, item_ids) -> None:
     if len(item_ids) != model.n_items:
         raise ValueError("item id list does not match model size")
     nz = np.nonzero(model.weights)[0]
-    obj = {
+    return {
         "kind": model.kind,
         "C": model.C,
         "intercept": model.intercept,
@@ -588,4 +587,3 @@ def save_model(path, model: LinearModel, item_ids) -> None:
         "weights": {item_ids[j]: float(model.weights[j]) for j in nz},
         "vocabulary_sha256": vocabulary_hash(item_ids),
     }
-    Path(path).write_text(canonical_json(obj))

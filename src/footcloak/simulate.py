@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,9 +31,7 @@ from ._util import (
     STREAM_PROTECTION_NMF,
     STREAM_PROTECTION_SPLIT,
     ExperimentConfig,
-    canonical_json,
     derive_seed,
-    write_csv,
 )
 from .cloak import (
     STRATEGY_DOMAIN_MF,
@@ -209,7 +206,6 @@ def build_protection_context(
     best_c, model, train_scores_reduced = fit_classifier(
         train_reduced,
         train.labels.values[task],
-        config.c_grid,
         config.folds,
         derive_seed(config.seed, STREAM_PROTECTION_CV),
     )
@@ -485,8 +481,8 @@ def tradeoff_report(
 # serialization
 
 
-def curve_to_dict(curve: ProtectionCurve, meta: Optional[dict] = None) -> dict:
-    obj = {
+def curve_to_dict(curve: ProtectionCurve) -> dict:
+    return {
         "task": curve.task,
         "strategy": curve.strategy,
         "quantile": curve.quantile,
@@ -499,23 +495,16 @@ def curve_to_dict(curve: ProtectionCurve, meta: Optional[dict] = None) -> dict:
         "group_curves": {k: list(v) for k, v in curve.group_curves.items()},
         "diagnostics": curve.diagnostics,
     }
-    if meta:
-        obj.update(meta)
-    return obj
 
 
-def save_protection_curve(path, curve: ProtectionCurve, meta: Optional[dict] = None):
-    Path(path).write_text(canonical_json(curve_to_dict(curve, meta)))
-
-
-def save_protection_curve_csv(path, curve: ProtectionCurve):
-    """CSV mirror: fraction, protection, group (group 'all' plus tp/fp)."""
-    write_csv(
-        path,
+def curve_csv(curve: ProtectionCurve) -> tuple:
+    """CSV mirror as (header, rows): fraction, protection, group (group 'all'
+    plus tp/fp)."""
+    return (
         ("fraction", "protection", "group"),
-        (
+        [
             (f, v, name)
             for name, vals in [("all", curve.protection)] + sorted(curve.group_curves.items())
             for f, v in zip(curve.fractions, vals)
-        ),
+        ],
     )

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import STREAM_RIDGE, ExperimentConfig, canonical_json, derive_seed, write_csv
+from ._util import STREAM_RIDGE, ExperimentConfig, derive_seed
 from .cloak import STRATEGY_FG, STRATEGY_MF, apply_cloak, cloak_population
 from .data import FootprintMatrix, LabelTable
 from .metafeatures import task_nmf_metafeatures
@@ -127,7 +126,7 @@ def run_spillover_experiment(
             derive_seed(config.seed, STREAM_RIDGE),
         )
         Y = np.column_stack([train.labels.values[t][trn_idx] for t in group])
-        return dict(zip(group, fit_ridge(basis, Y, config.alpha_grid)))
+        return dict(zip(group, fit_ridge(basis, Y)))
 
     ridges = {}
     for trn_idx, group in groups.values():
@@ -189,8 +188,8 @@ def run_spillover_experiment(
 # serialization
 
 
-def report_to_dict(report: SpilloverReport, meta: Optional[dict] = None) -> dict:
-    obj = {
+def report_to_dict(report: SpilloverReport) -> dict:
+    return {
         "sensitive_task": report.sensitive_task,
         "population_mode": report.population_mode,
         "n_population": report.n_population,
@@ -209,23 +208,15 @@ def report_to_dict(report: SpilloverReport, meta: Optional[dict] = None) -> dict
         ],
         "diagnostics": report.diagnostics,
     }
-    if meta:
-        obj.update(meta)
-    return obj
 
 
-def save_spillover_report(path, report: SpilloverReport, meta: Optional[dict] = None):
-    Path(path).write_text(canonical_json(report_to_dict(report, meta)))
-
-
-def save_spillover_csv(path, report: SpilloverReport):
-    """CSV mirror: trait, strategy, pearson_r, n."""
-    write_csv(
-        path,
+def spillover_csv(report: SpilloverReport) -> tuple:
+    """CSV mirror as (header, rows): trait, strategy, pearson_r, n."""
+    return (
         ("trait", "strategy", "pearson_r", "n"),
-        (
+        [
             (r.trait, strategy, val, r.n)
             for r in report.rows
             for strategy, val in (("none", r.r_none), ("fg", r.r_fg), ("mf", r.r_mf))
-        ),
+        ],
     )

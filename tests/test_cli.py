@@ -4,6 +4,7 @@ import json
 import pytest
 
 from footcloak import cli, cloak, simulate
+from footcloak._util import canonical_json
 from footcloak.cli import main
 
 
@@ -311,6 +312,73 @@ def test_tradeoff_csv_roundtrips_names(data, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# result files
+
+
+_HEADERS = {
+    "footprints.csv": "user_id,item_id",
+    "labels.csv": "user_id,task_name,value",
+    "domain_categories.csv": "item_id,category",
+    "protection_curve.csv": "fraction,protection,group",
+    "spillover.csv": "trait,strategy,pearson_r,n",
+    "tradeoff.csv": "task,strategy,avg_cloak_cost,protection_at_full,population_size",
+}
+
+# case -> (its command line less the data options, its files besides the manifest)
+_COMMAND_FILES = {
+    "synth": (
+        ("synth", "--users", 40, "--items", 60, "--topics", 3, "--mean-likes", 12),
+        {"footprints.csv", "labels.csv", "domain_categories.csv", "ground_truth.json"},
+    ),
+    "train": (("train", "--task", "task_a"), {"model.json", "train_metrics.json"}),
+    "explain": (("explain", "--task", "task_a"), {"explanation.json"}),
+    "cloak-fg": (("cloak", "--task", "task_a"), {"directives.json"}),
+    "cloak-mf": (
+        ("cloak", "--task", "task_a", "--strategy", "mf", "--k", 8,
+         "--nmf-max-iters", 60),
+        {"directives.json", "metafeatures.json"},
+    ),
+    "simulate": (
+        ("simulate", "--task", "task_a", "--schedule", "0,1"),
+        {"protection_curve.json", "protection_curve.csv"},
+    ),
+    "spillover": (
+        ("spillover", "--task", "task_a", "--traits", "trait_a", "--population",
+         "all-test", "--k", 8, "--nmf-max-iters", 60),
+        {"spillover.json", "spillover.csv"},
+    ),
+    "report": (
+        ("report", "--tasks", "task_a", "--strategies", "fg", "--schedule", "0,1"),
+        {"tradeoff.json", "tradeoff.csv"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMMAND_FILES))
+def test_each_command_writes_exactly_its_files(data, tmp_path, case):
+    args, files = _COMMAND_FILES[case]
+    if args[0] != "synth":
+        args = (
+            *args, "--footprints", data["footprints"], "--labels", data["labels"],
+            "--quantile", 0.9,
+        )
+    if args[0] == "explain":  # a user with a directive has an explanation
+        cloak_args = _train_args(data, tmp_path / "c", "--quantile", 0.9)[1:]
+        assert _run("cloak", *cloak_args) == 0
+        directives = json.loads((tmp_path / "c" / "directives.json").read_text())
+        args = (*args, "--user", directives["directives"][0]["user"])
+    out = tmp_path / "out"
+    assert _run(*args, "--out", out) == 0
+    assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            assert text == canonical_json(json.loads(text))
+        else:
+            assert text.splitlines()[0] == _HEADERS[path.name]
+
+
+# ---------------------------------------------------------------------------
 # config handling and errors
 
 
@@ -380,6 +448,23 @@ def test_continuous_task_is_structured_error(data, tmp_path, capsys, command, ex
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "ValueError", "message": "task 'trait_a' is not binary"}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("train", ("--folds", 1)), ("spillover", ("--traits", "trait_a", "--folds", 0))],
+    ids=["train", "spillover"],
+)
+def test_fewer_than_two_folds_is_structured_error(
+    data, tmp_path, capsys, command, extra
+):
+    rc = _run(
+        command, "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "task_a", *extra, "--out", tmp_path / command,
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "folds must be at least 2"}
 
 
 def test_unknown_task_is_structured_error(data, tmp_path, capsys):

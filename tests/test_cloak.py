@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from footcloak._util import write_results
 from footcloak.cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -16,7 +17,7 @@ from footcloak.cloak import (
     cloak_fg,
     cloak_mf,
     cloak_tolerance,
-    save_directives,
+    directives_to_dict,
 )
 from footcloak.data import from_rows
 from footcloak.metafeatures import MetafeatureModel, assign_exclusive
@@ -226,7 +227,8 @@ def test_directive_roundtrip(tmp_path):
     d0 = cloak_mf(_MODEL, m.row(0), _TH, mfm, user="u0")
     d1 = cloak_fg(_MODEL, m.row(0), _TH, user="u1")
     path = tmp_path / "directives.json"
-    save_directives(path, [d0, d1], m, meta={"config_hash": "h", "seed": 3})
+    obj = {**directives_to_dict([d0, d1], m.item_ids), "config_hash": "h", "seed": 3}
+    write_results(tmp_path, {"directives.json": obj})
     written = json.loads(path.read_text())["directives"]
     assert len(written) == 2
     assert d0.cloaked_metafeatures

@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from footcloak._util import write_results
 from footcloak.data import from_rows
 from footcloak.metafeatures import (
     MetafeatureModel,
     assign_exclusive,
     build_nmf_metafeatures,
     load_domain_categories,
+    metafeature_report,
     nmf_fit,
-    save_metafeature_report,
     top_items,
     zero_loading_items,
 )
@@ -244,7 +245,7 @@ def test_top_items_ranking_and_report(tmp_path):
     assert rep["1"]["top_items"] == [{"item_id": "x", "weight": 0.4}]
 
     out = tmp_path / "mf.json"
-    save_metafeature_report(out, mfm, ids)
+    write_results(tmp_path, {"mf.json": metafeature_report(mfm, ids)})
     obj = json.loads(out.read_text())
     assert obj["k"] == 2 and obj["source"] == "nmf" and obj["reserved"] is None
     assert set(obj["metafeatures"]) == {"0", "1"}

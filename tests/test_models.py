@@ -16,6 +16,7 @@ from scipy.stats import rankdata
 
 import footcloak
 from footcloak import models
+from footcloak._util import write_results
 from footcloak.data import from_rows
 from footcloak.models import (
     DEFAULT_ALPHA_GRID,
@@ -26,12 +27,12 @@ from footcloak.models import (
     fit_ridge,
     grid_search_cv,
     logreg_value_and_grad,
+    model_to_dict,
     pearson,
     predict_score,
     predict_scores,
     quantile_threshold,
     ridge_basis,
-    save_model,
     train_logreg_l2,
     train_ridge,
 )
@@ -214,6 +215,17 @@ def test_grid_search_matches_oracle_and_breaks_ties_low():
             means[C] = float(np.mean(vals))
     want = min(c for c in means if means[c] == max(means.values()))
     assert grid_search_cv(m, y, grid, folds=3, seed=seed) == want
+
+
+def test_fewer_than_two_folds_rejected():
+    # one fold has no training rows; the message must not be numpy's own
+    rng = np.random.default_rng(29)
+    m = random_footprints(rng, 12, 6)
+    y = np.tile([0.0, 1.0], 6)
+    with pytest.raises(ValueError, match="^folds must be at least 2$"):
+        grid_search_cv(m, y, folds=1)
+    with pytest.raises(ValueError, match="^folds must be at least 2$"):
+        ridge_basis(m, folds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +609,7 @@ def test_model_roundtrip(tmp_path):
     y[0], y[1] = 1.0, 0.0
     model = train_logreg_l2(m, y, C=0.3)
     path = tmp_path / "model.json"
-    save_model(path, model, m.item_ids)
+    write_results(tmp_path, {"model.json": model_to_dict(model, m.item_ids)})
     obj = json.loads(path.read_text())
     # the sparse id -> weight map gives back every weight exactly
     weights = np.zeros(obj["n_items"])
@@ -616,5 +628,5 @@ def test_save_model_rejects_nan(tmp_path):
     model = LinearModel(np.array([0.5, np.nan]), 0.0, 1.0)
     path = tmp_path / "model.json"
     with pytest.raises(ValueError):
-        save_model(path, model, ("a", "b"))
+        write_results(tmp_path, {"model.json": model_to_dict(model, ("a", "b"))})
     assert not path.exists()

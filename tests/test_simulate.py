@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from footcloak import simulate
-from footcloak._util import DEFAULT_SCHEDULE
+from footcloak._util import DEFAULT_SCHEDULE, write_results
 from footcloak.cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -28,11 +28,11 @@ from footcloak.models import (
 from footcloak.simulate import (
     ExperimentConfig,
     build_protection_context,
+    curve_csv,
+    curve_to_dict,
     protection_flags,
     run_protection_experiment,
     run_strategy,
-    save_protection_curve,
-    save_protection_curve_csv,
     tp_fp_breakdown,
     tradeoff_report,
 )
@@ -209,7 +209,9 @@ def test_tradeoff_report_rows(small_synth):
 def test_curve_serialization(ctx, tmp_path):
     curve, _ = run_strategy(ctx, STRATEGY_FG)
     jpath = tmp_path / "curve.json"
-    save_protection_curve(jpath, curve, meta={"config_hash": "abc", "seed": 4})
+    cpath = tmp_path / "curve.csv"
+    obj = {**curve_to_dict(curve), "config_hash": "abc", "seed": 4}
+    write_results(tmp_path, {"curve.json": obj, "curve.csv": curve_csv(curve)})
     obj = json.loads(jpath.read_text())
     assert obj["task"] == "task_a" and obj["strategy"] == STRATEGY_FG
     assert obj["config_hash"] == "abc"
@@ -218,8 +220,6 @@ def test_curve_serialization(ctx, tmp_path):
     assert obj["population_size"] == curve.population_size
     assert "wall" not in jpath.read_text()
 
-    cpath = tmp_path / "curve.csv"
-    save_protection_curve_csv(cpath, curve)
     lines = cpath.read_text().splitlines()
     assert lines[0] == "fraction,protection,group"
     expect = (1 + len(curve.group_curves)) * len(curve.fractions)

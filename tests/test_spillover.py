@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from footcloak import ExperimentConfig, models, spillover
+from footcloak._util import write_results
 from footcloak.data import LabelTable
 from footcloak.spillover import (
     POPULATION_ALL_TEST,
     POPULATION_CLOAKED,
     run_spillover_experiment,
     report_to_dict,
-    save_spillover_csv,
-    save_spillover_report,
+    spillover_csv,
 )
 
 _CONFIG = ExperimentConfig(
@@ -155,7 +155,7 @@ def test_ridge_basis_shared_by_training_users(
     shared = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
     assert len(calls) == gram_builds
 
-    def per_trait_fit(basis, Y, alpha_grid):
+    def per_trait_fit(basis, Y, alpha_grid=models.DEFAULT_ALPHA_GRID):
         return [models.train_ridge(basis[0], y, alpha_grid, *basis[1:]) for y in Y.T]
 
     monkeypatch.setattr(spillover, "ridge_basis", lambda *args: args)
@@ -177,7 +177,11 @@ def test_population_too_small_errors(small_synth):
 
 
 def test_report_serialization(report, tmp_path):
-    obj = report_to_dict(report, meta={"config_hash": "x", "seed": 6})
+    jpath = tmp_path / "spill.json"
+    cpath = tmp_path / "spill.csv"
+    obj = {**report_to_dict(report), "config_hash": "x", "seed": 6}
+    write_results(tmp_path, {"spill.json": obj, "spill.csv": spillover_csv(report)})
+    obj = json.loads(jpath.read_text())
     assert obj["config_hash"] == "x"
     assert len(obj["rows"]) == 2
     assert set(obj["rows"][0]) == {
@@ -187,13 +191,8 @@ def test_report_serialization(report, tmp_path):
         "pearson_fg",
         "pearson_mf",
     }
-    jpath = tmp_path / "spill.json"
-    save_spillover_report(jpath, report)
-    loaded = json.loads(jpath.read_text())
-    assert loaded["rows"] == report_to_dict(report)["rows"]
+    assert obj["rows"] == report_to_dict(report)["rows"]
 
-    cpath = tmp_path / "spill.csv"
-    save_spillover_csv(cpath, report)
     lines = cpath.read_text().splitlines()
     assert lines[0] == "trait,strategy,pearson_r,n"
     assert len(lines) == 1 + 3 * len(report.rows)
@@ -204,7 +203,8 @@ def test_report_serialization(report, tmp_path):
 
     # a trait name from the labels file may hold the CSV delimiter and quote
     odd = dataclasses.replace(report.rows[0], trait='a,"b"')
-    save_spillover_csv(cpath, dataclasses.replace(report, rows=(odd,)))
+    odd_csv = spillover_csv(dataclasses.replace(report, rows=(odd,)))
+    write_results(tmp_path, {"spill.csv": odd_csv})
     with open(cpath, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1] == ['a,"b"', "none", repr(odd.r_none), str(odd.n)]
