@@ -34,7 +34,7 @@ from .data import (
     make_drop_plan,
     split_train_test,
 )
-from .explain import Explanation, linear_explain, sedc_explain
+from .explain import Explanation, linear_explain
 from .metafeatures import (
     MetafeatureModel,
     assign_exclusive,
@@ -49,17 +49,14 @@ from .models import (
     auc,
     grid_search_cv,
     pearson,
-    predict_score,
     predict_scores,
     quantile_threshold,
     train_logreg_l2,
-    train_ridge,
 )
 from .simulate import (
     ProtectionCurve,
     TradeoffRow,
     run_protection_experiment,
-    tp_fp_breakdown,
     tradeoff_report,
 )
 from .spillover import SpilloverReport, SpilloverRow, run_spillover_experiment

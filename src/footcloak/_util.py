@@ -53,8 +53,9 @@ class ExperimentConfig:
     """Knobs shared by every stage that trains on a task: the classifier
     (split, CV folds, threshold), metafeatures, protection and spillover.
 
-    Only FG_TOL reads tolerance_quantile, so its bound (at most quantile)
-    is checked where FG_TOL runs, not here.
+    Every field is checked when the config is built; NaN fails every
+    check. Only FG_TOL reads tolerance_quantile, so its bound (at most
+    quantile) is checked where FG_TOL runs, not here.
     """
 
     seed: int = 0
@@ -71,15 +72,29 @@ class ExperimentConfig:
     nmf_tol: float = 1e-4
 
     def __post_init__(self):
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        if not 0.0 < self.tolerance_quantile < 1.0:
-            raise ValueError("tolerance_quantile must be in (0, 1)")
-        if not self.schedule:
-            raise ValueError("schedule must be non-empty")
-        for f in self.schedule:
-            if not 0.0 <= f <= 1.0:
-                raise ValueError("schedule fractions must be in [0, 1]")
+        # (field, whether it holds, the bound it must meet); every
+        # comparison is written so that NaN makes it false
+        checks = (
+            ("quantile", 0.0 < self.quantile < 1.0, "in (0, 1)"),
+            ("tolerance_quantile", 0.0 < self.tolerance_quantile < 1.0, "in (0, 1)"),
+            ("drop_fraction", 0.0 <= self.drop_fraction <= 1.0, "in [0, 1]"),
+            ("train_frac", 0.0 < self.train_frac < 1.0, "in (0, 1)"),
+            ("schedule", len(self.schedule) > 0, "non-empty"),
+            (
+                "schedule fractions",
+                all(0.0 <= f <= 1.0 for f in self.schedule),
+                "in [0, 1]",
+            ),
+            ("k_metafeatures", self.k_metafeatures >= 1, "at least 1"),
+            ("folds", self.folds >= 2, "at least 2"),
+            ("min_user", self.min_user >= 0, "at least 0"),
+            ("min_item", self.min_item >= 0, "at least 0"),
+            ("nmf_max_iters", self.nmf_max_iters >= 1, "at least 1"),
+            ("nmf_tol", self.nmf_tol >= 0.0, "at least 0"),
+        )
+        for name, holds, bound in checks:
+            if not holds:
+                raise ValueError(f"{name} must be {bound}")
 
 
 def canonical_json(obj: Any) -> str:

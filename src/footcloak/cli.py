@@ -479,6 +479,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
+        if args.command != "synth":
+            # a setting out of range (NaN too) fails before any file is written
+            _experiment_config(cfg)
         outdir = Path(args.out)
         meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
         manifest = {"command": args.command, "version": __version__, "config": cfg}

@@ -25,8 +25,6 @@ STRATEGY_MF = "MF"
 STRATEGY_DOMAIN_MF = "DOMAIN_MF"
 STRATEGY_FG_TOL = "FG_TOL"
 
-STRATEGIES = (STRATEGY_FG, STRATEGY_MF, STRATEGY_DOMAIN_MF, STRATEGY_FG_TOL)
-
 
 @dataclass(frozen=True, eq=False)
 class CloakDirective:

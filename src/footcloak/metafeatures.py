@@ -40,8 +40,6 @@ class MetafeatureModel:
     k counts all metafeature ids, H is (k, n_items). For domain mappings
     H is a 0/1 indicator and the last id is the reserved uncategorized
     group (stored in .reserved); reserved is None for NMF groupings.
-    zero_loading flags items whose entire H column is zero (their argmax
-    assignment carries no evidence).
     """
 
     k: int
@@ -50,7 +48,6 @@ class MetafeatureModel:
     source: str
     labels: tuple[str, ...] | None = None
     reserved: int | None = None
-    zero_loading: np.ndarray | None = None
 
     @property
     def n_items(self) -> int:
@@ -152,7 +149,6 @@ def build_nmf_metafeatures(
         H=H,
         assignment=assign_exclusive(H),
         source=SOURCE_NMF,
-        zero_loading=zero,
     )
 
 
@@ -209,7 +205,6 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
         source=SOURCE_DOMAIN,
         labels=labels,
         reserved=reserved,
-        zero_loading=np.zeros(n_items, dtype=bool),
     )
 
 

@@ -76,7 +76,6 @@ class ThresholdSpec:
 
     quantile: float
     value: float
-    source: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +164,6 @@ def decision_margins(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
     if len(w) < m.n_items:
         w = np.concatenate((w, np.zeros(m.n_items - len(w))))
     return m.csr @ w + model.intercept
-
-
-def predict_score(model: LinearModel, row: np.ndarray) -> float:
-    """Positive-class probability for one active-item set."""
-    if model.kind != KIND_CLASSIFIER:
-        raise ValueError("predict_score requires a binary classifier")
-    row = np.asarray(row, dtype=np.int64)
-    valid = row[row < model.n_items]
-    margin = float(model.weights[valid].sum()) + model.intercept
-    return float(expit(margin))
 
 
 def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
@@ -296,9 +285,7 @@ def fit_task_classifier(
         config.folds,
         derive_seed(config.seed, STREAM_CV),
     )
-    threshold = quantile_threshold(
-        train_scores, config.quantile, source="training scores"
-    )
+    threshold = quantile_threshold(train_scores, config.quantile)
     return TaskClassifier(fm, train, test, best_c, model, train_scores, threshold)
 
 
@@ -306,9 +293,7 @@ def fit_task_classifier(
 # thresholds and metrics
 
 
-def quantile_threshold(
-    scores: np.ndarray, q: float = 0.95, source: str = ""
-) -> ThresholdSpec:
+def quantile_threshold(scores: np.ndarray, q: float = 0.95) -> ThresholdSpec:
     """Threshold at the k-th largest score, k = max(1, floor(n * (1 - q)))."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
@@ -318,7 +303,7 @@ def quantile_threshold(
         raise ValueError("q must be in (0, 1)")
     k = max(1, int(math.floor(n * (1.0 - q))))
     value = float(np.partition(scores, n - k)[n - k])
-    return ThresholdSpec(float(q), value, source)
+    return ThresholdSpec(float(q), value)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -543,19 +528,6 @@ def fit_ridge(
             models[c] = LinearModel(w, ybar - float(mu @ w), alpha, KIND_REGRESSOR)
         del factor  # before the next alpha copies K
     return models
-
-
-def train_ridge(
-    m: FootprintMatrix,
-    y: np.ndarray,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    folds: int = 3,
-    seed: int = 0,
-) -> LinearModel:
-    """Fit ridge on the rows of m: fit_ridge on ridge_basis(m, folds, seed)
-    with y as the only column."""
-    y = np.asarray(y, dtype=np.float64)
-    return fit_ridge(ridge_basis(m, folds, seed), y[..., None], alpha_grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -209,16 +209,12 @@ def build_protection_context(
         config.folds,
         derive_seed(config.seed, STREAM_PROTECTION_CV),
     )
-    threshold0 = quantile_threshold(
-        train_scores_reduced, config.quantile, source="training scores, fraction 0.0"
-    )
+    threshold0 = quantile_threshold(train_scores_reduced, config.quantile)
     test_scores_reduced = predict_scores(model, test_reduced)
     positives0 = test_scores_reduced >= threshold0.value
 
     threshold_full = quantile_threshold(
-        predict_scores(model, train.matrix),
-        config.quantile,
-        source="training scores, fraction 1.0",
+        predict_scores(model, train.matrix), config.quantile
     )
     positives_full = predict_scores(model, test.matrix) >= threshold_full.value
     population = np.nonzero(positives0 & positives_full)[0]
@@ -314,8 +310,8 @@ def protection_flags(
     threshold of fraction k.
 
     Re-added items the directive cloaks weigh 0. The reduced margin sums
-    the kept weights as predict_score sums apply_cloak's row, so fraction
-    0.0 is bit-exact.
+    the weights of apply_cloak's row in item order, plus the intercept, as
+    scoring that row alone does, so fraction 0.0 is bit-exact.
     """
     w, b = ctx.model.weights, ctx.model.intercept
     base, readd_weights = [], []
@@ -429,14 +425,6 @@ def run_protection_experiment(
     )
     curve, _ = run_strategy(ctx, strategy)
     return curve
-
-
-def tp_fp_breakdown(curve: ProtectionCurve) -> dict[str, float]:
-    """Protection at full re-add, split by ground-truth label."""
-    if 1.0 not in curve.fractions:
-        raise ValueError("schedule does not include fraction 1.0")
-    idx = curve.fractions.index(1.0)
-    return {name: vals[idx] for name, vals in curve.group_curves.items()}
 
 
 def tradeoff_report(

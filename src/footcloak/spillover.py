@@ -39,13 +39,18 @@ MIN_POPULATION = 3
 
 @dataclass(frozen=True)
 class SpilloverRow:
-    """Correlation for one secondary trait under the three footprint states."""
+    """Correlation for one secondary trait under the three footprint states.
+
+    A correlation that is undefined (the trait's values or its predictions
+    are constant over the population) is None: null in JSON, an empty CSV
+    field.
+    """
 
     trait: str
     n: int
-    r_none: float
-    r_fg: float
-    r_mf: float
+    r_none: Optional[float]
+    r_fg: Optional[float]
+    r_mf: Optional[float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +149,7 @@ def run_spillover_experiment(
             )
         actual = test.labels.values[trait][eval_idx]
 
-        def predict_with(directives: Optional[dict]) -> np.ndarray:
+        def r_with(directives: Optional[dict]) -> Optional[float]:
             preds = np.empty(len(eval_idx))
             for pos, i in enumerate(eval_idx):
                 row = test.matrix.row(int(i))
@@ -152,15 +157,15 @@ def run_spillover_experiment(
                     row = apply_cloak(row, directives[int(i)], mfm)
                 valid = row[row < ridge.n_items]
                 preds[pos] = float(ridge.weights[valid].sum()) + ridge.intercept
-            return preds
+            try:
+                return pearson(preds, actual)
+            except ValueError:
+                return None
 
-        return SpilloverRow(
-            trait=trait,
-            n=int(len(eval_idx)),
-            r_none=pearson(predict_with(None), actual),
-            r_fg=pearson(predict_with(fg), actual),
-            r_mf=pearson(predict_with(mf), actual),
-        )
+        r = [r_with(directives) for directives in (None, fg, mf)]
+        if None in r:
+            logger.warning("trait %r: pearson undefined for constant input", trait)
+        return SpilloverRow(trait, int(len(eval_idx)), *r)
 
     rows = tuple(trait_row(t) for t in traits)
     diagnostics = {

@@ -1,26 +1,33 @@
-"""Slow, obvious versions of the data layer and the ridge fit, kept as test
-oracles.
+"""Slow, obvious versions of the data layer, the ridge fit, explanation and
+scoring, kept as test oracles.
 
 Each function is the per-line or per-row implementation the array code in
 `footcloak.data` and `footcloak.metafeatures` replaced: one `csv.reader`
 per line, dict/set loaders, `np.setdiff1d` per row, list-concatenated row
 gathers and the matrix-rebuilding re-add. The ridge oracle is the dual
 solve `footcloak.models` replaced: per fold, a CSR slice of the train rows
-and an eigendecomposition of their centered Gram matrix. Differential
-tests check the fast paths against them.
+and an eigendecomposition of their centered Gram matrix. The explanation
+oracle is the best-first SEDC search of Martens & Provost (2014), which
+`footcloak.explain.linear_explain` makes exact for linear models; the
+scoring oracle scores one active-item set. Differential tests check the
+fast paths against them.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up
 from footcloak.data import FootprintMatrix, from_rows
-from footcloak.models import KIND_REGRESSOR, LinearModel, pearson
+from footcloak.explain import Explanation
+from footcloak.models import KIND_CLASSIFIER, KIND_REGRESSOR, LinearModel, pearson
 
 FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
 LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
@@ -265,3 +272,100 @@ def train_ridge(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0) -> RidgeFi
         raise ValueError("no alpha candidate produced a usable fold")
     w, b, _ = ridge_solve(m.csr, y, best_alpha, *centered_gram(m.csr))
     return RidgeFit(LinearModel(w, b, best_alpha, KIND_REGRESSOR), means)
+
+
+def predict_score(model: LinearModel, row: np.ndarray) -> float:
+    """Positive-class probability for one active-item set."""
+    if model.kind != KIND_CLASSIFIER:
+        raise ValueError("predict_score requires a binary classifier")
+    row = np.asarray(row, dtype=np.int64)
+    valid = row[row < model.n_items]
+    margin = float(model.weights[valid].sum()) + model.intercept
+    return float(expit(margin))
+
+
+def _linear_removal_scorer(model: LinearModel, row: np.ndarray):
+    valid = row < model.n_items
+    w_row = np.where(valid, model.weights[np.where(valid, row, 0)], 0.0)
+    margin0 = float(w_row.sum()) + model.intercept
+    lookup = {int(j): float(w) for j, w in zip(row, w_row)}
+
+    def score_after_removing(feats: tuple[int, ...]) -> float:
+        return float(expit(margin0 - sum(lookup[f] for f in feats)))
+
+    return score_after_removing, float(expit(margin0))
+
+
+def _finalize(
+    score_of: Callable[[tuple[int, ...]], float],
+    found: tuple[int, ...],
+    threshold: float,
+    score_before: float,
+) -> Explanation:
+    # order by single-feature removal score (strongest drop first, ties to
+    # the lower index), then keep the shortest prefix that crosses
+    singles = sorted(found, key=lambda f: (score_of((f,)), f))
+    ordered: list[int] = []
+    score_after = score_before
+    for f in singles:
+        ordered.append(f)
+        score_after = score_of(tuple(ordered))
+        if score_after < threshold:
+            break
+    return Explanation(
+        features=tuple(ordered),
+        score_before=score_before,
+        score_after=score_after,
+        target_threshold=float(threshold),
+    )
+
+
+def sedc_explain(
+    model: LinearModel,
+    row: np.ndarray,
+    threshold: float,
+    max_size: int = 30,
+    max_expansions: int = 50000,
+) -> Optional[Explanation]:
+    """Best-first search for a minimal score-flipping removal set.
+
+    Candidate subsets are expanded lowest resulting score first, ties to
+    the lexicographically smallest feature tuple. Returns None when no
+    subset within max_size crosses the threshold or the expansion budget
+    runs out.
+    """
+    row = np.asarray(row, dtype=np.int64)
+    if model.kind != KIND_CLASSIFIER:
+        raise ValueError("explanations require a binary classifier")
+    score_of, score_before = _linear_removal_scorer(model, row)
+    if score_before < threshold:
+        raise ValueError("prediction already below threshold; nothing to explain")
+
+    candidates = [int(j) for j in row]
+    heap: list[tuple[float, tuple[int, ...]]] = []
+    visited: set[tuple[int, ...]] = set()
+    for f in candidates:
+        feats = (f,)
+        visited.add(feats)
+        heapq.heappush(heap, (score_of(feats), feats))
+    expansions = 1  # the root expansion above
+
+    while heap:
+        score, feats = heapq.heappop(heap)
+        if score < threshold:
+            return _finalize(score_of, feats, threshold, score_before)
+        if expansions >= max_expansions:
+            return None
+        if len(feats) >= max_size:
+            continue
+        expansions += 1
+        present = set(feats)
+        for f in candidates:
+            if f in present:
+                continue
+            child = tuple(sorted(present | {f}))
+            if child in visited:
+                continue
+            visited.add(child)
+            heapq.heappush(heap, (score_of(child), child))
+    return None

@@ -25,14 +25,13 @@ from footcloak.cloak import (
     cloak_tolerance,
 )
 from footcloak.data import from_rows
-from footcloak.explain import linear_explain, sedc_explain
+from footcloak.explain import linear_explain
 from footcloak.metafeatures import assign_exclusive, nmf_fit
 from footcloak.models import (
     LinearModel,
     auc,
     logreg_value_and_grad,
     pearson,
-    predict_score,
     quantile_threshold,
 )
 from footcloak.simulate import (
@@ -43,6 +42,7 @@ from footcloak.simulate import (
 from footcloak.spillover import run_spillover_experiment
 
 from conftest import random_footprints
+from oracles import predict_score, sedc_explain
 
 TASKS = ("task_a", "task_b", "task_c")
 TRAITS = tuple(f"trait_{c}" for c in "abcde")

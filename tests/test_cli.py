@@ -231,6 +231,31 @@ def test_spillover_command(data, tmp_path):
     assert len(csv_lines) == 1 + 3 * 2
 
 
+def test_spillover_undefined_pearson_is_null(tmp_path):
+    # 9 cloaked users on this set, all with the same task_b label: its
+    # Pearson is undefined, trait_a's is not
+    data = tmp_path / "d"
+    assert _run(
+        "synth", "--users", 300, "--items", 400, "--topics", 4, "--mean-likes", 25,
+        "--seed", 5, "--out", data,
+    ) == 0
+    out = tmp_path / "sp"
+    rc = _run(
+        "spillover", "--footprints", data / "footprints.csv",
+        "--labels", data / "labels.csv", "--task", "task_a",
+        "--traits", "task_b,trait_a", "--quantile", 0.9, "--out", out,
+    )
+    assert rc == 0
+    rows = {r["trait"]: r for r in _strict_json(out / "spillover.json")["rows"]}
+    keys = ("pearson_none", "pearson_fg", "pearson_mf")
+    assert [rows["task_b"][k] for k in keys] == [None, None, None]
+    assert all(isinstance(rows["trait_a"][k], float) for k in keys)
+    csv_rows = _csv_rows(out / "spillover.csv")[1:]
+    assert [r[2] for r in csv_rows if r[0] == "task_b"] == ["", "", ""]
+    assert all(float(r[2]) == rows["trait_a"]["pearson_" + r[1]]
+               for r in csv_rows if r[0] == "trait_a")
+
+
 def test_report_command(data, tmp_path):
     out = tmp_path / "rep"
     rc = _run(
@@ -465,6 +490,36 @@ def test_fewer_than_two_folds_is_structured_error(
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "ValueError", "message": "folds must be at least 2"}
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--nmf-max-iters", 0, "nmf_max_iters"),
+        ("--k", 0, "k_metafeatures"),
+        ("--min-user", -5, "min_user"),
+        ("--min-item", -1, "min_item"),
+        ("--train-frac", 1.0, "train_frac"),
+        ("--train-frac", "nan", "train_frac"),
+        ("--drop-fraction", 1.5, "drop_fraction"),
+        ("--drop-fraction", "nan", "drop_fraction"),
+        ("--nmf-tol", -1e-3, "nmf_tol"),
+        ("--nmf-tol", "nan", "nmf_tol"),
+    ],
+)
+def test_config_field_out_of_range_is_structured_error(
+    data, tmp_path, capsys, flag, value, field
+):
+    # folds has its own test above
+    rc = _run(
+        "simulate", "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "task_a", flag, value, "--out", tmp_path / "sim",
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(err) == {"error", "message"}
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{field} must be ")
 
 
 def test_unknown_task_is_structured_error(data, tmp_path, capsys):

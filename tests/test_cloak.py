@@ -21,7 +21,9 @@ from footcloak.cloak import (
 )
 from footcloak.data import from_rows
 from footcloak.metafeatures import MetafeatureModel, assign_exclusive
-from footcloak.models import LinearModel, predict_score
+from footcloak.models import LinearModel
+
+from oracles import predict_score
 
 
 def _mfm(assignment, reserved=None, source="nmf"):

@@ -182,7 +182,6 @@ def test_domain_mapping_basic(tmp_path):
     np.testing.assert_array_equal(mfm.H.sum(axis=0), np.ones(5))
     np.testing.assert_array_equal(mfm.H[0], [1, 0, 0, 1, 0])
     assert mfm.source == "domain"
-    assert not mfm.zero_loading.any()
 
 
 def test_domain_mapping_headerless_and_tsv(tmp_path):

@@ -29,16 +29,15 @@ from footcloak.models import (
     logreg_value_and_grad,
     model_to_dict,
     pearson,
-    predict_score,
     predict_scores,
     quantile_threshold,
     ridge_basis,
     train_logreg_l2,
-    train_ridge,
 )
 
 import oracles
 from conftest import random_footprints
+from oracles import predict_score
 
 
 def _dense_objective(X, y01, w, b, C):
@@ -398,7 +397,8 @@ def test_ridge_recovers_noiseless_linear_target():
     y = X @ w_true + 0.7
     train_idx = np.arange(70)
     test_idx = np.arange(70, 90)
-    model = train_ridge(m.select_users(train_idx), y[train_idx], folds=3, seed=0)
+    basis = ridge_basis(m.select_users(train_idx), folds=3, seed=0)
+    model = fit_ridge(basis, y[train_idx, None])[0]
     preds = X[test_idx] @ model.weights + model.intercept
     assert pearson(preds, y[test_idx]) > 0.999
     assert model.kind == "continuous-regressor"
@@ -408,7 +408,7 @@ def test_ridge_huge_alpha_shrinks_weights():
     rng = np.random.default_rng(34)
     m = random_footprints(rng, 40, 10)
     y = rng.normal(0, 1, 40)
-    model = train_ridge(m, y, alpha_grid=(1e9,), folds=3, seed=0)
+    model = fit_ridge(ridge_basis(m, 3, 0), y[:, None], (1e9,))[0]
     assert np.max(np.abs(model.weights)) < 1e-4
     # intercept falls back to roughly the target mean
     assert model.intercept == pytest.approx(float(y.mean()), abs=0.05)
@@ -418,14 +418,14 @@ def test_ridge_constant_target_errors():
     rng = np.random.default_rng(35)
     m = random_footprints(rng, 12, 6)
     with pytest.raises(ValueError):
-        train_ridge(m, np.full(12, 3.0))
+        fit_ridge(ridge_basis(m), np.full((12, 1), 3.0))
 
 
 def test_ridge_noisy_random_target_has_low_correlation():
     rng = np.random.default_rng(36)
     m = random_footprints(rng, 60, 8)
     y = rng.normal(0, 1, 60)  # unrelated to the footprint
-    model = train_ridge(m, y, folds=3, seed=1)
+    model = fit_ridge(ridge_basis(m, 3, 1), y[:, None])[0]
     X = m.csr.toarray()
     held = np.arange(40, 60)
     r = pearson(X[held] @ model.weights + model.intercept, y[held])
@@ -517,14 +517,7 @@ def test_shared_ridge_basis_matches_per_target_fit(
     for y in targets:
         want = _outcome(lambda: oracles.train_ridge(m, y, alpha_grid, folds, seed))
         got = _outcome(lambda: fit_ridge(basis, y[:, None], alpha_grid))
-        # train_ridge is fit_ridge on one column, to the bit
-        single = _outcome(lambda: train_ridge(m, y, alpha_grid, folds, seed))
         noisy.append(_noisy(m, y, alpha_grid, folds, seed))
-        if isinstance(got, str) or isinstance(single, str):
-            assert single == got
-        else:
-            assert single.C == got[0].C and single.intercept == got[0].intercept
-            assert np.array_equal(single.weights, got[0].weights)
         alone.append(got if isinstance(got, str) else got[0])
         if isinstance(want, str) or isinstance(got, str):
             assert got == want or (NO_USABLE_FOLD in (got, want) and noisy[-1])
@@ -585,7 +578,7 @@ def test_ridge_failed_factorization_names_alpha(monkeypatch):
     rng = np.random.default_rng(38)
     m = random_footprints(rng, 12, 6)
     with pytest.raises(ValueError, match=r"not positive definite at alpha=0\.5"):
-        train_ridge(m, rng.normal(0, 1, 12), alpha_grid=(0.5,))
+        fit_ridge(ridge_basis(m), rng.normal(0, 1, (12, 1)), (0.5,))
 
 
 def test_ridge_targets_must_be_columns():

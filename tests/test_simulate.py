@@ -21,7 +21,6 @@ from footcloak.data import LabelTable
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
 from footcloak.models import (
     LinearModel,
-    predict_score,
     predict_scores,
     quantile_threshold,
 )
@@ -33,12 +32,11 @@ from footcloak.simulate import (
     protection_flags,
     run_protection_experiment,
     run_strategy,
-    tp_fp_breakdown,
     tradeoff_report,
 )
 
 from conftest import random_footprints
-from oracles import readd
+from oracles import predict_score, readd
 
 _CONFIG = ExperimentConfig(
     seed=4,
@@ -108,18 +106,6 @@ def test_group_curves_partition_population(ctx):
         assert len(vals) == len(curve.fractions)
 
 
-def test_tp_fp_breakdown_requires_full_fraction(ctx):
-    curve, _ = run_strategy(ctx, STRATEGY_FG)
-    breakdown = tp_fp_breakdown(curve)
-    assert set(breakdown) == set(curve.group_curves)
-    short = dataclasses.replace(
-        ctx, config=dataclasses.replace(_CONFIG, schedule=(0.0, 0.5))
-    )
-    curve2, _ = run_strategy(short, STRATEGY_FG)
-    with pytest.raises(ValueError, match="1.0"):
-        tp_fp_breakdown(curve2)
-
-
 def test_strategy_errors(ctx):
     with pytest.raises(ValueError, match="unknown strategy"):
         run_strategy(ctx, "BOGUS")
@@ -164,6 +150,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(schedule=(0.0, 1.5))
     assert ExperimentConfig().schedule == DEFAULT_SCHEDULE
+    # NaN fails every numeric field's check, and the message names the field
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in ("seed", "schedule"):
+            continue
+        with pytest.raises(ValueError, match=f"^{field.name} must be "):
+            ExperimentConfig(**{field.name: float("nan")})
+    with pytest.raises(ValueError, match="^schedule fractions must be "):
+        ExperimentConfig(schedule=(0.0, float("nan")))
 
 
 def test_tolerance_quantile_checked_where_fg_tol_runs(ctx, small_synth):

@@ -140,7 +140,7 @@ def test_ridge_basis_shared_by_training_users(
     small_synth, monkeypatch, traits, gram_builds
 ):
     # one basis (one Gram matrix) per distinct set of labeled training users;
-    # the rows equal a separate train_ridge per trait
+    # the rows equal a separate ridge basis and fit per trait
     res = small_synth
     labels = _with_gap_trait(res.labels)
     cfg = dataclasses.replace(_CONFIG, nmf_max_iters=20)
@@ -156,7 +156,10 @@ def test_ridge_basis_shared_by_training_users(
     assert len(calls) == gram_builds
 
     def per_trait_fit(basis, Y, alpha_grid=models.DEFAULT_ALPHA_GRID):
-        return [models.train_ridge(basis[0], y, alpha_grid, *basis[1:]) for y in Y.T]
+        return [
+            models.fit_ridge(models.ridge_basis(*basis), y[:, None], alpha_grid)[0]
+            for y in Y.T
+        ]
 
     monkeypatch.setattr(spillover, "ridge_basis", lambda *args: args)
     monkeypatch.setattr(spillover, "fit_ridge", per_trait_fit)
