@@ -18,9 +18,7 @@ from .cloak import (
     CloakDirective,
     apply_cloak,
     cloak_cost,
-    cloak_fg,
-    cloak_mf,
-    cloak_tolerance,
+    cloak_population,
 )
 from .data import (
     DropPlan,

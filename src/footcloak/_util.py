@@ -55,7 +55,8 @@ class ExperimentConfig:
 
     Every field is checked when the config is built; NaN fails every
     check. Only FG_TOL reads tolerance_quantile, so its bound (at most
-    quantile) is checked where FG_TOL runs, not here.
+    quantile) is checked by cloak.check_strategy, which cloak, simulate
+    and report call for their strategies before any work, not here.
     """
 
     seed: int = 0

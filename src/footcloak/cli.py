@@ -27,6 +27,7 @@ from .cloak import (
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
+    check_strategy,
     cloak_population,
     directives_to_dict,
 )
@@ -182,6 +183,10 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(**dict(fields, schedule=_parse_schedule(cfg["schedule"])))
 
 
+def _synth_config(cfg: dict) -> SynthConfig:
+    return SynthConfig(**{field: cfg[key] for key, field in _SYNTH_KEYS.items()})
+
+
 def _load_dataset(cfg: dict):
     m = load_triplets(cfg["footprints"])
     labels = load_labels(cfg["labels"], m)
@@ -201,7 +206,7 @@ def _domain_model(cfg: dict, matrix):
 
 
 def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
-    result = generate(SynthConfig(**{f: cfg[k] for k, f in _SYNTH_KEYS.items()}))
+    result = generate(_synth_config(cfg))
     write_dataset(outdir, result)
     print(
         f"synth: {result.matrix.n_users} users, {result.matrix.n_items} items, "
@@ -269,11 +274,12 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
-    matrix, labels = _load_dataset(cfg)
     econf = _experiment_config(cfg)
+    strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
+    check_strategy(econf, strategy)
+    matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
     test, threshold = clf.test.matrix, clf.threshold.value
-    strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
     mfm = None
     if strategy == STRATEGY_MF:
         mfm = task_nmf_metafeatures(clf.train.matrix, econf)
@@ -479,9 +485,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
-        if args.command != "synth":
-            # a setting out of range (NaN too) fails before any file is written
-            _experiment_config(cfg)
+        # a setting out of range (NaN too) fails before any file is written
+        (_synth_config if args.command == "synth" else _experiment_config)(cfg)
         outdir = Path(args.out)
         meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
         manifest = {"command": args.command, "version": __version__, "config": cfg}

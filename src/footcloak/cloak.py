@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import ExperimentConfig
 from .data import FootprintMatrix
 from .explain import linear_explain
 from .metafeatures import MetafeatureModel
@@ -43,13 +44,30 @@ class CloakDirective:
     created_at_fraction: float = 0.0
 
 
+def check_strategy(config: ExperimentConfig, strategy: str) -> None:
+    """Reject settings a strategy cannot run with, before any work."""
+    if strategy == STRATEGY_FG_TOL and config.tolerance_quantile > config.quantile:
+        raise ValueError("tolerance_quantile must not exceed quantile")
+
+
+def _in_metafeatures(
+    row: np.ndarray, metas: frozenset[int], mfm: Optional[MetafeatureModel]
+) -> np.ndarray:
+    """True for each in-vocabulary item of row assigned to one of metas."""
+    if not metas:
+        return np.zeros(row.shape, dtype=bool)
+    in_vocab = row < mfm.n_items
+    safe = np.where(in_vocab, row, 0)
+    return in_vocab & np.isin(mfm.assignment[safe], np.fromiter(metas, dtype=np.int64))
+
+
 def _directive(
     strategy: str,
     model: LinearModel,
     row: np.ndarray,
     threshold: float,
-    mfm: Optional[MetafeatureModel] = None,
-    user: str = "",
+    mfm: Optional[MetafeatureModel],
+    user: str,
 ) -> Optional[CloakDirective]:
     """Explain row against threshold and freeze the outcome as a directive.
 
@@ -61,98 +79,14 @@ def _directive(
     expl = linear_explain(model, row, threshold)
     if expl is None:
         return None
-    cloaked = frozenset(expl.features)
     metas = frozenset()
     if mfm is not None:
         metas = frozenset(
             int(mfm.assignment[f]) for f in expl.features if f < mfm.n_items
         ) - {mfm.reserved}
-        row = np.asarray(row, dtype=np.int64)
-        in_vocab = row[row < mfm.n_items]
-        swept = in_vocab[np.isin(mfm.assignment[in_vocab], sorted(metas))]
-        cloaked |= frozenset(int(j) for j in swept)
+    swept = row[_in_metafeatures(row, metas, mfm)].tolist()
+    cloaked = frozenset(expl.features) | frozenset(swept)
     return CloakDirective(user, strategy, cloaked, metas)
-
-
-def cloak_fg(
-    model: LinearModel, row: np.ndarray, threshold: float, user: str = ""
-) -> Optional[CloakDirective]:
-    """Remove exactly the minimal explanation features.
-
-    Returns None when no explanation exists (removal cannot cross the
-    threshold).
-    """
-    return _directive(STRATEGY_FG, model, row, threshold, user=user)
-
-
-def cloak_mf(
-    model: LinearModel,
-    row: np.ndarray,
-    threshold: float,
-    mfm: MetafeatureModel,
-    user: str = "",
-) -> Optional[CloakDirective]:
-    """Remove the explanation plus everything sharing its metafeatures.
-
-    The swept metafeatures stay suppressed when the directive is applied
-    later, so newly arriving likes in those groups are removed too. For
-    domain mappings the reserved uncategorized group is never swept, but
-    explanation features always stay cloaked individually.
-    """
-    strategy = STRATEGY_MF if mfm.reserved is None else STRATEGY_DOMAIN_MF
-    return _directive(strategy, model, row, threshold, mfm, user)
-
-
-def cloak_tolerance(
-    model: LinearModel,
-    row: np.ndarray,
-    threshold: float,
-    population_scores: np.ndarray,
-    quantile_tol: float = 0.90,
-    user: str = "",
-) -> Optional[CloakDirective]:
-    """Explain against a lower tolerance threshold for a safety margin.
-
-    The tolerance threshold is the quantile_tol threshold of the same
-    score population that set the prediction threshold; it must not
-    exceed the prediction threshold. No future persistence: only the
-    explanation features are cloaked.
-    """
-    tol = quantile_threshold(population_scores, quantile_tol).value
-    if tol > threshold:
-        raise ValueError("tolerance threshold exceeds the prediction threshold")
-    return _directive(STRATEGY_FG_TOL, model, row, tol, user=user)
-
-
-def make_directive(
-    strategy: str,
-    model: LinearModel,
-    row: np.ndarray,
-    threshold: float,
-    mfm: Optional[MetafeatureModel] = None,
-    population_scores: Optional[np.ndarray] = None,
-    quantile_tol: float = 0.90,
-    user: str = "",
-) -> Optional[CloakDirective]:
-    """Directive for one row under the named strategy.
-
-    MF and DOMAIN_MF sweep the groups of mfm (NMF or domain categories);
-    FG_TOL explains against the quantile_tol threshold of
-    population_scores. Returns None when no explanation exists.
-    """
-    if strategy == STRATEGY_FG:
-        return cloak_fg(model, row, threshold, user=user)
-    if strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
-        if mfm is None:
-            raise ValueError(
-                f"{strategy} requires metafeatures (NMF or a domain category mapping)"
-            )
-        return cloak_mf(model, row, threshold, mfm, user=user)
-    if strategy == STRATEGY_FG_TOL:
-        return cloak_tolerance(
-            model, row, threshold, population_scores, quantile_tol, user=user
-        )
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def cloak_population(
@@ -165,25 +99,40 @@ def cloak_population(
     population_scores: Optional[np.ndarray] = None,
     quantile_tol: float = 0.90,
 ) -> tuple[dict[int, CloakDirective], int]:
-    """make_directive for each of the given rows of matrix.
+    """Directive for each of the given rows of matrix under the named strategy.
+
+    FG cloaks each row's explanation against threshold. MF and DOMAIN_MF
+    also cloak the row's items that share a group of mfm (NMF metafeatures
+    or domain categories, never the reserved uncategorized group) with an
+    explanation feature, and keep those groups suppressed. FG_TOL explains
+    against the quantile_tol threshold of population_scores (the scores
+    that set threshold) for a safety margin; that must not exceed
+    threshold. FG and FG_TOL ignore mfm. The strategy is checked, and
+    FG_TOL's threshold computed, once before the first row.
 
     Returns the directives keyed by row, in the order of rows, and the
     count of rows that got none because no explanation exists.
     """
+    if strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
+        if mfm is None:
+            raise ValueError(
+                f"{strategy} requires metafeatures (NMF or a domain category mapping)"
+            )
+    elif strategy in (STRATEGY_FG, STRATEGY_FG_TOL):
+        mfm = None
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == STRATEGY_FG_TOL:
+        tol = quantile_threshold(population_scores, quantile_tol).value
+        if tol > threshold:
+            raise ValueError("tolerance threshold exceeds the prediction threshold")
+        threshold = tol
+
     directives: dict[int, CloakDirective] = {}
     not_found = 0
-    for i in rows:
-        i = int(i)
-        d = make_directive(
-            strategy,
-            model,
-            matrix.row(i),
-            threshold,
-            mfm,
-            population_scores,
-            quantile_tol,
-            user=matrix.user_ids[i],
-        )
+    for i in map(int, rows):
+        row, user = matrix.row(i), matrix.user_ids[i]
+        d = _directive(strategy, model, row, threshold, mfm, user)
         if d is None:
             not_found += 1
         else:
@@ -201,18 +150,9 @@ def cloaked_mask(
     row = np.asarray(row, dtype=np.int64)
     if directive.cloaked_metafeatures and mfm is None:
         raise ValueError("directive sweeps metafeatures; a metafeature model is required")
-    mask = np.zeros(row.shape, dtype=bool)
-    if row.size == 0:
-        return mask
-    if directive.cloaked_features:
-        feats = np.fromiter(directive.cloaked_features, dtype=np.int64)
-        mask |= np.isin(row, feats)
-    if directive.cloaked_metafeatures:
-        metas = np.fromiter(directive.cloaked_metafeatures, dtype=np.int64)
-        in_vocab = row < mfm.n_items
-        safe = np.where(in_vocab, row, 0)
-        mask |= in_vocab & np.isin(mfm.assignment[safe], metas)
-    return mask
+    feats = np.fromiter(directive.cloaked_features, dtype=np.int64)
+    swept = _in_metafeatures(row, directive.cloaked_metafeatures, mfm)
+    return np.isin(row, feats) | swept
 
 
 def apply_cloak(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -136,18 +136,15 @@ class LabelTable:
 
     values: dict[str, np.ndarray]
     n_users: int
-    task_order: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.task_order:
-            object.__setattr__(self, "task_order", tuple(self.values))
         for task, arr in self.values.items():
             if arr.shape != (self.n_users,):
                 raise ValueError(f"task {task}: label vector not index-aligned")
 
     @property
     def task_names(self) -> tuple[str, ...]:
-        return self.task_order
+        return tuple(self.values)
 
     def is_binary(self, task: str) -> bool:
         arr = self.values[task]
@@ -160,7 +157,7 @@ class LabelTable:
     def select_users(self, order: np.ndarray) -> "LabelTable":
         order = np.asarray(order, dtype=np.int64)
         vals = {t: arr[order] for t, arr in self.values.items()}
-        return LabelTable(vals, len(order), self.task_order)
+        return LabelTable(vals, len(order))
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ from ._util import (
 )
 from .cloak import (
     STRATEGY_DOMAIN_MF,
-    STRATEGY_FG_TOL,
     STRATEGY_MF,
     CloakDirective,
+    check_strategy,
     cloak_cost,
     cloak_population,
     cloaked_mask,
@@ -280,12 +280,6 @@ def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[Metafeature
     return None
 
 
-def _check_strategy(config: ExperimentConfig, strategy: str) -> None:
-    """Reject settings a strategy cannot run with, before any work."""
-    if strategy == STRATEGY_FG_TOL and config.tolerance_quantile > config.quantile:
-        raise ValueError("tolerance_quantile must not exceed quantile")
-
-
 def _scored_weights(
     model: LinearModel, items: np.ndarray, removed: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -343,7 +337,7 @@ def run_strategy(
     directive.
     """
     config = ctx.config
-    _check_strategy(config, strategy)
+    check_strategy(config, strategy)
     mfm = _strategy_mfm(ctx, strategy)
     directives, not_found = cloak_population(
         strategy,
@@ -419,7 +413,7 @@ def run_protection_experiment(
     domain: Optional[MetafeatureModel] = None,
 ) -> ProtectionCurve:
     """End-to-end protection experiment for one task and strategy."""
-    _check_strategy(config, strategy)
+    check_strategy(config, strategy)
     ctx = build_protection_context(
         task, matrix, labels, config, need_nmf=(strategy == STRATEGY_MF), domain=domain
     )
@@ -443,7 +437,7 @@ def tradeoff_report(
     if 1.0 not in config.schedule:
         raise ValueError("tradeoff report needs fraction 1.0 in the schedule")
     for strategy in strategies:
-        _check_strategy(config, strategy)
+        check_strategy(config, strategy)
     rows = []
     for task in tasks:
         need_nmf = STRATEGY_MF in strategies

@@ -93,9 +93,8 @@ def run_spillover_experiment(
     positives = np.nonzero(predict_scores(clf.model, test.matrix) >= threshold)[0]
     mfm = task_nmf_metafeatures(train.matrix, config)
 
-    # cloak_mf finds no explanation exactly where cloak_fg finds none (both
-    # explain the same row against the same threshold), so MF directs the
-    # same users as FG
+    # MF finds no explanation exactly where FG finds none (both explain the
+    # same row against the same threshold), so MF directs the same users
     fg, not_found = cloak_population(
         STRATEGY_FG, clf.model, test.matrix, positives, threshold
     )

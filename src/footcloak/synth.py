@@ -11,6 +11,7 @@ range. The planted structure is emitted as a ground-truth sidecar.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -84,6 +85,27 @@ class SynthConfig:
     binary_links: tuple[BinaryLink, ...] | None = None
     continuous_links: tuple[ContinuousLink, ...] | None = None
 
+    def __post_init__(self):
+        # (field, whether it holds, the bound it must meet); every
+        # comparison is written so that NaN makes it false
+        checks = (
+            # continuous traits are rescaled by their range, 0 for one user
+            ("n_users", self.n_users >= 2, "at least 2"),
+            ("n_items", self.n_items >= 1, "at least 1"),
+            ("k_topics", 1 <= self.k_topics <= self.n_items, "in [1, n_items]"),
+            ("dirichlet_alpha", 0.0 < self.dirichlet_alpha < math.inf, "in (0, inf)"),
+            (
+                "popularity_exponent",
+                -math.inf < self.popularity_exponent < math.inf,
+                "finite",
+            ),
+            ("mean_likes", 0 <= self.mean_likes <= self.n_items, "in [0, n_items]"),
+            ("seed", self.seed >= 0, "at least 0"),
+        )
+        for name, holds, bound in checks:
+            if not holds:
+                raise ValueError(f"{name} must be {bound}")
+
     def resolved_binary_links(self) -> tuple[BinaryLink, ...]:
         return (
             self.binary_links
@@ -123,10 +145,6 @@ def generate(config: SynthConfig) -> SynthResult:
     diagnostics.
     """
     n, m, k = config.n_users, config.n_items, config.k_topics
-    if k < 1 or k > m:
-        raise ValueError("k_topics must be in [1, n_items]")
-    if config.mean_likes > m:
-        raise ValueError("mean_likes cannot exceed n_items")
     rng = np.random.default_rng(config.seed)
 
     blocks = _topic_blocks(m, k)

@@ -21,8 +21,7 @@ from footcloak.cloak import (
     STRATEGY_FG_TOL,
     STRATEGY_MF,
     apply_cloak,
-    cloak_fg,
-    cloak_tolerance,
+    cloak_population,
 )
 from footcloak.data import from_rows
 from footcloak.explain import linear_explain
@@ -175,20 +174,16 @@ def test_criterion_2_cloak_construction(protection_runs):
         tol = quantile_threshold(
             ctx.train_scores_reduced, ctx.config.tolerance_quantile
         ).value
-        for i in ctx.population:
-            row = ctx.test_reduced.row(int(i))
-            d = cloak_fg(ctx.model, row, th0)
-            if d is not None:
-                checked += 1
-                if predict_score(ctx.model, apply_cloak(row, d)) >= th0:
-                    violations += 1
-            d = cloak_tolerance(
-                ctx.model, row, th0, ctx.train_scores_reduced,
-                ctx.config.tolerance_quantile,
+        for strategy, target in ((STRATEGY_FG, th0), (STRATEGY_FG_TOL, tol)):
+            directives, _ = cloak_population(
+                strategy, ctx.model, ctx.test_reduced, ctx.population, th0,
+                population_scores=ctx.train_scores_reduced,
+                quantile_tol=ctx.config.tolerance_quantile,
             )
-            if d is not None:
+            for i, d in directives.items():
                 checked += 1
-                if predict_score(ctx.model, apply_cloak(row, d)) >= tol:
+                row = ctx.test_reduced.row(i)
+                if predict_score(ctx.model, apply_cloak(row, d)) >= target:
                     violations += 1
     _criterion(
         2,

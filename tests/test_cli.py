@@ -80,6 +80,27 @@ def test_synth_writes_dataset_and_manifest(tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--dirichlet-alpha", "nan", "dirichlet_alpha"),
+        ("--mean-likes", -3, "mean_likes"),
+        ("--users", 0, "n_users"),
+        ("--users", 1, "n_users"),  # a one-user trait is constant
+    ],
+)
+def test_synth_field_out_of_range_is_structured_error(
+    tmp_path, capsys, flag, value, field
+):
+    out = tmp_path / "d"
+    rc = _run("synth", "--out", out, "--users", 50, "--items", 200, flag, value)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{field} must be ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -140,7 +161,7 @@ def test_cloak_then_explain_roundtrip(data, tmp_path, capsys):
     assert "would drop" in out
 
 
-def test_cloak_mf_writes_metafeature_report(data, tmp_path):
+def test_cloak_strategy_mf_writes_metafeature_report(data, tmp_path):
     out = tmp_path / "mf"
     rc = _run(
         "cloak", "--footprints", data["footprints"], "--labels", data["labels"],
@@ -297,9 +318,30 @@ def test_tolerance_quantile_only_limits_fg_tol(data, tmp_path, capsys):
     }
 
 
+def test_fg_tol_cloak_checks_bound_before_fitting(
+    data, tmp_path, capsys, monkeypatch
+):
+    def no_fit(*a, **k):
+        raise AssertionError("the classifier was fitted")
+
+    monkeypatch.setattr(cli, "fit_task_classifier", no_fit)
+    out = tmp_path / "cl"
+    rc = _run(
+        "cloak", "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "task_a", "--strategy", "fg-tol", "--quantile", 0.95,
+        "--tolerance-quantile", 0.97, "--out", out,
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "error": "ValueError",
+        "message": "tolerance_quantile must not exceed quantile",
+    }
+
+
 def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
     # no population user gets a directive: rates and costs are undefined
-    monkeypatch.setattr(cloak, "make_directive", lambda *a, **k: None)
+    monkeypatch.setattr(cloak, "linear_explain", lambda *a, **k: None)
     out = tmp_path / "sim"
     assert _run(*_simulate_args(data, out)) == 0
     curve = _strict_json(out / "protection_curve.json")

@@ -14,14 +14,13 @@ from footcloak.cloak import (
     CloakDirective,
     apply_cloak,
     cloak_cost,
-    cloak_fg,
-    cloak_mf,
-    cloak_tolerance,
+    cloak_population,
     directives_to_dict,
 )
+from footcloak import cloak
 from footcloak.data import from_rows
 from footcloak.metafeatures import MetafeatureModel, assign_exclusive
-from footcloak.models import LinearModel
+from footcloak.models import LinearModel, quantile_threshold
 
 from oracles import predict_score
 
@@ -42,8 +41,28 @@ _ROW = np.arange(6)
 _TH = 0.7
 
 
+def _one_row(row, user="u0"):
+    row = np.asarray(row, dtype=np.int64)
+    n = int(row.max()) + 1 if row.size else 1
+    return from_rows([row], n, (user,), tuple(f"it{j}" for j in range(n)))
+
+
+def _cloak(
+    strategy, row, threshold, model=_MODEL, mfm=None, scores=None,
+    quantile_tol=0.90, user="u0",
+):
+    """cloak_population over a one-row matrix: the row's directive or None."""
+    directives, not_found = cloak_population(
+        strategy, model, _one_row(row, user), [0], threshold, mfm, scores,
+        quantile_tol,
+    )
+    assert len(directives) + not_found == 1
+    return directives.get(0)
+
+
 def test_fg_removes_explanation_and_crosses():
-    d = cloak_fg(_MODEL, _ROW, _TH, user="u0")
+    d = _cloak(STRATEGY_FG, _ROW, _TH)
+    assert d.user == "u0"
     assert d.strategy == STRATEGY_FG
     assert d.cloaked_features == frozenset({0, 1, 2})
     assert d.cloaked_metafeatures == frozenset()
@@ -55,7 +74,7 @@ def test_fg_removes_explanation_and_crosses():
 def test_mf_sweeps_shared_metafeatures():
     # items 0 and 2 and 5 share group 0; 1 alone in group 1; 3, 4 in group 2
     mfm = _mfm([0, 1, 0, 2, 2, 0])
-    d = cloak_mf(_MODEL, _ROW, _TH, mfm, user="u0")
+    d = _cloak(STRATEGY_MF, _ROW, _TH, mfm=mfm)
     assert d.strategy == STRATEGY_MF
     assert d.cloaked_metafeatures == frozenset({0, 1})
     assert d.cloaked_features == frozenset({0, 1, 2, 5})
@@ -73,8 +92,8 @@ def test_mf_superset_of_fg():
         if predict_score(model, row) < 0.5:
             continue
         mfm = _mfm(rng.integers(0, 3, n))
-        fg = cloak_fg(model, row, 0.5)
-        mf = cloak_mf(model, row, 0.5, mfm)
+        fg = _cloak(STRATEGY_FG, row, 0.5, model)
+        mf = _cloak(STRATEGY_MF, row, 0.5, model, mfm)
         if fg is None:
             assert mf is None
             continue
@@ -101,13 +120,14 @@ def test_mf_finds_none_exactly_when_fg_does(
     row = np.flatnonzero(rng.random(n_items) < 0.6)
     assignment = rng.integers(0, 3, n_items)
     mfm = _mfm(assignment, reserved=int(assignment.max()) if reserved else None)
+    mf_strategy = STRATEGY_DOMAIN_MF if reserved else STRATEGY_MF
     if predict_score(model, row) < threshold:
-        for cloak in (cloak_fg, lambda *a: cloak_mf(*a, mfm)):
+        for strategy in (STRATEGY_FG, mf_strategy):
             with pytest.raises(ValueError, match="already below"):
-                cloak(model, row, threshold)
+                _cloak(strategy, row, threshold, model, mfm)
         return
-    fg = cloak_fg(model, row, threshold)
-    mf = cloak_mf(model, row, threshold, mfm)
+    fg = _cloak(STRATEGY_FG, row, threshold, model)
+    mf = _cloak(mf_strategy, row, threshold, model, mfm)
     assert (fg is None) == (mf is None)
     if fg is not None:
         assert fg.cloaked_features <= mf.cloaked_features
@@ -116,7 +136,7 @@ def test_mf_finds_none_exactly_when_fg_does(
 def test_domain_mf_never_sweeps_reserved():
     # explanation features {0, 1, 2}; item 1 is uncategorized (reserved 2)
     mfm = _mfm([0, 2, 0, 1, 1, 2], reserved=2, source="domain")
-    d = cloak_mf(_MODEL, _ROW, _TH, mfm, user="u0")
+    d = _cloak(STRATEGY_DOMAIN_MF, _ROW, _TH, mfm=mfm)
     assert d.strategy == STRATEGY_DOMAIN_MF
     assert d.cloaked_metafeatures == frozenset({0})
     # the reserved group is not swept (5 stays) but the explanation
@@ -128,33 +148,76 @@ def test_domain_mf_never_sweeps_reserved():
 
 def test_fg_tol_crosses_lower_threshold():
     scores = np.arange(1, 101) / 100.0  # th(0.95) = 0.96, th(0.90) = 0.91
-    d = cloak_tolerance(_MODEL, _ROW, 0.96, scores, quantile_tol=0.90)
+    d = _cloak(STRATEGY_FG_TOL, _ROW, 0.96, scores=scores, quantile_tol=0.90)
     assert d.strategy == STRATEGY_FG_TOL
     after = apply_cloak(_ROW, d)
     assert predict_score(_MODEL, after) < 0.91
-    fg = cloak_fg(_MODEL, _ROW, 0.96)
+    fg = _cloak(STRATEGY_FG, _ROW, 0.96)
     assert len(fg.cloaked_features) <= len(d.cloaked_features)
 
 
 def test_fg_tol_equal_quantiles_degenerates_to_fg():
     scores = np.arange(1, 101) / 100.0
-    d = cloak_tolerance(_MODEL, _ROW, 0.96, scores, quantile_tol=0.95)
-    fg = cloak_fg(_MODEL, _ROW, 0.96)
+    d = _cloak(STRATEGY_FG_TOL, _ROW, 0.96, scores=scores, quantile_tol=0.95)
+    fg = _cloak(STRATEGY_FG, _ROW, 0.96)
     assert d.cloaked_features == fg.cloaked_features
 
 
 def test_fg_tol_above_threshold_raises():
     scores = np.arange(1, 101) / 100.0
     with pytest.raises(ValueError, match="tolerance"):
-        cloak_tolerance(_MODEL, _ROW, 0.5, scores, quantile_tol=0.90)
+        _cloak(STRATEGY_FG_TOL, _ROW, 0.5, scores=scores, quantile_tol=0.90)
+    # checked once before the loop, so an empty population raises too
+    with pytest.raises(ValueError, match="tolerance"):
+        cloak_population(
+            STRATEGY_FG_TOL, _MODEL, _one_row(_ROW), [], 0.5, None, scores, 0.90
+        )
+
+
+def test_fg_tol_threshold_computed_once(monkeypatch):
+    calls = []
+
+    def counting(scores, q):
+        calls.append(q)
+        return quantile_threshold(scores, q)
+
+    monkeypatch.setattr(cloak, "quantile_threshold", counting)
+    m = from_rows([_ROW, np.array([0, 1, 3])], 6, ("u0", "u1"),
+                  tuple(f"it{j}" for j in range(6)))
+    scores = np.arange(1, 101) / 100.0
+    directives, _ = cloak_population(
+        STRATEGY_FG_TOL, _MODEL, m, [0, 1], 0.8, None, scores, 0.5
+    )
+    assert calls == [0.5]
+    assert list(directives) == [0, 1]
+
+
+def test_population_checks_strategy_before_any_row():
+    m = _one_row(_ROW)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        cloak_population("NOPE", _MODEL, m, [], _TH)
+    for strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
+        with pytest.raises(ValueError, match="requires metafeatures"):
+            cloak_population(strategy, _MODEL, m, [], _TH)
+
+
+def test_fg_and_fg_tol_ignore_mfm():
+    mfm = _mfm([0, 1, 0, 2, 2, 0])
+    scores = np.arange(1, 101) / 100.0
+    for strategy in (STRATEGY_FG, STRATEGY_FG_TOL):
+        d = _cloak(strategy, _ROW, 0.96, mfm=mfm, scores=scores)
+        plain = _cloak(strategy, _ROW, 0.96, scores=scores)
+        assert d.cloaked_metafeatures == frozenset()
+        assert d.cloaked_features == plain.cloaked_features
 
 
 def test_not_found_returns_none():
     model = LinearModel(np.array([-1.0, -0.5]), 5.0, 1.0)
     row = np.array([0, 1])
-    assert cloak_fg(model, row, 0.5) is None
-    assert cloak_mf(model, row, 0.5, _mfm([0, 0])) is None
-    assert cloak_tolerance(model, row, 0.5, np.linspace(0.01, 0.4, 50)) is None
+    assert _cloak(STRATEGY_FG, row, 0.5, model) is None
+    assert _cloak(STRATEGY_MF, row, 0.5, model, _mfm([0, 0])) is None
+    scores = np.linspace(0.01, 0.4, 50)
+    assert _cloak(STRATEGY_FG_TOL, row, 0.5, model, scores=scores) is None
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +225,7 @@ def test_not_found_returns_none():
 
 
 def test_fg_does_not_touch_new_items():
-    d = cloak_fg(_MODEL, _ROW, _TH)
+    d = _cloak(STRATEGY_FG, _ROW, _TH)
     future = np.array([0, 1, 2, 3, 4, 5])
     np.testing.assert_array_equal(apply_cloak(future, d), [3, 4, 5])
     # an unrelated new item is kept
@@ -173,7 +236,7 @@ def test_fg_does_not_touch_new_items():
 
 def test_mf_suppresses_future_items_in_swept_groups():
     mfm = _mfm([0, 1, 0, 2, 2, 0])
-    d = cloak_mf(_MODEL, np.array([0, 1, 3]), _TH, mfm)
+    d = _cloak(STRATEGY_MF, np.array([0, 1, 3]), _TH, mfm=mfm)
     assert d.cloaked_metafeatures == frozenset({0, 1})
     # item 2 and 5 were never in the original row but share group 0
     future = np.arange(6)
@@ -186,7 +249,7 @@ def test_mf_suppresses_future_items_in_swept_groups():
 
 def test_apply_cloak_idempotent():
     mfm = _mfm([0, 1, 0, 2, 2, 0])
-    d = cloak_mf(_MODEL, _ROW, _TH, mfm)
+    d = _cloak(STRATEGY_MF, _ROW, _TH, mfm=mfm)
     once = apply_cloak(_ROW, d, mfm)
     twice = apply_cloak(once, d, mfm)
     np.testing.assert_array_equal(once, twice)
@@ -199,7 +262,7 @@ def test_apply_cloak_requires_mfm_for_sweeps():
 
 
 def test_apply_cloak_empty_row():
-    d = cloak_fg(_MODEL, _ROW, _TH)
+    d = _cloak(STRATEGY_FG, _ROW, _TH)
     out = apply_cloak(np.array([], dtype=np.int64), d)
     assert out.size == 0
 
@@ -209,7 +272,7 @@ def test_apply_cloak_empty_row():
 
 
 def test_cost_edges():
-    d = cloak_fg(_MODEL, _ROW, _TH)  # cloaks {0, 1, 2}
+    d = _cloak(STRATEGY_FG, _ROW, _TH)  # cloaks {0, 1, 2}
     assert cloak_cost(np.array([], dtype=np.int64), d) == 0.0
     assert cloak_cost(np.array([0, 1]), d) == 1.0
     assert cloak_cost(np.array([3, 4]), d) == 0.0
@@ -226,8 +289,8 @@ def test_directive_roundtrip(tmp_path):
         rows, 6, ("u0", "u1"), tuple(f"it{j}" for j in range(6))
     )
     mfm = _mfm([0, 1, 0, 2, 2, 0])
-    d0 = cloak_mf(_MODEL, m.row(0), _TH, mfm, user="u0")
-    d1 = cloak_fg(_MODEL, m.row(0), _TH, user="u1")
+    d0 = cloak_population(STRATEGY_MF, _MODEL, m, [0], _TH, mfm)[0][0]
+    d1 = cloak_population(STRATEGY_FG, _MODEL, m, [1], _TH)[0][1]
     path = tmp_path / "directives.json"
     obj = {**directives_to_dict([d0, d1], m.item_ids), "config_hash": "h", "seed": 3}
     write_results(tmp_path, {"directives.json": obj})
