@@ -17,7 +17,7 @@ from .cloak import (
     STRATEGY_MF,
     CloakDirective,
     apply_cloak,
-    cloak_cost,
+    cloak_matrix,
     cloak_population,
 )
 from .data import (

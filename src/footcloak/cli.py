@@ -242,16 +242,30 @@ def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
     }
 
 
-def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
-    matrix, labels = _load_dataset(cfg)
-    clf = fit_task_classifier(cfg["task"], matrix, labels, _experiment_config(cfg))
+def _positive_test_user(clf, uid: str) -> int:
+    """Test row of user uid, who must score at or above the threshold."""
     test, threshold = clf.test.matrix, clf.threshold.value
+    if uid not in test.user_index:
+        raise ValueError(f"user {uid!r} is not in the test partition")
+    i = test.user_index[uid]
+    score = float(predict_scores(clf.model, test)[i])
+    if score < threshold:
+        raise ValueError(
+            f"user {uid!r} scores {score:.6f}, below the threshold "
+            f"{threshold:.6f}: not predicted positive"
+        )
+    return i
+
+
+def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
     uid = cfg["user"]
     if uid is None:
         raise ValueError("--user is required for explain")
-    if uid not in test.user_index:
-        raise ValueError(f"user {uid!r} is not in the test partition")
-    expl = linear_explain(clf.model, test.row(test.user_index[uid]), threshold)
+    matrix, labels = _load_dataset(cfg)
+    clf = fit_task_classifier(cfg["task"], matrix, labels, _experiment_config(cfg))
+    threshold = clf.threshold.value
+    row = clf.test.matrix.row(_positive_test_user(clf, uid))
+    expl = linear_explain(clf.model, row, threshold)
     if expl is None:
         raise ValueError(f"no explanation found for user {uid!r}")
     item_names = [clf.filtered.item_ids[j] for j in expl.features]
@@ -280,18 +294,15 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
     matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
     test, threshold = clf.test.matrix, clf.threshold.value
+    if cfg.get("user"):
+        targets = [_positive_test_user(clf, cfg["user"])]
+    else:
+        targets = np.nonzero(predict_scores(clf.model, test) >= threshold)[0]
     mfm = None
     if strategy == STRATEGY_MF:
         mfm = task_nmf_metafeatures(clf.train.matrix, econf)
     elif strategy == STRATEGY_DOMAIN_MF:
         mfm = _domain_model(cfg, matrix)
-
-    if cfg.get("user"):
-        if cfg["user"] not in test.user_index:
-            raise ValueError(f"user {cfg['user']!r} is not in the test partition")
-        targets = [test.user_index[cfg["user"]]]
-    else:
-        targets = np.nonzero(predict_scores(clf.model, test) >= threshold)[0]
     directives, not_found = cloak_population(
         strategy,
         clf.model,

@@ -166,17 +166,18 @@ def apply_cloak(
     return row[~cloaked_mask(row, directive, mfm)]
 
 
-def cloak_cost(
-    row: np.ndarray,
-    directive: CloakDirective,
+def cloak_matrix(
+    matrix: FootprintMatrix,
+    directives: dict[int, CloakDirective],
     mfm: Optional[MetafeatureModel] = None,
-) -> float:
-    """Share of the row's items the directive removes; 0 for an empty row."""
-    row = np.asarray(row, dtype=np.int64)
-    if row.size == 0:
-        return 0.0
-    remaining = apply_cloak(row, directive, mfm)
-    return (row.size - remaining.size) / row.size
+) -> FootprintMatrix:
+    """matrix with each directive (keyed by row) applied to its row, as
+    apply_cloak does; rows without one, the ids and the item space kept."""
+    keep = np.ones(matrix.nnz, dtype=bool)
+    for i, d in directives.items():
+        entries = slice(matrix.indptr[i], matrix.indptr[i + 1])
+        keep[entries] = ~cloaked_mask(matrix.indices[entries], d, mfm)
+    return matrix.keep_entries(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ class FootprintMatrix:
         users = tuple(self.user_ids[i] for i in order)
         return FootprintMatrix(indptr, indices, self.n_items, users, self.item_ids)
 
+    def keep_entries(self, keep: np.ndarray) -> "FootprintMatrix":
+        """New matrix with the stored entries where keep (one flag per entry,
+        in storage order) is True; ids and item space kept."""
+        kept_before = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
+        return FootprintMatrix(
+            kept_before[self.indptr], self.indices[keep], self.n_items,
+            self.user_ids, self.item_ids,
+        )
+
     @cached_property
     def csr(self):
         """CSR scipy matrix with float64 ones; every sparse product uses it.
@@ -561,5 +570,4 @@ def apply_drop(m: FootprintMatrix, plan: DropPlan) -> FootprintMatrix:
     found, dropped = found[hit], dropped[hit]
     keep = np.ones(m.nnz, dtype=bool)
     keep[found[keys[found] == dropped]] = False  # items not in the row are ignored
-    indptr = _indptr(np.bincount(rows[keep], minlength=m.n_users))
-    return FootprintMatrix(indptr, m.indices[keep], m.n_items, m.user_ids, m.item_ids)
+    return m.keep_entries(keep)

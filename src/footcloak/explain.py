@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .models import KIND_CLASSIFIER, LinearModel
+from .models import KIND_CLASSIFIER, LinearModel, item_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +50,7 @@ def linear_explain(
     if model.kind != KIND_CLASSIFIER:
         raise ValueError("explanations require a binary classifier")
     row = np.asarray(row, dtype=np.int64)
-    valid = row < model.n_items
-    w_row = np.where(valid, model.weights[np.where(valid, row, 0)], 0.0)
+    w_row = item_weights(model, row)
     margin0 = float(w_row.sum()) + model.intercept
     score_before = float(expit(margin0))
     if score_before < threshold:

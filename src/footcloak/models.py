@@ -158,12 +158,19 @@ def train_logreg_l2(
     return LinearModel(w, b, float(C), KIND_CLASSIFIER)
 
 
+def item_weights(model: LinearModel, items: np.ndarray) -> np.ndarray:
+    """The model's weight of each item index; an item at or beyond
+    model.n_items is outside the model vocabulary and weighs 0."""
+    items = np.asarray(items, dtype=np.int64)
+    valid = items < model.n_items
+    w = np.zeros(items.shape)
+    w[valid] = model.weights[items[valid]]
+    return w
+
+
 def decision_margins(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
-    """w.x + b per user; items outside the model vocabulary contribute 0."""
-    w = model.weights[: m.n_items]
-    if len(w) < m.n_items:
-        w = np.concatenate((w, np.zeros(m.n_items - len(w))))
-    return m.csr @ w + model.intercept
+    """w.x + b per user, with w from item_weights."""
+    return m.csr @ item_weights(model, np.arange(m.n_items)) + model.intercept
 
 
 def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:

@@ -11,7 +11,8 @@ The schedule is evaluated in closed form. Re-adding fraction f restores
 the first round_half_up(f * len) items of each user's drop order, so the
 re-added sets are nested prefixes and the margin at f is the reduced
 margin plus a prefix sum of the weights over that order (with the
-directive's cloaked items weighted 0 for cloaked users). No re-added
+directive's cloaked items weighted 0 for cloaked users). The reduced
+margins are `decision_margins` of `cloak.cloak_matrix`. No re-added
 matrix is built; the tests check this against the slow, obvious path:
 rebuild each re-added matrix, then `cloak.apply_cloak` per user.
 """
@@ -38,7 +39,7 @@ from .cloak import (
     STRATEGY_MF,
     CloakDirective,
     check_strategy,
-    cloak_cost,
+    cloak_matrix,
     cloak_population,
     cloaked_mask,
 )
@@ -56,6 +57,7 @@ from .models import (
     ThresholdSpec,
     decision_margins,
     fit_classifier,
+    item_weights,
     predict_scores,
     quantile_threshold,
 )
@@ -137,8 +139,9 @@ class ProtectionContext:
     """Everything shared by strategies for one task: model, thresholds,
     drop plans, target population. Built once, reused across strategies.
 
-    train_margins evaluates the training margins at any fraction; the
-    threshold of each fraction is computed from them once and cached.
+    thresholds holds the decision threshold of each schedule fraction,
+    from the uncloaked training scores; at 0.0 it equals threshold0.value
+    exactly.
     """
 
     task: str
@@ -152,23 +155,12 @@ class ProtectionContext:
     test_full: FootprintMatrix
     test_plan: DropPlan
     train_scores_reduced: np.ndarray
-    train_margins: ReaddMargins
+    thresholds: tuple[float, ...]
     test_labels: np.ndarray
     population: np.ndarray
     nmf: Optional[MetafeatureModel]
     domain: Optional[MetafeatureModel]
     diagnostics: dict = field(default_factory=dict)
-    _thresholds: dict = field(default_factory=dict, init=False, repr=False)
-
-    def threshold_at(self, fraction: float) -> float:
-        """Decision threshold at one re-add fraction, from the uncloaked
-        training scores; at 0.0 it equals threshold0.value exactly."""
-        th = self._thresholds.get(fraction)
-        if th is None:
-            scores = expit(self.train_margins.at(fraction))
-            th = quantile_threshold(scores, self.config.quantile).value
-            self._thresholds[fraction] = th
-        return th
 
 
 def build_protection_context(
@@ -239,7 +231,11 @@ def build_protection_context(
     # reproduces threshold0 bit for bit
     train_margins = ReaddMargins.build(
         decision_margins(model, train_reduced),
-        [_scored_weights(model, d) for d in train_plan.dropped],
+        [item_weights(model, d) for d in train_plan.dropped],
+    )
+    thresholds = tuple(
+        quantile_threshold(expit(train_margins.at(f)), config.quantile).value
+        for f in config.schedule
     )
 
     diagnostics = {
@@ -263,7 +259,7 @@ def build_protection_context(
         test_full=test.matrix,
         test_plan=test_plan,
         train_scores_reduced=train_scores_reduced,
-        train_margins=train_margins,
+        thresholds=thresholds,
         test_labels=test.labels.values[task],
         population=population,
         nmf=nmf,
@@ -280,51 +276,30 @@ def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[Metafeature
     return None
 
 
-def _scored_weights(
-    model: LinearModel, items: np.ndarray, removed: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Weight of each item as the model scores it: 0 outside the model
-    vocabulary and where removed is True."""
-    items = np.asarray(items, dtype=np.int64)
-    keep = items < model.n_items
-    if removed is not None:
-        keep &= ~removed
-    w = np.zeros(items.shape)
-    w[keep] = model.weights[items[keep]]
-    return w
-
-
 def protection_flags(
     ctx: ProtectionContext,
     directives: dict[int, CloakDirective],
     mfm: Optional[MetafeatureModel] = None,
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """Threshold per schedule fraction, and protected[k, u]: whether the
-    u-th directive user (ascending test row) scores strictly below the
-    threshold of fraction k.
+) -> np.ndarray:
+    """protected[k, u]: whether the u-th directive user (ascending test
+    row) scores strictly below ctx.thresholds[k].
 
-    Re-added items the directive cloaks weigh 0. The reduced margin sums
-    the weights of apply_cloak's row in item order, plus the intercept, as
-    scoring that row alone does, so fraction 0.0 is bit-exact.
+    The reduced margins are decision_margins of the cloaked reduced rows,
+    the same w.x + b the thresholds come from. Re-added items the
+    directive cloaks weigh 0.
     """
-    w, b = ctx.model.weights, ctx.model.intercept
-    base, readd_weights = [], []
-    for i in sorted(directives):
-        d = directives[i]
-        row = ctx.test_reduced.row(i)
-        kept = row[~cloaked_mask(row, d, mfm)]
-        base.append(float(w[kept[kept < ctx.model.n_items]].sum()) + b)
+    users = sorted(directives)
+    cloaked = cloak_matrix(ctx.test_reduced, directives, mfm)
+    readd_weights = []
+    for i in users:
         dropped = ctx.test_plan.dropped[i]
-        readd_weights.append(
-            _scored_weights(ctx.model, dropped, cloaked_mask(dropped, d, mfm))
-        )
-    margins = ReaddMargins.build(np.array(base), readd_weights)
-    schedule = ctx.config.schedule
-    thresholds = tuple(ctx.threshold_at(f) for f in schedule)
-    protected = np.array(
-        [expit(margins.at(f)) < th for f, th in zip(schedule, thresholds)]
+        removed = cloaked_mask(dropped, directives[i], mfm)
+        readd_weights.append(np.where(removed, 0.0, item_weights(ctx.model, dropped)))
+    margins = ReaddMargins.build(
+        decision_margins(ctx.model, cloaked)[users], readd_weights
     )
-    return thresholds, protected
+    schedule = zip(ctx.config.schedule, ctx.thresholds)
+    return np.array([expit(margins.at(f)) < th for f, th in schedule])
 
 
 def run_strategy(
@@ -357,7 +332,7 @@ def run_strategy(
         if not members.any():
             logger.debug("run_strategy: group %s empty for %s", name, ctx.task)
 
-    thresholds, protected = protection_flags(ctx, directives, mfm)
+    protected = protection_flags(ctx, directives, mfm)
 
     def rate(flags: np.ndarray) -> Optional[float]:
         return float(np.mean(flags)) if flags.size else None
@@ -368,10 +343,11 @@ def run_strategy(
         for name, members in groups.items()
         if members.any()
     }
-    costs = [
-        cloak_cost(ctx.test_full.row(int(i)), directives[int(i)], mfm) for i in pop
-    ]
-    avg_cost = float(np.mean(costs)) if costs else None
+    # a directive user's full row is never empty: it holds the explanation
+    degrees = ctx.test_full.degrees()[pop]
+    cloaked_degrees = cloak_matrix(ctx.test_full, directives, mfm).degrees()[pop]
+    costs = (degrees - cloaked_degrees) / degrees
+    avg_cost = float(np.mean(costs)) if len(pop) else None
 
     diagnostics = dict(ctx.diagnostics)
     diagnostics.update(
@@ -393,7 +369,7 @@ def run_strategy(
         strategy=strategy,
         fractions=tuple(float(f) for f in config.schedule),
         protection=protection,
-        thresholds=thresholds,
+        thresholds=ctx.thresholds,
         population_size=int(len(pop)),
         population_user_ids=tuple(ctx.test_reduced.user_ids[i] for i in pop),
         group_curves=group_curves,

@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._util import STREAM_RIDGE, ExperimentConfig, derive_seed
-from .cloak import STRATEGY_FG, STRATEGY_MF, apply_cloak, cloak_population
+from .cloak import STRATEGY_FG, STRATEGY_MF, cloak_matrix, cloak_population
 from .data import FootprintMatrix, LabelTable
 from .metafeatures import task_nmf_metafeatures
 from .models import (
+    decision_margins,
     fit_ridge,
     fit_task_classifier,
     pearson,
@@ -136,32 +137,29 @@ def run_spillover_experiment(
     for trn_idx, group in groups.values():
         ridges.update(fit_group(trn_idx, group))
 
+    # the test footprints uncloaked, FG-cloaked and MF-cloaked
+    states = (
+        test.matrix,
+        cloak_matrix(test.matrix, fg),
+        cloak_matrix(test.matrix, mf, mfm),
+    )
+
     def trait_row(trait: str) -> SpilloverRow:
         ridge = ridges[trait]
-        eval_idx = np.array(
-            [i for i in pop if not np.isnan(test.labels.values[trait][i])],
-            dtype=np.int64,
-        )
+        eval_idx = pop[~np.isnan(test.labels.values[trait][pop])]
         if len(eval_idx) < MIN_POPULATION:
             raise ValueError(
                 f"trait {trait!r}: only {len(eval_idx)} labeled users in population"
             )
         actual = test.labels.values[trait][eval_idx]
 
-        def r_with(directives: Optional[dict]) -> Optional[float]:
-            preds = np.empty(len(eval_idx))
-            for pos, i in enumerate(eval_idx):
-                row = test.matrix.row(int(i))
-                if directives is not None and int(i) in directives:
-                    row = apply_cloak(row, directives[int(i)], mfm)
-                valid = row[row < ridge.n_items]
-                preds[pos] = float(ridge.weights[valid].sum()) + ridge.intercept
+        def r_with(state: FootprintMatrix) -> Optional[float]:
             try:
-                return pearson(preds, actual)
+                return pearson(decision_margins(ridge, state)[eval_idx], actual)
             except ValueError:
                 return None
 
-        r = [r_with(directives) for directives in (None, fg, mf)]
+        r = [r_with(state) for state in states]
         if None in r:
             logger.warning("trait %r: pearson undefined for constant input", trait)
         return SpilloverRow(trait, int(len(eval_idx)), *r)

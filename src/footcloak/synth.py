@@ -82,8 +82,6 @@ class SynthConfig:
     popularity_exponent: float = 1.1
     mean_likes: int = 100
     seed: int = 0
-    binary_links: tuple[BinaryLink, ...] | None = None
-    continuous_links: tuple[ContinuousLink, ...] | None = None
 
     def __post_init__(self):
         # (field, whether it holds, the bound it must meet); every
@@ -105,20 +103,6 @@ class SynthConfig:
         for name, holds, bound in checks:
             if not holds:
                 raise ValueError(f"{name} must be {bound}")
-
-    def resolved_binary_links(self) -> tuple[BinaryLink, ...]:
-        return (
-            self.binary_links
-            if self.binary_links is not None
-            else default_binary_links(self.k_topics)
-        )
-
-    def resolved_continuous_links(self) -> tuple[ContinuousLink, ...]:
-        return (
-            self.continuous_links
-            if self.continuous_links is not None
-            else default_continuous_links(self.k_topics)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +185,12 @@ def generate(config: SynthConfig) -> SynthResult:
     matrix = from_rows(rows, m, user_ids, item_ids)
 
     values: dict[str, np.ndarray] = {}
-    for link in config.resolved_binary_links():
+    for link in default_binary_links(k):
         w = np.asarray(link.topic_weights)
-        if w.shape != (k,):
-            raise ValueError(f"{link.name}: topic weight vector must have length {k}")
         p = expit(aff @ w + link.intercept)
         values[link.name] = (rng.random(n) < p).astype(np.float64)
-    for link in config.resolved_continuous_links():
+    for link in default_continuous_links(k):
         w = np.asarray(link.topic_weights)
-        if w.shape != (k,):
-            raise ValueError(f"{link.name}: topic weight vector must have length {k}")
         raw = aff @ w + rng.normal(0.0, link.noise_sd, size=n)
         lo, hi = raw.min(), raw.max()
         if hi == lo:
@@ -266,6 +246,7 @@ def write_dataset(outdir, result: SynthResult) -> dict:
                 fh.write(f"{m.item_ids[j]},cat{t // 2}\n")
 
     gt = outdir / "ground_truth.json"
+    k = result.config.k_topics
     obj = {
         "config": {
             "n_users": result.config.n_users,
@@ -276,10 +257,8 @@ def write_dataset(outdir, result: SynthResult) -> dict:
             "mean_likes": result.config.mean_likes,
             "seed": result.config.seed,
         },
-        "binary_links": [asdict(l) for l in result.config.resolved_binary_links()],
-        "continuous_links": [
-            asdict(l) for l in result.config.resolved_continuous_links()
-        ],
+        "binary_links": [asdict(l) for l in default_binary_links(k)],
+        "continuous_links": [asdict(l) for l in default_continuous_links(k)],
         "item_topics": [int(t) for t in result.item_topics],
         "diagnostics": result.diagnostics,
     }

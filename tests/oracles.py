@@ -9,8 +9,9 @@ solve `footcloak.models` replaced: per fold, a CSR slice of the train rows
 and an eigendecomposition of their centered Gram matrix. The explanation
 oracle is the best-first SEDC search of Martens & Provost (2014), which
 `footcloak.explain.linear_explain` makes exact for linear models; the
-scoring oracle scores one active-item set. Differential tests check the
-fast paths against them.
+scoring oracle scores one active-item set, and the cost oracle counts one
+cloaked row's removed items. Differential tests check the fast paths
+against them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import numpy as np
 from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up
+from footcloak.cloak import CloakDirective, apply_cloak
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.explain import Explanation
+from footcloak.metafeatures import MetafeatureModel
 from footcloak.models import KIND_CLASSIFIER, KIND_REGRESSOR, LinearModel, pearson
 
 FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
@@ -282,6 +285,19 @@ def predict_score(model: LinearModel, row: np.ndarray) -> float:
     valid = row[row < model.n_items]
     margin = float(model.weights[valid].sum()) + model.intercept
     return float(expit(margin))
+
+
+def cloak_cost(
+    row: np.ndarray,
+    directive: CloakDirective,
+    mfm: Optional[MetafeatureModel] = None,
+) -> float:
+    """Share of the row's items the directive removes; 0 for an empty row."""
+    row = np.asarray(row, dtype=np.int64)
+    if row.size == 0:
+        return 0.0
+    remaining = apply_cloak(row, directive, mfm)
+    return (row.size - remaining.size) / row.size
 
 
 def _linear_removal_scorer(model: LinearModel, row: np.ndarray):

@@ -1,11 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from footcloak import cli, cloak, simulate
-from footcloak._util import canonical_json
+from footcloak._util import ExperimentConfig, canonical_json
 from footcloak.cli import main
+from footcloak.data import load_labels, load_triplets
+from footcloak.models import fit_task_classifier, predict_scores
 
 
 def _run(*args):
@@ -197,6 +200,39 @@ def test_cloak_domain_strategy(data, tmp_path, capsys):
     assert "domain-mapping" in err["message"]
 
 
+@pytest.fixture(scope="module")
+def low_test_user(data):
+    """The task_a test user scoring lowest at quantile 0.9: (id, score,
+    threshold)."""
+    matrix = load_triplets(data["footprints"])
+    labels = load_labels(data["labels"], matrix)
+    clf = fit_task_classifier("task_a", matrix, labels, ExperimentConfig(quantile=0.9))
+    scores = predict_scores(clf.model, clf.test.matrix)
+    i = int(np.argmin(scores))
+    return clf.test.matrix.user_ids[i], float(scores[i]), clf.threshold.value
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("explain", ()), ("cloak", ("--strategy", "fg-tol"))]
+)
+def test_user_below_threshold_error_names_user_and_threshold(
+    data, tmp_path, capsys, low_test_user, command, extra
+):
+    uid, score, threshold = low_test_user
+    assert score < threshold
+    rc = _run(
+        command, "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "task_a", "--quantile", 0.9, "--user", uid, *extra,
+        "--out", tmp_path / command,
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["message"] == (
+        f"user {uid!r} scores {score:.6f}, below the threshold {threshold:.6f}: "
+        "not predicted positive"
+    )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -209,7 +245,7 @@ def _simulate_args(data, out, *extra):
     )
 
 
-def test_simulate_jobs_do_not_change_files(data, tmp_path):
+def test_simulate_rerun_byte_identical(data, tmp_path):
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert _run(*_simulate_args(data, out1)) == 0
     assert _run(*_simulate_args(data, out2)) == 0

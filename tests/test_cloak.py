@@ -13,7 +13,7 @@ from footcloak.cloak import (
     STRATEGY_MF,
     CloakDirective,
     apply_cloak,
-    cloak_cost,
+    cloak_matrix,
     cloak_population,
     directives_to_dict,
 )
@@ -22,7 +22,8 @@ from footcloak.data import from_rows
 from footcloak.metafeatures import MetafeatureModel, assign_exclusive
 from footcloak.models import LinearModel, quantile_threshold
 
-from oracles import predict_score
+from conftest import random_footprints
+from oracles import cloak_cost, predict_score
 
 
 def _mfm(assignment, reserved=None, source="nmf"):
@@ -265,6 +266,50 @@ def test_apply_cloak_empty_row():
     d = _cloak(STRATEGY_FG, _ROW, _TH)
     out = apply_cloak(np.array([], dtype=np.int64), d)
     assert out.size == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(1, 12),
+    narrower=st.integers(0, 3),
+    density=st.floats(0.0, 0.8),
+)
+def test_cloak_matrix_matches_apply_cloak(seed, n_items, narrower, density):
+    # every row of cloak_matrix is apply_cloak's row, or the row itself
+    # when it has no directive; the mfm may cover fewer items than the
+    # matrix, and rows may be empty
+    rng = np.random.default_rng(seed)
+    m = random_footprints(rng, 10, n_items, density)
+    assignment = rng.integers(0, 4, max(1, n_items - narrower))
+    mfm = _mfm(assignment, reserved=int(assignment.max()))
+    directives = {}
+    for i in np.flatnonzero(rng.random(m.n_users) < 0.6):
+        strategy = rng.choice([STRATEGY_FG, STRATEGY_MF, STRATEGY_DOMAIN_MF])
+        feats = np.flatnonzero(rng.random(n_items + 2) < 0.3)
+        metas = set()
+        if strategy != STRATEGY_FG:
+            metas = set(np.flatnonzero(rng.random(mfm.k) < 0.4).tolist())
+        if strategy == STRATEGY_DOMAIN_MF:
+            metas.discard(mfm.reserved)
+        directives[int(i)] = CloakDirective(
+            m.user_ids[i], str(strategy), frozenset(feats.tolist()), frozenset(metas)
+        )
+    out = cloak_matrix(m, directives, mfm)
+    assert (out.n_items, out.user_ids, out.item_ids) == (
+        m.n_items, m.user_ids, m.item_ids
+    )
+    for i in range(m.n_users):
+        want = m.row(i)
+        if i in directives:
+            want = apply_cloak(want, directives[i], mfm)
+        np.testing.assert_array_equal(out.row(i), want)
+    # simulate.run_strategy's cost: the share of a nonempty row removed
+    degrees, cloaked_degrees = m.degrees(), out.degrees()
+    for i, d in directives.items():
+        if degrees[i]:
+            cost = (degrees[i] - cloaked_degrees[i]) / degrees[i]
+            assert cost == cloak_cost(m.row(i), d, mfm)
 
 
 # ---------------------------------------------------------------------------

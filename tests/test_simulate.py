@@ -36,7 +36,7 @@ from footcloak.simulate import (
 )
 
 from conftest import random_footprints
-from oracles import predict_score, readd
+from oracles import cloak_cost, predict_score, readd
 
 _CONFIG = ExperimentConfig(
     seed=4,
@@ -298,8 +298,8 @@ def test_closed_form_matches_readd_oracle(
             ctx.train_scores_reduced,
             ctx.config.tolerance_quantile,
         )
-        thresholds, protected = protection_flags(ctx, directives, mfm)
-        np.testing.assert_allclose(thresholds, oracle_th, rtol=1e-12, atol=0)
+        protected = protection_flags(ctx, directives, mfm)
+        np.testing.assert_allclose(ctx.thresholds, oracle_th, rtol=1e-12, atol=0)
         assert protected.shape == (len(schedule), len(directives))
         oracle = np.zeros(protected.shape, dtype=bool)
         tie = np.zeros(protected.shape, dtype=bool)
@@ -311,8 +311,13 @@ def test_closed_form_matches_readd_oracle(
                 oracle[k, u] = score < oracle_th[k]
                 tie[k, u] = abs(score - oracle_th[k]) < 1e-12
         np.testing.assert_array_equal(protected[~tie], oracle[~tie], err_msg=strategy)
-        curve, _ = run_strategy(ctx, strategy)
-        assert curve.thresholds == thresholds
+        curve, cost = run_strategy(ctx, strategy)
+        assert curve.thresholds == ctx.thresholds
+        costs = [
+            cloak_cost(ctx.test_full.row(i), directives[i], mfm)
+            for i in sorted(directives)
+        ]
+        assert cost == (float(np.mean(costs)) if costs else None)
         if not tie.any():
             expect = [float(np.mean(p)) if p.size else None for p in oracle]
             assert list(curve.protection) == expect
