@@ -1,9 +1,13 @@
 """Small shared helpers: deterministic rounding, the experiment config and
-its seed-stream table, and the one result-file writer."""
+its seed-stream table, the one result-file writer, and serial_blas for the
+iterative solvers."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -134,3 +138,68 @@ def write_results(outdir, files: dict[str, Any]) -> None:
             write_csv(outdir / name, *content)
         else:
             (outdir / name).write_text(canonical_json(content))
+
+
+# Names of the thread-count functions an OpenBLAS build exports, with "{}"
+# for get or set: scipy's wheel prefixes them scipy_, numpy's ILP64 wheel
+# also suffixes them 64_
+_OPENBLAS_THREAD_FUNCS = tuple(
+    f"{prefix}_{{}}_num_threads{suffix}"
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS loaded in
+    this process; () where there is none (another BLAS, or no /proc).
+
+    /proc/self/maps is read once, at the first call. Importing footcloak
+    loads numpy's and scipy's BLAS, so both are mapped by then.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted(
+                {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
+            )
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                get = getattr(lib, name.format("get"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_ = getattr(lib, name.format("set"))
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the block with every loaded OpenBLAS on one thread; on exit,
+    also when the block raises, each gets its previous thread count back.
+
+    For solver loops of many small BLAS calls (an L-BFGS-B fit, NMF
+    updates): there a second thread spins and syncs on every call, which
+    costs CPU time and gains no speed, and its split of a long sum makes
+    the result depend on the thread count. Does nothing where no OpenBLAS
+    is found. The thread count is process-wide, so no other thread of the
+    process should run BLAS work inside the block.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(controls, previous):
+            set_threads(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import STREAM_NMF, ExperimentConfig, derive_seed
+from ._util import STREAM_NMF, ExperimentConfig, derive_seed, serial_blas
 from .data import (
     FootprintMatrix,
     _first_seen,
@@ -82,7 +82,8 @@ def nmf_fit(
     from seeded uniform(0, 1). Iteration stops at max_iters or when the
     relative objective decrease falls below tol. Returns (W, H, objectives)
     where objectives[t] is the Frobenius objective after iteration t; the
-    sequence is non-increasing.
+    sequence is non-increasing. The updates run on one BLAS thread, so the
+    result does not depend on the thread count.
     """
     n, m = X.n_users, X.n_items
     if k < 1:
@@ -95,26 +96,27 @@ def nmf_fit(
     nnz = float(X.nnz)
     Xs = X.csr
 
-    # X H^T and H H^T of the current H serve both the objective and the
-    # next W update, so each iteration makes two sparse products
-    XHt = Xs @ H.T
-    HHt = H @ H.T
-    objectives = []
-    prev = None
-    for _ in range(max_iters):
-        # W <- W * (X H^T) / (W (H H^T))
-        W = W * (XHt / np.maximum(W @ HHt, _EPS))
-        # H <- H * (W^T X) / ((W^T W) H)
-        WtW = W.T @ W
-        H = H * ((Xs.T @ W).T / np.maximum(WtW @ H, _EPS))
-
+    with serial_blas():
+        # X H^T and H H^T of the current H serve both the objective and the
+        # next W update, so each iteration makes two sparse products
         XHt = Xs @ H.T
         HHt = H @ H.T
-        obj = _nmf_objective(nnz, W, XHt, WtW, HHt)
-        objectives.append(obj)
-        if prev is not None and prev > 0 and (prev - obj) / prev < tol:
-            break
-        prev = obj
+        objectives = []
+        prev = None
+        for _ in range(max_iters):
+            # W <- W * (X H^T) / (W (H H^T))
+            W = W * (XHt / np.maximum(W @ HHt, _EPS))
+            # H <- H * (W^T X) / ((W^T W) H)
+            WtW = W.T @ W
+            H = H * ((Xs.T @ W).T / np.maximum(WtW @ H, _EPS))
+
+            XHt = Xs @ H.T
+            HHt = H @ H.T
+            obj = _nmf_objective(nnz, W, XHt, WtW, HHt)
+            objectives.append(obj)
+            if prev is not None and prev > 0 and (prev - obj) / prev < tol:
+                break
+            prev = obj
     return W, H, np.array(objectives)
 
 

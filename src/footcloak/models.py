@@ -7,7 +7,11 @@ The classifier objective is
 with y in {-1, +1} and an unpenalized intercept, so C multiplies the data
 loss (larger C = weaker regularization). Value and gradient are computed
 with scipy CSR products; the convex minimization itself is delegated to
-L-BFGS-B from scipy.
+L-BFGS-B from scipy, which stops at a relative objective change below 1e-8
+(ftol) or a projected gradient below 1e-6 (gtol). The ftol stop usually
+comes first, so a fit's final gradient is not bounded by 1e-6. The fit
+runs on one BLAS thread (_util.serial_blas); the ridge factorizations run
+with the caller's BLAS threads.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from ._util import (
     STREAM_SPLIT,
     ExperimentConfig,
     derive_seed,
+    serial_blas,
 )
 from .data import FootprintMatrix, LabelTable, Partition, task_split
 
@@ -38,7 +43,8 @@ KIND_REGRESSOR = "continuous-regressor"
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the optimizer fails both stopping criteria.
+    """Raised when L-BFGS-B reports failure and the final gradient
+    infinity-norm is at least 1e-6.
 
     Carries the final gradient infinity-norm as .grad_norm.
     """
@@ -108,9 +114,13 @@ def train_logreg_l2(
 ) -> LinearModel:
     """Fit L2-regularized logistic regression on binary footprint rows.
 
-    Stops at relative objective change < 1e-8 or gradient infinity-norm
-    < 1e-6, whichever first; raises ConvergenceError (with the final
-    gradient norm) if neither is reached within max_iter iterations.
+    L-BFGS-B stops at the first of: relative objective change below 1e-8
+    (ftol), projected-gradient infinity-norm below 1e-6 (gtol), max_iter
+    iterations or 4 * max_iter evaluations. The ftol stop needs no small
+    gradient, so the result's gradient may be well above 1e-6. Raises
+    ConvergenceError (with the final gradient infinity-norm) only when
+    L-BFGS-B reports failure and that norm is at least 1e-6. Runs on one
+    BLAS thread, so the result does not depend on the thread count.
     """
     y01 = np.asarray(y01, dtype=np.float64)
     if y01.shape != (m.n_users,):
@@ -134,18 +144,19 @@ def train_logreg_l2(
         return value, np.concatenate((grad_w, [grad_b]))
 
     x0 = np.zeros(n_items + 1)
-    res = optimize.minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": max_iter,
-            "maxfun": max_iter * 4,
-            "ftol": 1e-8,
-            "gtol": 1e-6,
-        },
-    )
+    with serial_blas():
+        res = optimize.minimize(
+            fun,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={
+                "maxiter": max_iter,
+                "maxfun": max_iter * 4,
+                "ftol": 1e-8,
+                "gtol": 1e-6,
+            },
+        )
     grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else math.inf
     if not res.success and grad_norm >= 1e-6:
         raise ConvergenceError(
@@ -437,10 +448,34 @@ def _target_error(y: np.ndarray) -> str | None:
     return None
 
 
-def _fold_correlations(K, val, trn, Y, alphas, out) -> None:
+# A fold whose validation predictions spread by no more than roundoff is
+# skipped: they are constant in exact arithmetic, so their Pearson is noise
+# (+-1 on a 2-row fold) and could pick the alpha. The spread is taken
+# relative to the most the predictions can spread,
+# 2 max ||x - mu|| ||X_c||_F ||beta||, and compared with the roundoff of
+# solving (Kc + alpha*I) beta = y_c: eps times kappa = (||K|| + alpha) /
+# alpha, which bounds the condition number (||K||_inf >= ||K||_2 stands in
+# for ||K||), times ROUNDOFF_C * sqrt(n), the growth of rounding errors that
+# act as independent random variables over n rows (Higham & Mary 2019).
+# The worst-case n * eps * kappa would drop real folds at small alpha on
+# 8000-user data.
+ROUNDOFF_C = 4
+
+
+def _inf_norm(K: np.ndarray) -> float:
+    """max_i sum_j |K_ij|, a block of rows at a time."""
+    rows = range(0, len(K), _GRAM_ROWS)
+    return max(
+        (float(np.abs(K[r : r + _GRAM_ROWS]).sum(axis=1).max()) for r in rows),
+        default=0.0,
+    )
+
+
+def _fold_correlations(K, k_norm, val, trn, Y, alphas, out) -> None:
     """One fold's validation Pearson per (alpha, target column), into out;
-    a column whose training targets are constant or whose Pearson is
-    undefined is left as it is.
+    a column whose training targets are constant, whose validation
+    predictions spread only by roundoff, or whose Pearson is undefined is
+    left as it is. k_norm is ||K||_inf.
 
     The train rows' centered Gram matrix Kc and the validation rows'
     centered cross-products are slices of K. Per alpha, Kc + alpha*I is
@@ -457,15 +492,26 @@ def _fold_correlations(K, val, trn, Y, alphas, out) -> None:
     pp = float(p_trn.mean())
     _centered(Kc, p_trn, p_trn, pp)
     K_val = K[np.ix_(val, trn)]
-    _centered(K_val, K_val.mean(axis=1), p_trn, pp)
+    p_val = K_val.mean(axis=1)
+    _centered(K_val, p_val, p_trn, pp)
+    # 2 max ||x - mu|| over the validation rows times ||X_c||_F; the
+    # squares are the diagonals of the centered Gram matrices
+    val_sq = float(np.max(np.diagonal(K)[val] - 2.0 * p_val + pp))
+    reach = 2.0 * math.sqrt(max(val_sq, 0.0) * max(float(np.trace(Kc)), 0.0))
     ybar = Y_trn[:, cols].mean(axis=0)
     Yc = Y_trn[:, cols] - ybar
+    roundoff = ROUNDOFF_C * math.sqrt(len(K)) * np.finfo(float).eps
     A = np.empty_like(Kc)
     for a, alpha in enumerate(alphas):
         np.copyto(A, Kc)
         B = linalg.cho_solve(_cho_factor(A, alpha), Yc, check_finite=False)
         preds = K_val @ B + ybar
+        floor = roundoff * (k_norm + alpha) / alpha
+        noise = np.ptp(preds, axis=0) <= floor * reach * np.linalg.norm(B, axis=0)
         for j, c in enumerate(cols):
+            if noise[j]:
+                logger.debug("fit_ridge: fold skipped (predictions spread by roundoff)")
+                continue
             try:
                 out[a, c] = pearson(preds[:, j], Y[val, c])
             except ValueError:
@@ -479,9 +525,10 @@ def fit_ridge(
     column of Y, each column's alpha by CV Pearson.
 
     The intercept is unpenalized (data and targets are centered). Ties in
-    mean validation correlation go to the smallest alpha. A column that is
-    constant, holds NaN or has no usable fold raises ValueError; the first
-    such column raises first.
+    mean validation correlation go to the smallest alpha. A fold whose
+    validation predictions spread only by roundoff is not used. A column
+    that is constant, holds NaN or has no usable fold raises ValueError;
+    the first such column raises first.
 
     The fit is in dual form on the centered Gram matrix: one Cholesky
     factorization of Kc + alpha*I per (fold, alpha) serves every column,
@@ -506,8 +553,9 @@ def fit_ridge(
     # raises at the first of them, so the columns before it keep their index
     Y_fit = Y[:, [e is None for e in errors]]
     corrs = np.full((len(alphas), len(basis.folds), Y_fit.shape[1]), np.nan)
+    k_norm = _inf_norm(basis.K)
     for f, (val, trn) in enumerate(basis.folds):
-        _fold_correlations(basis.K, val, trn, Y_fit, alphas, corrs[:, f])
+        _fold_correlations(basis.K, k_norm, val, trn, Y_fit, alphas, corrs[:, f])
     used = ~np.isnan(corrs)
     n_used = used.sum(axis=1)
     means = np.where(used, corrs, 0.0).sum(axis=1) / np.maximum(n_used, 1)

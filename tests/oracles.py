@@ -30,7 +30,13 @@ from footcloak.cloak import CloakDirective, apply_cloak
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.explain import Explanation
 from footcloak.metafeatures import MetafeatureModel
-from footcloak.models import KIND_CLASSIFIER, KIND_REGRESSOR, LinearModel, pearson
+from footcloak.models import (
+    KIND_CLASSIFIER,
+    KIND_REGRESSOR,
+    ROUNDOFF_C,
+    LinearModel,
+    pearson,
+)
 
 FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
 LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
@@ -201,15 +207,17 @@ def ridge_solve(Xs, y, alpha, mu, lam, Q):
 
 
 def ridge_cv(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
-    """CV of ridge with every fold decomposed by eigh.
+    """CV of ridge with every fold decomposed by eigh: per alpha with a
+    usable fold, the mean validation Pearson.
 
-    Returns (means, spreads): per alpha with a usable fold, the mean
-    validation Pearson; per alpha, the smallest relative spread of the
-    validation predictions over the folds whose Pearson could be defined
-    (training and validation targets not constant). The relative spread is
-    ptp(preds) over the most the predictions can spread, which is
-    2 max ||x - mu|| ||X_c||_F ||beta||; near roundoff, Pearson is noise.
+    A fold is not used where the validation predictions spread only by
+    roundoff: ptp(preds) over the most they can spread,
+    2 max ||x - mu|| ||X_c||_F ||beta||, at most
+    ROUNDOFF_C * sqrt(n) * eps * (||K||_inf + alpha) / alpha, with
+    K = X X^T of all n rows.
     """
+    X = m.csr.toarray()
+    k_norm = np.abs(X @ X.T).sum(axis=1).max()
     fold_idx = np.array_split(np.random.default_rng(seed).permutation(m.n_users), folds)
     fold_cache = []
     for f in range(folds):
@@ -217,31 +225,31 @@ def ridge_cv(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
         trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
         Xs_trn = m.csr[trn]
         fold_cache.append((trn, val, Xs_trn, *centered_gram(Xs_trn)))
-    means, spreads = {}, {}
+    roundoff = ROUNDOFF_C * np.sqrt(m.n_users) * np.finfo(float).eps
+    means = {}
     for alpha in sorted(float(a) for a in alpha_grid):
+        floor = roundoff * (k_norm + alpha) / alpha
         corrs = []
         for trn, val, Xs_trn, mu, lam, Q in fold_cache:
             if np.ptp(y[trn]) == 0.0:
                 continue
             w, b, beta = ridge_solve(Xs_trn, y[trn], alpha, mu, lam, Q)
-            X_val = m.select_users(val).csr
-            preds = X_val @ w + b
-            if len(val) > 1 and np.ptp(y[val]) > 0.0:
-                scale = (
-                    2.0
-                    * np.linalg.norm(X_val.toarray() - mu, axis=1).max()
-                    * np.linalg.norm(Xs_trn.toarray() - mu)
-                    * np.linalg.norm(beta)
-                )
-                spread = np.ptp(preds) / scale if scale > 0.0 else 0.0
-                spreads[alpha] = min(spreads.get(alpha, np.inf), spread)
+            preds = m.select_users(val).csr @ w + b
+            reach = (
+                2.0
+                * np.linalg.norm(X[val] - mu, axis=1).max()
+                * np.linalg.norm(Xs_trn.toarray() - mu)
+                * np.linalg.norm(beta)
+            )
+            if np.ptp(preds) <= floor * reach:
+                continue
             try:
                 corrs.append(pearson(preds, y[val]))
             except ValueError:
                 continue
         if corrs:
             means[alpha] = float(np.mean(corrs))
-    return means, spreads
+    return means
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +274,7 @@ def train_ridge(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0) -> RidgeFi
         raise ValueError("constant target; correlation objective undefined")
     if any(float(a) <= 0 for a in alpha_grid):
         raise ValueError("alpha must be positive")
-    means, _ = ridge_cv(m, y, alpha_grid, folds, seed)
+    means = ridge_cv(m, y, alpha_grid, folds, seed)
     best_alpha, best_mean = None, -np.inf
     for alpha, mean in means.items():  # ascending, so ties go to the smallest
         if mean > best_mean:
