@@ -156,7 +156,9 @@ def _openblas_thread_controls() -> tuple:
     this process; () where there is none (another BLAS, or no /proc).
 
     /proc/self/maps is read once, at the first call. Importing footcloak
-    loads numpy's and scipy's BLAS, so both are mapped by then.
+    maps both: numpy maps its own OpenBLAS, and scipy.special, which
+    several footcloak modules import, maps scipy's. scipy.optimize, which
+    is imported only when a model is fitted, maps no further one.
     """
     try:
         with open("/proc/self/maps") as fh:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 from scipy.special import expit
 
 from ._util import (
@@ -101,7 +101,7 @@ def logreg_value_and_grad(
     loss = np.logaddexp(0.0, -z).sum()
     value = 0.5 * float(w @ w) + C * float(loss)
     coef = C * (-y_signed * expit(-z))
-    grad_w = w + m.csr.T @ coef
+    grad_w = w + m.csr_t @ coef
     grad_b = float(coef.sum())
     return value, grad_w, grad_b
 
@@ -134,6 +134,9 @@ def train_logreg_l2(
         raise ValueError("labels must be 0/1")
     if C <= 0:
         raise ValueError("C must be positive")
+
+    # imported here, so that commands which fit nothing never load it
+    from scipy import optimize
 
     n_items = m.n_items
 

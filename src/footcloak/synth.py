@@ -6,6 +6,12 @@ within each topic by a Zipf popularity law, without replacement. Binary
 task labels come from a logistic link on the topic mixture; continuous
 traits come from a linear link plus Gaussian noise, rescaled to a 1-5
 range. The planted structure is emitted as a ground-truth sidecar.
+
+The within-topic draw replays numpy's `Generator.choice` without
+replacement, taking the same uniforms from the same stream, without its
+per-call checks and CDF rebuilds. A test pins the replay to numpy's own
+`choice`, so a numpy release that changes `choice` fails that test rather
+than silently changing the datasets.
 """
 
 from __future__ import annotations
@@ -120,19 +126,132 @@ def _topic_blocks(n_items: int, k: int) -> list[np.ndarray]:
     return [np.arange(bounds[t], bounds[t + 1], dtype=np.int64) for t in range(k)]
 
 
+def _topic_counts(rng, likes: int, mixture: np.ndarray, sizes: np.ndarray):
+    """Split a user's likes across topics by a multinomial draw.
+
+    A split with more draws than a topic's inventory is redrawn, up to 20
+    times; then the overflow is shifted to topics with spare room. Returns
+    the counts, the number of redraws and whether a shift was needed.
+    """
+    counts = rng.multinomial(likes, mixture)
+    tries = 0
+    while np.any(counts > sizes) and tries < 20:
+        counts = rng.multinomial(likes, mixture)
+        tries += 1
+    shifted = bool(np.any(counts > sizes))
+    if shifted:
+        # push the remaining overflow into topics with spare room
+        counts = np.minimum(counts, sizes)
+        deficit = likes - int(counts.sum())
+        for t in range(len(sizes)):
+            room = int(sizes[t] - counts[t])
+            take = min(room, deficit)
+            counts[t] += take
+            deficit -= take
+            if deficit == 0:
+                break
+    return counts, tries, shifted
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice searches, normalized as it does."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choice_error(p: np.ndarray) -> str | None:
+    """The message of the ValueError Generator.choice raises for weights p
+    at any sample size, or None. p is never negative here, so its
+    non-negativity check cannot fail."""
+    total = p.sum()
+    if np.isnan(total):
+        return "Probabilities contain NaN"
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        return (
+            "Probabilities do not sum to 1. See Notes section of docstring "
+            "for more information."
+        )
+    return None
+
+
+def _sample_rows(rng, blocks, zipf, aff, like_counts):
+    """Each user's ascending item indices, with the resample and overflow
+    counts.
+
+    Per user, the topic counts come from _topic_counts, and then each
+    topic t with c > 0 draws as
+    `rng.choice(blocks[t], size=c, replace=False, p=zipf[t])` would:
+    c uniforms are searched in the normalized CDF of the weights; draws
+    repeated within a round are dropped, keeping first occurrences; each
+    further round draws as many uniforms as are still missing, from the
+    CDF of the weights with the found items zeroed. The replay takes the
+    same uniforms from the same stream, so every seed gives the rows that
+    loop gives, and it raises choice's ValueErrors for degenerate weights.
+    Unlike that loop, it builds each topic's first-round CDF once, and it
+    takes a user's uniforms from one `rng.random` call, topped up only
+    when a round needs more (`random(a)` then `random(b)` gives the
+    doubles of `random(a + b)`).
+    """
+    sizes = np.array([len(b) for b in blocks])
+    starts = [int(b[0]) for b in blocks]
+    errors = [_choice_error(p) for p in zipf]
+    first_cdfs = [_cdf(p) if e is None else None for p, e in zip(zipf, errors)]
+    nonzero = [int(np.count_nonzero(p > 0)) for p in zipf]
+    resamples = 0
+    overflow_shifts = 0
+    rows = []
+    for i, likes in enumerate(like_counts.tolist()):
+        counts, tries, shifted = _topic_counts(rng, likes, aff[i], sizes)
+        resamples += tries
+        overflow_shifts += shifted
+        uniforms = rng.random(likes)
+        pos = 0
+        items: list[int] = []
+        for t, c in enumerate(counts.tolist()):
+            if c == 0:
+                continue
+            if errors[t] is not None:
+                raise ValueError(errors[t])
+            if nonzero[t] < c:
+                raise ValueError("Fewer non-zero entries in p than size")
+            cdf = first_cdfs[t]
+            found: list[int] = []
+            while True:
+                need = c - len(found)
+                if pos + need > len(uniforms):
+                    more = rng.random(pos + need - len(uniforms))
+                    uniforms = np.concatenate((uniforms[pos:], more))
+                    pos = 0
+                new = cdf.searchsorted(uniforms[pos : pos + need], side="right")
+                pos += need
+                found = list(dict.fromkeys(found + new.tolist()))
+                if len(found) == c:
+                    break
+                p = zipf[t].copy()
+                p[found] = 0.0
+                cdf = _cdf(p)
+            start = starts[t]
+            items.extend([start + j for j in sorted(found)])
+        rows.append(np.array(items, dtype=np.int64))
+    return rows, resamples, overflow_shifts
+
+
 def generate(config: SynthConfig) -> SynthResult:
     """Generate a footprint matrix with planted topics and linked labels.
 
     Deterministic given config.seed. Infeasible per-user topic splits
     (more draws than a topic's inventory) are resampled, then overflow is
     shifted to topics with spare capacity; both paths are counted in the
-    diagnostics.
+    diagnostics. Items within a topic are drawn by _sample_rows, which
+    replays `Generator.choice` without replacement; the oracle test pins
+    it to numpy's own `choice`, so a numpy release that changes `choice`
+    fails that test instead of silently changing the datasets.
     """
     n, m, k = config.n_users, config.n_items, config.k_topics
     rng = np.random.default_rng(config.seed)
 
     blocks = _topic_blocks(m, k)
-    sizes = np.array([len(b) for b in blocks])
     item_topics = np.concatenate(
         [np.full(len(b), t, dtype=np.int64) for t, b in enumerate(blocks)]
     )
@@ -146,37 +265,9 @@ def generate(config: SynthConfig) -> SynthResult:
     aff = rng.dirichlet(np.full(k, config.dirichlet_alpha), size=n)
     like_counts = np.minimum(rng.poisson(config.mean_likes, size=n), m)
 
-    resamples = 0
-    overflow_shifts = 0
-    rows = []
-    for i in range(n):
-        L = int(like_counts[i])
-        counts = rng.multinomial(L, aff[i])
-        tries = 0
-        while np.any(counts > sizes) and tries < 20:
-            counts = rng.multinomial(L, aff[i])
-            tries += 1
-            resamples += 1
-        if np.any(counts > sizes):
-            # push the remaining overflow into topics with spare room
-            overflow_shifts += 1
-            counts = np.minimum(counts, sizes)
-            deficit = L - int(counts.sum())
-            for t in range(k):
-                room = int(sizes[t] - counts[t])
-                take = min(room, deficit)
-                counts[t] += take
-                deficit -= take
-                if deficit == 0:
-                    break
-        parts = []
-        for t in range(k):
-            c = int(counts[t])
-            if c == 0:
-                continue
-            parts.append(rng.choice(blocks[t], size=c, replace=False, p=zipf[t]))
-        row = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        rows.append(row)
+    rows, resamples, overflow_shifts = _sample_rows(
+        rng, blocks, zipf, aff, like_counts
+    )
     if resamples:
         logger.debug("generate: %d infeasible topic splits resampled", resamples)
 
@@ -213,26 +304,29 @@ def write_dataset(outdir, result: SynthResult) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     m = result.matrix
 
+    # one write per user and one per task, each a join of its lines
     fp = outdir / "footprints.csv"
+    item_id = m.item_ids.__getitem__
     with fp.open("w") as fh:
         fh.write("user_id,item_id\n")
-        for i in range(m.n_users):
-            uid = m.user_ids[i]
-            for j in m.row(i):
-                fh.write(f"{uid},{m.item_ids[j]}\n")
+        for i, uid in enumerate(m.user_ids):
+            row = m.row(i).tolist()
+            if row:
+                sep = f"\n{uid},"
+                fh.write(f"{uid},{sep.join(map(item_id, row))}\n")
 
     lp = outdir / "labels.csv"
     with lp.open("w") as fh:
         fh.write("user_id,task_name,value\n")
         for task in result.labels.task_names:
-            vals = result.labels.values[task]
+            vals = result.labels.values[task].tolist()
             binary = result.labels.is_binary(task)
-            for i in range(m.n_users):
-                v = vals[i]
-                if np.isnan(v):
-                    continue
-                text = f"{int(v)}" if binary else f"{v:.6f}"
-                fh.write(f"{m.user_ids[i]},{task},{text}\n")
+            lines = [
+                f"{uid},{task},{int(v) if binary else format(v, '.6f')}\n"
+                for uid, v in zip(m.user_ids, vals)
+                if not math.isnan(v)
+            ]
+            fh.write("".join(lines))
 
     # broader editorial groups: pairs of adjacent topics, with a small
     # deterministic tail of items left unmapped to exercise 'uncategorized'

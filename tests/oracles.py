@@ -11,7 +11,8 @@ oracle is the best-first SEDC search of Martens & Provost (2014), which
 `footcloak.explain.linear_explain` makes exact for linear models; the
 scoring oracle scores one active-item set, and the cost oracle counts one
 cloaked row's removed items. Differential tests check the fast paths
-against them.
+against them. The synthetic-data oracles are the generator's loop of one
+`rng.choice` per (user, topic) and its line-by-line dataset writer.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from footcloak.models import (
     LinearModel,
     pearson,
 )
+from footcloak.synth import _topic_counts
 
 FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
 LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
@@ -393,3 +395,51 @@ def sedc_explain(
             visited.add(child)
             heapq.heappush(heap, (score_of(child), child))
     return None
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+
+
+def sample_rows(rng, blocks, zipf, aff, like_counts):
+    """footcloak.synth._sample_rows with one numpy `rng.choice` per
+    (user, topic)."""
+    sizes = np.array([len(b) for b in blocks])
+    rows, resamples, overflow_shifts = [], 0, 0
+    for i in range(len(like_counts)):
+        counts, tries, shifted = _topic_counts(rng, int(like_counts[i]), aff[i], sizes)
+        resamples += tries
+        overflow_shifts += shifted
+        parts = [
+            rng.choice(blocks[t], size=c, replace=False, p=zipf[t])
+            for t, c in enumerate(counts.tolist())
+            if c
+        ]
+        row = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        rows.append(row)
+    return rows, resamples, overflow_shifts
+
+
+def write_footprints_and_labels(outdir, result):
+    """footprints.csv and labels.csv as footcloak.synth.write_dataset
+    writes them, one write per line."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    m = result.matrix
+    with (outdir / "footprints.csv").open("w") as fh:
+        fh.write("user_id,item_id\n")
+        for i in range(m.n_users):
+            uid = m.user_ids[i]
+            for j in m.row(i):
+                fh.write(f"{uid},{m.item_ids[j]}\n")
+    with (outdir / "labels.csv").open("w") as fh:
+        fh.write("user_id,task_name,value\n")
+        for task in result.labels.task_names:
+            vals = result.labels.values[task]
+            binary = result.labels.is_binary(task)
+            for i in range(m.n_users):
+                v = vals[i]
+                if np.isnan(v):
+                    continue
+                text = f"{int(v)}" if binary else f"{v:.6f}"
+                fh.write(f"{m.user_ids[i]},{task},{text}\n")

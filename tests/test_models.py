@@ -363,6 +363,26 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_start_up_leaves_out_scipy_optimize(tmp_path):
+    # L-BFGS-B is imported by the first fit: importing the CLI and running
+    # synth, which fits nothing, never load it
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["synth", "--users", "20", "--items", "30", "--topics", "3",
+            "--mean-likes", "5", "--out", str(tmp_path / "data")]
+    code = (
+        "import sys, footcloak.cli\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        f"assert footcloak.cli.main({argv!r}) == 0\n"
+        "print(before, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False False"
+
+
 def test_pearson_frozen_example():
     r = pearson(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0]))
     assert r == pytest.approx(9.0 / math.sqrt(84.0), abs=1e-15)

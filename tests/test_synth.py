@@ -1,9 +1,16 @@
+import dataclasses
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from footcloak.data import load_labels, load_triplets, split_train_test
+import oracles
+from footcloak import cli, synth
+from footcloak.data import LabelTable, load_labels, load_triplets, split_train_test
 from footcloak.models import auc, predict_scores, train_logreg_l2
 from footcloak.synth import (
     SynthConfig,
@@ -141,3 +148,121 @@ def test_write_dataset_roundtrip(tmp_path, small_synth):
     # roughly 98% of items are mapped
     assert 0.9 <= (len(cats) - 1) / res.matrix.n_items <= 1.0
     assert set(paths) >= {"footprints", "labels", "domain_categories", "ground_truth"}
+
+
+# ---------------------------------------------------------------------------
+# the rng.choice replay and the joined writer against their oracles
+
+
+def _outcome(cfg):
+    """Everything generate returns, or the error it raises."""
+    with warnings.catch_warnings():
+        # extreme exponents overflow the Zipf weights on purpose
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            res = generate(cfg)
+        except ValueError as exc:
+            return ("raises", type(exc), str(exc))
+    m = res.matrix
+    return (
+        m.indptr.tolist(),
+        m.indices.tolist(),
+        {t: v.tobytes() for t, v in res.labels.values.items()},
+        res.affinities.tobytes(),
+        res.diagnostics,
+    )
+
+
+def _oracle_outcome(cfg):
+    with mock.patch.object(synth, "_sample_rows", oracles.sample_rows):
+        return _outcome(cfg)
+
+
+@st.composite
+def synth_configs(draw):
+    k = draw(st.integers(1, 5))
+    n_items = draw(st.integers(k, 40))
+    return SynthConfig(
+        n_users=draw(st.integers(2, 30)),
+        n_items=n_items,
+        k_topics=k,
+        dirichlet_alpha=draw(st.sampled_from([0.05, 0.3, 1.0, 5.0])),
+        popularity_exponent=draw(
+            st.floats(-500.0, 500.0, allow_nan=False) | st.sampled_from([0.0, 1.1])
+        ),
+        mean_likes=draw(st.integers(0, n_items)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+_ZIPF_UNDERFLOW = SynthConfig(
+    n_users=50, n_items=200, k_topics=4, mean_likes=30, popularity_exponent=400
+)
+
+
+# a wrong replay can loop forever on extreme weights: stop at the first
+# mismatch rather than search on for others
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(cfg=synth_configs())
+# tiny inventories: the resample and overflow-shift paths
+@example(SynthConfig(n_users=40, n_items=12, k_topics=6, mean_likes=10, seed=5))
+# the Zipf weights underflow to zeros: fewer non-zero weights than draws
+@example(_ZIPF_UNDERFLOW)
+# they overflow: NaN weights
+@example(dataclasses.replace(_ZIPF_UNDERFLOW, popularity_exponent=-400))
+# their sum overflows, not one of them: every weight is 0
+@example(SynthConfig(n_users=5, n_items=5000, k_topics=1, popularity_exponent=-83))
+def test_generate_matches_choice_oracle(cfg):
+    assert _outcome(cfg) == _oracle_outcome(cfg)
+
+
+def test_generate_matches_choice_oracle_default_size():
+    cfg = SynthConfig(seed=0)
+    assert _outcome(cfg) == _oracle_outcome(cfg)
+
+
+@pytest.mark.parametrize(
+    "exponent, message",
+    [
+        (400, "Fewer non-zero entries in p than size"),
+        (-400, "Probabilities contain NaN"),
+    ],
+)
+def test_degenerate_weights_raise_like_choice(exponent, message, tmp_path, capsys):
+    cfg = dataclasses.replace(_ZIPF_UNDERFLOW, popularity_exponent=exponent)
+    assert _outcome(cfg) == ("raises", ValueError, message)
+    # the weights are checked only where a topic is drawn from
+    assert _outcome(dataclasses.replace(cfg, mean_likes=0))[4] == {
+        "resamples": 0,
+        "overflow_shifts": 0,
+    }
+    rc = cli.main([
+        "synth", "--users", "50", "--items", "200", "--topics", "4",
+        "--mean-likes", "30", f"--popularity-exponent={exponent}",
+        "--out", str(tmp_path / "data"),
+    ])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
+
+
+def _written(outdir, writer, result):
+    writer(outdir, result)
+    return [(outdir / name).read_bytes() for name in ("footprints.csv", "labels.csv")]
+
+
+def test_write_dataset_matches_line_writer(tmp_path, small_synth):
+    res = small_synth
+    # missing labels are skipped; a task with every label missing is kept
+    rng = np.random.default_rng(0)
+    values = {}
+    for task, vals in res.labels.values.items():
+        vals = vals.copy()
+        vals[rng.random(vals.size) < 0.3] = np.nan
+        values[task] = vals
+    values["none_observed"] = np.full(res.matrix.n_users, np.nan)
+    holed = dataclasses.replace(res, labels=LabelTable(values, res.matrix.n_users))
+    for i, result in enumerate((res, holed)):
+        got = _written(tmp_path / f"new{i}", write_dataset, result)
+        oracle = oracles.write_footprints_and_labels
+        assert got == _written(tmp_path / f"old{i}", oracle, result)

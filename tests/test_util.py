@@ -3,10 +3,15 @@ gets its thread count back, and the solvers' results stop depending on the
 thread count around them."""
 
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import footcloak
 from footcloak import models
 from footcloak._util import _openblas_thread_controls, serial_blas
 from footcloak.metafeatures import nmf_fit
@@ -103,3 +108,25 @@ def test_nmf_fit_does_not_depend_on_blas_threads():
             fits.append(nmf_fit(m, 50, max_iters=3, seed=1))
     for one, two in zip(*fits):
         assert np.array_equal(one, two)
+
+
+def test_lookup_after_import_finds_every_blas():
+    # scipy.optimize is imported lazily, so the lookup can run first; it
+    # must find then what it finds with every scipy solver loaded
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import footcloak, footcloak._util as u\n"
+        "names = lambda: [g.__name__ for g, _ in u._openblas_thread_controls()]\n"
+        "first = names()\n"
+        "import scipy.optimize, scipy.linalg\n"
+        "u._openblas_thread_controls.cache_clear()\n"
+        "print(first, names(), sep='\\n')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    first, after = out.stdout.splitlines()
+    assert first == after
+    assert first == str([g.__name__ for g, _ in CONTROLS])
