@@ -16,7 +16,6 @@ from .cloak import (
     STRATEGY_FG_TOL,
     STRATEGY_MF,
     CloakDirective,
-    apply_cloak,
     cloak_matrix,
     cloak_population,
 )

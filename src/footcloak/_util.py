@@ -8,6 +8,7 @@ import contextlib
 import csv
 import ctypes
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -110,34 +111,37 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as a CSV result file with newline line ends.
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header and rows as CSV text with newline line ends.
 
     Fields holding `,`, `"` or a line break are quoted, None is written as
     an empty field, and floats as their repr, so plain values keep the bytes
     of a naive comma join.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_results(outdir, files: dict[str, Any]) -> None:
     """Write a command's result files into outdir, creating it if needed.
 
     files maps a file name to its content: a name ending in `.csv` takes
-    (header, rows) and is written by write_csv; any other name takes a JSON
-    object and is written by canonical_json. Each JSON text is built before
-    its file is opened, so an object that is not strict JSON writes no file.
+    (header, rows), written as CSV; any other name takes a JSON object,
+    written by canonical_json. Files are written in the order given, and
+    every text is built before outdir is made, so content that is not
+    strict JSON writes no file at all.
     """
+    texts = {
+        name: _csv_text(*content) if name.endswith(".csv") else canonical_json(content)
+        for name, content in files.items()
+    }
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        if name.endswith(".csv"):
-            write_csv(outdir / name, *content)
-        else:
-            (outdir / name).write_text(canonical_json(content))
+    for name, text in texts.items():
+        (outdir / name).write_text(text, newline="")
 
 
 # Names of the thread-count functions an OpenBLAS build exports, with "{}"

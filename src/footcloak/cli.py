@@ -1,11 +1,13 @@
 """Command-line entry points: synth, train, explain, cloak, simulate,
 spillover, report.
 
-Every run writes a manifest.json recording the command, library version,
-seed, resolved config and its hash. Reruns from the same manifest write
-byte-identical result files: nothing time- or order-dependent is
-serialized. Config files are plain key=value lines (or a previously
-written manifest.json); explicit flags win over config entries.
+Every successful run writes a manifest.json recording the command, library
+version, seed, resolved config and its hash; a run that fails writes no
+file. Reruns from the same manifest write byte-identical result files:
+nothing time- or order-dependent is serialized. A command's config keys
+are its flags less --out and --config. Config files are plain key=value
+lines or a previously written manifest.json; explicit flags win over
+config entries.
 """
 
 from __future__ import annotations
@@ -62,80 +64,36 @@ _STRATEGY_BY_FLAG = {
     "fg-tol": STRATEGY_FG_TOL,
 }
 
-# config key -> the config dataclass field it sets
-_SYNTH_KEYS = {
-    "seed": "seed",
+# a config key sets the SynthConfig or ExperimentConfig field of its own
+# name, or the field named here
+_KEY_FIELD = {
     "users": "n_users",
     "items": "n_items",
     "topics": "k_topics",
-    "dirichlet_alpha": "dirichlet_alpha",
-    "popularity_exponent": "popularity_exponent",
-    "mean_likes": "mean_likes",
-}
-_EXPERIMENT_KEYS = {
-    "seed": "seed",
-    "quantile": "quantile",
-    "tolerance_quantile": "tolerance_quantile",
-    "train_frac": "train_frac",
-    "folds": "folds",
-    "min_user": "min_user",
-    "min_item": "min_item",
     "k": "k_metafeatures",
-    "schedule": "schedule",
-    "drop_fraction": "drop_fraction",
-    "nmf_max_iters": "nmf_max_iters",
-    "nmf_tol": "nmf_tol",
 }
-
-
-def _field_defaults(config, keys: dict) -> dict:
-    return {key: getattr(config, field) for key, field in keys.items()}
-
-
-# defaults per command, read from the config dataclasses; config files and
-# flags override these. schedule is held as the text the flag takes.
-_DEFAULTS_COMMON = dict(
-    _field_defaults(ExperimentConfig(), _EXPERIMENT_KEYS),
-    schedule=",".join(str(f) for f in ExperimentConfig().schedule),
-    footprints=None,
-    labels=None,
-)
-_DEFAULTS = {
-    "synth": _field_defaults(SynthConfig(), _SYNTH_KEYS),
-    "train": dict(_DEFAULTS_COMMON, task=None),
-    "explain": dict(_DEFAULTS_COMMON, task=None, user=None),
-    "cloak": dict(
-        _DEFAULTS_COMMON, task=None, strategy="fg", user=None, domain_mapping=None
-    ),
-    "simulate": dict(_DEFAULTS_COMMON, task=None, strategy="fg", domain_mapping=None),
-    "spillover": dict(
-        _DEFAULTS_COMMON, task=None, traits=None, population=POPULATION_CLOAKED
-    ),
-    "report": dict(_DEFAULTS_COMMON, tasks=None, strategies="fg,mf", domain_mapping=None),
+# defaults of the config keys no dataclass field gives; schedule is held
+# as the text the flag takes
+_PLAIN_DEFAULTS = {
+    "strategy": "fg",
+    "strategies": "fg,mf",
+    "population": POPULATION_CLOAKED,
+    "schedule": ",".join(str(f) for f in ExperimentConfig().schedule),
 }
-
-
-def _coerce(raw: str, default):
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
 
 
 def _read_config_file(path: str, command: str) -> dict:
     """Read key=value lines, or the config block of a manifest.json."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         obj = json.loads(text)
-        if "config" in obj:
-            if obj.get("command") not in (None, command):
-                raise ValueError(
-                    f"manifest was written by '{obj.get('command')}', not '{command}'"
-                )
-            return dict(obj["config"])
-        return obj
+        if "command" not in obj or "config" not in obj:
+            raise ValueError(f"config file {path} is JSON but not a manifest.json")
+        if obj["command"] != command:
+            raise ValueError(
+                f"manifest was written by '{obj['command']}', not '{command}'"
+            )
+        return dict(obj["config"])
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -158,9 +116,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         for key, val in file_cfg.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {command}")
-            cfg[key] = _coerce(val, cfg[key]) if isinstance(val, str) else val
+            # a value read as text takes its default's type
+            if isinstance(val, str) and cfg[key] is not None:
+                val = type(cfg[key])(val)
+            cfg[key] = val
     for key in cfg:
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             cfg[key] = flag_val
     missing = [k for k, v in cfg.items() if v is None and k not in _OPTIONAL_KEYS]
@@ -174,17 +135,40 @@ def _config_hash(command: str, cfg: dict) -> str:
     return sha256(payload.encode()).hexdigest()
 
 
-def _parse_schedule(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+def _names(cfg: dict, key: str) -> list[str]:
+    """The names a comma-separated list setting holds: at least one."""
+    names = [name.strip() for name in cfg[key].split(",") if name.strip()]
+    if not names:
+        raise ValueError(f"{key} must list at least one name")
+    return names
+
+
+def _strategy(flag: str) -> str:
+    """The strategy a flag value names, as fg names STRATEGY_FG."""
+    if flag not in _STRATEGY_BY_FLAG:
+        choices = ", ".join(sorted(_STRATEGY_BY_FLAG))
+        raise ValueError(f"unknown strategy {flag!r}: expected one of {choices}")
+    return _STRATEGY_BY_FLAG[flag]
+
+
+def _config_fields(config_type, cfg: dict) -> dict:
+    """The fields of config_type that cfg's keys set, with their values."""
+    names = {f.name for f in dataclasses.fields(config_type)}
+    fields = {_KEY_FIELD.get(key, key): val for key, val in cfg.items()}
+    return {name: val for name, val in fields.items() if name in names}
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    fields = {field: cfg[key] for key, field in _EXPERIMENT_KEYS.items()}
-    return ExperimentConfig(**dict(fields, schedule=_parse_schedule(cfg["schedule"])))
+    """The command's settings; a field it has no key for keeps its default."""
+    fields = _config_fields(ExperimentConfig, cfg)
+    if "schedule" in fields:
+        text = fields["schedule"]
+        fields["schedule"] = tuple(float(x) for x in text.split(",") if x.strip())
+    return ExperimentConfig(**fields)
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
-    return SynthConfig(**{field: cfg[key] for key, field in _SYNTH_KEYS.items()})
+    return SynthConfig(**_config_fields(SynthConfig, cfg))
 
 
 def _load_dataset(cfg: dict):
@@ -289,7 +273,7 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
     econf = _experiment_config(cfg)
-    strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
+    strategy = _strategy(cfg["strategy"])
     check_strategy(econf, strategy)
     matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
@@ -331,9 +315,9 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
-    matrix, labels = _load_dataset(cfg)
-    strategy = _STRATEGY_BY_FLAG[cfg["strategy"]]
+    strategy = _strategy(cfg["strategy"])
     econf = _experiment_config(cfg)
+    matrix, labels = _load_dataset(cfg)
     domain = _domain_model(cfg, matrix) if strategy == STRATEGY_DOMAIN_MF else None
     curve = run_protection_experiment(
         cfg["task"], strategy, matrix, labels, econf, domain=domain
@@ -352,9 +336,9 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
-    matrix, labels = _load_dataset(cfg)
+    traits = _names(cfg, "traits")
     econf = _experiment_config(cfg)
-    traits = [t.strip() for t in cfg["traits"].split(",") if t.strip()]
+    matrix, labels = _load_dataset(cfg)
     report = run_spillover_experiment(
         cfg["task"], traits, matrix, labels, econf, population=cfg["population"]
     )
@@ -370,12 +354,10 @@ def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> dict:
-    matrix, labels = _load_dataset(cfg)
+    tasks = _names(cfg, "tasks")
+    strategies = [_strategy(s) for s in _names(cfg, "strategies")]
     econf = _experiment_config(cfg)
-    tasks = [t.strip() for t in cfg["tasks"].split(",") if t.strip()]
-    strategies = [
-        _STRATEGY_BY_FLAG[s.strip()] for s in cfg["strategies"].split(",") if s.strip()
-    ]
+    matrix, labels = _load_dataset(cfg)
     domain = _domain_model(cfg, matrix) if STRATEGY_DOMAIN_MF in strategies else None
     rows = tradeoff_report(tasks, strategies, matrix, labels, econf, domain=domain)
     print(f"report: {len(rows)} task x strategy rows -> {outdir / 'tradeoff.json'}")
@@ -386,9 +368,9 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> dict:
     }
 
 
-# every flag, declared once: config key -> add_argument keywords. The flag
-# is the key with "-" for "_". No flag has a default: an unset flag leaves
-# the config file's value or the command's default.
+# every flag, declared once: its key -> add_argument keywords. The flag is
+# the key with "-" for "_". No flag has a default: an unset flag leaves the
+# config file's value or the command's default.
 _FLAGS = {
     "seed": dict(type=int, help="base random seed"),
     "out": dict(required=True, help="output directory"),
@@ -422,53 +404,66 @@ _FLAGS = {
     "mean_likes": dict(type=int),
 }
 
-_BASE_FLAGS = "seed out config"
-_DATA_FLAGS = (
-    f"{_BASE_FLAGS} footprints labels quantile train_frac folds min_user min_item"
-)
-_NMF_FLAGS = "k nmf_max_iters nmf_tol"
+_DATA_KEYS = "seed footprints labels quantile train_frac folds min_user min_item"
+_NMF_KEYS = "k nmf_max_iters nmf_tol"
 
-# subcommand -> (runner, help, the config keys it takes as flags)
+# subcommand -> (runner, help, its config keys). Each key is also a flag,
+# and every subcommand takes --out and --config besides.
 _COMMANDS = {
     "synth": (
         _cmd_synth,
         "generate a synthetic dataset",
-        f"{_BASE_FLAGS} users items topics dirichlet_alpha popularity_exponent "
-        "mean_likes",
+        "seed users items topics dirichlet_alpha popularity_exponent mean_likes",
     ),
     "train": (
         _cmd_train,
         "train a classifier and its threshold",
-        f"{_DATA_FLAGS} task",
+        f"{_DATA_KEYS} task",
     ),
     "explain": (
         _cmd_explain,
         "explain one positive prediction",
-        f"{_DATA_FLAGS} task user",
+        f"{_DATA_KEYS} task user",
     ),
     "cloak": (
         _cmd_cloak,
         "build cloaking directives",
-        f"{_DATA_FLAGS} task strategy user tolerance_quantile domain_mapping "
-        f"{_NMF_FLAGS}",
+        f"{_DATA_KEYS} task strategy user tolerance_quantile domain_mapping "
+        f"{_NMF_KEYS}",
     ),
     "simulate": (
         _cmd_simulate,
         "protection over simulated time",
-        f"{_DATA_FLAGS} task strategy tolerance_quantile schedule drop_fraction "
-        f"domain_mapping {_NMF_FLAGS}",
+        f"{_DATA_KEYS} task strategy tolerance_quantile schedule drop_fraction "
+        f"domain_mapping {_NMF_KEYS}",
     ),
     "spillover": (
         _cmd_spillover,
         "cost of cloaking on other tasks",
-        f"{_DATA_FLAGS} task traits population {_NMF_FLAGS}",
+        f"{_DATA_KEYS} task traits population {_NMF_KEYS}",
     ),
     "report": (
         _cmd_report,
         "cost versus protection per task and strategy",
-        f"{_DATA_FLAGS} tasks strategies tolerance_quantile schedule drop_fraction "
-        f"domain_mapping {_NMF_FLAGS}",
+        f"{_DATA_KEYS} tasks strategies tolerance_quantile schedule drop_fraction "
+        f"domain_mapping {_NMF_KEYS}",
     ),
+}
+
+
+def _command_defaults(command: str, keys: str) -> dict:
+    """Each config key of a command with its default: its _PLAIN_DEFAULTS
+    entry, else its config dataclass field's, else None. Config files and
+    flags override these."""
+    config = SynthConfig() if command == "synth" else ExperimentConfig()
+    return {
+        key: _PLAIN_DEFAULTS.get(key, getattr(config, _KEY_FIELD.get(key, key), None))
+        for key in keys.split()
+    }
+
+
+_DEFAULTS = {
+    name: _command_defaults(name, keys) for name, (_, _, keys) in _COMMANDS.items()
 }
 
 
@@ -483,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key in flags.split():
+        for key in ("out", "config", *keys.split()):
             p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
@@ -496,13 +491,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
-        # a setting out of range (NaN too) fails before any file is written
+        # a setting out of range (NaN too) fails before data loads
         (_synth_config if args.command == "synth" else _experiment_config)(cfg)
         outdir = Path(args.out)
         meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
+        files = _COMMANDS[args.command][0](cfg, outdir, meta)
+        # written last, the manifest marks a complete run
         manifest = {"command": args.command, "version": __version__, "config": cfg}
-        write_results(outdir, {"manifest.json": {**manifest, **meta}})
-        write_results(outdir, _COMMANDS[args.command][0](cfg, outdir, meta))
+        write_results(outdir, {**files, "manifest.json": {**manifest, **meta}})
         return 0
     except BrokenPipeError:
         raise

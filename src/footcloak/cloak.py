@@ -155,24 +155,14 @@ def cloaked_mask(
     return np.isin(row, feats) | swept
 
 
-def apply_cloak(
-    row: np.ndarray,
-    directive: CloakDirective,
-    mfm: Optional[MetafeatureModel] = None,
-) -> np.ndarray:
-    """Footprint row after the directive: cloaked items and all items in
-    cloaked metafeatures removed. Idempotent."""
-    row = np.asarray(row, dtype=np.int64)
-    return row[~cloaked_mask(row, directive, mfm)]
-
-
 def cloak_matrix(
     matrix: FootprintMatrix,
     directives: dict[int, CloakDirective],
     mfm: Optional[MetafeatureModel] = None,
 ) -> FootprintMatrix:
-    """matrix with each directive (keyed by row) applied to its row, as
-    apply_cloak does; rows without one, the ids and the item space kept."""
+    """matrix with each directive (keyed by row) applied to its row, as the
+    per-row oracle `tests/oracles.py::apply_cloak` does; rows without one,
+    the ids and the item space kept."""
     keep = np.ones(matrix.nnz, dtype=bool)
     for i, d in directives.items():
         entries = slice(matrix.indptr[i], matrix.indptr[i + 1])

@@ -14,7 +14,8 @@ margin plus a prefix sum of the weights over that order (with the
 directive's cloaked items weighted 0 for cloaked users). The reduced
 margins are `decision_margins` of `cloak.cloak_matrix`. No re-added
 matrix is built; the tests check this against the slow, obvious path:
-rebuild each re-added matrix, then `cloak.apply_cloak` per user.
+rebuild each re-added matrix, then the per-user oracle
+`tests/oracles.py::apply_cloak`.
 """
 
 from __future__ import annotations

@@ -342,15 +342,7 @@ def write_dataset(outdir, result: SynthResult) -> dict:
     gt = outdir / "ground_truth.json"
     k = result.config.k_topics
     obj = {
-        "config": {
-            "n_users": result.config.n_users,
-            "n_items": result.config.n_items,
-            "k_topics": result.config.k_topics,
-            "dirichlet_alpha": result.config.dirichlet_alpha,
-            "popularity_exponent": result.config.popularity_exponent,
-            "mean_likes": result.config.mean_likes,
-            "seed": result.config.seed,
-        },
+        "config": asdict(result.config),
         "binary_links": [asdict(l) for l in default_binary_links(k)],
         "continuous_links": [asdict(l) for l in default_continuous_links(k)],
         "item_topics": [int(t) for t in result.item_topics],

@@ -9,10 +9,12 @@ solve `footcloak.models` replaced: per fold, a CSR slice of the train rows
 and an eigendecomposition of their centered Gram matrix. The explanation
 oracle is the best-first SEDC search of Martens & Provost (2014), which
 `footcloak.explain.linear_explain` makes exact for linear models; the
-scoring oracle scores one active-item set, and the cost oracle counts one
-cloaked row's removed items. Differential tests check the fast paths
-against them. The synthetic-data oracles are the generator's loop of one
-`rng.choice` per (user, topic) and its line-by-line dataset writer.
+scoring oracle scores one active-item set, the cloaking oracle applies one
+directive to one row, as `footcloak.cloak.cloak_matrix` does to a whole
+matrix, and the cost oracle counts one cloaked row's removed items.
+Differential tests check the fast paths against them. The synthetic-data
+oracles are the generator's loop of one `rng.choice` per (user, topic)
+and its line-by-line dataset writer.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up
-from footcloak.cloak import CloakDirective, apply_cloak
+from footcloak.cloak import CloakDirective, cloaked_mask
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.explain import Explanation
 from footcloak.metafeatures import MetafeatureModel
@@ -295,6 +297,17 @@ def predict_score(model: LinearModel, row: np.ndarray) -> float:
     valid = row[row < model.n_items]
     margin = float(model.weights[valid].sum()) + model.intercept
     return float(expit(margin))
+
+
+def apply_cloak(
+    row: np.ndarray,
+    directive: CloakDirective,
+    mfm: Optional[MetafeatureModel] = None,
+) -> np.ndarray:
+    """Footprint row after the directive: cloaked items and all items in
+    cloaked metafeatures removed. Idempotent."""
+    row = np.asarray(row, dtype=np.int64)
+    return row[~cloaked_mask(row, directive, mfm)]
 
 
 def cloak_cost(

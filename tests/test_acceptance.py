@@ -20,7 +20,6 @@ from footcloak.cloak import (
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    apply_cloak,
     cloak_population,
 )
 from footcloak.data import from_rows
@@ -41,7 +40,7 @@ from footcloak.simulate import (
 from footcloak.spillover import run_spillover_experiment
 
 from conftest import random_footprints
-from oracles import predict_score, sedc_explain
+from oracles import apply_cloak, predict_score, sedc_explain
 
 TASKS = ("task_a", "task_b", "task_c")
 TRAITS = tuple(f"trait_{c}" for c in "abcde")

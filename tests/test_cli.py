@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -418,6 +419,13 @@ def test_tradeoff_csv_roundtrips_names(data, tmp_path, monkeypatch):
 # result files
 
 
+def _config_keys(command):
+    """The keys a command's flags set, less --out and --config."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "out", "config"}
+
+
 _HEADERS = {
     "footprints.csv": "user_id,item_id",
     "labels.csv": "user_id,task_name,value",
@@ -473,6 +481,9 @@ def test_each_command_writes_exactly_its_files(data, tmp_path, case):
     out = tmp_path / "out"
     assert _run(*args, "--out", out) == 0
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+    # the manifest records exactly the settings the command's flags set
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(config) == _config_keys(args[0])
     for path in out.iterdir():
         text = path.read_text()
         if path.suffix == ".json":
@@ -497,13 +508,107 @@ def test_config_file_with_flag_override(data, tmp_path):
 
 
 def test_unknown_config_key_fails(data, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus=1\n")
-    rc = _run(*_train_args(data, tmp_path / "o", "--config", cfg))
+    # k is a key of the commands that fit NMF, not of train
+    for line, key in (("bogus=1", "bogus"), ("k=7", "k")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = _run(*_train_args(data, tmp_path / "o", "--config", cfg))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {
+            "error": "ValueError",
+            "message": f"unknown config key {key!r} for train",
+        }
+
+
+_STRATEGY_CHOICES = "expected one of domain, fg, fg-tol, mf"
+
+# case -> (command line less the data options and --out, config file text
+# or None, the error message)
+_FAILED_RUNS = {
+    "train-nmf_tol": (
+        ("train", "--task", "task_a"),
+        "nmf_tol=-1\n",
+        "unknown config key 'nmf_tol' for train",
+    ),
+    "plain-json-config": (
+        ("train", "--task", "task_a"),
+        '{"seed": 3}\n',
+        "is JSON but not a manifest.json",
+    ),
+    "report-bogus-strategy": (
+        ("report", "--tasks", "task_a", "--strategies", "fg,bogus"),
+        None,
+        f"unknown strategy 'bogus': {_STRATEGY_CHOICES}",
+    ),
+    "simulate-bogus-strategy-in-config": (
+        ("simulate", "--task", "task_a"),
+        "strategy=bogus\n",
+        f"unknown strategy 'bogus': {_STRATEGY_CHOICES}",
+    ),
+    "cloak-bogus-strategy-in-config": (
+        ("cloak", "--task", "task_a"),
+        "strategy=bogus\n",
+        f"unknown strategy 'bogus': {_STRATEGY_CHOICES}",
+    ),
+    "simulate-fg-tol-above-quantile": (
+        ("simulate", "--task", "task_a", "--strategy", "fg-tol",
+         "--tolerance-quantile", 0.99),
+        None,
+        "tolerance_quantile must not exceed quantile",
+    ),
+    "simulate-domain-without-mapping": (
+        ("simulate", "--task", "task_a", "--strategy", "domain"),
+        None,
+        "--domain-mapping is required for the domain strategy",
+    ),
+    "explain-without-user": (
+        ("explain", "--task", "task_a"),
+        None,
+        "--user is required for explain",
+    ),
+    "explain-unknown-user": (  # fails after the classifier is fitted
+        ("explain", "--task", "task_a", "--user", "nobody"),
+        None,
+        "user 'nobody' is not in the test partition",
+    ),
+    "report-no-tasks": (
+        ("report", "--tasks", ","),
+        None,
+        "tasks must list at least one name",
+    ),
+    "report-no-strategies": (
+        ("report", "--tasks", "task_a", "--strategies", ","),
+        None,
+        "strategies must list at least one name",
+    ),
+    "spillover-no-traits": (
+        ("spillover", "--task", "task_a", "--traits", ",,"),
+        None,
+        "traits must list at least one name",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILED_RUNS))
+def test_failed_run_writes_no_file(data, tmp_path, capsys, case):
+    args, config, message = _FAILED_RUNS[case]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = (*args, "--config", cfg)
+    out = tmp_path / "out"
+    rc = _run(
+        *args, "--footprints", data["footprints"], "--labels", data["labels"],
+        "--out", out,
+    )
     assert rc == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert set(err) == {"error", "message"}
     assert err["error"] == "ValueError"
-    assert "bogus" in err["message"]
+    assert message in err["message"]
+    assert not out.exists()
 
 
 def test_malformed_config_line_fails(data, tmp_path, capsys):

@@ -92,21 +92,21 @@ OPTIONS = {
     },
 }
 
-_EXPERIMENT_DEFAULTS = {
+# a command's config keys are its flags less --out and --config
+_DATA_DEFAULTS = {
     "seed": 0,
+    "footprints": None,
+    "labels": None,
     "quantile": 0.95,
-    "tolerance_quantile": 0.9,
     "train_frac": 0.66,
     "folds": 3,
     "min_user": 10,
     "min_item": 10,
-    "k": 50,
+}
+_NMF_DEFAULTS = {"k": 50, "nmf_max_iters": 200, "nmf_tol": 0.0001}
+_SCHEDULE_DEFAULTS = {
     "schedule": "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
     "drop_fraction": 0.5,
-    "nmf_max_iters": 200,
-    "nmf_tol": 0.0001,
-    "footprints": None,
-    "labels": None,
 }
 
 DEFAULTS = {
@@ -119,42 +119,51 @@ DEFAULTS = {
         "popularity_exponent": 1.1,
         "mean_likes": 100,
     },
-    "train": {**_EXPERIMENT_DEFAULTS, "task": None},
-    "explain": {**_EXPERIMENT_DEFAULTS, "task": None, "user": None},
+    "train": {**_DATA_DEFAULTS, "task": None},
+    "explain": {**_DATA_DEFAULTS, "task": None, "user": None},
     "cloak": {
-        **_EXPERIMENT_DEFAULTS,
+        **_DATA_DEFAULTS,
+        **_NMF_DEFAULTS,
         "task": None,
         "strategy": "fg",
         "user": None,
+        "tolerance_quantile": 0.9,
         "domain_mapping": None,
     },
     "simulate": {
-        **_EXPERIMENT_DEFAULTS,
+        **_DATA_DEFAULTS,
+        **_NMF_DEFAULTS,
+        **_SCHEDULE_DEFAULTS,
         "task": None,
         "strategy": "fg",
+        "tolerance_quantile": 0.9,
         "domain_mapping": None,
     },
     "spillover": {
-        **_EXPERIMENT_DEFAULTS,
+        **_DATA_DEFAULTS,
+        **_NMF_DEFAULTS,
         "task": None,
         "traits": None,
         "population": "cloaked",
     },
     "report": {
-        **_EXPERIMENT_DEFAULTS,
+        **_DATA_DEFAULTS,
+        **_NMF_DEFAULTS,
+        **_SCHEDULE_DEFAULTS,
         "tasks": None,
         "strategies": "fg,mf",
+        "tolerance_quantile": 0.9,
         "domain_mapping": None,
     },
 }
 
 DEFAULT_HASHES = {
     "synth": "bc24bae7b6888cc2fed92bfff65053b6c245e2fb236f328880d176642a76dfc6",
-    "train": "2c0e15499e4f739f43cf2803e10d29c65edb5ad4f8fa5c21c3bf0bbf3f030e7c",
-    "explain": "45a9735d9cf9b46c3cbc7296a6dff1ef099f35ac200195bbbd27d3a4fba1d55e",
-    "cloak": "bb8c971ff2da8c5a98bafeb326276eb193978ce8eb7be004d72a40e8b95138f9",
+    "train": "f2b2b6d0f3a1cbe47b61ac0fd8a9a2233e42b7bc966dfa7b8e7cbd3d0d290f0f",
+    "explain": "5658dc3c62af6b5f4fcdd8d36cca9304c92ee526f226d1fa475bd8fb3c276a8f",
+    "cloak": "2f775bcd3e28e75e1d4e0e4288c5b6147b7ab6d1ae54092b639193da5bb28ecf",
     "simulate": "bffa0de048ba4cd6093be2d9022e733f2d33c790519f52c39f0272abcfadd2fc",
-    "spillover": "a6784b92ee36ab85a84e88f3f7c761d2e7d88cb3ac23cc1529148a9ef4d99d22",
+    "spillover": "e5f4f0b175da4c5691a2f7256d63cbb49c899c00f649942ddc9b19fb65b34cc3",
     "report": "b9ad0db0cf16cc69e5d4088b5fcfab307e4e5f78c26a20d9dc356ab83390d0d1",
 }
 
@@ -164,15 +173,15 @@ REQUIRED = {
     "synth": ([], "bc24bae7b6888cc2fed92bfff65053b6c245e2fb236f328880d176642a76dfc6"),
     "train": (
         [*_INPUTS, "--task", "task_a"],
-        "8e4489e56447f5c7a3706da19443d02988f38f7261851a00776217e39794002e",
+        "247f4f9f9f851e6570bfc73cbb861b9479229bb9bcd2191c69e36f81c6cd213a",
     ),
     "explain": (
         [*_INPUTS, "--task", "task_a"],
-        "40c9ac01a0f742b7df4867d510eec62b432595086626028933335bb19f5a1ed0",
+        "722df87e7b2c76ce4ca0fa086628b589bcb431ad74544b23d77a210172bb4f86",
     ),
     "cloak": (
         [*_INPUTS, "--task", "task_a"],
-        "d250a8ddcd5732c036ab7eb217088909d7f7a4975c92c603c049001afe4ec1be",
+        "92b1ae4464ffa82c83788b04ea314e228b08ebb152235cf45f28e8d8159cd9a0",
     ),
     "simulate": (
         [*_INPUTS, "--task", "task_a"],
@@ -180,7 +189,7 @@ REQUIRED = {
     ),
     "spillover": (
         [*_INPUTS, "--task", "task_a", "--traits", "trait_a"],
-        "5cf01a8ecbe02b2f4032f7f41961381675187c41a098ac63a0e8b62d4b9132e3",
+        "f31ec1493b21a7e3d9f0839d55f4becf820741a5d9bee5decef17c7f6633fad7",
     ),
     "report": (
         [*_INPUTS, "--tasks", "task_a"],

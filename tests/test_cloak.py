@@ -12,7 +12,6 @@ from footcloak.cloak import (
     STRATEGY_FG_TOL,
     STRATEGY_MF,
     CloakDirective,
-    apply_cloak,
     cloak_matrix,
     cloak_population,
     directives_to_dict,
@@ -23,7 +22,7 @@ from footcloak.metafeatures import MetafeatureModel, assign_exclusive
 from footcloak.models import LinearModel, quantile_threshold
 
 from conftest import random_footprints
-from oracles import cloak_cost, predict_score
+from oracles import apply_cloak, cloak_cost, predict_score
 
 
 def _mfm(assignment, reserved=None, source="nmf"):

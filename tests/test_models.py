@@ -624,8 +624,11 @@ def test_model_roundtrip(tmp_path):
 
 def test_save_model_rejects_nan(tmp_path):
     # strict JSON: a NaN weight fails loudly instead of writing bare NaN
+    # and no file of the set is written, not even one before it
     model = LinearModel(np.array([0.5, np.nan]), 0.0, 1.0)
-    path = tmp_path / "model.json"
+    out = tmp_path / "out"
     with pytest.raises(ValueError):
-        write_results(tmp_path, {"model.json": model_to_dict(model, ("a", "b"))})
-    assert not path.exists()
+        write_results(
+            out, {"a.csv": (["x"], [[1]]), "model.json": model_to_dict(model, ("a", "b"))}
+        )
+    assert not out.exists()

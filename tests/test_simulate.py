@@ -14,7 +14,6 @@ from footcloak.cloak import (
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    apply_cloak,
     cloak_population,
 )
 from footcloak.data import LabelTable
@@ -36,7 +35,7 @@ from footcloak.simulate import (
 )
 
 from conftest import random_footprints
-from oracles import cloak_cost, predict_score, readd
+from oracles import apply_cloak, cloak_cost, predict_score, readd
 
 _CONFIG = ExperimentConfig(
     seed=4,
