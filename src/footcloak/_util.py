@@ -194,7 +194,7 @@ def serial_blas():
     also when the block raises, each gets its previous thread count back.
 
     For solver loops of many small BLAS calls (an L-BFGS-B fit, NMF
-    updates): there a second thread spins and syncs on every call, which
+    updates, the ridge fit): there a second thread spins and syncs on every call, which
     costs CPU time and gains no speed, and its split of a long sum makes
     the result depend on the thread count. Does nothing where no OpenBLAS
     is found. The thread count is process-wide, so no other thread of the

@@ -118,7 +118,14 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
                 raise ValueError(f"unknown config key {key!r} for {command}")
             # a value read as text takes its default's type
             if isinstance(val, str) and cfg[key] is not None:
-                val = type(cfg[key])(val)
+                kind = type(cfg[key])
+                try:
+                    val = kind(val)
+                except ValueError:
+                    raise ValueError(
+                        f"config file {args.config}: {key}={val!r} "
+                        f"is not a valid {kind.__name__}"
+                    ) from None
             cfg[key] = val
     for key in cfg:
         flag_val = getattr(args, key)

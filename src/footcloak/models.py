@@ -10,8 +10,8 @@ with scipy CSR products; the convex minimization itself is delegated to
 L-BFGS-B from scipy, which stops at a relative objective change below 1e-8
 (ftol) or a projected gradient below 1e-6 (gtol). The ftol stop usually
 comes first, so a fit's final gradient is not bounded by 1e-6. The fit
-runs on one BLAS thread (_util.serial_blas); the ridge factorizations run
-with the caller's BLAS threads.
+runs on one BLAS thread (_util.serial_blas), as does the ridge fit, which
+solves its systems by shifted conjugate gradients on the sparse rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 import numpy as np
-from scipy import linalg
 from scipy.special import expit
 
 from ._util import (
@@ -377,70 +376,109 @@ def pearson(pred: np.ndarray, actual: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # ridge regression (continuous traits)
+#
+# Every product with the rows is a scipy CSR product on a block of vectors
+# held as the rows of a C-ordered array. A per-vector sum over the last axis
+# then adds in the same order whether the vector is alone or one of many,
+# and scipy's multi-vector product sums each vector as its single-vector
+# product does, so a target's numbers do not depend on the targets fitted
+# with it.
 
 
-# rows of X per sparse product when building K = X X^T, so no sparse
-# intermediate holds more than _GRAM_ROWS * n entries
-_GRAM_ROWS = 256
+def _times(M, V: np.ndarray) -> np.ndarray:
+    """M times each row of V, returned as the rows of a C-ordered array."""
+    return np.ascontiguousarray((M @ V.T).T)
 
 
-def _gram(Xs) -> np.ndarray:
-    """The dense uncentered Gram matrix K = X X^T, a block of rows at a time."""
-    n = Xs.shape[0]
-    K = np.empty((n, n))
-    Xs_t = Xs.T.tocsr()
-    for r in range(0, n, _GRAM_ROWS):
-        (Xs[r : r + _GRAM_ROWS] @ Xs_t).toarray(out=K[r : r + _GRAM_ROWS])
-    return K
+def _centered_t_times(X, mu: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """X_c^T v for each row v of V, with X_c = X - 1 mu^T never formed."""
+    return _times(X.T, V) - np.sum(V, axis=1)[:, None] * mu
 
 
-def _centered(G: np.ndarray, p_rows: np.ndarray, p_cols: np.ndarray, pp: float):
-    """G - p_rows 1^T - 1 p_cols^T + pp, in place.
+def _centered_times(X, mu: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """X_c u for each row u of U, with X_c = X - 1 mu^T never formed."""
+    return _times(X, U) - np.sum(U * mu, axis=1)[:, None]
 
-    With G = K[rows][:, trn], p_* the means of K[i, trn] and pp the mean of
-    K[trn][:, trn], this is the Gram matrix of the rows centered by the
-    mean of the trn rows: (x_i - mu).(x_j - mu).
+
+# Iteration cap of _shifted_cg per row of the system. In exact arithmetic CG
+# ends within n steps; in float64 the lost orthogonality of its directions
+# delays that, and the residual must fall to a few eps. A shift still short
+# of its stop at the cap is an error, never a fallback.
+CG_ITERS_PER_ROW = 8
+
+
+def _shifted_cg(X, mu, B, alphas, rtol):
+    """beta with (X_c X_c^T + a I) beta = b, X_c = X - 1 mu^T, for each row
+    b of B and each a in the same row of alphas (ascending, positive).
+
+    One CG per row of B runs on its smallest a. The residuals of the larger
+    shifts stay multiples zeta of that CG's residual, so their iterates
+    follow from its search directions with no further products: one Krylov
+    space serves every a (Jegerlehner 1996, hep-lat/9612014; Frommer 2003).
+    Each (row, shift) stops once its residual ||zeta r|| is at most
+    rtol ||b|| and is not updated again; a row stops once all its shifts
+    have. Returns beta as an array (rows, shifts, n). Raises ValueError
+    naming a at the first shift still short of its stop after
+    CG_ITERS_PER_ROW * n iterations.
     """
-    G -= p_rows[:, None]
-    G -= p_cols[None, :]
-    G += pp
-    return G
-
-
-def _cho_factor(A: np.ndarray, alpha: float):
-    """Cholesky factor of A + alpha*I, in A's memory (A symmetric, C order)."""
-    A.reshape(-1)[:: A.shape[0] + 1] += alpha
-    try:
-        # A.T is the same symmetric matrix in Fortran order, which LAPACK
-        # factors in place
-        return linalg.cho_factor(A.T, overwrite_a=True, check_finite=False)
-    except linalg.LinAlgError:
+    k, n = B.shape
+    # each b scaled by the power of two that brings max |b| into [0.5, 1):
+    # exact, so no bit of beta changes, and the squared norms of tiny or
+    # huge targets neither underflow nor overflow
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(B), axis=1))[1])
+    B = B / scale[:, None]
+    sigma = alphas - alphas[:, :1]
+    stop = rtol * np.sqrt(np.sum(B * B, axis=1))
+    R = B.copy()
+    P = B.copy()
+    rr = np.sum(R * R, axis=1)
+    beta = np.zeros((k, alphas.shape[1], n))
+    P_shift = np.repeat(B[:, None, :], alphas.shape[1], axis=1)
+    zeta = np.ones(alphas.shape)
+    zeta_old = np.ones(alphas.shape)
+    a_old = np.ones(k)
+    b_old = np.zeros(k)
+    live = np.ones(alphas.shape, dtype=bool)
+    for _ in range(CG_ITERS_PER_ROW * n):
+        rows = np.flatnonzero(live.any(axis=1))
+        if not len(rows):
+            break
+        p = P[rows]
+        Q = _centered_times(X, mu, _centered_t_times(X, mu, p))
+        Q += alphas[rows, :1] * p
+        a = rr[rows] / np.sum(p * Q, axis=1)
+        R[rows] -= a[:, None] * Q
+        r = R[rows]
+        rr_new = np.sum(r * r, axis=1)
+        b = rr_new / rr[rows]
+        # zeta_{k+1} of each live shift from zeta_k, zeta_{k-1} and the
+        # base CG's step sizes a and direction weights b
+        i, j = np.nonzero(live[rows])
+        g = rows[i]
+        z, zo, ai, ao = zeta[g, j], zeta_old[g, j], a[i], a_old[g]
+        z_new = z * zo * ao / (
+            ai * b_old[g] * (zo - z) + zo * ao * (1.0 + sigma[g, j] * ai)
+        )
+        ratio = z_new / z
+        beta[g, j] += (ai * ratio)[:, None] * P_shift[g, j]
+        P_shift[g, j] = (
+            z_new[:, None] * r[i] + (b[i] * ratio**2)[:, None] * P_shift[g, j]
+        )
+        zeta_old[g, j] = z
+        zeta[g, j] = z_new
+        # written so that a NaN residual never counts as converged
+        live[g, j] = ~(np.abs(z_new) * np.sqrt(rr_new[i]) <= stop[g])
+        P[rows] = r + b[:, None] * p
+        rr[rows] = rr_new
+        a_old[rows] = a
+        b_old[rows] = b
+    if live.any():
+        c, s = np.argwhere(live)[0]
         raise ValueError(
-            f"ridge system not positive definite at alpha={alpha!r}"
-        ) from None
-
-
-@dataclass(frozen=True, eq=False)
-class RidgeBasis:
-    """The target-independent part of a ridge fit.
-
-    Holds the rows, their CV folds as (validation, train) row indices and
-    the uncentered Gram matrix K = X X^T of all rows, of which every fold's
-    centered train Gram matrix and validation cross-products are slices.
-    It depends only on the rows, the fold count and the seed, so targets
-    labeled on the same rows share one.
-    """
-
-    Xs: object
-    K: np.ndarray
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def ridge_basis(m: FootprintMatrix, folds: int = 3, seed: int = 0) -> RidgeBasis:
-    """Split m into deterministic CV folds and build the Gram matrix once."""
-    if m.n_users < folds + 1:
-        raise ValueError("need more users than folds")
-    return RidgeBasis(m.csr, _gram(m.csr), tuple(_kfold(m.n_users, folds, seed)))
+            f"ridge solve did not converge in {CG_ITERS_PER_ROW * n} iterations "
+            f"at alpha={float(alphas[c, s])!r}"
+        )
+    return beta * scale[:, None, None]
 
 
 def _target_error(y: np.ndarray) -> str | None:
@@ -456,76 +494,70 @@ def _target_error(y: np.ndarray) -> str | None:
 # (+-1 on a 2-row fold) and could pick the alpha. The spread is taken
 # relative to the most the predictions can spread,
 # 2 max ||x - mu|| ||X_c||_F ||beta||, and compared with the roundoff of
-# solving (Kc + alpha*I) beta = y_c: eps times kappa = (||K|| + alpha) /
-# alpha, which bounds the condition number (||K||_inf >= ||K||_2 stands in
-# for ||K||), times ROUNDOFF_C * sqrt(n), the growth of rounding errors that
-# act as independent random variables over n rows (Higham & Mary 2019).
-# The worst-case n * eps * kappa would drop real folds at small alpha on
-# 8000-user data.
+# solving (Kc + alpha*I) beta = y_c, Kc = X_c X_c^T: eps times
+# kappa = (||K|| + alpha) / alpha, which bounds the condition number
+# (||K||_inf >= ||K||_2 stands in for ||K||, K = X X^T of all n rows), times
+# ROUNDOFF_C * sqrt(n), the growth of rounding errors that act as
+# independent random variables over n rows (Higham & Mary 2019). The worst-
+# case n * eps * kappa would drop real folds at small alpha on 8000-user
+# data. The CG solve stops at relative residual rtol = ROUNDOFF_C * sqrt(n)
+# * eps, so its own error, at most rtol * kappa, stays under that floor.
 ROUNDOFF_C = 4
 
 
-def _inf_norm(K: np.ndarray) -> float:
-    """max_i sum_j |K_ij|, a block of rows at a time."""
-    rows = range(0, len(K), _GRAM_ROWS)
-    return max(
-        (float(np.abs(K[r : r + _GRAM_ROWS]).sum(axis=1).max()) for r in rows),
-        default=0.0,
-    )
-
-
-def _fold_correlations(K, k_norm, val, trn, Y, alphas, out) -> None:
+def _fold_correlations(Xs, stats, val, trn, Y, alphas, out) -> None:
     """One fold's validation Pearson per (alpha, target column), into out;
     a column whose training targets are constant, whose validation
     predictions spread only by roundoff, or whose Pearson is undefined is
-    left as it is. k_norm is ||K||_inf.
+    left as it is.
 
-    The train rows' centered Gram matrix Kc and the validation rows'
-    centered cross-products are slices of K. Per alpha, Kc + alpha*I is
-    factored once and every target is solved at once. A validation row x
-    predicts (x - mu).X_c^T beta + ybar, its row of cross-products times
-    beta, so no item-space weights are formed.
+    stats holds the row degrees (the diagonal of K, as rows are binary),
+    ||K||_inf and the roundoff factor. One shifted CG on the centered train
+    rows serves every alpha and column. A validation row x predicts
+    (x - mu).X_c^T beta + ybar.
     """
-    Y_trn = Y[trn]
-    cols = np.flatnonzero(np.ptp(Y_trn, axis=0) > 0.0)
-    if not len(cols):
+    degrees, k_norm, roundoff = stats
+    Yt = np.ascontiguousarray(Y[trn].T)
+    cols = np.flatnonzero(np.ptp(Yt, axis=1) > 0.0)
+    if not len(cols) or not len(alphas):
         return
-    Kc = K[np.ix_(trn, trn)]
-    p_trn = Kc.mean(axis=1)
-    pp = float(p_trn.mean())
-    _centered(Kc, p_trn, p_trn, pp)
-    K_val = K[np.ix_(val, trn)]
-    p_val = K_val.mean(axis=1)
-    _centered(K_val, p_val, p_trn, pp)
-    # 2 max ||x - mu|| over the validation rows times ||X_c||_F; the
-    # squares are the diagonals of the centered Gram matrices
-    val_sq = float(np.max(np.diagonal(K)[val] - 2.0 * p_val + pp))
-    reach = 2.0 * math.sqrt(max(val_sq, 0.0) * max(float(np.trace(Kc)), 0.0))
-    ybar = Y_trn[:, cols].mean(axis=0)
-    Yc = Y_trn[:, cols] - ybar
-    roundoff = ROUNDOFF_C * math.sqrt(len(K)) * np.finfo(float).eps
-    A = np.empty_like(Kc)
-    for a, alpha in enumerate(alphas):
-        np.copyto(A, Kc)
-        B = linalg.cho_solve(_cho_factor(A, alpha), Yc, check_finite=False)
-        preds = K_val @ B + ybar
-        floor = roundoff * (k_norm + alpha) / alpha
-        noise = np.ptp(preds, axis=0) <= floor * reach * np.linalg.norm(B, axis=0)
-        for j, c in enumerate(cols):
-            if noise[j]:
+    Xt, Xv = Xs[trn], Xs[val]
+    mu = np.asarray(Xt.mean(axis=0)).ravel()
+    pp = float(mu @ mu)
+    # 2 max ||x - mu|| over the validation rows times ||X_c||_F
+    val_sq = float(np.max(degrees[val] - 2.0 * (Xv @ mu) + pp))
+    trace = float(degrees[trn].sum()) - len(trn) * pp
+    reach = 2.0 * math.sqrt(max(val_sq, 0.0) * max(trace, 0.0))
+    ybar = Yt[cols].mean(axis=1)
+    Yc = Yt[cols] - ybar[:, None]
+    grid = np.tile(alphas, (len(cols), 1))
+    beta = _shifted_cg(Xt, mu, Yc, grid, roundoff).reshape(-1, len(trn))
+    W = _centered_t_times(Xt, mu, beta)
+    preds = _centered_times(Xv, mu, W).reshape(len(cols), len(alphas), -1)
+    preds += ybar[:, None, None]
+    floor = roundoff * (k_norm + alphas) / alphas
+    norms = np.sqrt(np.sum(beta * beta, axis=1)).reshape(len(cols), len(alphas))
+    noise = np.ptp(preds, axis=2) <= floor * reach * norms
+    for j, c in enumerate(cols):
+        for a in range(len(alphas)):
+            if noise[j, a]:
                 logger.debug("fit_ridge: fold skipped (predictions spread by roundoff)")
                 continue
             try:
-                out[a, c] = pearson(preds[:, j], Y[val, c])
+                out[a, c] = pearson(preds[j, a], Y[val, c])
             except ValueError:
                 logger.debug("fit_ridge: fold skipped (undefined correlation)")
 
 
 def fit_ridge(
-    basis: RidgeBasis, Y: np.ndarray, alpha_grid=DEFAULT_ALPHA_GRID
+    m: FootprintMatrix,
+    Y: np.ndarray,
+    alpha_grid=DEFAULT_ALPHA_GRID,
+    folds: int = 3,
+    seed: int = 0,
 ) -> list[LinearModel]:
-    """Fit L2-penalized least squares on the basis rows, one model per
-    column of Y, each column's alpha by CV Pearson.
+    """Fit L2-penalized least squares on the rows of m, one model per column
+    of Y, each column's alpha by CV Pearson over deterministic folds.
 
     The intercept is unpenalized (data and targets are centered). Ties in
     mean validation correlation go to the smallest alpha. A fold whose
@@ -533,59 +565,66 @@ def fit_ridge(
     that is constant, holds NaN or has no usable fold raises ValueError;
     the first such column raises first.
 
-    The fit is in dual form on the centered Gram matrix: one Cholesky
-    factorization of Kc + alpha*I per (fold, alpha) serves every column,
-    and the final fit factors the all-rows Kc + alpha*I once per distinct
-    chosen alpha. Item-space weights w = X^T beta - mu sum(beta) are formed
-    only there.
+    The fit is in dual form, (Kc + alpha*I) beta = y_c with Kc the Gram
+    matrix of the centered rows, solved by shifted conjugate gradients on
+    the sparse rows, so Kc is never formed: per fold one CG run serves every
+    alpha and column, and the final fit on all rows runs one CG per column
+    at its chosen alpha. Item-space weights are w = X_c^T beta. Runs on one
+    BLAS thread, and a column's model does not depend on the columns
+    fitted with it.
     """
+    if m.n_users < folds + 1:
+        raise ValueError("need more users than folds")
+    splits = _kfold(m.n_users, folds, seed)
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[0] != basis.K.shape[0]:
+    if Y.ndim != 2 or Y.shape[0] != m.n_users:
         raise ValueError("targets not aligned with matrix users")
     errors = [_target_error(y) for y in Y.T]
     # the first column's own errors come before the grid's, as they do
     # when that column is fitted alone
     if errors and errors[0] is not None:
         raise ValueError(errors[0])
-    alphas = sorted(float(a) for a in alpha_grid)
-    if alphas and alphas[0] <= 0:
+    alphas = np.array(sorted(float(a) for a in alpha_grid))
+    if len(alphas) and alphas[0] <= 0:
         raise ValueError("alpha must be positive")
 
-    # validation Pearson per (alpha, fold, column), NaN where the column
-    # skips the fold. Columns with an error are left out; the walk below
-    # raises at the first of them, so the columns before it keep their index
-    Y_fit = Y[:, [e is None for e in errors]]
-    corrs = np.full((len(alphas), len(basis.folds), Y_fit.shape[1]), np.nan)
-    k_norm = _inf_norm(basis.K)
-    for f, (val, trn) in enumerate(basis.folds):
-        _fold_correlations(basis.K, k_norm, val, trn, Y_fit, alphas, corrs[:, f])
-    used = ~np.isnan(corrs)
-    n_used = used.sum(axis=1)
-    means = np.where(used, corrs, 0.0).sum(axis=1) / np.maximum(n_used, 1)
-    means[n_used == 0] = -np.inf
-    chosen = []
-    for c, err in enumerate(errors):
-        if err is not None:
-            raise ValueError(err)
-        if not n_used[:, c].any():
-            raise ValueError("no alpha candidate produced a usable fold")
-        chosen.append(alphas[int(np.argmax(means[:, c]))])
+    Xs = m.csr
+    # ||K||_inf = max(X X^T 1), as binary rows make K nonnegative
+    k_norm = float(np.max(Xs @ (m.csr_t @ np.ones(m.n_users))))
+    roundoff = ROUNDOFF_C * math.sqrt(m.n_users) * np.finfo(float).eps
+    stats = (np.diff(Xs.indptr).astype(np.float64), k_norm, roundoff)
+    with serial_blas():
+        # validation Pearson per (alpha, fold, column), NaN where the column
+        # skips the fold. Columns with an error are left out; the walk below
+        # raises at the first of them, so the columns before it keep their
+        # index
+        Y_fit = Y[:, [e is None for e in errors]]
+        corrs = np.full((len(alphas), folds, Y_fit.shape[1]), np.nan)
+        for f, (val, trn) in enumerate(splits):
+            _fold_correlations(Xs, stats, val, trn, Y_fit, alphas, corrs[:, f])
+        used = ~np.isnan(corrs)
+        n_used = used.sum(axis=1)
+        means = np.where(used, corrs, 0.0).sum(axis=1) / np.maximum(n_used, 1)
+        means[n_used == 0] = -np.inf
+        chosen = []
+        for c, err in enumerate(errors):
+            if err is not None:
+                raise ValueError(err)
+            if not n_used[:, c].any():
+                raise ValueError("no alpha candidate produced a usable fold")
+            chosen.append(float(alphas[int(np.argmax(means[:, c]))]))
 
-    mu = np.asarray(basis.Xs.mean(axis=0)).ravel()
-    p = basis.K.mean(axis=1)
-    pp = float(p.mean())
-    models: list = [None] * len(chosen)
-    for alpha in sorted(set(chosen)):
-        factor = _cho_factor(_centered(basis.K.copy(), p, p, pp), alpha)
-        # one column at a time, so at a given alpha a target's model does
-        # not depend on which other targets share the call
-        for c in (c for c, a in enumerate(chosen) if a == alpha):
-            ybar = float(Y[:, c].mean())
-            beta = linalg.cho_solve(factor, Y[:, c] - ybar, check_finite=False)
-            w = np.asarray(basis.Xs.T @ beta).ravel() - mu * float(beta.sum())
-            models[c] = LinearModel(w, ybar - float(mu @ w), alpha, KIND_REGRESSOR)
-        del factor  # before the next alpha copies K
-    return models
+        mu = np.asarray(Xs.mean(axis=0)).ravel()
+        Yt = np.ascontiguousarray(Y.T)
+        ybar = Yt.mean(axis=1)
+        grid = np.array(chosen)[:, None]
+        beta = _shifted_cg(Xs, mu, Yt - ybar[:, None], grid, roundoff)[:, 0]
+        W = _centered_t_times(Xs, mu, beta)
+        intercepts = ybar - np.sum(W * mu, axis=1)
+    return [
+        LinearModel(w, float(b), alpha, KIND_REGRESSOR)
+        for w, b, alpha in zip(W, intercepts, chosen)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .models import (
     fit_task_classifier,
     pearson,
     predict_scores,
-    ridge_basis,
 )
 
 logger = logging.getLogger(__name__)
@@ -116,26 +115,22 @@ def run_spillover_experiment(
     if small:
         logger.warning("spillover population has only %d users", len(pop))
 
-    # traits labeled on the same training users share one ridge basis (fold
-    # splits and one Gram matrix) and one fit_ridge call; fitting group by
-    # group keeps at most one basis alive
+    # traits labeled on the same training users share one fit_ridge call:
+    # one set of CV folds and one CG run per fold for all of them
     groups: dict[bytes, tuple[np.ndarray, list[str]]] = {}
     for trait in traits:
         trn_idx = np.nonzero(train.labels.labeled_mask(trait))[0]
         groups.setdefault(trn_idx.tobytes(), (trn_idx, []))[1].append(trait)
-
-    def fit_group(trn_idx: np.ndarray, group: list[str]) -> dict:
-        basis = ridge_basis(
-            train.matrix.select_users(trn_idx),
-            config.folds,
-            derive_seed(config.seed, STREAM_RIDGE),
-        )
-        Y = np.column_stack([train.labels.values[t][trn_idx] for t in group])
-        return dict(zip(group, fit_ridge(basis, Y)))
-
     ridges = {}
     for trn_idx, group in groups.values():
-        ridges.update(fit_group(trn_idx, group))
+        Y = np.column_stack([train.labels.values[t][trn_idx] for t in group])
+        fitted = fit_ridge(
+            train.matrix.select_users(trn_idx),
+            Y,
+            folds=config.folds,
+            seed=derive_seed(config.seed, STREAM_RIDGE),
+        )
+        ridges.update(zip(group, fitted))
 
     # the test footprints uncloaked, FG-cloaked and MF-cloaked
     states = (

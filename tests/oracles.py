@@ -5,13 +5,13 @@ Each function is the per-line or per-row implementation the array code in
 `footcloak.data` and `footcloak.metafeatures` replaced: one `csv.reader`
 per line, dict/set loaders, `np.setdiff1d` per row, list-concatenated row
 gathers and the matrix-rebuilding re-add. The ridge oracle is the dual
-solve `footcloak.models` replaced: per fold, a CSR slice of the train rows
-and an eigendecomposition of their centered Gram matrix. The explanation
-oracle is the best-first SEDC search of Martens & Provost (2014), which
-`footcloak.explain.linear_explain` makes exact for linear models; the
-scoring oracle scores one active-item set, the cloaking oracle applies one
-directive to one row, as `footcloak.cloak.cloak_matrix` does to a whole
-matrix, and the cost oracle counts one cloaked row's removed items.
+solve `footcloak.models` replaced: per fold and alpha, a Cholesky
+factorization of the dense centered Gram matrix of the train rows. The
+explanation oracle is the best-first SEDC search of Martens & Provost
+(2014), which `footcloak.explain.linear_explain` makes exact for linear
+models; the scoring oracle scores one active-item set, the cloaking oracle
+applies one directive to one row, as `footcloak.cloak.cloak_matrix` does to
+a whole matrix, and the cost oracle counts one cloaked row's removed items.
 Differential tests check the fast paths against them. The synthetic-data
 oracles are the generator's loop of one `rng.choice` per (user, topic)
 and its line-by-line dataset writer.
@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import linalg
 from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up
@@ -187,32 +188,24 @@ def from_rows_error(rows, n_items):
     return None
 
 
-def centered_gram(Xs):
-    """Eigendecomposition of the centered Gram matrix X_c X_c^T."""
-    mu = np.asarray(Xs.mean(axis=0)).ravel()
-    K = (Xs @ Xs.T).toarray().astype(np.float64)
-    p = np.asarray(Xs @ mu).ravel()
-    Kc = K - p[:, None] - p[None, :] + float(mu @ mu)
-    lam, Q = np.linalg.eigh(Kc)
-    return mu, np.maximum(lam, 0.0), Q
-
-
-def ridge_solve(Xs, y, alpha, mu, lam, Q):
-    """Dual-form ridge solution with centering; intercept unpenalized.
+def ridge_solve(X, y, alpha):
+    """Dual-form ridge on dense rows X with centering, intercept
+    unpenalized, by a Cholesky factorization of X_c X_c^T + alpha*I.
 
     Returns (w, b, beta) with w = X_c^T beta.
     """
+    mu = X.mean(axis=0)
+    Xc = X - mu
     ybar = float(y.mean())
-    yc = y - ybar
-    beta = Q @ ((Q.T @ yc) / (lam + alpha))
-    w = np.asarray(Xs.T @ beta).ravel() - mu * float(beta.sum())
-    b = ybar - float(mu @ w)
-    return w, b, beta
+    A = Xc @ Xc.T + alpha * np.eye(len(X))
+    beta = linalg.cho_solve(linalg.cho_factor(A), y - ybar)
+    w = Xc.T @ beta
+    return w, ybar - float(mu @ w), beta
 
 
 def ridge_cv(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
-    """CV of ridge with every fold decomposed by eigh: per alpha with a
-    usable fold, the mean validation Pearson.
+    """CV of ridge with one Cholesky solve per fold and alpha: per alpha
+    with a usable fold, the mean validation Pearson.
 
     A fold is not used where the validation predictions spread only by
     roundoff: ptp(preds) over the most they can spread,
@@ -223,26 +216,23 @@ def ridge_cv(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
     X = m.csr.toarray()
     k_norm = np.abs(X @ X.T).sum(axis=1).max()
     fold_idx = np.array_split(np.random.default_rng(seed).permutation(m.n_users), folds)
-    fold_cache = []
-    for f in range(folds):
-        val = np.sort(fold_idx[f])
-        trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
-        Xs_trn = m.csr[trn]
-        fold_cache.append((trn, val, Xs_trn, *centered_gram(Xs_trn)))
     roundoff = ROUNDOFF_C * np.sqrt(m.n_users) * np.finfo(float).eps
     means = {}
     for alpha in sorted(float(a) for a in alpha_grid):
         floor = roundoff * (k_norm + alpha) / alpha
         corrs = []
-        for trn, val, Xs_trn, mu, lam, Q in fold_cache:
+        for f in range(folds):
+            val = np.sort(fold_idx[f])
+            trn = np.sort(np.concatenate([fold_idx[g] for g in range(folds) if g != f]))
             if np.ptp(y[trn]) == 0.0:
                 continue
-            w, b, beta = ridge_solve(Xs_trn, y[trn], alpha, mu, lam, Q)
-            preds = m.select_users(val).csr @ w + b
+            w, b, beta = ridge_solve(X[trn], y[trn], alpha)
+            preds = X[val] @ w + b
+            mu = X[trn].mean(axis=0)
             reach = (
                 2.0
                 * np.linalg.norm(X[val] - mu, axis=1).max()
-                * np.linalg.norm(Xs_trn.toarray() - mu)
+                * np.linalg.norm(X[trn] - mu)
                 * np.linalg.norm(beta)
             )
             if np.ptp(preds) <= floor * reach:
@@ -266,7 +256,7 @@ class RidgeFit:
 
 
 def train_ridge(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0) -> RidgeFit:
-    """Ridge with alpha by CV Pearson, every fold decomposed by eigh."""
+    """Ridge with alpha by CV Pearson, one Cholesky solve per fold and alpha."""
     y = np.asarray(y, dtype=np.float64)
     if m.n_users < folds + 1:
         raise ValueError("need more users than folds")
@@ -285,7 +275,7 @@ def train_ridge(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0) -> RidgeFi
             best_alpha, best_mean = alpha, mean
     if best_alpha is None:
         raise ValueError("no alpha candidate produced a usable fold")
-    w, b, _ = ridge_solve(m.csr, y, best_alpha, *centered_gram(m.csr))
+    w, b, _ = ridge_solve(m.csr.toarray(), y, best_alpha)
     return RidgeFit(LinearModel(w, b, best_alpha, KIND_REGRESSOR), means)
 
 

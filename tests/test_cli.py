@@ -611,6 +611,30 @@ def test_failed_run_writes_no_file(data, tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("folds=abc\n", "'abc'"),
+        ('{"command": "train", "config": {"folds": "x"}}\n', "'x'"),
+    ],
+    ids=["key-value", "manifest"],
+)
+def test_config_value_that_does_not_parse_names_key_value_and_file(
+    data, tmp_path, capsys, text, value
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    rc = _run(*_train_args(data, out, "--config", cfg))
+    assert rc == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {
+        "error": "ValueError",
+        "message": f"config file {cfg}: folds={value} is not a valid int",
+    }
+    assert not out.exists()
+
+
 def test_malformed_config_line_fails(data, tmp_path, capsys):
     cfg = tmp_path / "bad2.cfg"
     cfg.write_text("seed 3\n")

@@ -31,7 +31,6 @@ from footcloak.models import (
     pearson,
     predict_scores,
     quantile_threshold,
-    ridge_basis,
     train_logreg_l2,
 )
 
@@ -224,7 +223,7 @@ def test_fewer_than_two_folds_rejected():
     with pytest.raises(ValueError, match="^folds must be at least 2$"):
         grid_search_cv(m, y, folds=1)
     with pytest.raises(ValueError, match="^folds must be at least 2$"):
-        ridge_basis(m, folds=0)
+        fit_ridge(m, y[:, None], folds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +416,7 @@ def test_ridge_recovers_noiseless_linear_target():
     y = X @ w_true + 0.7
     train_idx = np.arange(70)
     test_idx = np.arange(70, 90)
-    basis = ridge_basis(m.select_users(train_idx), folds=3, seed=0)
-    model = fit_ridge(basis, y[train_idx, None])[0]
+    model = fit_ridge(m.select_users(train_idx), y[train_idx, None], folds=3, seed=0)[0]
     preds = X[test_idx] @ model.weights + model.intercept
     assert pearson(preds, y[test_idx]) > 0.999
     assert model.kind == "continuous-regressor"
@@ -428,7 +426,7 @@ def test_ridge_huge_alpha_shrinks_weights():
     rng = np.random.default_rng(34)
     m = random_footprints(rng, 40, 10)
     y = rng.normal(0, 1, 40)
-    model = fit_ridge(ridge_basis(m, 3, 0), y[:, None], (1e9,))[0]
+    model = fit_ridge(m, y[:, None], (1e9,), 3, 0)[0]
     assert np.max(np.abs(model.weights)) < 1e-4
     # intercept falls back to roughly the target mean
     assert model.intercept == pytest.approx(float(y.mean()), abs=0.05)
@@ -438,14 +436,14 @@ def test_ridge_constant_target_errors():
     rng = np.random.default_rng(35)
     m = random_footprints(rng, 12, 6)
     with pytest.raises(ValueError):
-        fit_ridge(ridge_basis(m), np.full((12, 1), 3.0))
+        fit_ridge(m, np.full((12, 1), 3.0))
 
 
 def test_ridge_noisy_random_target_has_low_correlation():
     rng = np.random.default_rng(36)
     m = random_footprints(rng, 60, 8)
     y = rng.normal(0, 1, 60)  # unrelated to the footprint
-    model = fit_ridge(ridge_basis(m, 3, 1), y[:, None])[0]
+    model = fit_ridge(m, y[:, None], seed=1)[0]
     X = m.csr.toarray()
     held = np.arange(40, 60)
     r = pearson(X[held] @ model.weights + model.intercept, y[held])
@@ -459,16 +457,17 @@ def _outcome(fit):
         return str(err)
 
 
-# Tolerance of the Cholesky path against the eigh oracle, fixed from float64
-# and the conditioning of the final system A = Kc + alpha*I. Both paths form
-# Kc by subtracting the mean terms from K = X X^T, so Kc carries roundoff of
-# order eps * ||K||; ||Kc|| <= ||K|| (centering is a projection) and Kc has
-# the null vector 1, so kappa = (||K|| + alpha) / alpha bounds the
-# condition number of A and the effect of that roundoff alike. Each path
-# solves A beta = y_c backward-stably, so beta is within
-# RIDGE_C * n * eps * kappa * ||beta|| of the exact solution (2-norm).
-# w = X^T beta - mu sum(beta) multiplies that by at most
-# ||X||_F + sqrt(n) ||mu||, and b = ybar - mu.w by ||mu|| once more.
+# Tolerance of the CG path against the Cholesky oracle, fixed from float64
+# and the conditioning of the final system A = Kc + alpha*I. Kc has the null
+# vector 1 and ||Kc|| <= ||K|| for K = X X^T (centering is a projection), so
+# kappa = (||K|| + alpha) / alpha bounds the condition number of A on the
+# centered vectors the targets live in. The oracle solves A beta = y_c
+# backward-stably, so its beta is within RIDGE_C * n * eps * kappa * ||beta||
+# of the exact solution (2-norm). CG stops at relative residual
+# rtol = ROUNDOFF_C * sqrt(n) * eps, an error of at most rtol * kappa, and
+# ROUNDOFF_C * sqrt(n) <= RIDGE_C * n, so the same bound holds for it.
+# w = X_c^T beta multiplies that by at most ||X||_F + sqrt(n) ||mu||, and
+# b = ybar - mu.w by ||mu|| once more.
 RIDGE_C = 64
 
 
@@ -519,13 +518,12 @@ def test_shared_ridge_basis_matches_per_target_fit(
     targets.append(y_fold)
     if n_users < folds + 1:
         with pytest.raises(ValueError, match="need more users than folds"):
-            ridge_basis(m, folds, seed)
+            fit_ridge(m, np.column_stack(targets), alpha_grid, folds, seed)
         return
-    basis = ridge_basis(m, folds, seed)
     alone = []
     for y in targets:
         want = _outcome(lambda: oracles.train_ridge(m, y, alpha_grid, folds, seed))
-        got = _outcome(lambda: fit_ridge(basis, y[:, None], alpha_grid))
+        got = _outcome(lambda: fit_ridge(m, y[:, None], alpha_grid, folds, seed))
         alone.append(got if isinstance(got, str) else got[0])
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
@@ -533,16 +531,16 @@ def test_shared_ridge_basis_matches_per_target_fit(
         model = got[0]
         if model.C != want.model.C:
             assert _near_tie(want)
-        w, b, beta = oracles.ridge_solve(
-            m.csr, y, model.C, *oracles.centered_gram(m.csr)
-        )
+        w, b, beta = oracles.ridge_solve(m.csr.toarray(), y, model.C)
         d_w, d_b = _ridge_tolerance(m, y, model.C, beta)
         assert np.linalg.norm(model.weights - w) <= d_w
         assert abs(model.intercept - b) <= d_b
 
     # all columns at once: the first failing column's error, else the
     # models of fitting each column alone
-    together = _outcome(lambda: fit_ridge(basis, np.column_stack(targets), alpha_grid))
+    together = _outcome(
+        lambda: fit_ridge(m, np.column_stack(targets), alpha_grid, folds, seed)
+    )
     fails = [c for c, a in enumerate(alone) if isinstance(a, str)]
     if fails:
         assert together == alone[fails[0]]
@@ -556,45 +554,70 @@ def test_shared_ridge_basis_matches_per_target_fit(
             assert _near_tie(oracles.train_ridge(m, y, alpha_grid, folds, seed))
 
 
-def test_ridge_memory_peak_below_three_gram_matrices():
-    # the basis holds K = X X^T and a fit adds a fold's slices of K and one
-    # system to factor at a time: about 2.2 n^2 float64s at its traced peak,
-    # where per-fold CSR slices and eigh held 4.6 n^2
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix_seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(1, 300),
+    n_items=st.integers(1, 300),
+    n_vectors=st.integers(2, 12),
+)
+def test_block_products_match_each_vector_alone(
+    matrix_seed, n_users, n_items, n_vectors
+):
+    # the ridge CG's bit-identity of a target fitted with others rests on
+    # these: scipy's multi-vector CSR product gives each vector the bits of
+    # its single-vector product, and a sum over the last axis of a C-ordered
+    # block adds each row as it adds that row alone
+    rng = np.random.default_rng(matrix_seed)
+    m = random_footprints(rng, n_users, n_items, density=0.1)
+    for M, width in ((m.csr, n_items), (m.csr_t, n_users)):
+        V = rng.normal(size=(n_vectors, width))
+        block = models._times(M, V)
+        sums = np.sum(block, axis=1)
+        for c in range(n_vectors):
+            alone = models._times(M, V[c : c + 1])
+            assert np.array_equal(block[c], alone[0])
+            assert np.array_equal(M @ V[c], alone[0])
+            assert sums[c] == np.sum(alone, axis=1)[0]
+
+
+def test_ridge_memory_peak_below_half_a_gram_matrix():
+    # CG on the sparse rows holds no n x n array: per fold the train and
+    # validation CSR slices, and a few vectors per target and alpha. The
+    # bound, half of the n^2 float64s that K = X X^T alone took, was set
+    # before measuring; the Cholesky path peaked at about 2.2 n^2
     n = 600
     rng = np.random.default_rng(40)
     m = random_footprints(rng, n, 1500, density=0.02)
     Y = rng.normal(0, 1, (n, 5))
-    assert m.csr.nnz  # built before tracing
+    assert m.csr.nnz and m.csr_t.nnz  # built before tracing
     tracemalloc.start()
     try:
-        fitted = fit_ridge(ridge_basis(m), Y)
+        fitted = fit_ridge(m, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(fitted) == 5
-    assert peak < 3 * n * n * 8
+    assert peak < 0.5 * n * n * 8
 
 
-def test_ridge_failed_factorization_names_alpha(monkeypatch):
-    # a factorization that fails is an error, never a fallback
-    def not_pd(*args, **kwargs):
-        raise models.linalg.LinAlgError("1-th leading minor not positive definite")
-
-    monkeypatch.setattr(models.linalg, "cho_factor", not_pd)
+def test_ridge_shift_at_the_iteration_cap_names_alpha(monkeypatch):
+    # a shift that has not converged at the cap is an error, never a
+    # fallback; a cap of 0 iterations leaves every shift short of its stop
+    monkeypatch.setattr(models, "CG_ITERS_PER_ROW", 0)
     rng = np.random.default_rng(38)
     m = random_footprints(rng, 12, 6)
-    with pytest.raises(ValueError, match=r"not positive definite at alpha=0\.5"):
-        fit_ridge(ridge_basis(m), rng.normal(0, 1, (12, 1)), (0.5,))
+    with pytest.raises(ValueError, match=r"did not converge .* at alpha=0\.5$"):
+        fit_ridge(m, rng.normal(0, 1, (12, 1)), (0.5,))
 
 
 def test_ridge_targets_must_be_columns():
     rng = np.random.default_rng(39)
     m = random_footprints(rng, 12, 6)
-    basis = ridge_basis(m)
     y = rng.normal(0, 1, 12)
     for bad in (y, y[:-1, None], y[None, :]):
         with pytest.raises(ValueError, match="targets not aligned"):
-            fit_ridge(basis, bad)
+            fit_ridge(m, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -130,43 +130,38 @@ def _with_gap_trait(labels):
 
 
 @pytest.mark.parametrize(
-    "traits, gram_builds",
+    "traits, fits",
     [
         (["trait_a", "trait_b", "trait_c", "trait_d", "trait_e"], 1),
         (["trait_a", "trait_gap", "trait_b"], 2),
     ],
 )
-def test_ridge_basis_shared_by_training_users(
-    small_synth, monkeypatch, traits, gram_builds
-):
-    # one basis (one Gram matrix) per distinct set of labeled training users;
-    # the rows equal a separate ridge basis and fit per trait
+def test_ridge_basis_shared_by_training_users(small_synth, monkeypatch, traits, fits):
+    # one fit_ridge call (one set of folds, one CG run per fold) per
+    # distinct set of labeled training users; the rows equal a separate
+    # fit per trait
     res = small_synth
     labels = _with_gap_trait(res.labels)
     cfg = dataclasses.replace(_CONFIG, nmf_max_iters=20)
     calls = []
-    gram = models._gram
 
-    def counted(Xs):
-        calls.append(Xs.shape[0])
-        return gram(Xs)
+    def counted(m, Y, *args, **kwargs):
+        calls.append(Y.shape[1])
+        return models.fit_ridge(m, Y, *args, **kwargs)
 
-    monkeypatch.setattr(models, "_gram", counted)
+    monkeypatch.setattr(spillover, "fit_ridge", counted)
     shared = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
-    assert len(calls) == gram_builds
+    assert len(calls) == fits and sum(calls) == len(traits)
 
-    def per_trait_fit(basis, Y, alpha_grid=models.DEFAULT_ALPHA_GRID):
-        return [
-            models.fit_ridge(models.ridge_basis(*basis), y[:, None], alpha_grid)[0]
-            for y in Y.T
-        ]
+    def per_trait(m, Y, *args, **kwargs):
+        calls.append(Y.shape[1])
+        return [models.fit_ridge(m, y[:, None], *args, **kwargs)[0] for y in Y.T]
 
-    monkeypatch.setattr(spillover, "ridge_basis", lambda *args: args)
-    monkeypatch.setattr(spillover, "fit_ridge", per_trait_fit)
+    monkeypatch.setattr(spillover, "fit_ridge", per_trait)
     calls.clear()
-    per_trait = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
-    assert len(calls) == len(traits)
-    assert shared.rows == per_trait.rows
+    per_trait_report = run_spillover_experiment("task_a", traits, res.matrix, labels, cfg)
+    assert len(calls) == fits
+    assert shared.rows == per_trait_report.rows
 
 
 def test_population_too_small_errors(small_synth):

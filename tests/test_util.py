@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import footcloak
-from footcloak import models
 from footcloak._util import _openblas_thread_controls, serial_blas
 from footcloak.metafeatures import nmf_fit
-from footcloak.models import fit_ridge, ridge_basis, train_logreg_l2
+from footcloak.models import fit_ridge, train_logreg_l2
 
 from conftest import random_footprints
 
@@ -64,22 +63,6 @@ def test_serial_blas_nests():
         assert _counts() == [2] * len(CONTROLS)
 
 
-def test_ridge_factorizations_keep_the_callers_blas_threads(monkeypatch):
-    seen = []
-    cho_factor = models._cho_factor
-
-    def recording(A, alpha):
-        seen.append(_counts())
-        return cho_factor(A, alpha)
-
-    monkeypatch.setattr(models, "_cho_factor", recording)
-    rng = np.random.default_rng(52)
-    m = random_footprints(rng, 40, 30)
-    with _blas_threads(2):
-        fit_ridge(ridge_basis(m), rng.normal(size=(40, 2)))
-    assert seen and all(counts == [2] * len(CONTROLS) for counts in seen)
-
-
 # The differential tests pick shapes where a 2-thread OpenBLAS splits the
 # work: its level-1 routines (the dot products inside L-BFGS-B) thread above
 # 10 000 items, and its dgemm splits (W^T W) H at a column count that is no
@@ -108,6 +91,22 @@ def test_nmf_fit_does_not_depend_on_blas_threads():
             fits.append(nmf_fit(m, 50, max_iters=3, seed=1))
     for one, two in zip(*fits):
         assert np.array_equal(one, two)
+
+
+def test_ridge_fit_does_not_depend_on_blas_threads():
+    # the ridge's dot products over the 12 000 items are long enough for a
+    # 2-thread OpenBLAS to split
+    rng = np.random.default_rng(52)
+    m = random_footprints(rng, 200, 12_000, density=0.01)
+    Y = rng.normal(size=(200, 2))
+    fits = []
+    for threads in (1, 2):
+        with _blas_threads(threads):
+            fits.append(fit_ridge(m, Y))
+    for one, two in zip(*fits):
+        assert one.C == two.C
+        assert np.array_equal(one.weights, two.weights)
+        assert one.intercept == two.intercept
 
 
 def test_lookup_after_import_finds_every_blas():
