@@ -1,6 +1,6 @@
-"""Small shared helpers: deterministic rounding, the experiment config and
-its seed-stream table, the one result-file writer, and serial_blas for the
-iterative solvers."""
+"""Small shared helpers: deterministic rounding, the logistic function, the
+experiment config and its seed-stream table, the one result-file writer,
+and serial_blas for the iterative solvers."""
 
 from __future__ import annotations
 
@@ -23,6 +23,25 @@ def round_half_up(x: float) -> int:
     if x >= 0:
         return int(math.floor(x + 0.5))
     return -int(math.floor(-x + 0.5))
+
+
+def expit(x) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), elementwise, in float64.
+
+    scipy.special.expit computes the same expression with the C library's
+    exp; numpy's exp differs from it in the last bit for about 2% of
+    inputs, so the two agree to a few ulp (a test holds them to that, with
+    scipy as the oracle). Loading scipy.special costs a process about
+    0.3 s, which commands that fit nothing would pay for this alone.
+    exp(-x) overflows to inf below about -709.78, giving exactly 0 without
+    a warning. For |x| < 2**-52 the result is exactly 1/2, as scipy's is
+    for x up to 0.75 * 2**-52: there numpy's exp(-x) can be 1 - 2**-52
+    where the C library's is 1 - 2**-53, which would give 1/2 + 2**-53.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-x))
+    return np.where(np.abs(x) < 2.0**-52, 0.5, p)
 
 
 # Seed streams: each random stage draws from derive_seed(seed, stream). The
@@ -160,10 +179,14 @@ def _openblas_thread_controls() -> tuple:
     this process; () where there is none (another BLAS, or no /proc).
 
     /proc/self/maps is read once, at the first call. Importing footcloak
-    maps both: numpy maps its own OpenBLAS, and scipy.special, which
-    several footcloak modules import, maps scipy's. scipy.optimize, which
-    is imported only when a model is fitted, maps no further one.
+    maps only numpy's OpenBLAS: footcloak loads no scipy module at import,
+    and scipy.sparse links no BLAS. scipy's own OpenBLAS is mapped when
+    scipy.linalg loads, which scipy.optimize does at a model's first fit,
+    so the lookup loads scipy.linalg first: a lookup made before any fit
+    (NMF's, say) then still finds the library every later fit runs on.
     """
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted(

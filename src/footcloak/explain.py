@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
+from ._util import expit
 from .models import KIND_CLASSIFIER, LinearModel, item_weights
 
 

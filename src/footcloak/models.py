@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 import numpy as np
-from scipy.special import expit
 
 from ._util import (
     DEFAULT_ALPHA_GRID,
@@ -31,6 +30,7 @@ from ._util import (
     STREAM_SPLIT,
     ExperimentConfig,
     derive_seed,
+    expit,
     serial_blas,
 )
 from .data import FootprintMatrix, LabelTable, Partition, task_split
@@ -225,24 +225,26 @@ def grid_search_cv(
     n = m.n_users
     if n < folds:
         raise ValueError("need at least one user per fold")
-    splits = []
+    grid = sorted(float(c) for c in grid)
+    aucs = [[] for _ in grid]  # per C, in fold order
     for f, (val, trn) in enumerate(_kfold(n, folds, seed)):
         y_trn, y_val = y01[trn], y01[val]
         if np.unique(y_trn).size < 2 or np.unique(y_val).size < 2:
             logger.debug("grid_search_cv: fold %d skipped (single class)", f)
             continue
-        splits.append((f, m.select_users(trn), y_trn, m.select_users(val), y_val))
-    best_c = None
-    best_mean = -np.inf
-    for C in sorted(float(c) for c in grid):
-        scores = []
-        for f, m_trn, y_trn, m_val, y_val in splits:
+        m_trn, m_val = m.select_users(trn), m.select_users(val)
+        for C, scores in zip(grid, aucs):
             try:
                 model = train_logreg_l2(m_trn, y_trn, C)
             except ConvergenceError:
                 logger.debug("grid_search_cv: fold %d skipped (no convergence)", f)
                 continue
             scores.append(auc(predict_scores(model, m_val), y_val))
+        # freed before the next fold's are built: one fold's rows at a time
+        del m_trn, m_val
+    best_c = None
+    best_mean = -np.inf
+    for C, scores in zip(grid, aucs):
         if not scores:
             continue
         mean = float(np.mean(scores))

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ._util import (
     STREAM_PROTECTION_CV,
@@ -34,6 +33,7 @@ from ._util import (
     STREAM_PROTECTION_SPLIT,
     ExperimentConfig,
     derive_seed,
+    expit,
 )
 from .cloak import (
     STRATEGY_DOMAIN_MF,

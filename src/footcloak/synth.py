@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
-from ._util import canonical_json
+from ._util import canonical_json, expit
 from .data import FootprintMatrix, LabelTable, from_rows
 
 logger = logging.getLogger(__name__)
@@ -109,6 +108,50 @@ class SynthConfig:
         for name, holds, bound in checks:
             if not holds:
                 raise ValueError(f"{name} must be {bound}")
+        # a user can draw every item of the largest topic block, and
+        # Generator.choice can draw them only if each one's Zipf weight is
+        # finite and nonzero; then so is every weight of the smaller blocks
+        size = -(-self.n_items // self.k_topics)
+        if self.mean_likes > 0 and not _drawable(size, self.popularity_exponent):
+            lo, hi = (_drawable_edge(size, e) for e in (-_EXPONENT_OUT, _EXPONENT_OUT))
+            raise ValueError(
+                f"popularity_exponent must be in [{lo}, {hi}] with a largest "
+                f"topic block of {size} items, where its Zipf weights neither "
+                "overflow nor underflow to 0"
+            )
+
+
+def _zipf(size: int, exponent: float) -> np.ndarray:
+    """A topic block's normalized Zipf weights, rank ** -exponent over
+    their sum; NaN or 0 where they overflow or underflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wts = (np.arange(size, dtype=np.float64) + 1.0) ** (-exponent)
+        return wts / wts.sum()
+
+
+def _drawable(size: int, exponent: float) -> bool:
+    """Whether every Zipf weight of a block of size items is finite and
+    nonzero, so that choice can draw the whole block."""
+    return bool((_zipf(size, exponent) > 0).all())
+
+
+# an exponent whose weights fail for every block of 2 or more items:
+# 2 ** 1100 overflows and 2 ** -1100 underflows
+_EXPONENT_OUT = 1100.0
+
+
+def _drawable_edge(size: int, outside: float) -> float:
+    """The exponent between 0 and outside (which fails) where the weights
+    of a block of size items stop being drawable, to 1 decimal, rounded
+    toward 0 so that it is drawable itself."""
+    inside = 0.0
+    for _ in range(64):
+        mid = (inside + outside) / 2
+        if _drawable(size, mid):
+            inside = mid
+        else:
+            outside = mid
+    return math.trunc(inside * 10) / 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,21 +203,6 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _choice_error(p: np.ndarray) -> str | None:
-    """The message of the ValueError Generator.choice raises for weights p
-    at any sample size, or None. p is never negative here, so its
-    non-negativity check cannot fail."""
-    total = p.sum()
-    if np.isnan(total):
-        return "Probabilities contain NaN"
-    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
-        return (
-            "Probabilities do not sum to 1. See Notes section of docstring "
-            "for more information."
-        )
-    return None
-
-
 def _sample_rows(rng, blocks, zipf, aff, like_counts):
     """Each user's ascending item indices, with the resample and overflow
     counts.
@@ -187,7 +215,9 @@ def _sample_rows(rng, blocks, zipf, aff, like_counts):
     further round draws as many uniforms as are still missing, from the
     CDF of the weights with the found items zeroed. The replay takes the
     same uniforms from the same stream, so every seed gives the rows that
-    loop gives, and it raises choice's ValueErrors for degenerate weights.
+    loop gives. It makes none of choice's checks: SynthConfig admits only
+    weights that pass them whenever anything is drawn, and a topic's
+    weights are read only when it is drawn from.
     Unlike that loop, it builds each topic's first-round CDF once, and it
     takes a user's uniforms from one `rng.random` call, topped up only
     when a round needs more (`random(a)` then `random(b)` gives the
@@ -195,9 +225,7 @@ def _sample_rows(rng, blocks, zipf, aff, like_counts):
     """
     sizes = np.array([len(b) for b in blocks])
     starts = [int(b[0]) for b in blocks]
-    errors = [_choice_error(p) for p in zipf]
-    first_cdfs = [_cdf(p) if e is None else None for p, e in zip(zipf, errors)]
-    nonzero = [int(np.count_nonzero(p > 0)) for p in zipf]
+    first_cdfs = [None] * len(zipf)  # each built at its topic's first draw
     resamples = 0
     overflow_shifts = 0
     rows = []
@@ -211,11 +239,9 @@ def _sample_rows(rng, blocks, zipf, aff, like_counts):
         for t, c in enumerate(counts.tolist()):
             if c == 0:
                 continue
-            if errors[t] is not None:
-                raise ValueError(errors[t])
-            if nonzero[t] < c:
-                raise ValueError("Fewer non-zero entries in p than size")
             cdf = first_cdfs[t]
+            if cdf is None:
+                cdf = first_cdfs[t] = _cdf(zipf[t])
             found: list[int] = []
             while True:
                 need = c - len(found)
@@ -255,12 +281,7 @@ def generate(config: SynthConfig) -> SynthResult:
     item_topics = np.concatenate(
         [np.full(len(b), t, dtype=np.int64) for t, b in enumerate(blocks)]
     )
-    zipf = []
-    for b in blocks:
-        wts = (np.arange(len(b), dtype=np.float64) + 1.0) ** (
-            -config.popularity_exponent
-        )
-        zipf.append(wts / wts.sum())
+    zipf = [_zipf(len(b), config.popularity_exponent) for b in blocks]
 
     aff = rng.dirichlet(np.full(k, config.dirichlet_alpha), size=n)
     like_counts = np.minimum(rng.poisson(config.mean_likes, size=n), m)

@@ -4,19 +4,21 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit as scipy_expit
 from scipy.stats import rankdata
 
 import footcloak
 from footcloak import models
-from footcloak._util import write_results
+from footcloak._util import expit, write_results
 from footcloak.data import from_rows
 from footcloak.models import (
     DEFAULT_ALPHA_GRID,
@@ -350,6 +352,35 @@ def test_auc_ranks_match_scipy_rankdata(data, scores):
     assert auc(scores, labels) == want
 
 
+# Fixed before the run: scipy's expit and footcloak's compute the same
+# expression, each with an exp within about an ulp of exp(-x), and
+# 1 / (1 + e) carries e's relative error on at most whole, plus one
+# rounding each for + and /; over 4M normals with sigma up to 300 the
+# largest gap was 4 ulp of scipy's value, so the bound is twice that.
+EXPIT_ULPS = 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=False)))
+@example(x=np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]))
+# exp(-x) overflows just beyond -709.78: scipy's 0 starts there too
+@example(x=np.array([-709.782712893384, -709.7827128933841, -745.2, -1e308]))
+# 1 + exp(-x) rounds to 1 from 53 ln 2 on: scipy's exact 1
+@example(x=np.array([36.7368005696771, 36.73680056967711, 37.0, 1e308]))
+# for x in (0.70, 0.75) * 2**-52 numpy's exp(-x) is 1 - 2**-52, the C
+# library's 1 - 2**-53, and scipy's expit exactly 1/2
+@example(x=np.array([1.5613e-16, 1.6e-16, 1.6653e-16, -3.3e-16, 2.2e-16]))
+def test_expit_matches_scipy_expit(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(x)
+    want = scipy_expit(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    for exact in (0.0, 0.5, 1.0):
+        assert np.all(got[want == exact] == exact)
+    assert np.all(np.abs(got - want) <= EXPIT_ULPS * np.spacing(want))
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs every CLI process about 0.6 s of start-up
     src = str(Path(footcloak.__file__).resolve().parents[1])
@@ -380,6 +411,27 @@ def test_cli_start_up_leaves_out_scipy_optimize(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "False False"
+
+
+def test_cli_import_and_synth_load_no_scipy(tmp_path):
+    # no footcloak module imports scipy at start-up, and synth, which
+    # builds no sparse matrix and fits nothing, loads none of it
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["synth", "--users", "20", "--items", "30", "--topics", "3",
+            "--mean-likes", "5", "--out", str(tmp_path / "data")]
+    code = (
+        "import sys, footcloak.cli\n"
+        "scipy = lambda: [m for m in sorted(sys.modules) if m.startswith('scipy')]\n"
+        "before = scipy()\n"
+        f"assert footcloak.cli.main({argv!r}) == 0\n"
+        "print(before, scipy())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[] []"
 
 
 def test_pearson_frozen_example():

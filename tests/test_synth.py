@@ -155,14 +155,10 @@ def test_write_dataset_roundtrip(tmp_path, small_synth):
 
 
 def _outcome(cfg):
-    """Everything generate returns, or the error it raises."""
+    """Everything generate returns; it warns of nothing."""
     with warnings.catch_warnings():
-        # extreme exponents overflow the Zipf weights on purpose
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            res = generate(cfg)
-        except ValueError as exc:
-            return ("raises", type(exc), str(exc))
+        warnings.simplefilter("error")
+        res = generate(cfg)
     m = res.matrix
     return (
         m.indptr.tolist(),
@@ -182,22 +178,25 @@ def _oracle_outcome(cfg):
 def synth_configs(draw):
     k = draw(st.integers(1, 5))
     n_items = draw(st.integers(k, 40))
+    # every exponent SynthConfig admits, its edges included
+    size = -(-n_items // k)
+    lo, hi = (synth._drawable_edge(size, e) for e in (-1100.0, 1100.0))
     return SynthConfig(
         n_users=draw(st.integers(2, 30)),
         n_items=n_items,
         k_topics=k,
         dirichlet_alpha=draw(st.sampled_from([0.05, 0.3, 1.0, 5.0])),
         popularity_exponent=draw(
-            st.floats(-500.0, 500.0, allow_nan=False) | st.sampled_from([0.0, 1.1])
+            st.floats(lo, hi) | st.sampled_from([0.0, 1.1, lo, hi])
         ),
         mean_likes=draw(st.integers(0, n_items)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
-_ZIPF_UNDERFLOW = SynthConfig(
-    n_users=50, n_items=200, k_topics=4, mean_likes=30, popularity_exponent=400
-)
+# the largest topic block has 50 items: its exponents run from -181.4 to
+# 190.4 (to 1 decimal)
+_BLOCKS_OF_50 = SynthConfig(n_users=50, n_items=200, k_topics=4, mean_likes=30)
 
 
 # a wrong replay can loop forever on extreme weights: stop at the first
@@ -206,12 +205,11 @@ _ZIPF_UNDERFLOW = SynthConfig(
 @given(cfg=synth_configs())
 # tiny inventories: the resample and overflow-shift paths
 @example(SynthConfig(n_users=40, n_items=12, k_topics=6, mean_likes=10, seed=5))
-# the Zipf weights underflow to zeros: fewer non-zero weights than draws
-@example(_ZIPF_UNDERFLOW)
-# they overflow: NaN weights
-@example(dataclasses.replace(_ZIPF_UNDERFLOW, popularity_exponent=-400))
-# their sum overflows, not one of them: every weight is 0
-@example(SynthConfig(n_users=5, n_items=5000, k_topics=1, popularity_exponent=-83))
+# the last Zipf weights are subnormal
+@example(dataclasses.replace(_BLOCKS_OF_50, popularity_exponent=190.4))
+# their sum is within a factor 2 of overflow
+@example(dataclasses.replace(_BLOCKS_OF_50, popularity_exponent=-181.4))
+@example(SynthConfig(n_users=5, n_items=5000, k_topics=1, popularity_exponent=-82.8))
 def test_generate_matches_choice_oracle(cfg):
     assert _outcome(cfg) == _oracle_outcome(cfg)
 
@@ -221,21 +219,41 @@ def test_generate_matches_choice_oracle_default_size():
     assert _outcome(cfg) == _oracle_outcome(cfg)
 
 
+def _unchecked_zipf(size, exponent):
+    """A block's Zipf weights as generate computed them before the bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wts = (np.arange(size, dtype=np.float64) + 1.0) ** (-exponent)
+        return wts / wts.sum()
+
+
+_BLOCKS_OF_50_MESSAGE = (
+    "popularity_exponent must be in [-181.4, 190.4] with a largest topic "
+    "block of 50 items, where its Zipf weights neither overflow nor "
+    "underflow to 0"
+)
+
+
 @pytest.mark.parametrize(
-    "exponent, message",
+    "exponent, choice_message",
     [
         (400, "Fewer non-zero entries in p than size"),
         (-400, "Probabilities contain NaN"),
+        (191, "Fewer non-zero entries in p than size"),
+        (-182, "Probabilities contain NaN"),
     ],
 )
-def test_degenerate_weights_raise_like_choice(exponent, message, tmp_path, capsys):
-    cfg = dataclasses.replace(_ZIPF_UNDERFLOW, popularity_exponent=exponent)
-    assert _outcome(cfg) == ("raises", ValueError, message)
-    # the weights are checked only where a topic is drawn from
-    assert _outcome(dataclasses.replace(cfg, mean_likes=0))[4] == {
-        "resamples": 0,
-        "overflow_shifts": 0,
-    }
+def test_degenerate_weights_raise_like_choice(
+    exponent, choice_message, tmp_path, capsys
+):
+    # weights from which choice cannot draw a whole block (it raises
+    # choice_message) fail in SynthConfig instead, before any draw, naming
+    # the field and its range
+    p = _unchecked_zipf(50, exponent)
+    with pytest.raises(ValueError, match=choice_message):
+        np.random.default_rng(0).choice(50, size=50, replace=False, p=p)
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(_BLOCKS_OF_50, popularity_exponent=exponent)
+    assert str(exc.value) == _BLOCKS_OF_50_MESSAGE
     rc = cli.main([
         "synth", "--users", "50", "--items", "200", "--topics", "4",
         "--mean-likes", "30", f"--popularity-exponent={exponent}",
@@ -243,7 +261,57 @@ def test_degenerate_weights_raise_like_choice(exponent, message, tmp_path, capsy
     ])
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err == {"error": "ValueError", "message": message}
+    assert err == {"error": "ValueError", "message": _BLOCKS_OF_50_MESSAGE}
+    # with nothing to draw the weights are never used
+    cfg = dataclasses.replace(_BLOCKS_OF_50, popularity_exponent=exponent, mean_likes=0)
+    assert _outcome(cfg)[4] == {"resamples": 0, "overflow_shifts": 0}
+
+
+def _near_edges(n_items, k):
+    """Any exponent, or one within 0.2 of where SynthConfig's range ends."""
+    size = -(-n_items // k)
+    edges = [synth._drawable_edge(size, e) for e in (-1100.0, 1100.0)]
+    near = st.sampled_from(edges).flatmap(lambda e: st.floats(e - 0.2, e + 0.2))
+    return st.floats(-1100.0, 1100.0) | near
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 8), n_items=st.integers(1, 3000), data=st.data())
+def test_exponent_bound_admits_what_choice_can_draw(k, n_items, data):
+    # SynthConfig admits an exponent exactly when numpy's own choice can
+    # draw every item of every topic block from its unchecked weights (a
+    # user can draw a whole block)
+    k = min(k, n_items)
+    exponent = data.draw(_near_edges(n_items, k))
+    _check_exponent_bound(k, n_items, exponent)
+
+
+def test_exponent_bound_where_only_the_sum_overflows():
+    # 5000 ** 83 is finite and the sum of the weights is not: every
+    # normalized weight is 0
+    _check_exponent_bound(1, 5000, -83.0)
+    _check_exponent_bound(1, 5000, -82.8)
+
+
+def _check_exponent_bound(k, n_items, exponent):
+    rng = np.random.default_rng(0)
+    drawable = True
+    for block in synth._topic_blocks(n_items, k):
+        p = _unchecked_zipf(len(block), exponent)
+        try:
+            rng.choice(block, size=len(block), replace=False, p=p)
+        except ValueError:
+            drawable = False
+    cfg = dict(n_users=2, n_items=n_items, k_topics=k, popularity_exponent=exponent)
+    try:
+        SynthConfig(**cfg, mean_likes=1)
+    except ValueError as exc:
+        assert not drawable
+        assert str(exc).startswith("popularity_exponent must be in [")
+    else:
+        assert drawable
+    # nothing is drawn, and the weights are never read
+    _outcome(SynthConfig(**cfg, mean_likes=0))
 
 
 def _written(outdir, writer, result):

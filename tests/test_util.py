@@ -3,6 +3,7 @@ gets its thread count back, and the solvers' results stop depending on the
 thread count around them."""
 
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -129,3 +130,44 @@ def test_lookup_after_import_finds_every_blas():
     first, after = out.stdout.splitlines()
     assert first == after
     assert first == str([g.__name__ for g, _ in CONTROLS])
+
+
+def test_nmf_before_any_fit_still_serializes_scipy_blas():
+    # NMF builds no scipy solver, so its serial_blas can make the one lookup
+    # before scipy.optimize has mapped scipy's OpenBLAS; a later logistic
+    # fit must still run that library on one thread
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))}
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import footcloak._util as u, footcloak.models as models\n"
+        "from footcloak.metafeatures import nmf_fit\n"
+        "from conftest import random_footprints\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "rng = np.random.default_rng(53)\n"
+        "m = random_footprints(rng, 60, 80, density=0.2)\n"
+        "nmf_fit(m, 3, max_iters=2, seed=0)\n"
+        "import scipy.linalg  # maps scipy's OpenBLAS if the lookup did not\n"
+        "every = u._openblas_thread_controls.__wrapped__()  # a fresh lookup\n"
+        "for _, set_threads in every:\n"
+        "    set_threads(2)\n"
+        "counts = lambda: [get() for get, _ in every]\n"
+        "seen, value_and_grad = [], models.logreg_value_and_grad\n"
+        "def spy(*args):\n"
+        "    seen.append(counts())\n"
+        "    return value_and_grad(*args)\n"
+        "models.logreg_value_and_grad = spy\n"
+        "models.train_logreg_l2(m, (np.arange(60) % 3 == 0).astype(float))\n"
+        "names = [g.__name__ for g, _ in every]\n"
+        "print(json.dumps([names, seen[0], seen[-1], counts()]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    names, first, last, after = json.loads(out.stdout.strip().splitlines()[-1])
+    assert names == [g.__name__ for g, _ in CONTROLS]
+    assert first == last == [1] * len(CONTROLS)
+    assert after == [2] * len(CONTROLS)
