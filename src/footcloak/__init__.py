@@ -57,6 +57,6 @@ from .simulate import (
     tradeoff_report,
 )
 from .spillover import SpilloverReport, SpilloverRow, run_spillover_experiment
-from .synth import SynthConfig, generate, write_dataset
+from .synth import SynthConfig, dataset_files, generate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -100,6 +100,7 @@ class ExperimentConfig:
         # (field, whether it holds, the bound it must meet); every
         # comparison is written so that NaN makes it false
         checks = (
+            ("seed", self.seed >= 0, "at least 0"),
             ("quantile", 0.0 < self.quantile < 1.0, "in (0, 1)"),
             ("tolerance_quantile", 0.0 < self.tolerance_quantile < 1.0, "in (0, 1)"),
             ("drop_fraction", 0.0 <= self.drop_fraction <= 1.0, "in [0, 1]"),
@@ -115,7 +116,8 @@ class ExperimentConfig:
             ("min_user", self.min_user >= 0, "at least 0"),
             ("min_item", self.min_item >= 0, "at least 0"),
             ("nmf_max_iters", self.nmf_max_iters >= 1, "at least 1"),
-            ("nmf_tol", self.nmf_tol >= 0.0, "at least 0"),
+            # a manifest holds no infinity: JSON has none
+            ("nmf_tol", 0.0 <= self.nmf_tol < math.inf, "in [0, inf)"),
         )
         for name, holds, bound in checks:
             if not holds:
@@ -130,7 +132,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A header and rows as CSV text with newline line ends.
 
     Fields holding `,`, `"` or a line break are quoted, None is written as
@@ -147,14 +149,14 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def write_results(outdir, files: dict[str, Any]) -> None:
     """Write a command's result files into outdir, creating it if needed.
 
-    files maps a file name to its content: a name ending in `.csv` takes
-    (header, rows), written as CSV; any other name takes a JSON object,
-    written by canonical_json. Files are written in the order given, and
-    every text is built before outdir is made, so content that is not
-    strict JSON writes no file at all.
+    files maps a file name to its content: a str is written as it is (the
+    CSV files, built by csv_text or, for synth's dataset, by plain joins);
+    anything else is a JSON object, written by canonical_json. Files are
+    written in the order given, and every text is built before outdir is
+    made, so content that is not strict JSON writes no file at all.
     """
     texts = {
-        name: _csv_text(*content) if name.endswith(".csv") else canonical_json(content)
+        name: content if isinstance(content, str) else canonical_json(content)
         for name, content in files.items()
     }
     outdir = Path(outdir)

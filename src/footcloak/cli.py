@@ -1,13 +1,14 @@
 """Command-line entry points: synth, train, explain, cloak, simulate,
 spillover, report.
 
-Every successful run writes a manifest.json recording the command, library
-version, seed, resolved config and its hash; a run that fails writes no
-file. Reruns from the same manifest write byte-identical result files:
-nothing time- or order-dependent is serialized. A command's config keys
-are its flags less --out and --config. Config files are plain key=value
-lines or a previously written manifest.json; explicit flags win over
-config entries.
+Each command returns its result files, synth's dataset too, and main writes
+them in one write_results call, followed by a manifest.json recording the
+command, library version, seed, resolved config and its hash; a run that
+fails writes no file. Reruns from the same manifest write byte-identical
+result files: nothing time- or order-dependent is serialized. A command's
+config keys are its flags less --out and --config. Config files are plain
+key=value lines or a previously written manifest.json; explicit flags win
+over config entries.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import ExperimentConfig, write_results
+from ._util import ExperimentConfig, csv_text, write_results
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -44,7 +45,6 @@ from .models import auc, fit_task_classifier, model_to_dict, predict_scores
 from .simulate import (
     TradeoffRow,
     curve_csv,
-    curve_to_dict,
     run_protection_experiment,
     tradeoff_report,
 )
@@ -55,7 +55,7 @@ from .spillover import (
     run_spillover_experiment,
     spillover_csv,
 )
-from .synth import SynthConfig, generate, write_dataset
+from .synth import SynthConfig, dataset_files, generate
 
 _STRATEGY_BY_FLAG = {
     "fg": STRATEGY_FG,
@@ -169,9 +169,22 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     """The command's settings; a field it has no key for keeps its default."""
     fields = _config_fields(ExperimentConfig, cfg)
     if "schedule" in fields:
-        text = fields["schedule"]
-        fields["schedule"] = tuple(float(x) for x in text.split(",") if x.strip())
+        fields["schedule"] = _schedule(fields["schedule"])
     return ExperimentConfig(**fields)
+
+
+def _schedule(text: str) -> tuple[float, ...]:
+    """The re-add fractions a comma-separated schedule lists."""
+    fractions = []
+    for x in text.split(","):
+        if x.strip():
+            try:
+                fractions.append(float(x))
+            except ValueError:
+                raise ValueError(
+                    f"schedule value {x.strip()!r} is not a number"
+                ) from None
+    return tuple(fractions)
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
@@ -198,12 +211,11 @@ def _domain_model(cfg: dict, matrix):
 
 def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
     result = generate(_synth_config(cfg))
-    write_dataset(outdir, result)
     print(
         f"synth: {result.matrix.n_users} users, {result.matrix.n_items} items, "
         f"{result.matrix.nnz} likes -> {outdir}"
     )
-    return {}
+    return dataset_files(result)
 
 
 def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
@@ -337,7 +349,7 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
         + ("undefined" if final is None else f"{final:.3f}")
     )
     return {
-        "protection_curve.json": {**curve_to_dict(curve), **meta},
+        "protection_curve.json": {**dataclasses.asdict(curve), **meta},
         "protection_curve.csv": curve_csv(curve),
     }
 
@@ -371,7 +383,7 @@ def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> dict:
     header = [f.name for f in dataclasses.fields(TradeoffRow)]
     return {
         "tradeoff.json": {"rows": [dataclasses.asdict(r) for r in rows], **meta},
-        "tradeoff.csv": (header, [dataclasses.astuple(r) for r in rows]),
+        "tradeoff.csv": csv_text(header, [dataclasses.astuple(r) for r in rows]),
     }
 
 

@@ -525,6 +525,11 @@ def task_split(
     if task not in labels.values:
         raise ValueError(f"unknown task {task!r}")
     fm = filter_min_activity(matrix, min_user, min_item)
+    if fm.n_users == 0:
+        raise ValueError(
+            "no user survives activity filtering: none has min_user="
+            f"{min_user} likes among the items with min_item={min_item} likes"
+        )
     keep = np.array([matrix.user_index[u] for u in fm.user_ids], dtype=np.int64)
     flabels = labels.select_users(keep)
     if not flabels.is_binary(task):

@@ -32,6 +32,7 @@ from ._util import (
     STREAM_PROTECTION_NMF,
     STREAM_PROTECTION_SPLIT,
     ExperimentConfig,
+    csv_text,
     derive_seed,
     expit,
 )
@@ -440,26 +441,9 @@ def tradeoff_report(
 # serialization
 
 
-def curve_to_dict(curve: ProtectionCurve) -> dict:
-    return {
-        "task": curve.task,
-        "strategy": curve.strategy,
-        "quantile": curve.quantile,
-        "seed": curve.seed,
-        "population_size": curve.population_size,
-        "population_user_ids": list(curve.population_user_ids),
-        "fractions": list(curve.fractions),
-        "protection": list(curve.protection),
-        "thresholds": list(curve.thresholds),
-        "group_curves": {k: list(v) for k, v in curve.group_curves.items()},
-        "diagnostics": curve.diagnostics,
-    }
-
-
-def curve_csv(curve: ProtectionCurve) -> tuple:
-    """CSV mirror as (header, rows): fraction, protection, group (group 'all'
-    plus tp/fp)."""
-    return (
+def curve_csv(curve: ProtectionCurve) -> str:
+    """CSV mirror: fraction, protection, group (group 'all' plus tp/fp)."""
+    return csv_text(
         ("fraction", "protection", "group"),
         [
             (f, v, name)

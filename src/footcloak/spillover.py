@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import STREAM_RIDGE, ExperimentConfig, derive_seed
+from ._util import STREAM_RIDGE, ExperimentConfig, csv_text, derive_seed
 from .cloak import STRATEGY_FG, STRATEGY_MF, cloak_matrix, cloak_population
 from .data import FootprintMatrix, LabelTable
 from .metafeatures import task_nmf_metafeatures
@@ -207,9 +207,9 @@ def report_to_dict(report: SpilloverReport) -> dict:
     }
 
 
-def spillover_csv(report: SpilloverReport) -> tuple:
-    """CSV mirror as (header, rows): trait, strategy, pearson_r, n."""
-    return (
+def spillover_csv(report: SpilloverReport) -> str:
+    """CSV mirror: trait, strategy, pearson_r, n."""
+    return csv_text(
         ("trait", "strategy", "pearson_r", "n"),
         [
             (r.trait, strategy, val, r.n)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_json, expit
+from ._util import expit
 from .data import FootprintMatrix, LabelTable, from_rows
 
 logger = logging.getLogger(__name__)
@@ -318,61 +317,53 @@ def generate(config: SynthConfig) -> SynthResult:
 # dataset files
 
 
-def write_dataset(outdir, result: SynthResult) -> dict:
-    """Write footprints.csv, labels.csv, domain_categories.csv and the
-    ground-truth sidecar. Returns the written paths."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def dataset_files(result: SynthResult) -> dict:
+    """The dataset as result files: footprints.csv, labels.csv and
+    domain_categories.csv as text, and the ground-truth sidecar as a JSON
+    object.
+
+    The CSV lines are plain comma joins, several times faster than
+    csv.writer; they are csv_text's bytes, because generated ids hold no
+    comma, quote or line break.
+    """
     m = result.matrix
+    k = result.config.k_topics
 
-    # one write per user and one per task, each a join of its lines
-    fp = outdir / "footprints.csv"
+    # each user's lines in one join
+    footprints = ["user_id,item_id\n"]
     item_id = m.item_ids.__getitem__
-    with fp.open("w") as fh:
-        fh.write("user_id,item_id\n")
-        for i, uid in enumerate(m.user_ids):
-            row = m.row(i).tolist()
-            if row:
-                sep = f"\n{uid},"
-                fh.write(f"{uid},{sep.join(map(item_id, row))}\n")
+    for i, uid in enumerate(m.user_ids):
+        row = m.row(i).tolist()
+        if row:
+            sep = f"\n{uid},"
+            footprints.append(f"{uid},{sep.join(map(item_id, row))}\n")
 
-    lp = outdir / "labels.csv"
-    with lp.open("w") as fh:
-        fh.write("user_id,task_name,value\n")
-        for task in result.labels.task_names:
-            vals = result.labels.values[task].tolist()
-            binary = result.labels.is_binary(task)
-            lines = [
-                f"{uid},{task},{int(v) if binary else format(v, '.6f')}\n"
-                for uid, v in zip(m.user_ids, vals)
-                if not math.isnan(v)
-            ]
-            fh.write("".join(lines))
+    labels = ["user_id,task_name,value\n"]
+    for task in result.labels.task_names:
+        vals = result.labels.values[task].tolist()
+        binary = result.labels.is_binary(task)
+        labels.extend(
+            f"{uid},{task},{int(v) if binary else format(v, '.6f')}\n"
+            for uid, v in zip(m.user_ids, vals)
+            if not math.isnan(v)
+        )
 
     # broader editorial groups: pairs of adjacent topics, with a small
     # deterministic tail of items left unmapped to exercise 'uncategorized'
-    dp = outdir / "domain_categories.csv"
-    blocks = _topic_blocks(m.n_items, result.config.k_topics)
-    with dp.open("w") as fh:
-        fh.write("item_id,category\n")
-        for t, block in enumerate(blocks):
-            mapped = block[: max(1, int(len(block) * 0.98))]
-            for j in mapped:
-                fh.write(f"{m.item_ids[j]},cat{t // 2}\n")
+    domains = ["item_id,category\n"]
+    for t, block in enumerate(_topic_blocks(m.n_items, k)):
+        mapped = block[: max(1, int(len(block) * 0.98))]
+        domains.extend(f"{m.item_ids[j]},cat{t // 2}\n" for j in mapped)
 
-    gt = outdir / "ground_truth.json"
-    k = result.config.k_topics
-    obj = {
-        "config": asdict(result.config),
-        "binary_links": [asdict(l) for l in default_binary_links(k)],
-        "continuous_links": [asdict(l) for l in default_continuous_links(k)],
-        "item_topics": [int(t) for t in result.item_topics],
-        "diagnostics": result.diagnostics,
-    }
-    gt.write_text(canonical_json(obj))
     return {
-        "footprints": str(fp),
-        "labels": str(lp),
-        "domain_categories": str(dp),
-        "ground_truth": str(gt),
+        "footprints.csv": "".join(footprints),
+        "labels.csv": "".join(labels),
+        "domain_categories.csv": "".join(domains),
+        "ground_truth.json": {
+            "config": asdict(result.config),
+            "binary_links": [asdict(l) for l in default_binary_links(k)],
+            "continuous_links": [asdict(l) for l in default_continuous_links(k)],
+            "item_topics": [int(t) for t in result.item_topics],
+            "diagnostics": result.diagnostics,
+        },
     }

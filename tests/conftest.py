@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from footcloak import synth
+from footcloak._util import write_results
 from footcloak.data import from_rows
+
+# HYPOTHESIS_PROFILE=ci loads the ci profile: CI runs the CLI fuzz test on
+# its own under it, with a larger example budget than Tier-1's
+settings.register_profile("ci", max_examples=600)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +31,7 @@ def tiny_dataset_dir(tmp_path_factory):
         n_users=260, n_items=300, k_topics=4, mean_likes=25, seed=5
     )
     res = synth.generate(cfg)
-    synth.write_dataset(outdir, res)
+    write_results(outdir, synth.dataset_files(res))
     return outdir
 
 

@@ -424,8 +424,8 @@ def sample_rows(rng, blocks, zipf, aff, like_counts):
 
 
 def write_footprints_and_labels(outdir, result):
-    """footprints.csv and labels.csv as footcloak.synth.write_dataset
-    writes them, one write per line."""
+    """footprints.csv and labels.csv as footcloak.synth.dataset_files
+    gives them, one write per line."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     m = result.matrix

@@ -587,6 +587,23 @@ _FAILED_RUNS = {
         None,
         "traits must list at least one name",
     ),
+    "simulate-schedule-not-a-number": (
+        ("simulate", "--task", "task_a", "--schedule", "a,b"),
+        None,
+        "schedule value 'a' is not a number",
+    ),
+    "train-min-user-above-every-user": (
+        ("train", "--task", "task_a", "--min-user", 1000),
+        None,
+        "no user survives activity filtering: none has min_user=1000 likes "
+        "among the items with min_item=10 likes",
+    ),
+    "train-min-item-above-every-item": (
+        ("train", "--task", "task_a", "--min-item", 1000),
+        None,
+        "no user survives activity filtering: none has min_user=10 likes "
+        "among the items with min_item=1000 likes",
+    ),
 }
 
 
@@ -712,6 +729,8 @@ def test_fewer_than_two_folds_is_structured_error(
         ("--drop-fraction", "nan", "drop_fraction"),
         ("--nmf-tol", -1e-3, "nmf_tol"),
         ("--nmf-tol", "nan", "nmf_tol"),
+        ("--nmf-tol", "inf", "nmf_tol"),
+        ("--seed", -1, "seed"),
     ],
 )
 def test_config_field_out_of_range_is_structured_error(

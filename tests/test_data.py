@@ -128,9 +128,11 @@ def test_load_triplets_memory_is_bounded_by_file_size(tmp_path):
     import tracemalloc
 
     from footcloak import synth
+    from footcloak._util import write_results
 
     res = synth.generate(synth.SynthConfig(n_users=2000, n_items=5000))
-    path = Path(synth.write_dataset(tmp_path, res)["footprints"])
+    write_results(tmp_path, synth.dataset_files(res))
+    path = tmp_path / "footprints.csv"
     tracemalloc.start()
     try:
         m = load_triplets(path)

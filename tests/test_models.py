@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 import footcloak
 from footcloak import models
-from footcloak._util import expit, write_results
+from footcloak._util import csv_text, expit, write_results
 from footcloak.data import from_rows
 from footcloak.models import (
     DEFAULT_ALPHA_GRID,
@@ -381,38 +381,6 @@ def test_expit_matches_scipy_expit(x):
     assert np.all(np.abs(got - want) <= EXPIT_ULPS * np.spacing(want))
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs every CLI process about 0.6 s of start-up
-    src = str(Path(footcloak.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, footcloak.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_start_up_leaves_out_scipy_optimize(tmp_path):
-    # L-BFGS-B is imported by the first fit: importing the CLI and running
-    # synth, which fits nothing, never load it
-    src = str(Path(footcloak.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    argv = ["synth", "--users", "20", "--items", "30", "--topics", "3",
-            "--mean-likes", "5", "--out", str(tmp_path / "data")]
-    code = (
-        "import sys, footcloak.cli\n"
-        "before = 'scipy.optimize' in sys.modules\n"
-        f"assert footcloak.cli.main({argv!r}) == 0\n"
-        "print(before, 'scipy.optimize' in sys.modules)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "False False"
-
-
 def test_cli_import_and_synth_load_no_scipy(tmp_path):
     # no footcloak module imports scipy at start-up, and synth, which
     # builds no sparse matrix and fits nothing, loads none of it
@@ -704,6 +672,10 @@ def test_save_model_rejects_nan(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ValueError):
         write_results(
-            out, {"a.csv": (["x"], [[1]]), "model.json": model_to_dict(model, ("a", "b"))}
+            out,
+            {
+                "a.csv": csv_text(["x"], [[1]]),
+                "model.json": model_to_dict(model, ("a", "b")),
+            },
         )
     assert not out.exists()

@@ -27,7 +27,6 @@ from footcloak.simulate import (
     ExperimentConfig,
     build_protection_context,
     curve_csv,
-    curve_to_dict,
     protection_flags,
     run_protection_experiment,
     run_strategy,
@@ -203,7 +202,7 @@ def test_curve_serialization(ctx, tmp_path):
     curve, _ = run_strategy(ctx, STRATEGY_FG)
     jpath = tmp_path / "curve.json"
     cpath = tmp_path / "curve.csv"
-    obj = {**curve_to_dict(curve), "config_hash": "abc", "seed": 4}
+    obj = {**dataclasses.asdict(curve), "config_hash": "abc", "seed": 4}
     write_results(tmp_path, {"curve.json": obj, "curve.csv": curve_csv(curve)})
     obj = json.loads(jpath.read_text())
     assert obj["task"] == "task_a" and obj["strategy"] == STRATEGY_FG

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import warnings
 from unittest import mock
@@ -10,14 +12,15 @@ from hypothesis import strategies as st
 
 import oracles
 from footcloak import cli, synth
+from footcloak._util import csv_text, write_results
 from footcloak.data import LabelTable, load_labels, load_triplets, split_train_test
 from footcloak.models import auc, predict_scores, train_logreg_l2
 from footcloak.synth import (
     SynthConfig,
+    dataset_files,
     default_binary_links,
     default_continuous_links,
     generate,
-    write_dataset,
 )
 
 
@@ -120,7 +123,11 @@ def test_overflow_diagnostics_counted():
 
 def test_write_dataset_roundtrip(tmp_path, small_synth):
     res = small_synth
-    paths = write_dataset(tmp_path, res)
+    files = dataset_files(res)
+    assert list(files) == [
+        "footprints.csv", "labels.csv", "domain_categories.csv", "ground_truth.json"
+    ]
+    write_results(tmp_path, files)
     m2 = load_triplets(tmp_path / "footprints.csv")
     assert m2.user_ids == tuple(
         uid for uid in res.matrix.user_ids if len(res.matrix.row(res.matrix.user_index[uid]))
@@ -147,7 +154,6 @@ def test_write_dataset_roundtrip(tmp_path, small_synth):
     assert cats[0] == "item_id,category"
     # roughly 98% of items are mapped
     assert 0.9 <= (len(cats) - 1) / res.matrix.n_items <= 1.0
-    assert set(paths) >= {"footprints", "labels", "domain_categories", "ground_truth"}
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +320,7 @@ def _check_exponent_bound(k, n_items, exponent):
     _outcome(SynthConfig(**cfg, mean_likes=0))
 
 
-def _written(outdir, writer, result):
-    writer(outdir, result)
+def _written(outdir):
     return [(outdir / name).read_bytes() for name in ("footprints.csv", "labels.csv")]
 
 
@@ -331,6 +336,12 @@ def test_write_dataset_matches_line_writer(tmp_path, small_synth):
     values["none_observed"] = np.full(res.matrix.n_users, np.nan)
     holed = dataclasses.replace(res, labels=LabelTable(values, res.matrix.n_users))
     for i, result in enumerate((res, holed)):
-        got = _written(tmp_path / f"new{i}", write_dataset, result)
-        oracle = oracles.write_footprints_and_labels
-        assert got == _written(tmp_path / f"old{i}", oracle, result)
+        files = dataset_files(result)
+        write_results(tmp_path / f"new{i}", files)
+        oracles.write_footprints_and_labels(tmp_path / f"old{i}", result)
+        assert _written(tmp_path / f"new{i}") == _written(tmp_path / f"old{i}")
+        # the plain joins give csv_text's bytes: no generated id needs quoting
+        for name, text in files.items():
+            if name.endswith(".csv"):
+                header, *rows = csv.reader(io.StringIO(text, newline=""))
+                assert text == csv_text(header, rows)
