@@ -5,58 +5,70 @@ behaviors drive a sensitive prediction; cloaking removes them. This
 package adds metafeature cloaking (remove whole behavior groups and keep
 them suppressed), simulates how protection decays as new behaviors
 arrive, and measures what cloaking costs other prediction tasks.
+
+The public names load lazily (PEP 562): `import footcloak` loads no
+numpy, and `footcloak.X` imports the one submodule that defines X.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from ._util import ExperimentConfig
-from .cloak import (
-    STRATEGY_DOMAIN_MF,
-    STRATEGY_FG,
-    STRATEGY_FG_TOL,
-    STRATEGY_MF,
-    CloakDirective,
-    cloak_matrix,
-    cloak_population,
-)
-from .data import (
-    DropPlan,
-    FootprintMatrix,
-    LabelTable,
-    apply_drop,
-    filter_min_activity,
-    from_rows,
-    load_labels,
-    load_triplets,
-    make_drop_plan,
-    split_train_test,
-)
-from .explain import Explanation, linear_explain
-from .metafeatures import (
-    MetafeatureModel,
-    assign_exclusive,
-    build_nmf_metafeatures,
-    load_domain_categories,
-    nmf_fit,
-)
-from .models import (
-    ConvergenceError,
-    LinearModel,
-    ThresholdSpec,
-    auc,
-    grid_search_cv,
-    pearson,
-    predict_scores,
-    quantile_threshold,
-    train_logreg_l2,
-)
-from .simulate import (
-    ProtectionCurve,
-    TradeoffRow,
-    run_protection_experiment,
-    tradeoff_report,
-)
-from .spillover import SpilloverReport, SpilloverRow, run_spillover_experiment
-from .synth import SynthConfig, dataset_files, generate
+# submodule -> the public names it defines
+_EXPORTS = {
+    "_choices": ("STRATEGY_DOMAIN_MF", "STRATEGY_FG", "STRATEGY_FG_TOL", "STRATEGY_MF"),
+    "_util": ("ExperimentConfig",),
+    "cloak": ("CloakDirective", "cloak_matrix", "cloak_population"),
+    "data": (
+        "DropPlan",
+        "FootprintMatrix",
+        "LabelTable",
+        "apply_drop",
+        "filter_min_activity",
+        "from_rows",
+        "load_labels",
+        "load_triplets",
+        "make_drop_plan",
+        "split_train_test",
+    ),
+    "explain": ("Explanation", "linear_explain"),
+    "metafeatures": (
+        "MetafeatureModel",
+        "assign_exclusive",
+        "build_nmf_metafeatures",
+        "load_domain_categories",
+        "nmf_fit",
+    ),
+    "models": (
+        "ConvergenceError",
+        "LinearModel",
+        "ThresholdSpec",
+        "auc",
+        "grid_search_cv",
+        "pearson",
+        "predict_scores",
+        "quantile_threshold",
+        "train_logreg_l2",
+    ),
+    "simulate": (
+        "ProtectionCurve",
+        "TradeoffRow",
+        "run_protection_experiment",
+        "tradeoff_report",
+    ),
+    "spillover": ("SpilloverReport", "SpilloverRow", "run_spillover_experiment"),
+    "synth": ("SynthConfig", "dataset_files", "generate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

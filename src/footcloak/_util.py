@@ -181,8 +181,9 @@ def _openblas_thread_controls() -> tuple:
     this process; () where there is none (another BLAS, or no /proc).
 
     /proc/self/maps is read once, at the first call. Importing footcloak
-    maps only numpy's OpenBLAS: footcloak loads no scipy module at import,
-    and scipy.sparse links no BLAS. scipy's own OpenBLAS is mapped when
+    maps no OpenBLAS, as it loads neither numpy nor scipy; numpy's is
+    mapped with this module, which imports numpy, and scipy.sparse links
+    no BLAS. scipy's own OpenBLAS is mapped when
     scipy.linalg loads, which scipy.optimize does at a model's first fit,
     so the lookup loads scipy.linalg first: a lookup made before any fit
     (NMF's, say) then still finds the library every later fit runs on.

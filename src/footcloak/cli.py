@@ -5,7 +5,9 @@ Each command returns its result files, synth's dataset too, and main writes
 them in one write_results call, followed by a manifest.json recording the
 command, library version, seed, resolved config and its hash; a run that
 fails writes no file. Reruns from the same manifest write byte-identical
-result files: nothing time- or order-dependent is serialized. A command's
+result files: nothing time- or order-dependent is serialized. The parser is
+built from the standard library alone and each command imports the stages it
+runs, so --version, --help and usage errors load no numpy. A command's
 config keys are its flags less --out and --config. Config files are plain
 key=value lines or a previously written manifest.json; explicit flags win
 over config entries.
@@ -20,42 +22,21 @@ import logging
 import sys
 from hashlib import sha256
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from ._util import ExperimentConfig, csv_text, write_results
-from .cloak import (
+from ._choices import (
+    POPULATION_ALL_TEST,
+    POPULATION_CLOAKED,
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    check_strategy,
-    cloak_population,
-    directives_to_dict,
 )
-from .data import filter_min_activity, load_labels, load_triplets
-from .explain import linear_explain
-from .metafeatures import (
-    load_domain_categories,
-    metafeature_report,
-    task_nmf_metafeatures,
-)
-from .models import auc, fit_task_classifier, model_to_dict, predict_scores
-from .simulate import (
-    TradeoffRow,
-    curve_csv,
-    run_protection_experiment,
-    tradeoff_report,
-)
-from .spillover import (
-    POPULATION_ALL_TEST,
-    POPULATION_CLOAKED,
-    report_to_dict,
-    run_spillover_experiment,
-    spillover_csv,
-)
-from .synth import SynthConfig, dataset_files, generate
+
+if TYPE_CHECKING:  # the stages load numpy: each command imports its own
+    from ._util import ExperimentConfig
+    from .synth import SynthConfig
 
 _STRATEGY_BY_FLAG = {
     "fg": STRATEGY_FG,
@@ -72,28 +53,31 @@ _KEY_FIELD = {
     "topics": "k_topics",
     "k": "k_metafeatures",
 }
-# defaults of the config keys no dataclass field gives; schedule is held
-# as the text the flag takes
+# defaults of the config keys no dataclass field gives
 _PLAIN_DEFAULTS = {
     "strategy": "fg",
     "strategies": "fg,mf",
     "population": POPULATION_CLOAKED,
-    "schedule": ",".join(str(f) for f in ExperimentConfig().schedule),
 }
 
 
-def _read_config_file(path: str, command: str) -> dict:
-    """Read key=value lines, or the config block of a manifest.json."""
+def _read_config_file(path: str, command: str) -> tuple[dict, bool]:
+    """The settings of key=value lines, or of a manifest.json's config
+    block, and whether they are text to parse: a manifest's are JSON
+    values."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        if "command" not in obj or "config" not in obj:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+        if "command" not in obj or not isinstance(obj.get("config"), dict):
             raise ValueError(f"config file {path} is JSON but not a manifest.json")
         if obj["command"] != command:
             raise ValueError(
                 f"manifest was written by '{obj['command']}', not '{command}'"
             )
-        return dict(obj["config"])
+        return dict(obj["config"]), False
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -103,30 +87,43 @@ def _read_config_file(path: str, command: str) -> dict:
             raise ValueError(f"config line {ln}: expected key=value")
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
-    return out
+    return out, True
 
 
 _OPTIONAL_KEYS = {"domain_mapping", "user"}
 
+# the JSON types a flag type admits: an integer is a valid float, and a
+# bool is no number
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _config_value(path: str, key: str, val, as_text: bool):
+    """A config file's value for key as its flag's type: text is parsed, and
+    a JSON value must already have that type (or be null, for an optional
+    key)."""
+    kind = _FLAGS[key].get("type", str)
+    if as_text:
+        try:
+            return kind(val)
+        except ValueError:
+            pass
+    elif (val is None and key in _OPTIONAL_KEYS) or (
+        isinstance(val, _JSON_TYPES[kind]) and not isinstance(val, bool)
+    ):
+        return val
+    raise ValueError(
+        f"config file {path}: {key}={val!r} is not a valid {kind.__name__}"
+    )
+
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    cfg = _defaults(command)
     if args.config:
-        file_cfg = _read_config_file(args.config, command)
+        file_cfg, as_text = _read_config_file(args.config, command)
         for key, val in file_cfg.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {command}")
-            # a value read as text takes its default's type
-            if isinstance(val, str) and cfg[key] is not None:
-                kind = type(cfg[key])
-                try:
-                    val = kind(val)
-                except ValueError:
-                    raise ValueError(
-                        f"config file {args.config}: {key}={val!r} "
-                        f"is not a valid {kind.__name__}"
-                    ) from None
-            cfg[key] = val
+            cfg[key] = _config_value(args.config, key, val, as_text)
     for key in cfg:
         flag_val = getattr(args, key)
         if flag_val is not None:
@@ -167,6 +164,8 @@ def _config_fields(config_type, cfg: dict) -> dict:
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
     """The command's settings; a field it has no key for keeps its default."""
+    from ._util import ExperimentConfig
+
     fields = _config_fields(ExperimentConfig, cfg)
     if "schedule" in fields:
         fields["schedule"] = _schedule(fields["schedule"])
@@ -188,10 +187,19 @@ def _schedule(text: str) -> tuple[float, ...]:
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
+    from .synth import SynthConfig
+
     return SynthConfig(**_config_fields(SynthConfig, cfg))
 
 
+def _settings(command: str, cfg: dict) -> SynthConfig | ExperimentConfig:
+    """The SynthConfig or ExperimentConfig that a command's config sets."""
+    return (_synth_config if command == "synth" else _experiment_config)(cfg)
+
+
 def _load_dataset(cfg: dict):
+    from .data import load_labels, load_triplets
+
     m = load_triplets(cfg["footprints"])
     labels = load_labels(cfg["labels"], m)
     return m, labels
@@ -201,6 +209,9 @@ def _domain_model(cfg: dict, matrix):
     """The domain mapping over the items that survive activity filtering."""
     if not cfg.get("domain_mapping"):
         raise ValueError("--domain-mapping is required for the domain strategy")
+    from .data import filter_min_activity
+    from .metafeatures import load_domain_categories
+
     fm = filter_min_activity(matrix, cfg["min_user"], cfg["min_item"])
     return load_domain_categories(cfg["domain_mapping"], fm.item_ids)
 
@@ -210,6 +221,8 @@ def _domain_model(cfg: dict, matrix):
 
 
 def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
+    from .synth import dataset_files, generate
+
     result = generate(_synth_config(cfg))
     print(
         f"synth: {result.matrix.n_users} users, {result.matrix.n_items} items, "
@@ -219,6 +232,8 @@ def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
+    from .models import auc, fit_task_classifier, model_to_dict, predict_scores
+
     matrix, labels = _load_dataset(cfg)
     task = cfg["task"]
     clf = fit_task_classifier(task, matrix, labels, _experiment_config(cfg))
@@ -232,7 +247,7 @@ def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
         "n_train": clf.train.matrix.n_users,
         "n_test": clf.test.matrix.n_users,
         "auc_test": auc(test_scores, clf.test.labels.values[task]),
-        "positive_rate_test": float(np.mean(test_scores >= threshold)),
+        "positive_rate_test": float((test_scores >= threshold).mean()),
         **meta,
     }
     print(
@@ -247,6 +262,8 @@ def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 def _positive_test_user(clf, uid: str) -> int:
     """Test row of user uid, who must score at or above the threshold."""
+    from .models import predict_scores
+
     test, threshold = clf.test.matrix, clf.threshold.value
     if uid not in test.user_index:
         raise ValueError(f"user {uid!r} is not in the test partition")
@@ -264,6 +281,9 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
     uid = cfg["user"]
     if uid is None:
         raise ValueError("--user is required for explain")
+    from .explain import linear_explain
+    from .models import fit_task_classifier
+
     matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, _experiment_config(cfg))
     threshold = clf.threshold.value
@@ -291,6 +311,10 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
+    from .cloak import check_strategy, cloak_population, directives_to_dict
+    from .metafeatures import metafeature_report, task_nmf_metafeatures
+    from .models import fit_task_classifier, predict_scores
+
     econf = _experiment_config(cfg)
     strategy = _strategy(cfg["strategy"])
     check_strategy(econf, strategy)
@@ -300,7 +324,7 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
     if cfg.get("user"):
         targets = [_positive_test_user(clf, cfg["user"])]
     else:
-        targets = np.nonzero(predict_scores(clf.model, test) >= threshold)[0]
+        targets = (predict_scores(clf.model, test) >= threshold).nonzero()[0]
     mfm = None
     if strategy == STRATEGY_MF:
         mfm = task_nmf_metafeatures(clf.train.matrix, econf)
@@ -334,6 +358,8 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
+    from .simulate import curve_csv, run_protection_experiment
+
     strategy = _strategy(cfg["strategy"])
     econf = _experiment_config(cfg)
     matrix, labels = _load_dataset(cfg)
@@ -355,6 +381,8 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
+    from .spillover import report_to_dict, run_spillover_experiment, spillover_csv
+
     traits = _names(cfg, "traits")
     econf = _experiment_config(cfg)
     matrix, labels = _load_dataset(cfg)
@@ -373,6 +401,9 @@ def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
 
 
 def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> dict:
+    from ._util import csv_text
+    from .simulate import TradeoffRow, tradeoff_report
+
     tasks = _names(cfg, "tasks")
     strategies = [_strategy(s) for s in _names(cfg, "strategies")]
     econf = _experiment_config(cfg)
@@ -470,20 +501,19 @@ _COMMANDS = {
 }
 
 
-def _command_defaults(command: str, keys: str) -> dict:
+def _defaults(command: str) -> dict:
     """Each config key of a command with its default: its _PLAIN_DEFAULTS
-    entry, else its config dataclass field's, else None. Config files and
-    flags override these."""
-    config = SynthConfig() if command == "synth" else ExperimentConfig()
-    return {
+    entry, else its config dataclass field's, else None; the schedule is
+    held as the text its flag takes. Config files and flags override these.
+    Built only when a command runs: the config dataclasses load numpy."""
+    config = _settings(command, {})
+    defaults = {
         key: _PLAIN_DEFAULTS.get(key, getattr(config, _KEY_FIELD.get(key, key), None))
-        for key in keys.split()
+        for key in _COMMANDS[command][2].split()
     }
-
-
-_DEFAULTS = {
-    name: _command_defaults(name, keys) for name, (_, _, keys) in _COMMANDS.items()
-}
+    if "schedule" in defaults:
+        defaults["schedule"] = ",".join(str(f) for f in defaults["schedule"])
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +538,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
+    from ._util import write_results  # numpy loads once the command line parses
+
     try:
         cfg = _resolve_config(args.command, args)
         # a setting out of range (NaN too) fails before data loads
-        (_synth_config if args.command == "synth" else _experiment_config)(cfg)
+        _settings(args.command, cfg)
         outdir = Path(args.out)
         meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
         files = _COMMANDS[args.command][0](cfg, outdir, meta)

@@ -15,16 +15,12 @@ from typing import Optional
 
 import numpy as np
 
+from ._choices import STRATEGY_DOMAIN_MF, STRATEGY_FG, STRATEGY_FG_TOL, STRATEGY_MF
 from ._util import ExperimentConfig
 from .data import FootprintMatrix
 from .explain import linear_explain
 from .metafeatures import MetafeatureModel
 from .models import LinearModel, quantile_threshold
-
-STRATEGY_FG = "FG"
-STRATEGY_MF = "MF"
-STRATEGY_DOMAIN_MF = "DOMAIN_MF"
-STRATEGY_FG_TOL = "FG_TOL"
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._choices import POPULATION_ALL_TEST, POPULATION_CLOAKED
 from ._util import STREAM_RIDGE, ExperimentConfig, csv_text, derive_seed
 from .cloak import STRATEGY_FG, STRATEGY_MF, cloak_matrix, cloak_population
 from .data import FootprintMatrix, LabelTable
@@ -29,9 +30,6 @@ from .models import (
 )
 
 logger = logging.getLogger(__name__)
-
-POPULATION_CLOAKED = "cloaked"
-POPULATION_ALL_TEST = "all-test"
 
 SMALL_POPULATION = 30
 MIN_POPULATION = 3

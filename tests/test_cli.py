@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from footcloak import cli, cloak, simulate
+from footcloak import cli, cloak, models, simulate
 from footcloak._util import ExperimentConfig, canonical_json
 from footcloak.cli import main
 from footcloak.data import load_labels, load_triplets
@@ -361,7 +361,7 @@ def test_fg_tol_cloak_checks_bound_before_fitting(
     def no_fit(*a, **k):
         raise AssertionError("the classifier was fitted")
 
-    monkeypatch.setattr(cli, "fit_task_classifier", no_fit)
+    monkeypatch.setattr(models, "fit_task_classifier", no_fit)
     out = tmp_path / "cl"
     rc = _run(
         "cloak", "--footprints", data["footprints"], "--labels", data["labels"],
@@ -405,7 +405,7 @@ def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
 def test_tradeoff_csv_roundtrips_names(data, tmp_path, monkeypatch):
     name = 'a,"b"'
     rows = [simulate.TradeoffRow(name, "FG", 0.25, 0.5, 3)]
-    monkeypatch.setattr(cli, "tradeoff_report", lambda *a, **k: rows)
+    monkeypatch.setattr(simulate, "tradeoff_report", lambda *a, **k: rows)
     out = tmp_path / "rep"
     rc = _run(
         "report", "--footprints", data["footprints"], "--labels", data["labels"],
@@ -536,6 +536,16 @@ _FAILED_RUNS = {
         '{"seed": 3}\n',
         "is JSON but not a manifest.json",
     ),
+    "manifest-config-not-an-object": (
+        ("train", "--task", "task_a"),
+        '{"command": "train", "config": 5}\n',
+        "is JSON but not a manifest.json",
+    ),
+    "manifest-not-valid-json": (
+        ("train", "--task", "task_a"),
+        '{"command": \n',
+        "is not valid JSON: Expecting value: line 2 column 1",
+    ),
     "report-bogus-strategy": (
         ("report", "--tasks", "task_a", "--strategies", "fg,bogus"),
         None,
@@ -629,25 +639,54 @@ def test_failed_run_writes_no_file(data, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "text, value",
+    "command, text, value",
     [
-        ("folds=abc\n", "'abc'"),
-        ('{"command": "train", "config": {"folds": "x"}}\n', "'x'"),
+        ("train", "folds=abc\n", "folds='abc' is not a valid int"),
+        (
+            "train",
+            '{"command": "train", "config": {"folds": "x"}}\n',
+            "folds='x' is not a valid int",
+        ),
+        (
+            "train",
+            '{"command": "train", "config": {"folds": 2.5}}\n',
+            "folds=2.5 is not a valid int",
+        ),
+        (
+            "train",
+            '{"command": "train", "config": {"quantile": true}}\n',
+            "quantile=True is not a valid float",
+        ),
+        (
+            "simulate",
+            '{"command": "simulate", "config": {"schedule": 1}}\n',
+            "schedule=1 is not a valid str",
+        ),
     ],
-    ids=["key-value", "manifest"],
+    ids=[
+        "key-value",
+        "manifest",
+        "manifest-float-for-int",
+        "manifest-bool-for-float",
+        "manifest-int-for-text",
+    ],
 )
 def test_config_value_that_does_not_parse_names_key_value_and_file(
-    data, tmp_path, capsys, text, value
+    data, tmp_path, capsys, command, text, value
 ):
+    # a manifest's JSON value must already have its flag's type
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
-    rc = _run(*_train_args(data, out, "--config", cfg))
+    rc = _run(
+        command, "--footprints", data["footprints"], "--labels", data["labels"],
+        "--task", "task_a", "--config", cfg, "--out", out,
+    )
     assert rc == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line) == {
         "error": "ValueError",
-        "message": f"config file {cfg}: folds={value} is not a valid int",
+        "message": f"config file {cfg}: {value}",
     }
     assert not out.exists()
 

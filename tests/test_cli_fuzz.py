@@ -5,8 +5,11 @@ or fails with a structured error that one of footcloak's own checks
 raised: never a traceback, and never Python's, numpy's or scipy's words.
 Values are drawn only where the flag's argparse type accepts them, so
 argparse never exits. The path flags take the tiny synthetic dataset's
-files or nothing, and --config is never given: a missing file fails in
-the operating system's words, by design.
+files or nothing. About half the runs move some of their settings into a
+config file that the test writes: key=value text, or a manifest.json whose
+values mostly have their flag's JSON type and otherwise another one. A
+missing config file fails in the operating system's words, by design, so
+--config always names one.
 
 Tier-1 runs 40 drawn runs and the explicit examples; CI runs the
 larger budget of the ci profile (HYPOTHESIS_PROFILE=ci, see conftest.py).
@@ -120,14 +123,38 @@ def test_every_flag_is_drawn():
     assert set(_VALUES) | _NOT_DRAWN == set(cli._FLAGS)
 
 
+# a JSON value of each type, for manifest values of the wrong type
+_JSON_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-2, 3),
+    float: st.floats(-2.0, 3.0),
+    str: st.sampled_from(["", "x", "0.5"]),
+    list: st.lists(st.integers(0, 2), max_size=2),
+}
+
+
+@st.composite
+def _json_value(draw, key, text):
+    """A manifest's value for key: in 2 draws of 3 the text as its flag's
+    type, else a value of a JSON type the flag does not take."""
+    kind = cli._FLAGS[key].get("type", str)
+    if draw(st.integers(0, 2)):
+        return kind(text)
+    admitted = (int, float) if kind is float else (kind,)
+    return draw(st.one_of(*(v for t, v in _JSON_VALUES.items() if t not in admitted)))
+
+
 @st.composite
 def _runs(draw):
-    """A command and its drawn flags, as {key: argv text}. A flag the run
-    needs (it has no default) is mostly given; any other is unset as
-    often as not."""
+    """A command, its drawn flags as {key: argv text}, and its config file:
+    None, or ("text", {key: text}) or ("manifest", {key: JSON value}),
+    which holds some of the drawn settings instead of the flags. A setting
+    the run needs (it has no default) is mostly given; any other is unset
+    as often as not."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     flags = {}
-    for key, default in cli._DEFAULTS[command].items():
+    for key, default in cli._defaults(command).items():
         admitted, wild = _VALUES[key]
         if default is None and key not in cli._OPTIONAL_KEYS:
             value = draw(st.sampled_from([admitted] * 8 + [wild, None]))
@@ -135,14 +162,34 @@ def _runs(draw):
             value = draw(st.sampled_from([None, None, admitted, admitted, wild]))
         if value is not None:
             flags[key] = str(draw(value))
-    return command, flags
+    form = draw(st.sampled_from([None, None, "text", "manifest"]))
+    if form is None:
+        return command, flags, None
+    keys = draw(st.sets(st.sampled_from(sorted(flags)))) if flags else set()
+    config = {key: flags.pop(key) for key in sorted(keys)}
+    if form == "manifest":
+        config = {key: draw(_json_value(key, text)) for key, text in config.items()}
+    return command, flags, (form, config)
+
+
+def _data_path(key, value, data_dir):
+    """value, with a path setting's file name as the dataset's file."""
+    return str(data_dir / value) if key in _PATHS and value == _PATHS[key] else value
+
+
+def _write_config(path, command, config, data_dir):
+    form, values = config
+    values = {key: _data_path(key, val, data_dir) for key, val in values.items()}
+    if form == "text":
+        path.write_text("".join(f"{key}={val}\n" for key, val in values.items()))
+    else:
+        path.write_text(json.dumps({"command": command, "config": values}))
 
 
 def _argv(command, flags, data_dir, out):
     argv = [command, "--out", str(out)]
     for key, value in flags.items():
-        if key in _PATHS:
-            value = str(data_dir / value)
+        value = _data_path(key, value, data_dir)
         # --key=value: argparse reads "-1e-05" after a bare flag as a flag
         argv.append(f"--{key.replace('_', '-')}={value}")
     return argv
@@ -177,12 +224,15 @@ _TRAIN = {"footprints": "footprints.csv", "labels": "labels.csv", "task": "task_
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=_EXAMPLES, deadline=None, database=None)
 @given(run=_runs())
-@example(run=("simulate", {**_TRAIN, "schedule": "a,b"}))
-@example(run=("train", {**_TRAIN, "seed": "-1"}))
-@example(run=("train", {**_TRAIN, "min_user": "1000"}))
-@example(run=("train", {**_TRAIN, "min_item": "1000"}))
+@example(run=("simulate", {**_TRAIN, "schedule": "a,b"}, None))
+@example(run=("train", {**_TRAIN, "seed": "-1"}, None))
+@example(run=("train", {**_TRAIN, "min_user": "1000"}, None))
+@example(run=("train", {**_TRAIN, "min_item": "1000"}, None))
+@example(run=("simulate", _TRAIN, ("manifest", {"schedule": 1})))
+@example(run=("train", _TRAIN, ("manifest", {"folds": 2.5})))
+@example(run=("train", _TRAIN, ("manifest", {"quantile": True})))
 def test_cli_run_succeeds_or_fails_in_its_own_words(tiny_dataset_dir, run):
-    command, flags = run
+    command, flags, config = run
     reported = []
 
     def report(*args, file=None, **kwargs):
@@ -193,10 +243,15 @@ def test_cli_run_succeeds_or_fails_in_its_own_words(tiny_dataset_dir, run):
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         out = Path(tmp) / "out"
+        argv = _argv(command, flags, tiny_dataset_dir, out)
+        if config is not None:
+            cfg = Path(tmp) / "run.cfg"
+            _write_config(cfg, command, config, tiny_dataset_dir)
+            argv.append(f"--config={cfg}")
         stack.enter_context(mock.patch.object(cli, "print", report, create=True))
         err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
-        rc = cli.main(_argv(command, flags, tiny_dataset_dir, out))
+        rc = cli.main(argv)
         if rc == 0:
             _check_files(out)
             return

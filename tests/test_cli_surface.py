@@ -227,7 +227,7 @@ def test_options(command):
 
 @pytest.mark.parametrize("command", sorted(DEFAULTS))
 def test_default_config_and_hash(command):
-    cfg = cli._DEFAULTS[command]
+    cfg = cli._defaults(command)
     assert cfg == DEFAULTS[command]
     # same types too: the manifest writes 0.9 and 50, not 0.9000 or 50.0
     assert [type(v) for v in cfg.values()] == [
@@ -244,4 +244,4 @@ def test_resolved_config_hash(command):
 
 
 def test_default_experiment_config():
-    assert cli._experiment_config(cli._DEFAULTS["simulate"]) == ExperimentConfig()
+    assert cli._experiment_config(cli._defaults("simulate")) == ExperimentConfig()

@@ -382,24 +382,35 @@ def test_expit_matches_scipy_expit(x):
 
 
 def test_cli_import_and_synth_load_no_scipy(tmp_path):
-    # no footcloak module imports scipy at start-up, and synth, which
-    # builds no sparse matrix and fits nothing, loads none of it
+    # importing the CLI, building its parser and a usage error load no
+    # numpy; synth loads no scipy and none of the stages it does not run
     src = str(Path(footcloak.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     argv = ["synth", "--users", "20", "--items", "30", "--topics", "3",
             "--mean-likes", "5", "--out", str(tmp_path / "data")]
+    unused = ["cloak", "explain", "metafeatures", "models", "simulate", "spillover"]
     code = (
         "import sys, footcloak.cli\n"
-        "scipy = lambda: [m for m in sorted(sys.modules) if m.startswith('scipy')]\n"
-        "before = scipy()\n"
+        "numpy = lambda: 'numpy' in sys.modules\n"
+        "before = [numpy()]\n"
+        "footcloak.cli.build_parser()\n"
+        "before.append(numpy())\n"
+        "try:\n"
+        "    footcloak.cli.main(['train'])\n"
+        "except SystemExit as exc:\n"
+        "    before.append((exc.code, numpy()))\n"
         f"assert footcloak.cli.main({argv!r}) == 0\n"
-        "print(before, scipy())\n"
+        f"stages = [m for m in {unused!r} if 'footcloak.' + m in sys.modules]\n"
+        "scipy = [m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy']\n"
+        "print(before, stages, scipy)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "[] []"
+    assert out.stdout.strip().splitlines()[-1] == "[False, False, (2, False)] [] []"
+    # every public name resolves through the package's lazy exports
+    assert all(getattr(footcloak, name) is not None for name in footcloak.__all__)
 
 
 def test_pearson_frozen_example():
