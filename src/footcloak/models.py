@@ -6,8 +6,11 @@ The classifier objective is
 
 with y in {-1, +1} and an unpenalized intercept, so C multiplies the data
 loss (larger C = weaker regularization). Value and gradient are computed
-with scipy CSR products; the convex minimization itself is delegated to
-L-BFGS-B from scipy, which stops at a relative objective change below 1e-8
+with scipy CSR products. The convex minimization is L-BFGS-B: a short loop
+drives scipy's compiled setulb routine (_util.lbfgsb_setulb) as
+scipy.optimize.minimize(method="L-BFGS-B") does, with the same arguments,
+evaluations and stops, so the fits are bit-for-bit the same, and loads no
+scipy.optimize package. It stops at a relative objective change below 1e-8
 (ftol) or a projected gradient below 1e-6 (gtol). The ftol stop usually
 comes first, so a fit's final gradient is not bounded by 1e-6. The fit
 runs on one BLAS thread (_util.serial_blas), as does the ridge fit, which
@@ -31,6 +34,7 @@ from ._util import (
     ExperimentConfig,
     derive_seed,
     expit,
+    lbfgsb_setulb,
     serial_blas,
 )
 from .data import FootprintMatrix, LabelTable, Partition, task_split
@@ -134,41 +138,79 @@ def train_logreg_l2(
     if C <= 0:
         raise ValueError("C must be positive")
 
-    # imported here, so that commands which fit nothing never load it
-    from scipy import optimize
-
     n_items = m.n_items
 
     def fun(x):
-        w = x[:n_items]
-        b = x[n_items]
+        w, b = x[:n_items], x[n_items]
         value, grad_w, grad_b = logreg_value_and_grad(m, y01, w, b, C)
         return value, np.concatenate((grad_w, [grad_b]))
 
-    x0 = np.zeros(n_items + 1)
     with serial_blas():
-        res = optimize.minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": max_iter,
-                "maxfun": max_iter * 4,
-                "ftol": 1e-8,
-                "gtol": 1e-6,
-            },
-        )
-    grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else math.inf
-    if not res.success and grad_norm >= 1e-6:
+        x, grad, task = _lbfgsb(fun, n_items + 1, max_iter)
+    grad_norm = float(np.max(np.abs(grad)))
+    if task[0] != 4 and grad_norm >= 1e-6:
+        reason = _LBFGSB_STOPS.get(int(task[1]), f"L-BFGS-B task {task[0]}/{task[1]}")
         raise ConvergenceError(
-            f"logistic regression did not converge: {res.message} "
+            f"logistic regression did not converge: {reason} "
             f"(final gradient norm {grad_norm:.3e})",
             grad_norm,
         )
-    w = res.x[:n_items].copy()
-    b = float(res.x[n_items])
-    return LinearModel(w, b, float(C), KIND_CLASSIFIER)
+    return LinearModel(x[:n_items].copy(), float(x[n_items]), float(C), KIND_CLASSIFIER)
+
+
+# why setulb stopped short of convergence, by its task code
+_LBFGSB_STOPS = {
+    502: "evaluation limit reached",
+    504: "iteration limit reached",
+    601: "rounding errors prevent progress",
+    602: "line search step at its maximum",
+    603: "line search step at its minimum",
+    604: "line search step tolerance reached",
+}
+
+
+def _lbfgsb(fun, n: int, max_iter: int):
+    """Minimize fun from zeros by L-BFGS-B: (x, final gradient, task).
+
+    fun(x) returns the value and gradient. The loop is that of scipy's
+    _minimize_lbfgsb (scipy 1.17) for minimize(fun, x0, jac=True,
+    method="L-BFGS-B") with ftol 1e-8, gtol 1e-6, maxiter max_iter and
+    maxfun 4 * max_iter: 10 corrections, at most 20 line-search steps, no
+    bounds. fun runs only at a point other than the last one it ran at, as
+    scipy's ScalarFunction caches. task[0] == 4 is convergence; the limits
+    end a run with task (5, 504) for iterations and (5, 502) for
+    evaluations, checked when an iteration ends.
+    """
+    setulb = lbfgsb_setulb()
+    m = 10  # stored corrections
+    factr = 1e-8 / np.finfo(float).eps
+    x = np.zeros(n)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    lower, upper, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    x_eval, n_iter, n_eval = None, 0, 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, 1e-6,
+               wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # wants f and g at x
+            if x_eval is None or not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x_eval)
+                n_eval += 1
+            # setulb may write into g, never into the cached gradient
+            f, g = f_eval, g_eval.copy()
+        elif task[0] == 1:  # an iteration ended
+            n_iter += 1
+            if n_iter >= max_iter:
+                task[:] = 5, 504
+            elif n_eval > 4 * max_iter:
+                task[:] = 5, 502
+        else:
+            return x, g, task
 
 
 def item_weights(model: LinearModel, items: np.ndarray) -> np.ndarray:
@@ -237,7 +279,9 @@ def grid_search_cv(
             try:
                 model = train_logreg_l2(m_trn, y_trn, C)
             except ConvergenceError:
-                logger.debug("grid_search_cv: fold %d skipped (no convergence)", f)
+                logger.debug(
+                    "grid_search_cv: C=%g skipped on fold %d (no convergence)", C, f
+                )
                 continue
             scores.append(auc(predict_scores(model, m_val), y_val))
         # freed before the next fold's are built: one fold's rows at a time

@@ -12,6 +12,8 @@ explanation oracle is the best-first SEDC search of Martens & Provost
 models; the scoring oracle scores one active-item set, the cloaking oracle
 applies one directive to one row, as `footcloak.cloak.cloak_matrix` does to
 a whole matrix, and the cost oracle counts one cloaked row's removed items.
+The logistic-fit oracle is `scipy.optimize.minimize(method="L-BFGS-B")`,
+whose loop over scipy's compiled setulb `footcloak.models._lbfgsb` repeats.
 Differential tests check the fast paths against them. The synthetic-data
 oracles are the generator's loop of one `rng.choice` per (user, topic)
 and its line-by-line dataset writer.
@@ -26,10 +28,10 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, optimize
 from scipy.special import expit
 
-from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up
+from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up, serial_blas
 from footcloak.cloak import CloakDirective, cloaked_mask
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.explain import Explanation
@@ -39,6 +41,7 @@ from footcloak.models import (
     KIND_REGRESSOR,
     ROUNDOFF_C,
     LinearModel,
+    logreg_value_and_grad,
     pearson,
 )
 from footcloak.synth import _topic_counts
@@ -186,6 +189,31 @@ def from_rows_error(rows, n_items):
         if np.any(np.diff(arr) <= 0):
             return f"row {i}: item indices must be strictly ascending"
     return None
+
+
+def logreg_objective(m, y01, C):
+    """fun(x) -> (value, gradient) of the L2 logistic objective at x, the
+    weights then the intercept, as train_logreg_l2 minimizes it."""
+    n_items = m.n_items
+
+    def fun(x):
+        w, b = x[:n_items], x[n_items]
+        value, grad_w, grad_b = logreg_value_and_grad(m, y01, w, b, C)
+        return value, np.concatenate((grad_w, [grad_b]))
+
+    return fun
+
+
+def lbfgsb(fun, n, max_iter=1000):
+    """fun minimized from zeros by scipy.optimize.minimize(method="L-BFGS-B")
+    with train_logreg_l2's options (ftol 1e-8, gtol 1e-6, max_iter
+    iterations, 4 * max_iter evaluations), on one BLAS thread. Returns
+    scipy's OptimizeResult."""
+    options = {"maxiter": max_iter, "maxfun": max_iter * 4, "ftol": 1e-8, "gtol": 1e-6}
+    with serial_blas():
+        return optimize.minimize(
+            fun, np.zeros(n), jac=True, method="L-BFGS-B", options=options
+        )
 
 
 def ridge_solve(X, y, alpha):

@@ -1,4 +1,6 @@
+import importlib.machinery
 import json
+import logging
 import math
 import os
 import subprocess
@@ -18,7 +20,13 @@ from scipy.stats import rankdata
 
 import footcloak
 from footcloak import models
-from footcloak._util import csv_text, expit, write_results
+from footcloak._util import (
+    DEFAULT_C_GRID,
+    csv_text,
+    expit,
+    lbfgsb_setulb,
+    write_results,
+)
 from footcloak.data import from_rows
 from footcloak.models import (
     DEFAULT_ALPHA_GRID,
@@ -149,9 +157,57 @@ def test_train_nonconvergence_carries_grad_norm():
     m = random_footprints(rng, 50, 20)
     y = (rng.random(50) < 0.5).astype(float)
     y[0], y[1] = 1.0, 0.0
-    with pytest.raises(ConvergenceError) as err:
+    fun = oracles.logreg_objective(m, y, 100.0)
+    want = oracles.lbfgsb(fun, m.n_items + 1, max_iter=1)
+    assert not want.success
+    with pytest.raises(ConvergenceError, match="iteration limit reached") as err:
         train_logreg_l2(m, y, C=100.0, max_iter=1)
+    assert err.value.grad_norm == np.max(np.abs(want.jac))
     assert err.value.grad_norm >= 1e-6
+
+
+def _assert_same_lbfgsb_run(run, want):
+    """The loop's (x, gradient, task) is scipy's result to the last bit,
+    with the same stop: convergence, either limit, or another end."""
+    x, grad, task = run
+    assert np.array_equal(x, want.x)
+    assert np.array_equal(grad, want.jac)
+    assert (task[0] == 4) == want.success
+    assert (task[1] == 504) == ("ITERATIONS REACHED LIMIT" in want.message)
+    assert (task[1] == 502) == ("EVALUATIONS EXCEEDS LIMIT" in want.message)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_users=st.integers(4, 40),
+    n_items=st.integers(1, 60),
+    density=st.floats(0.02, 0.95),
+    C=st.sampled_from(DEFAULT_C_GRID),
+    max_iter=st.sampled_from((1, 2, 5, 1000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_users=50, n_items=20, density=0.3, C=100.0, max_iter=2, seed=25)
+def test_lbfgsb_loop_matches_scipy_minimize_bit_for_bit(
+    n_users, n_items, density, C, max_iter, seed
+):
+    # the fit's own loop over scipy's compiled setulb against
+    # scipy.optimize.minimize(method="L-BFGS-B"): the same iterates, stops
+    # and final gradient, to the last bit
+    rng = np.random.default_rng(seed)
+    m = random_footprints(rng, n_users, n_items, density)
+    y = (rng.random(n_users) < 0.5).astype(float)
+    y[0], y[1] = 1.0, 0.0
+    fun = oracles.logreg_objective(m, y, C)
+    want = oracles.lbfgsb(fun, n_items + 1, max_iter)
+    _assert_same_lbfgsb_run(models._lbfgsb(fun, n_items + 1, max_iter), want)
+    try:
+        model = train_logreg_l2(m, y, C, max_iter)
+    except ConvergenceError as err:
+        assert not want.success
+        assert err.grad_norm == np.max(np.abs(want.jac))
+    else:
+        assert np.array_equal(model.weights, want.x[:n_items])
+        assert model.intercept == want.x[n_items]
 
 
 def test_gradient_matches_finite_differences():
@@ -215,6 +271,48 @@ def test_grid_search_matches_oracle_and_breaks_ties_low():
             means[C] = float(np.mean(vals))
     want = min(c for c in means if means[c] == max(means.values()))
     assert grid_search_cv(m, y, grid, folds=3, seed=seed) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=arrays(np.float64, st.integers(1, 8), elements=st.floats(-5, 5)),
+    scale=st.sampled_from((1.0, 1e3)),
+    max_iter=st.integers(1, 60),
+)
+def test_lbfgsb_loop_matches_scipy_minimize_on_a_kinked_objective(
+    target, scale, max_iter
+):
+    # a weighted L1 distance: its kinks make line searches long and ask for
+    # the same point twice, so the evaluation cache and the evaluation
+    # limit (task 5/502) decide where runs stop
+    def fun(x):
+        r = scale * (x - target)
+        return float(np.abs(r).sum()), scale * np.sign(r)
+
+    want = oracles.lbfgsb(fun, target.size, max_iter)
+    _assert_same_lbfgsb_run(models._lbfgsb(fun, target.size, max_iter), want)
+
+
+def test_grid_search_skips_a_c_that_does_not_converge(monkeypatch, caplog):
+    # a fit that raises ConvergenceError drops that C on that fold only
+    rng = np.random.default_rng(27)
+    m = random_footprints(rng, 24, 6)
+    y = np.tile([0.0, 1.0], 12)
+    fit = models.train_logreg_l2
+
+    def fails_at_ten(m, y01, C):
+        if C == 10.0:
+            raise ConvergenceError("no convergence", 1.0)
+        return fit(m, y01, C)
+
+    monkeypatch.setattr(models, "train_logreg_l2", fails_at_ten)
+    with caplog.at_level(logging.DEBUG, logger="footcloak.models"):
+        assert grid_search_cv(m, y, grid=(0.1, 10.0), folds=3, seed=0) == 0.1
+    assert caplog.messages == [
+        f"grid_search_cv: C=10 skipped on fold {f} (no convergence)" for f in range(3)
+    ]
+    with pytest.raises(ValueError, match="no grid candidate produced a usable fold"):
+        grid_search_cv(m, y, grid=(10.0,), folds=3, seed=0)
 
 
 def test_fewer_than_two_folds_rejected():
@@ -411,6 +509,54 @@ def test_cli_import_and_synth_load_no_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[False, False, (2, False)] [] []"
     # every public name resolves through the package's lazy exports
     assert all(getattr(footcloak, name) is not None for name in footcloak.__all__)
+
+
+def test_cli_train_loads_no_scipy_optimize(tiny_dataset_dir, tmp_path):
+    # a fit runs scipy's compiled L-BFGS-B routine, loaded on its own: a
+    # command that fits loads neither the scipy.optimize package nor the
+    # scipy.linalg and scipy.special it would bring
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["train", "--footprints", str(tiny_dataset_dir / "footprints.csv"),
+            "--labels", str(tiny_dataset_dir / "labels.csv"), "--task", "task_a",
+            "--out", str(tmp_path / "train")]
+    code = (
+        "import sys, footcloak.cli\n"
+        f"assert footcloak.cli.main({argv!r}) == 0\n"
+        "names = ('scipy.optimize', 'scipy.linalg', 'scipy.special')\n"
+        "print([m for m in names if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "train" / "model.json").is_file()
+
+
+def test_setulb_missing_or_of_another_signature_is_an_import_error(monkeypatch):
+    # the fit needs scipy's setulb as scipy 1.15+ builds it: anything else
+    # is an ImportError that names the signature, never another solver
+    def old_setulb():
+        """setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,iprint,csave,...)"""
+
+    class OldExtension:
+        def __init__(self, name, path):
+            pass
+
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            module.setulb = old_setulb
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.machinery, "ExtensionFileLoader", OldExtension)
+        with pytest.raises(ImportError, match=r"expected setulb\(.*ln_task\), found"):
+            lbfgsb_setulb.__wrapped__()
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    with pytest.raises(ImportError, match="extension optimize/_lbfgsb not found"):
+        lbfgsb_setulb.__wrapped__()
 
 
 def test_pearson_frozen_example():

@@ -111,8 +111,9 @@ def test_ridge_fit_does_not_depend_on_blas_threads():
 
 
 def test_lookup_after_import_finds_every_blas():
-    # scipy.optimize is imported lazily, so the lookup can run first; it
-    # must find then what it finds with every scipy solver loaded
+    # the lookup loads scipy's L-BFGS-B extension, which links scipy's
+    # OpenBLAS, and no scipy solver package; it must find then what it
+    # finds with scipy.optimize and scipy.linalg loaded
     src = str(Path(footcloak.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
@@ -134,8 +135,9 @@ def test_lookup_after_import_finds_every_blas():
 
 def test_nmf_before_any_fit_still_serializes_scipy_blas():
     # NMF builds no scipy solver, so its serial_blas can make the one lookup
-    # before scipy.optimize has mapped scipy's OpenBLAS; a later logistic
-    # fit must still run that library on one thread
+    # before any fit has loaded the L-BFGS-B extension; a later logistic
+    # fit must still run scipy's OpenBLAS, which that extension links, on
+    # one thread
     src = str(Path(footcloak.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))}
