@@ -1,7 +1,7 @@
 """Small shared helpers: deterministic rounding, the logistic function, the
 experiment config and its seed-stream table, the one result-file writer,
-scipy's compiled L-BFGS-B routine, and serial_blas for the iterative
-solvers."""
+scipy's compiled L-BFGS-B routine and sparse kernels, and serial_blas for
+the iterative solvers."""
 
 from __future__ import annotations
 
@@ -173,31 +173,38 @@ _SETULB_SIGNATURE = (
 )
 
 
-@functools.cache
-def lbfgsb_setulb():
-    """scipy's compiled L-BFGS-B routine setulb (Zhu, Byrd, Lu & Nocedal
-    1997, ACM TOMS 23(4), Algorithm 778), one reverse-communication step.
-
-    The extension file scipy/optimize/_lbfgsb is loaded on its own, which
-    runs no scipy/optimize/__init__.py. Importing scipy.optimize instead
-    costs a process about 0.2 s and 25 MB more (2 vCPUs, scipy 1.17.1) for
-    scipy.linalg, scipy.special and the rest of the package, none of which
-    a fit uses. Raises ImportError when the file is missing or its setulb
-    has another signature.
-    """
-    name = "scipy.optimize._lbfgsb"
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled extension file scipy/<package>/<name>, loaded on its
+    own: no scipy/__init__.py or scipy/<package>/__init__.py runs. Returns
+    the module and its file. Raises ImportError when there is no such file."""
     candidates = (
-        Path(folder, "optimize", "_lbfgsb" + suffix)
+        Path(folder, package, name + suffix)
         for folder in importlib.util.find_spec("scipy").submodule_search_locations
         for suffix in importlib.machinery.EXTENSION_SUFFIXES
     )
     path = next((p for p in candidates if p.is_file()), None)
     if path is None:
-        raise ImportError("scipy's L-BFGS-B extension optimize/_lbfgsb not found")
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    spec = importlib.util.spec_from_loader(name, loader)
+        raise ImportError(f"scipy's extension {package}/{name} not found")
+    full_name = f"scipy.{package}.{name}"
+    loader = importlib.machinery.ExtensionFileLoader(full_name, str(path))
+    spec = importlib.util.spec_from_loader(full_name, loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
+    return module, path
+
+
+@functools.cache
+def lbfgsb_setulb():
+    """scipy's compiled L-BFGS-B routine setulb (Zhu, Byrd, Lu & Nocedal
+    1997, ACM TOMS 23(4), Algorithm 778), one reverse-communication step.
+
+    Loaded from the extension file scipy/optimize/_lbfgsb alone. Importing
+    scipy.optimize instead costs a process about 0.2 s and 25 MB more
+    (2 vCPUs, scipy 1.17.1) for scipy.linalg, scipy.special and the rest of
+    the package, none of which a fit uses. Raises ImportError when the file
+    is missing or its setulb has another signature.
+    """
+    module, path = _scipy_extension("optimize", "_lbfgsb")
     setulb = getattr(module, "setulb", None)
     signature = (getattr(setulb, "__doc__", None) or "").split("\n", 1)[0].strip()
     if signature != _SETULB_SIGNATURE:
@@ -206,6 +213,27 @@ def lbfgsb_setulb():
             "footcloak needs the setulb of scipy 1.15 or later"
         )
     return setulb
+
+
+_SPARSE_PRODUCTS = ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs")
+
+
+@functools.cache
+def sparsetools():
+    """scipy's compiled sparse kernels, the ones scipy's CSR and CSC
+    products call, from the extension file scipy/sparse/_sparsetools alone.
+
+    Importing scipy.sparse instead costs a process about 0.18 s and 21 MB
+    more (2 vCPUs, scipy 1.17.1): it clones numpy's namespace, which loads
+    numpy.f2py, numpy.testing, numpy.fft and numpy.polynomial. Raises
+    ImportError naming the file when it is missing or lacks any of
+    _SPARSE_PRODUCTS.
+    """
+    module, path = _scipy_extension("sparse", "_sparsetools")
+    missing = [f for f in _SPARSE_PRODUCTS if not callable(getattr(module, f, None))]
+    if missing:
+        raise ImportError(f"{path}: has no {', '.join(missing)}")
+    return module
 
 
 # Names of the thread-count functions an OpenBLAS build exports, with "{}"
@@ -225,11 +253,12 @@ def _openblas_thread_controls() -> tuple:
 
     /proc/self/maps is read once, at the first call. Importing footcloak
     maps no OpenBLAS, as it loads neither numpy nor scipy; numpy's is
-    mapped with this module, which imports numpy, and scipy.sparse links
-    no BLAS. scipy's own OpenBLAS is mapped by the L-BFGS-B extension,
-    which links it and which a model's first fit loads, so the lookup
-    loads that extension first: a lookup made before any fit (NMF's, say)
-    then still finds the library every later fit runs on.
+    mapped with this module, which imports numpy, and scipy's sparse
+    kernels (sparsetools) link no BLAS. scipy's own OpenBLAS is mapped by
+    the L-BFGS-B extension, which links it and which a model's first fit
+    loads, so the lookup loads that extension first: a lookup made before
+    any fit (NMF's, say) then still finds the library every later fit runs
+    on.
     """
     lbfgsb_setulb()  # maps scipy's OpenBLAS
 

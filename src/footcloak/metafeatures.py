@@ -94,12 +94,11 @@ def nmf_fit(
     W = rng.uniform(0.0, 1.0, size=(n, k))
     H = rng.uniform(0.0, 1.0, size=(k, m))
     nnz = float(X.nnz)
-    Xs = X.csr
 
     with serial_blas():
         # X H^T and H H^T of the current H serve both the objective and the
         # next W update, so each iteration makes two sparse products
-        XHt = Xs @ H.T
+        XHt = X.times(H.T)
         HHt = H @ H.T
         objectives = []
         prev = None
@@ -108,9 +107,9 @@ def nmf_fit(
             W = W * (XHt / np.maximum(W @ HHt, _EPS))
             # H <- H * (W^T X) / ((W^T W) H)
             WtW = W.T @ W
-            H = H * ((Xs.T @ W).T / np.maximum(WtW @ H, _EPS))
+            H = H * (X.t_times(W).T / np.maximum(WtW @ H, _EPS))
 
-            XHt = Xs @ H.T
+            XHt = X.times(H.T)
             HHt = H @ H.T
             obj = _nmf_objective(nnz, W, XHt, WtW, HHt)
             objectives.append(obj)

@@ -6,8 +6,9 @@ The classifier objective is
 
 with y in {-1, +1} and an unpenalized intercept, so C multiplies the data
 loss (larger C = weaker regularization). Value and gradient are computed
-with scipy CSR products. The convex minimization is L-BFGS-B: a short loop
-drives scipy's compiled setulb routine (_util.lbfgsb_setulb) as
+with the matrix's sparse products, FootprintMatrix.times and t_times. The
+convex minimization is L-BFGS-B: a short loop drives scipy's compiled
+setulb routine (_util.lbfgsb_setulb) as
 scipy.optimize.minimize(method="L-BFGS-B") does, with the same arguments,
 evaluations and stops, so the fits are bit-for-bit the same, and loads no
 scipy.optimize package. It stops at a relative objective change below 1e-8
@@ -99,12 +100,12 @@ def logreg_value_and_grad(
     y01 holds labels in {0, 1}; internally they map to {-1, +1}.
     """
     y_signed = 2.0 * y01 - 1.0
-    margins = m.csr @ w + b
+    margins = m.times(w) + b
     z = y_signed * margins
     loss = np.logaddexp(0.0, -z).sum()
     value = 0.5 * float(w @ w) + C * float(loss)
     coef = C * (-y_signed * expit(-z))
-    grad_w = w + m.csr_t @ coef
+    grad_w = w + m.t_times(coef)
     grad_b = float(coef.sum())
     return value, grad_w, grad_b
 
@@ -225,7 +226,7 @@ def item_weights(model: LinearModel, items: np.ndarray) -> np.ndarray:
 
 def decision_margins(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
     """w.x + b per user, with w from item_weights."""
-    return m.csr @ item_weights(model, np.arange(m.n_items)) + model.intercept
+    return m.times(item_weights(model, np.arange(m.n_items))) + model.intercept
 
 
 def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
@@ -423,27 +424,34 @@ def pearson(pred: np.ndarray, actual: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # ridge regression (continuous traits)
 #
-# Every product with the rows is a scipy CSR product on a block of vectors
-# held as the rows of a C-ordered array. A per-vector sum over the last axis
-# then adds in the same order whether the vector is alone or one of many,
-# and scipy's multi-vector product sums each vector as its single-vector
-# product does, so a target's numbers do not depend on the targets fitted
-# with it.
+# Every product with the rows is a FootprintMatrix product on a block of
+# vectors held as the rows of a C-ordered array. A per-vector sum over the
+# last axis then adds in the same order whether the vector is alone or one
+# of many, and the multi-vector sparse kernel sums each vector as the
+# single-vector one does, so a target's numbers do not depend on the
+# targets fitted with it.
 
 
-def _times(M, V: np.ndarray) -> np.ndarray:
-    """M times each row of V, returned as the rows of a C-ordered array."""
-    return np.ascontiguousarray((M @ V.T).T)
+def _times(product, V: np.ndarray) -> np.ndarray:
+    """product (a FootprintMatrix's times or t_times) of each row of V,
+    returned as the rows of a C-ordered array."""
+    return np.ascontiguousarray(product(V.T).T)
 
 
 def _centered_t_times(X, mu: np.ndarray, V: np.ndarray) -> np.ndarray:
     """X_c^T v for each row v of V, with X_c = X - 1 mu^T never formed."""
-    return _times(X.T, V) - np.sum(V, axis=1)[:, None] * mu
+    return _times(X.t_times, V) - np.sum(V, axis=1)[:, None] * mu
 
 
 def _centered_times(X, mu: np.ndarray, U: np.ndarray) -> np.ndarray:
     """X_c u for each row u of U, with X_c = X - 1 mu^T never formed."""
-    return _times(X, U) - np.sum(U * mu, axis=1)[:, None]
+    return _times(X.times, U) - np.sum(U * mu, axis=1)[:, None]
+
+
+def _column_means(X: FootprintMatrix) -> np.ndarray:
+    """The mean of each column of X: the terms 1/n that scipy's
+    csr_matrix.mean(axis=0) adds, in its order."""
+    return X.t_times(np.full(X.n_users, 1.0 / X.n_users))
 
 
 # Iteration cap of _shifted_cg per row of the system. In exact arithmetic CG
@@ -551,7 +559,7 @@ def _target_error(y: np.ndarray) -> str | None:
 ROUNDOFF_C = 4
 
 
-def _fold_correlations(Xs, stats, val, trn, Y, alphas, out) -> None:
+def _fold_correlations(m, stats, val, trn, Y, alphas, out) -> None:
     """One fold's validation Pearson per (alpha, target column), into out;
     a column whose training targets are constant, whose validation
     predictions spread only by roundoff, or whose Pearson is undefined is
@@ -567,11 +575,11 @@ def _fold_correlations(Xs, stats, val, trn, Y, alphas, out) -> None:
     cols = np.flatnonzero(np.ptp(Yt, axis=1) > 0.0)
     if not len(cols) or not len(alphas):
         return
-    Xt, Xv = Xs[trn], Xs[val]
-    mu = np.asarray(Xt.mean(axis=0)).ravel()
+    Xt, Xv = m.select_users(trn), m.select_users(val)
+    mu = _column_means(Xt)
     pp = float(mu @ mu)
     # 2 max ||x - mu|| over the validation rows times ||X_c||_F
-    val_sq = float(np.max(degrees[val] - 2.0 * (Xv @ mu) + pp))
+    val_sq = float(np.max(degrees[val] - 2.0 * Xv.times(mu) + pp))
     trace = float(degrees[trn].sum()) - len(trn) * pp
     reach = 2.0 * math.sqrt(max(val_sq, 0.0) * max(trace, 0.0))
     ybar = Yt[cols].mean(axis=1)
@@ -634,11 +642,10 @@ def fit_ridge(
     if len(alphas) and alphas[0] <= 0:
         raise ValueError("alpha must be positive")
 
-    Xs = m.csr
     # ||K||_inf = max(X X^T 1), as binary rows make K nonnegative
-    k_norm = float(np.max(Xs @ (m.csr_t @ np.ones(m.n_users))))
+    k_norm = float(np.max(m.times(m.t_times(np.ones(m.n_users)))))
     roundoff = ROUNDOFF_C * math.sqrt(m.n_users) * np.finfo(float).eps
-    stats = (np.diff(Xs.indptr).astype(np.float64), k_norm, roundoff)
+    stats = (m.degrees().astype(np.float64), k_norm, roundoff)
     with serial_blas():
         # validation Pearson per (alpha, fold, column), NaN where the column
         # skips the fold. Columns with an error are left out; the walk below
@@ -647,7 +654,7 @@ def fit_ridge(
         Y_fit = Y[:, [e is None for e in errors]]
         corrs = np.full((len(alphas), folds, Y_fit.shape[1]), np.nan)
         for f, (val, trn) in enumerate(splits):
-            _fold_correlations(Xs, stats, val, trn, Y_fit, alphas, corrs[:, f])
+            _fold_correlations(m, stats, val, trn, Y_fit, alphas, corrs[:, f])
         used = ~np.isnan(corrs)
         n_used = used.sum(axis=1)
         means = np.where(used, corrs, 0.0).sum(axis=1) / np.maximum(n_used, 1)
@@ -660,12 +667,12 @@ def fit_ridge(
                 raise ValueError("no alpha candidate produced a usable fold")
             chosen.append(float(alphas[int(np.argmax(means[:, c]))]))
 
-        mu = np.asarray(Xs.mean(axis=0)).ravel()
+        mu = _column_means(m)
         Yt = np.ascontiguousarray(Y.T)
         ybar = Yt.mean(axis=1)
         grid = np.array(chosen)[:, None]
-        beta = _shifted_cg(Xs, mu, Yt - ybar[:, None], grid, roundoff)[:, 0]
-        W = _centered_t_times(Xs, mu, beta)
+        beta = _shifted_cg(m, mu, Yt - ybar[:, None], grid, roundoff)[:, 0]
+        W = _centered_t_times(m, mu, beta)
         intercepts = ybar - np.sum(W * mu, axis=1)
     return [
         LinearModel(w, float(b), alpha, KIND_REGRESSOR)

@@ -14,6 +14,8 @@ applies one directive to one row, as `footcloak.cloak.cloak_matrix` does to
 a whole matrix, and the cost oracle counts one cloaked row's removed items.
 The logistic-fit oracle is `scipy.optimize.minimize(method="L-BFGS-B")`,
 whose loop over scipy's compiled setulb `footcloak.models._lbfgsb` repeats.
+The sparse-product oracles are the dense matrix and `scipy.sparse`'s
+`csr_matrix`, whose kernels `FootprintMatrix.times` and `t_times` call.
 Differential tests check the fast paths against them. The synthetic-data
 oracles are the generator's loop of one `rng.choice` per (user, topic)
 and its line-by-line dataset writer.
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg, optimize, sparse
 from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up, serial_blas
@@ -49,6 +51,19 @@ from footcloak.synth import _topic_counts
 FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
 LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
 CATEGORY_HEADERS = {("item_id", "category"), ("item", "category")}
+
+
+def dense(m: FootprintMatrix) -> np.ndarray:
+    """The footprint as a dense float64 0/1 array."""
+    X = np.zeros((m.n_users, m.n_items))
+    X[np.repeat(np.arange(m.n_users), m.degrees()), m.indices] = 1.0
+    return X
+
+
+def scipy_csr(m: FootprintMatrix) -> sparse.csr_matrix:
+    """The footprint as scipy's CSR matrix of float64 ones."""
+    data = np.ones(m.nnz)
+    return sparse.csr_matrix((data, m.indices, m.indptr), shape=(m.n_users, m.n_items))
 
 
 def read_records(path):
@@ -241,7 +256,7 @@ def ridge_cv(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0):
     ROUNDOFF_C * sqrt(n) * eps * (||K||_inf + alpha) / alpha, with
     K = X X^T of all n rows.
     """
-    X = m.csr.toarray()
+    X = dense(m)
     k_norm = np.abs(X @ X.T).sum(axis=1).max()
     fold_idx = np.array_split(np.random.default_rng(seed).permutation(m.n_users), folds)
     roundoff = ROUNDOFF_C * np.sqrt(m.n_users) * np.finfo(float).eps
@@ -303,7 +318,7 @@ def train_ridge(m, y, alpha_grid=DEFAULT_ALPHA_GRID, folds=3, seed=0) -> RidgeFi
             best_alpha, best_mean = alpha, mean
     if best_alpha is None:
         raise ValueError("no alpha candidate produced a usable fold")
-    w, b, _ = ridge_solve(m.csr.toarray(), y, best_alpha)
+    w, b, _ = ridge_solve(dense(m), y, best_alpha)
     return RidgeFit(LinearModel(w, b, best_alpha, KIND_REGRESSOR), means)
 
 

@@ -17,7 +17,7 @@ from footcloak.data import LabelTable
 from footcloak.metafeatures import load_domain_categories
 
 from conftest import random_footprints
-from oracles import readd
+from oracles import dense, readd
 
 
 def _write(tmp_path, name, text):
@@ -149,9 +149,9 @@ def test_load_triplets_memory_is_bounded_by_file_size(tmp_path):
 
 def _brute_filter(m, min_user, min_item):
     """Independent oracle: same contract, dense arithmetic."""
-    dense = m.csr.toarray()
-    keep_items = dense.sum(axis=0) >= min_item
-    reduced = dense[:, keep_items]
+    X = dense(m)
+    keep_items = X.sum(axis=0) >= min_item
+    reduced = X[:, keep_items]
     keep_users = reduced.sum(axis=1) >= min_user
     return reduced[keep_users]
 
@@ -181,8 +181,8 @@ def test_filter_matches_oracle():
         mu, mi = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         got = filter_min_activity(m, mu, mi)
         want = _brute_filter(m, mu, mi)
-        assert got.csr.toarray().shape == want.shape
-        np.testing.assert_array_equal(got.csr.toarray(), want)
+        assert dense(got).shape == want.shape
+        np.testing.assert_array_equal(dense(got), want)
 
 
 def test_filter_zero_thresholds_keep_everything():

@@ -1,9 +1,13 @@
-"""The sparse products of the pipeline, checked against a dense oracle.
+"""The sparse products of the pipeline, checked against two oracles.
 
-Every product the models and NMF compute on `FootprintMatrix.csr` is
-compared with the same product on `csr.toarray()`, over generated binary
-footprints that include empty rows and zero users.
+Every product the models and NMF compute with `FootprintMatrix.times` and
+`t_times` is compared with the same product on the dense matrix, and to the
+last bit with scipy's `csr_matrix` product, whose compiled kernels they call,
+over generated binary footprints that include empty rows, zero users and
+zero items.
 """
+
+import importlib.machinery
 
 import numpy as np
 import pytest
@@ -11,23 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from footcloak import _util, models
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.models import LinearModel, decision_margins, logreg_value_and_grad
 
 from conftest import random_footprints
+from oracles import dense, scipy_csr
 
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def footprints(draw, max_users=12, max_items=10):
-    n_items = draw(st.integers(1, max_items))
+def footprints(draw, max_users=12, max_items=10, min_items=1):
+    n_items = draw(st.integers(min_items, max_items))
     n_users = draw(st.integers(0, max_users))
+    items = st.integers(0, n_items - 1) if n_items else st.nothing()
     rows = [
-        np.array(
-            sorted(draw(st.sets(st.integers(0, n_items - 1), max_size=n_items))),
-            dtype=np.int64,
-        )
+        np.array(sorted(draw(st.sets(items, max_size=n_items))), dtype=np.int64)
         for _ in range(n_users)
     ]
     users = tuple(f"u{i}" for i in range(n_users))
@@ -39,6 +43,64 @@ def _floats(shape, lo=-5.0, hi=5.0):
     return arrays(np.float64, shape, elements=st.floats(lo, hi))
 
 
+@st.composite
+def _operands(draw, n_rows):
+    """A right operand of n_rows rows: a vector, one column, or k columns
+    in C or in Fortran order."""
+    form = draw(st.sampled_from(("vector", "column", "C", "F")))
+    if form == "vector":
+        return draw(_floats((n_rows,), -1e3, 1e3))
+    k = 1 if form == "column" else draw(st.integers(2, 5))
+    V = draw(_floats((n_rows, k), -1e3, 1e3))
+    return np.asfortranarray(V) if form == "F" else V
+
+
+@_SETTINGS
+@given(data=st.data(), m=footprints(min_items=0))
+def test_products_and_column_means_match_scipy_bit_for_bit(data, m: FootprintMatrix):
+    # the kernels scipy's CSR and CSC products call, on the arrays and with
+    # the operand layout scipy passes them, give scipy's bits; so does the
+    # ridge's column mean, against csr_matrix.mean(axis=0)
+    X = scipy_csr(m)
+    for product, oracle, n_rows in (
+        (m.times, X, m.n_items),
+        (m.t_times, X.T, m.n_users),
+    ):
+        V = data.draw(_operands(n_rows))
+        got, want = product(V), oracle @ V
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if m.n_users:
+        want = np.asarray(X.mean(axis=0)).ravel()
+        assert np.array_equal(models._column_means(m), want)
+
+
+def test_sparsetools_missing_or_without_a_product_is_an_import_error(monkeypatch):
+    # the products need scipy's compiled kernels: a file without one of
+    # them is an ImportError that names the file, never a fallback
+    class Incomplete:  # the extension less the kernel `absent`
+        def __init__(self, name, path):
+            pass
+
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            for name in set(_util._SPARSE_PRODUCTS) - {absent}:
+                setattr(module, name, print)
+
+    for absent in _util._SPARSE_PRODUCTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.machinery, "ExtensionFileLoader", Incomplete)
+            with pytest.raises(
+                ImportError, match=rf"sparse[/\\]_sparsetools\S*: has no {absent}$"
+            ):
+                _util.sparsetools.__wrapped__()
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    with pytest.raises(ImportError, match="extension sparse/_sparsetools not found"):
+        _util.sparsetools.__wrapped__()
+
+
 @_SETTINGS
 @given(data=st.data(), m=footprints(), width_delta=st.integers(-3, 3))
 def test_decision_margins_matches_dense(data, m: FootprintMatrix, width_delta):
@@ -47,13 +109,13 @@ def test_decision_margins_matches_dense(data, m: FootprintMatrix, width_delta):
     width = max(0, m.n_items + width_delta)
     w = data.draw(_floats((width,)))
     b = data.draw(st.floats(-5.0, 5.0))
-    dense = m.csr.toarray()
+    X = dense(m)
     w_dense = np.zeros(m.n_items)
     n = min(width, m.n_items)
     w_dense[:n] = w[:n]
     got = decision_margins(LinearModel(w, b, 1.0), m)
     assert got.shape == (m.n_users,)
-    np.testing.assert_allclose(got, dense @ w_dense + b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, X @ w_dense + b, rtol=1e-12, atol=1e-12)
 
 
 def _random_csr(rng, n, m, density=0.3, empty_rows=False):
@@ -79,7 +141,7 @@ def _scatter_add_rows_loop(m: FootprintMatrix, v):
 
 @pytest.mark.parametrize("empty_rows", [False, True])
 def test_row_margins_backends_agree(empty_rows):
-    # X w + b on csr (decision_margins) agrees with a per-row loop
+    # X w + b (decision_margins) agrees with a per-row loop
     rng = np.random.default_rng(0)
     for _ in range(5):
         m = _random_csr(rng, 17, 23, empty_rows=empty_rows)
@@ -88,7 +150,7 @@ def test_row_margins_backends_agree(empty_rows):
         loop = _row_margins_loop(m, w, b)
         got = decision_margins(LinearModel(w, b, 1.0), m)
         np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(m.csr @ w + b, loop, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.times(w) + b, loop, rtol=1e-12, atol=1e-12)
 
 
 def test_row_margins_ignores_out_of_vocab():
@@ -99,21 +161,20 @@ def test_row_margins_ignores_out_of_vocab():
 
 
 def test_scatter_add_rows_backends_agree():
-    # X^T v on csr.T agrees with a per-row scatter-add loop
+    # X^T v agrees with a per-row scatter-add loop
     rng = np.random.default_rng(1)
     for _ in range(5):
         m = _random_csr(rng, 19, 31, empty_rows=True)
         v = rng.normal(size=19)
         loop = _scatter_add_rows_loop(m, v)
-        np.testing.assert_allclose(m.csr.T @ v, loop, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.t_times(v), loop, rtol=1e-12, atol=1e-12)
 
 
 def test_scatter_add_rows_matches_dense():
     rng = np.random.default_rng(2)
     m = _random_csr(rng, 12, 9)
     v = rng.normal(size=12)
-    dense = m.csr.toarray()
-    np.testing.assert_allclose(m.csr.T @ v, dense.T @ v, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(m.t_times(v), dense(m).T @ v, rtol=1e-12, atol=1e-12)
 
 
 @_SETTINGS
@@ -123,7 +184,7 @@ def test_logistic_gradient_matches_dense(data, m: FootprintMatrix):
     y01 = data.draw(_floats((m.n_users,), 0.0, 1.0)).round()
     w = data.draw(_floats((m.n_items,)))
     b, C = 0.3, 2.0
-    X = m.csr.toarray()
+    X = dense(m)
     y = 2.0 * y01 - 1.0
     z = y * (X @ w + b)
     coef = C * (-y / (1.0 + np.exp(z)))
@@ -141,9 +202,9 @@ def test_nmf_products_match_dense(data, m: FootprintMatrix, k):
     # the two products of an NMF iteration: X H^T and W^T X
     W = data.draw(_floats((m.n_users, k), 0.0, 1.0))
     H = data.draw(_floats((k, m.n_items), 0.0, 1.0))
-    X = m.csr.toarray()
-    XHt = m.csr @ H.T
-    WtX = (m.csr.T @ W).T
+    X = dense(m)
+    XHt = m.times(H.T)
+    WtX = m.t_times(W).T
     assert XHt.shape == (m.n_users, k) and WtX.shape == (k, m.n_items)
     np.testing.assert_allclose(XHt, X @ H.T, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(WtX, W.T @ X, rtol=1e-12, atol=1e-12)
@@ -151,8 +212,8 @@ def test_nmf_products_match_dense(data, m: FootprintMatrix, k):
 
 def test_zero_size_inputs():
     m = from_rows([], 3, (), ("a", "b", "c"))
-    assert m.csr.shape == (0, 3)
+    assert dense(m).shape == (0, 3)
     assert decision_margins(LinearModel(np.ones(3), 0.5, 1.0), m).shape == (0,)
-    np.testing.assert_allclose(m.csr.T @ np.empty(0), np.zeros(3))
-    assert (m.csr @ np.ones((2, 3)).T).shape == (0, 2)
-    np.testing.assert_allclose((m.csr.T @ np.empty((0, 2))).T, np.zeros((2, 3)))
+    np.testing.assert_allclose(m.t_times(np.empty(0)), np.zeros(3))
+    assert m.times(np.ones((2, 3)).T).shape == (0, 2)
+    np.testing.assert_allclose(m.t_times(np.empty((0, 2))).T, np.zeros((2, 3)))

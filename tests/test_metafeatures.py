@@ -16,6 +16,7 @@ from footcloak.metafeatures import (
     zero_loading_items,
 )
 
+import oracles
 from conftest import random_footprints
 
 
@@ -88,7 +89,7 @@ def test_nmf_reused_products_match_recomputed_bit_for_bit():
     m = random_footprints(rng, 35, 28, density=0.2)
     W, H, objectives = nmf_fit(m, k=4, max_iters=40, tol=0.0, seed=3)
 
-    Xs = m.csr
+    Xs = oracles.scipy_csr(m)
     gen = np.random.default_rng(3)
     W_ref = gen.uniform(0.0, 1.0, size=(35, 4))
     H_ref = gen.uniform(0.0, 1.0, size=(4, 28))

@@ -86,7 +86,7 @@ def test_train_objective_matches_dense_oracle():
     y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     C = 2.0
     model = train_logreg_l2(m, y, C)
-    X = m.csr.toarray()
+    X = oracles.dense(m)
     val, gw, gb = logreg_value_and_grad(m, y, model.weights, model.intercept, C)
     assert val == pytest.approx(
         _dense_objective(X, y, model.weights, model.intercept, C), rel=1e-10
@@ -511,27 +511,47 @@ def test_cli_import_and_synth_load_no_scipy(tmp_path):
     assert all(getattr(footcloak, name) is not None for name in footcloak.__all__)
 
 
-def test_cli_train_loads_no_scipy_optimize(tiny_dataset_dir, tmp_path):
-    # a fit runs scipy's compiled L-BFGS-B routine, loaded on its own: a
-    # command that fits loads neither the scipy.optimize package nor the
-    # scipy.linalg and scipy.special it would bring
+def test_dataset_commands_load_no_scipy_module_but_two_extensions(
+    tiny_dataset_dir, tmp_path
+):
+    # fits and sparse products run scipy's compiled setulb and sparsetools,
+    # each loaded on its own: no command that reads a dataset loads a scipy
+    # package, nor the numpy.f2py and numpy.testing that importing
+    # scipy.sparse would bring
     src = str(Path(footcloak.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    argv = ["train", "--footprints", str(tiny_dataset_dir / "footprints.csv"),
-            "--labels", str(tiny_dataset_dir / "labels.csv"), "--task", "task_a",
-            "--out", str(tmp_path / "train")]
+    data = ["--footprints", str(tiny_dataset_dir / "footprints.csv"),
+            "--labels", str(tiny_dataset_dir / "labels.csv")]
+    nmf = ["--k", "8", "--nmf-max-iters", "20"]
+    runs = [
+        ["train", "--task", "task_a"],
+        ["simulate", "--task", "task_a", "--strategy", "mf", "--schedule", "0,1",
+         *nmf],
+        ["report", "--tasks", "task_a", "--strategies", "fg", "--schedule", "0,1"],
+        ["spillover", "--task", "task_a", "--traits", "trait_a,trait_b",
+         "--population", "all-test", *nmf],
+    ]
+    argvs = [[*run, *data, "--out", str(tmp_path / run[0])] for run in runs]
     code = (
-        "import sys, footcloak.cli\n"
-        f"assert footcloak.cli.main({argv!r}) == 0\n"
-        "names = ('scipy.optimize', 'scipy.linalg', 'scipy.special')\n"
-        "print([m for m in names if m in sys.modules])\n"
+        "import json, sys, footcloak.cli\n"
+        "allowed = {'scipy.optimize._lbfgsb', 'scipy.sparse._sparsetools'}\n"
+        "banned = ('scipy', 'numpy.f2py', 'numpy.testing')\n"
+        "loaded = {}\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert footcloak.cli.main(argv) == 0\n"
+        "    loaded[argv[0]] = sorted(\n"
+        "        m for m in set(sys.modules) - allowed\n"
+        "        if any(m == b or m.startswith(b + '.') for b in banned)\n"
+        "    )\n"
+        "print(json.dumps(loaded))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "[]"
-    assert (tmp_path / "train" / "model.json").is_file()
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == {run[0]: [] for run in runs}
+    assert all((tmp_path / run[0]).is_dir() for run in runs)
 
 
 def test_setulb_missing_or_of_another_signature_is_an_import_error(monkeypatch):
@@ -589,7 +609,7 @@ def test_ridge_recovers_noiseless_linear_target():
     rng = np.random.default_rng(33)
     m = random_footprints(rng, 90, 25, density=0.35)
     w_true = rng.normal(0, 1, 25)
-    X = m.csr.toarray()
+    X = oracles.dense(m)
     y = X @ w_true + 0.7
     train_idx = np.arange(70)
     test_idx = np.arange(70, 90)
@@ -621,7 +641,7 @@ def test_ridge_noisy_random_target_has_low_correlation():
     m = random_footprints(rng, 60, 8)
     y = rng.normal(0, 1, 60)  # unrelated to the footprint
     model = fit_ridge(m, y[:, None], seed=1)[0]
-    X = m.csr.toarray()
+    X = oracles.dense(m)
     held = np.arange(40, 60)
     r = pearson(X[held] @ model.weights + model.intercept, y[held])
     assert abs(r) < 0.6
@@ -650,12 +670,12 @@ RIDGE_C = 64
 
 def _roundoff(m, alpha):
     """RIDGE_C * n * eps * kappa: the relative error bound of beta."""
-    norm_k = np.linalg.norm(m.csr.toarray(), 2) ** 2
+    norm_k = np.linalg.norm(oracles.dense(m), 2) ** 2
     return RIDGE_C * m.n_users * np.finfo(float).eps * (norm_k + alpha) / alpha
 
 
 def _ridge_tolerance(m, y, alpha, beta):
-    X = m.csr.toarray()
+    X = oracles.dense(m)
     mu = X.mean(axis=0)
     d_w = _roundoff(m, alpha) * np.linalg.norm(beta)
     d_w *= np.linalg.norm(X) + math.sqrt(m.n_users) * np.linalg.norm(mu)
@@ -708,7 +728,7 @@ def test_shared_ridge_basis_matches_per_target_fit(
         model = got[0]
         if model.C != want.model.C:
             assert _near_tie(want)
-        w, b, beta = oracles.ridge_solve(m.csr.toarray(), y, model.C)
+        w, b, beta = oracles.ridge_solve(oracles.dense(m), y, model.C)
         d_w, d_b = _ridge_tolerance(m, y, model.C, beta)
         assert np.linalg.norm(model.weights - w) <= d_w
         assert abs(model.intercept - b) <= d_b
@@ -742,19 +762,19 @@ def test_block_products_match_each_vector_alone(
     matrix_seed, n_users, n_items, n_vectors
 ):
     # the ridge CG's bit-identity of a target fitted with others rests on
-    # these: scipy's multi-vector CSR product gives each vector the bits of
+    # these: the multi-vector sparse kernel gives each vector the bits of
     # its single-vector product, and a sum over the last axis of a C-ordered
     # block adds each row as it adds that row alone
     rng = np.random.default_rng(matrix_seed)
     m = random_footprints(rng, n_users, n_items, density=0.1)
-    for M, width in ((m.csr, n_items), (m.csr_t, n_users)):
+    for M, width in ((m.times, n_items), (m.t_times, n_users)):
         V = rng.normal(size=(n_vectors, width))
         block = models._times(M, V)
         sums = np.sum(block, axis=1)
         for c in range(n_vectors):
             alone = models._times(M, V[c : c + 1])
             assert np.array_equal(block[c], alone[0])
-            assert np.array_equal(M @ V[c], alone[0])
+            assert np.array_equal(M(V[c]), alone[0])
             assert sums[c] == np.sum(alone, axis=1)[0]
 
 
@@ -767,7 +787,7 @@ def test_ridge_memory_peak_below_half_a_gram_matrix():
     rng = np.random.default_rng(40)
     m = random_footprints(rng, n, 1500, density=0.02)
     Y = rng.normal(0, 1, (n, 5))
-    assert m.csr.nnz and m.csr_t.nnz  # built before tracing
+    m.t_times(m.times(np.zeros(m.n_items)))  # kernel arrays built before tracing
     tracemalloc.start()
     try:
         fitted = fit_ridge(m, Y)
