@@ -226,13 +226,25 @@ def sparsetools():
     Importing scipy.sparse instead costs a process about 0.18 s and 21 MB
     more (2 vCPUs, scipy 1.17.1): it clones numpy's namespace, which loads
     numpy.f2py, numpy.testing, numpy.fft and numpy.polynomial. Raises
-    ImportError naming the file when it is missing or lacks any of
-    _SPARSE_PRODUCTS.
+    ImportError naming the file when it is missing, lacks any of
+    _SPARSE_PRODUCTS, or has one that fails the product of the 1x1 matrix
+    [1] with [2] in the arguments FootprintMatrix._product passes: the
+    kernels carry no signature to check.
     """
     module, path = _scipy_extension("sparse", "_sparsetools")
     missing = [f for f in _SPARSE_PRODUCTS if not callable(getattr(module, f, None))]
     if missing:
         raise ImportError(f"{path}: has no {', '.join(missing)}")
+    one = (np.array([0, 1], np.int32), np.zeros(1, np.int32), np.ones(1))
+    for name in _SPARSE_PRODUCTS:
+        out = np.zeros(1)
+        sizes = (1, 1, 1) if name.endswith("matvecs") else (1, 1)
+        try:
+            getattr(module, name)(*sizes, *one, np.full(1, 2.0), out)
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ImportError(f"{path}: {name} fails a 1x1 product: {exc}") from exc
+        if out[0] != 2.0:
+            raise ImportError(f"{path}: {name} gives {out[0]} for 1 * 2")
     return module
 
 

@@ -162,16 +162,6 @@ def _config_fields(config_type, cfg: dict) -> dict:
     return {name: val for name, val in fields.items() if name in names}
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """The command's settings; a field it has no key for keeps its default."""
-    from ._util import ExperimentConfig
-
-    fields = _config_fields(ExperimentConfig, cfg)
-    if "schedule" in fields:
-        fields["schedule"] = _schedule(fields["schedule"])
-    return ExperimentConfig(**fields)
-
-
 def _schedule(text: str) -> tuple[float, ...]:
     """The re-add fractions a comma-separated schedule lists."""
     fractions = []
@@ -186,15 +176,19 @@ def _schedule(text: str) -> tuple[float, ...]:
     return tuple(fractions)
 
 
-def _synth_config(cfg: dict) -> SynthConfig:
-    from .synth import SynthConfig
-
-    return SynthConfig(**_config_fields(SynthConfig, cfg))
-
-
 def _settings(command: str, cfg: dict) -> SynthConfig | ExperimentConfig:
-    """The SynthConfig or ExperimentConfig that a command's config sets."""
-    return (_synth_config if command == "synth" else _experiment_config)(cfg)
+    """The SynthConfig or ExperimentConfig that a command's config sets; a
+    field it has no key for keeps its default."""
+    if command == "synth":
+        from .synth import SynthConfig
+
+        return SynthConfig(**_config_fields(SynthConfig, cfg))
+    from ._util import ExperimentConfig
+
+    fields = _config_fields(ExperimentConfig, cfg)
+    if "schedule" in fields:
+        fields["schedule"] = _schedule(fields["schedule"])
+    return ExperimentConfig(**fields)
 
 
 def _load_dataset(cfg: dict):
@@ -220,10 +214,10 @@ def _domain_model(cfg: dict, matrix):
 # commands
 
 
-def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_synth(cfg: dict, config: SynthConfig, outdir: Path, meta: dict) -> dict:
     from .synth import dataset_files, generate
 
-    result = generate(_synth_config(cfg))
+    result = generate(config)
     print(
         f"synth: {result.matrix.n_users} users, {result.matrix.n_items} items, "
         f"{result.matrix.nnz} likes -> {outdir}"
@@ -231,12 +225,12 @@ def _cmd_synth(cfg: dict, outdir: Path, meta: dict) -> dict:
     return dataset_files(result)
 
 
-def _cmd_train(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_train(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
     from .models import auc, fit_task_classifier, model_to_dict, predict_scores
 
     matrix, labels = _load_dataset(cfg)
     task = cfg["task"]
-    clf = fit_task_classifier(task, matrix, labels, _experiment_config(cfg))
+    clf = fit_task_classifier(task, matrix, labels, econf)
     threshold = clf.threshold.value
     test_scores = predict_scores(clf.model, clf.test.matrix)
     metrics = {
@@ -277,7 +271,7 @@ def _positive_test_user(clf, uid: str) -> int:
     return i
 
 
-def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_explain(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
     uid = cfg["user"]
     if uid is None:
         raise ValueError("--user is required for explain")
@@ -285,7 +279,7 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
     from .models import fit_task_classifier
 
     matrix, labels = _load_dataset(cfg)
-    clf = fit_task_classifier(cfg["task"], matrix, labels, _experiment_config(cfg))
+    clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
     threshold = clf.threshold.value
     row = clf.test.matrix.row(_positive_test_user(clf, uid))
     expl = linear_explain(clf.model, row, threshold)
@@ -310,12 +304,12 @@ def _cmd_explain(cfg: dict, outdir: Path, meta: dict) -> dict:
     }
 
 
-def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_cloak(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
+    from ._util import STREAM_NMF
     from .cloak import check_strategy, cloak_population, directives_to_dict
     from .metafeatures import metafeature_report, task_nmf_metafeatures
     from .models import fit_task_classifier, predict_scores
 
-    econf = _experiment_config(cfg)
     strategy = _strategy(cfg["strategy"])
     check_strategy(econf, strategy)
     matrix, labels = _load_dataset(cfg)
@@ -327,7 +321,7 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
         targets = (predict_scores(clf.model, test) >= threshold).nonzero()[0]
     mfm = None
     if strategy == STRATEGY_MF:
-        mfm = task_nmf_metafeatures(clf.train.matrix, econf)
+        mfm = task_nmf_metafeatures(clf.train.matrix, econf, STREAM_NMF)
     elif strategy == STRATEGY_DOMAIN_MF:
         mfm = _domain_model(cfg, matrix)
     directives, not_found = cloak_population(
@@ -357,11 +351,10 @@ def _cmd_cloak(cfg: dict, outdir: Path, meta: dict) -> dict:
     return files
 
 
-def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_simulate(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
     from .simulate import curve_csv, run_protection_experiment
 
     strategy = _strategy(cfg["strategy"])
-    econf = _experiment_config(cfg)
     matrix, labels = _load_dataset(cfg)
     domain = _domain_model(cfg, matrix) if strategy == STRATEGY_DOMAIN_MF else None
     curve = run_protection_experiment(
@@ -380,11 +373,10 @@ def _cmd_simulate(cfg: dict, outdir: Path, meta: dict) -> dict:
     }
 
 
-def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_spillover(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
     from .spillover import report_to_dict, run_spillover_experiment, spillover_csv
 
     traits = _names(cfg, "traits")
-    econf = _experiment_config(cfg)
     matrix, labels = _load_dataset(cfg)
     report = run_spillover_experiment(
         cfg["task"], traits, matrix, labels, econf, population=cfg["population"]
@@ -400,13 +392,12 @@ def _cmd_spillover(cfg: dict, outdir: Path, meta: dict) -> dict:
     }
 
 
-def _cmd_report(cfg: dict, outdir: Path, meta: dict) -> dict:
+def _cmd_report(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
     from ._util import csv_text
     from .simulate import TradeoffRow, tradeoff_report
 
     tasks = _names(cfg, "tasks")
     strategies = [_strategy(s) for s in _names(cfg, "strategies")]
-    econf = _experiment_config(cfg)
     matrix, labels = _load_dataset(cfg)
     domain = _domain_model(cfg, matrix) if STRATEGY_DOMAIN_MF in strategies else None
     rows = tradeoff_report(tasks, strategies, matrix, labels, econf, domain=domain)
@@ -458,7 +449,8 @@ _DATA_KEYS = "seed footprints labels quantile train_frac folds min_user min_item
 _NMF_KEYS = "k nmf_max_iters nmf_tol"
 
 # subcommand -> (runner, help, its config keys). Each key is also a flag,
-# and every subcommand takes --out and --config besides.
+# and every subcommand takes --out and --config besides. main calls the
+# runner with the config, its _settings, the output directory and meta.
 _COMMANDS = {
     "synth": (
         _cmd_synth,
@@ -543,10 +535,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args.command, args)
         # a setting out of range (NaN too) fails before data loads
-        _settings(args.command, cfg)
+        settings = _settings(args.command, cfg)
         outdir = Path(args.out)
         meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
-        files = _COMMANDS[args.command][0](cfg, outdir, meta)
+        files = _COMMANDS[args.command][0](cfg, settings, outdir, meta)
         # written last, the manifest marks a complete run
         manifest = {"command": args.command, "version": __version__, "config": cfg}
         write_results(outdir, {**files, "manifest.json": {**manifest, **meta}})

@@ -446,8 +446,9 @@ def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
     """Load (user_id, task_name, value) rows aligned to matrix users.
 
     Values parse as floats; users absent from the matrix are skipped
-    (they may have been filtered out upstream). Missing combinations
-    stay NaN. Malformed rows raise ValueError with the line number.
+    (they may have been filtered out upstream). Missing combinations, and
+    nan values, stay NaN. Malformed rows and infinite values raise
+    ValueError with the line number.
     """
     numbers, (users, tasks, (raws, value_codes)), bad = _read_columns(
         path, _LABEL_HEADERS
@@ -459,10 +460,14 @@ def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
             floats[j] = float(raw)
         except ValueError:
             not_number[j] = True
-    if not_number.any():
-        r = int(np.argmax(not_number[value_codes]))
+    # nan marks a missing value; one that float() reads as +-inf (inf,
+    # -Infinity, 1e999) is malformed
+    malformed = not_number | np.isinf(floats)
+    if malformed.any():
+        r = int(np.argmax(malformed[value_codes]))
         raw = raws[value_codes[r]]
-        raise ValueError(f"line {numbers[r]}: value {raw!r} is not a number")
+        kind = "number" if not_number[value_codes[r]] else "finite number"
+        raise ValueError(f"line {numbers[r]}: value {raw!r} is not a {kind}")
     if bad is not None:
         raise ValueError(f"line {bad}: expected 3 fields 'user_id,task_name,value'")
     rows = _lookup(matrix.user_index, users)

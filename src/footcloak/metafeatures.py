@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import STREAM_NMF, ExperimentConfig, derive_seed, serial_blas
+from ._util import ExperimentConfig, derive_seed, serial_blas
 from .data import (
     FootprintMatrix,
     _first_seen,
@@ -154,16 +154,17 @@ def build_nmf_metafeatures(
 
 
 def task_nmf_metafeatures(
-    train: FootprintMatrix, config: ExperimentConfig
+    train: FootprintMatrix, config: ExperimentConfig, stream: int
 ) -> MetafeatureModel:
     """NMF metafeatures of a task classifier's training rows, with the
-    config's k, iteration cap and tolerance."""
+    config's k, iteration cap and tolerance, seeded from the config's seed
+    and the given seed stream."""
     return build_nmf_metafeatures(
         train,
         config.k_metafeatures,
         max_iters=config.nmf_max_iters,
         tol=config.nmf_tol,
-        seed=derive_seed(config.seed, STREAM_NMF),
+        seed=derive_seed(config.seed, stream),
     )
 
 

@@ -269,14 +269,14 @@ def grid_search_cv(
     if n < folds:
         raise ValueError("need at least one user per fold")
     grid = sorted(float(c) for c in grid)
-    aucs = [[] for _ in grid]  # per C, in fold order
+    aucs = np.full((len(grid), folds), np.nan)  # per (C, fold)
     for f, (val, trn) in enumerate(_kfold(n, folds, seed)):
         y_trn, y_val = y01[trn], y01[val]
         if np.unique(y_trn).size < 2 or np.unique(y_val).size < 2:
             logger.debug("grid_search_cv: fold %d skipped (single class)", f)
             continue
         m_trn, m_val = m.select_users(trn), m.select_users(val)
-        for C, scores in zip(grid, aucs):
+        for c, C in enumerate(grid):
             try:
                 model = train_logreg_l2(m_trn, y_trn, C)
             except ConvergenceError:
@@ -284,21 +284,22 @@ def grid_search_cv(
                     "grid_search_cv: C=%g skipped on fold %d (no convergence)", C, f
                 )
                 continue
-            scores.append(auc(predict_scores(model, m_val), y_val))
+            aucs[c, f] = auc(predict_scores(model, m_val), y_val)
         # freed before the next fold's are built: one fold's rows at a time
         del m_trn, m_val
-    best_c = None
-    best_mean = -np.inf
-    for C, scores in zip(grid, aucs):
-        if not scores:
-            continue
-        mean = float(np.mean(scores))
-        if mean > best_mean:
-            best_mean = mean
-            best_c = C
-    if best_c is None:
-        raise ValueError("no grid candidate produced a usable fold")
-    return best_c
+    return grid[_cv_choice(aucs, "grid")]
+
+
+def _cv_choice(scores: np.ndarray, name: str) -> int:
+    """The row of scores (candidate, fold), NaN where the candidate skips
+    the fold, with the highest mean over its usable folds; ties go to the
+    first. Raises ValueError when no candidate has a usable fold."""
+    used = ~np.isnan(scores)
+    if not used.any():
+        raise ValueError(f"no {name} candidate produced a usable fold")
+    # each mean over the usable folds alone, in fold order
+    means = [np.mean(s[u]) if u.any() else -np.inf for s, u in zip(scores, used)]
+    return int(np.argmax(means))
 
 
 def fit_classifier(
@@ -655,17 +656,11 @@ def fit_ridge(
         corrs = np.full((len(alphas), folds, Y_fit.shape[1]), np.nan)
         for f, (val, trn) in enumerate(splits):
             _fold_correlations(m, stats, val, trn, Y_fit, alphas, corrs[:, f])
-        used = ~np.isnan(corrs)
-        n_used = used.sum(axis=1)
-        means = np.where(used, corrs, 0.0).sum(axis=1) / np.maximum(n_used, 1)
-        means[n_used == 0] = -np.inf
         chosen = []
         for c, err in enumerate(errors):
             if err is not None:
                 raise ValueError(err)
-            if not n_used[:, c].any():
-                raise ValueError("no alpha candidate produced a usable fold")
-            chosen.append(float(alphas[int(np.argmax(means[:, c]))]))
+            chosen.append(float(alphas[_cv_choice(corrs[:, :, c], "alpha")]))
 
         mu = _column_means(m)
         Yt = np.ascontiguousarray(Y.T)

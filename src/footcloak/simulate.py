@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ from .data import (
     make_drop_plan,
     task_split,
 )
-from .metafeatures import MetafeatureModel, build_nmf_metafeatures
+from .metafeatures import MetafeatureModel, task_nmf_metafeatures
 from .models import (
     LinearModel,
     ThresholdSpec,
@@ -160,9 +161,16 @@ class ProtectionContext:
     thresholds: tuple[float, ...]
     test_labels: np.ndarray
     population: np.ndarray
-    nmf: Optional[MetafeatureModel]
     domain: Optional[MetafeatureModel]
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def nmf(self) -> MetafeatureModel:
+        """NMF metafeatures of the reduced training rows, fit at the first
+        MF run: only MF reads them."""
+        return task_nmf_metafeatures(
+            self.train_reduced, self.config, STREAM_PROTECTION_NMF
+        )
 
 
 def build_protection_context(
@@ -170,7 +178,6 @@ def build_protection_context(
     matrix: FootprintMatrix,
     labels: LabelTable,
     config: ExperimentConfig,
-    need_nmf: bool = True,
     domain: Optional[MetafeatureModel] = None,
 ) -> ProtectionContext:
     """Run the shared pipeline stages up to the target population.
@@ -219,16 +226,6 @@ def build_protection_context(
             "lower quantile"
         )
 
-    nmf = None
-    if need_nmf:
-        nmf = build_nmf_metafeatures(
-            train_reduced,
-            config.k_metafeatures,
-            max_iters=config.nmf_max_iters,
-            tol=config.nmf_tol,
-            seed=derive_seed(config.seed, STREAM_PROTECTION_NMF),
-        )
-
     # the same w.x + b that train_scores_reduced came from, so fraction 0.0
     # reproduces threshold0 bit for bit
     train_margins = ReaddMargins.build(
@@ -264,7 +261,6 @@ def build_protection_context(
         thresholds=thresholds,
         test_labels=test.labels.values[task],
         population=population,
-        nmf=nmf,
         domain=domain,
         diagnostics=diagnostics,
     )
@@ -392,9 +388,7 @@ def run_protection_experiment(
 ) -> ProtectionCurve:
     """End-to-end protection experiment for one task and strategy."""
     check_strategy(config, strategy)
-    ctx = build_protection_context(
-        task, matrix, labels, config, need_nmf=(strategy == STRATEGY_MF), domain=domain
-    )
+    ctx = build_protection_context(task, matrix, labels, config, domain=domain)
     curve, _ = run_strategy(ctx, strategy)
     return curve
 
@@ -418,10 +412,7 @@ def tradeoff_report(
         check_strategy(config, strategy)
     rows = []
     for task in tasks:
-        need_nmf = STRATEGY_MF in strategies
-        ctx = build_protection_context(
-            task, matrix, labels, config, need_nmf=need_nmf, domain=domain
-        )
+        ctx = build_protection_context(task, matrix, labels, config, domain=domain)
         for strategy in strategies:
             curve, cost = run_strategy(ctx, strategy)
             idx = curve.fractions.index(1.0)

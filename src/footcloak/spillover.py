@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._choices import POPULATION_ALL_TEST, POPULATION_CLOAKED
-from ._util import STREAM_RIDGE, ExperimentConfig, csv_text, derive_seed
+from ._util import STREAM_NMF, STREAM_RIDGE, ExperimentConfig, csv_text, derive_seed
 from .cloak import STRATEGY_FG, STRATEGY_MF, cloak_matrix, cloak_population
 from .data import FootprintMatrix, LabelTable
 from .metafeatures import task_nmf_metafeatures
@@ -89,7 +89,7 @@ def run_spillover_experiment(
     clf = fit_task_classifier(sensitive_task, matrix, labels, config)
     train, test, threshold = clf.train, clf.test, clf.threshold.value
     positives = np.nonzero(predict_scores(clf.model, test.matrix) >= threshold)[0]
-    mfm = task_nmf_metafeatures(train.matrix, config)
+    mfm = task_nmf_metafeatures(train.matrix, config, STREAM_NMF)
 
     # MF finds no explanation exactly where FG finds none (both explain the
     # same row against the same threshold), so MF directs the same users

@@ -126,6 +126,8 @@ def load_labels(path, user_ids):
             val = float(raw)
         except ValueError:
             raise ValueError(f"line {ln}: value {raw!r} is not a number") from None
+        if val in (np.inf, -np.inf):
+            raise ValueError(f"line {ln}: value {raw!r} is not a finite number")
         i = user_index.get(uid)
         if i is None:
             continue

@@ -71,7 +71,7 @@ def protection_runs(synth_by_seed):
         config = ExperimentConfig(seed=seed)
         for task in TASKS:
             ctx = build_protection_context(
-                task, res.matrix, res.labels, config, need_nmf=True
+                task, res.matrix, res.labels, config
             )
             curves, costs = {}, {}
             for strategy in STRATEGIES:

@@ -244,4 +244,4 @@ def test_resolved_config_hash(command):
 
 
 def test_default_experiment_config():
-    assert cli._experiment_config(cli._defaults("simulate")) == ExperimentConfig()
+    assert cli._settings("simulate", cli._defaults("simulate")) == ExperimentConfig()

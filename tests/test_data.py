@@ -90,6 +90,15 @@ def test_load_labels_malformed(tmp_path):
     m = load_triplets(fp)
     with pytest.raises(ValueError, match="line 1"):
         load_labels(lp, m)
+    # a value float() reads as +-inf is no label; nan stays a missing one
+    for raw in ("inf", "-Infinity", "1e999"):
+        lp = _write(tmp_path, "l.csv", f"u1,taskx,1\nu1,taskx,{raw}\n")
+        with pytest.raises(
+            ValueError, match=f"^line 2: value '{raw}' is not a finite number$"
+        ):
+            load_labels(lp, m)
+    lp = _write(tmp_path, "l.csv", "u1,taskx,nan\n")
+    assert np.isnan(load_labels(lp, m).values["taskx"][0])
 
 
 _LOADERS = {

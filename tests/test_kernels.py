@@ -77,8 +77,9 @@ def test_products_and_column_means_match_scipy_bit_for_bit(data, m: FootprintMat
 
 def test_sparsetools_missing_or_without_a_product_is_an_import_error(monkeypatch):
     # the products need scipy's compiled kernels: a file without one of
-    # them is an ImportError that names the file, never a fallback
-    class Incomplete:  # the extension less the kernel `absent`
+    # them, or with one that takes other arguments, is an ImportError that
+    # names the file, never a fallback
+    class Incomplete:  # the extension less the kernel `absent`, with `kernel`
         def __init__(self, name, path):
             pass
 
@@ -87,14 +88,27 @@ def test_sparsetools_missing_or_without_a_product_is_an_import_error(monkeypatch
 
         def exec_module(self, module):
             for name in set(_util._SPARSE_PRODUCTS) - {absent}:
-                setattr(module, name, print)
+                setattr(module, name, kernel)
 
+    def one_argument_short(*args):  # as a kernel's thunk fails on 6 of 7
+        return args[len(args)]
+
+    kernel = print
     for absent in _util._SPARSE_PRODUCTS:
         with monkeypatch.context() as patch:
             patch.setattr(importlib.machinery, "ExtensionFileLoader", Incomplete)
             with pytest.raises(
                 ImportError, match=rf"sparse[/\\]_sparsetools\S*: has no {absent}$"
             ):
+                _util.sparsetools.__wrapped__()
+    absent = None
+    for kernel, error in [
+        (one_argument_short, "csr_matvec fails a 1x1 product: tuple index"),
+        (lambda *args: None, "csr_matvec gives 0.0 for 1 \\* 2$"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.machinery, "ExtensionFileLoader", Incomplete)
+            with pytest.raises(ImportError, match=rf"sparse[/\\]_sparsetools\S*: {error}"):
                 _util.sparsetools.__wrapped__()
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
     with pytest.raises(ImportError, match="extension sparse/_sparsetools not found"):

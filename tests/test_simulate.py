@@ -50,7 +50,7 @@ _CONFIG = ExperimentConfig(
 def ctx(small_synth):
     res = small_synth
     return build_protection_context(
-        "task_a", res.matrix, res.labels, _CONFIG, need_nmf=True
+        "task_a", res.matrix, res.labels, _CONFIG
     )
 
 
@@ -109,9 +109,27 @@ def test_strategy_errors(ctx):
         run_strategy(ctx, "BOGUS")
     with pytest.raises(ValueError, match="domain"):
         run_strategy(ctx, STRATEGY_DOMAIN_MF)
-    bare = dataclasses.replace(ctx, nmf=None)
-    with pytest.raises(ValueError, match="NMF"):
-        run_strategy(bare, STRATEGY_MF)
+
+
+def test_nmf_fit_once_at_the_first_mf_run(small_synth, monkeypatch):
+    # only MF reads the NMF metafeatures: a context fits them at its first
+    # MF run, and never for the other strategies
+    fits = []
+    fit = simulate.task_nmf_metafeatures
+    monkeypatch.setattr(
+        simulate, "task_nmf_metafeatures", lambda *a: fits.append(a) or fit(*a)
+    )
+    contexts = (_random_context(s, 0.5, (0.0, 1.0), 0) for s in range(20))
+    ctx = next(c for c in contexts if c is not None)
+    for strategy in (STRATEGY_FG, STRATEGY_FG_TOL, STRATEGY_DOMAIN_MF):
+        run_strategy(ctx, strategy)
+    assert fits == []
+    for _ in range(3):
+        run_strategy(ctx, STRATEGY_MF)
+    assert len(fits) == 1
+    res = small_synth
+    tradeoff_report(["task_a"], [STRATEGY_FG], res.matrix, res.labels, _CONFIG)
+    assert len(fits) == 1
 
 
 def test_unknown_task_errors(small_synth):
