@@ -20,7 +20,7 @@ from ._util import ExperimentConfig
 from .data import FootprintMatrix
 from .explain import linear_explain
 from .metafeatures import MetafeatureModel
-from .models import LinearModel, quantile_threshold
+from .models import LinearModel, check_width, quantile_threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +37,6 @@ class CloakDirective:
     strategy: str
     cloaked_features: frozenset[int]
     cloaked_metafeatures: frozenset[int]
-    created_at_fraction: float = 0.0
 
 
 def check_strategy(config: ExperimentConfig, strategy: str) -> None:
@@ -49,12 +48,10 @@ def check_strategy(config: ExperimentConfig, strategy: str) -> None:
 def _in_metafeatures(
     row: np.ndarray, metas: frozenset[int], mfm: Optional[MetafeatureModel]
 ) -> np.ndarray:
-    """True for each in-vocabulary item of row assigned to one of metas."""
+    """True for each item of row assigned to one of metas."""
     if not metas:
         return np.zeros(row.shape, dtype=bool)
-    in_vocab = row < mfm.n_items
-    safe = np.where(in_vocab, row, 0)
-    return in_vocab & np.isin(mfm.assignment[safe], np.fromiter(metas, dtype=np.int64))
+    return np.isin(mfm.assignment[row], np.fromiter(metas, dtype=np.int64))
 
 
 def _directive(
@@ -68,18 +65,17 @@ def _directive(
     """Explain row against threshold and freeze the outcome as a directive.
 
     The explanation features are always cloaked. With mfm, their
-    metafeatures (less mfm.reserved) are swept: every in-vocabulary item of
-    row assigned to one is cloaked too, and they stay suppressed. Returns
-    None when no explanation exists.
+    metafeatures (less mfm.reserved) are swept: every item of row assigned
+    to one is cloaked too, and they stay suppressed. Returns None when no
+    explanation exists.
     """
     expl = linear_explain(model, row, threshold)
     if expl is None:
         return None
     metas = frozenset()
     if mfm is not None:
-        metas = frozenset(
-            int(mfm.assignment[f]) for f in expl.features if f < mfm.n_items
-        ) - {mfm.reserved}
+        metas = frozenset(int(mfm.assignment[f]) for f in expl.features)
+        metas -= {mfm.reserved}
     swept = row[_in_metafeatures(row, metas, mfm)].tolist()
     cloaked = frozenset(expl.features) | frozenset(swept)
     return CloakDirective(user, strategy, cloaked, metas)
@@ -103,8 +99,9 @@ def cloak_population(
     explanation feature, and keep those groups suppressed. FG_TOL explains
     against the quantile_tol threshold of population_scores (the scores
     that set threshold) for a safety margin; that must not exceed
-    threshold. FG and FG_TOL ignore mfm. The strategy is checked, and
-    FG_TOL's threshold computed, once before the first row.
+    threshold. FG and FG_TOL ignore mfm. The strategy, and that the model
+    and mfm cover exactly the items of matrix, are checked, and FG_TOL's
+    threshold computed, once before the first row.
 
     Returns the directives keyed by row, in the order of rows, and the
     count of rows that got none because no explanation exists.
@@ -118,6 +115,9 @@ def cloak_population(
         mfm = None
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    check_width("model", model.n_items, matrix)
+    if mfm is not None:
+        check_width("metafeature model", mfm.n_items, matrix)
     if strategy == STRATEGY_FG_TOL:
         tol = quantile_threshold(population_scores, quantile_tol).value
         if tol > threshold:
@@ -142,7 +142,7 @@ def cloaked_mask(
     mfm: Optional[MetafeatureModel] = None,
 ) -> np.ndarray:
     """True for each item of row the directive removes: a cloaked feature,
-    or an in-vocabulary item assigned to a cloaked metafeature."""
+    or an item assigned to a cloaked metafeature."""
     row = np.asarray(row, dtype=np.int64)
     if directive.cloaked_metafeatures and mfm is None:
         raise ValueError("directive sweeps metafeatures; a metafeature model is required")
@@ -174,14 +174,15 @@ def directives_to_dict(directives, item_ids) -> dict:
     """Directives as a JSON object with external item ids.
 
     Metafeature ids are integers into the paired metafeature model; they
-    are only meaningful next to that model's report.
+    are only meaningful next to that model's report. Every directive takes
+    effect at re-add fraction 0, its created_at_fraction.
     """
     return {
         "directives": [
             {
                 "user": d.user,
                 "strategy": d.strategy,
-                "created_at_fraction": d.created_at_fraction,
+                "created_at_fraction": 0.0,
                 "cloaked_features": [item_ids[j] for j in sorted(d.cloaked_features)],
                 "cloaked_metafeatures": sorted(d.cloaked_metafeatures),
             }

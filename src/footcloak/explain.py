@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import expit
-from .models import KIND_CLASSIFIER, LinearModel, item_weights
+from .models import KIND_CLASSIFIER, LinearModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +50,10 @@ def linear_explain(
     if model.kind != KIND_CLASSIFIER:
         raise ValueError("explanations require a binary classifier")
     row = np.asarray(row, dtype=np.int64)
-    w_row = item_weights(model, row)
-    margin0 = float(w_row.sum()) + model.intercept
+    w_row = model.weights[row]
+    # summed left to right from 0, as the CSR product of predict_scores
+    # does, so score_before is predict_scores' score bit for bit
+    margin0 = float(np.cumsum(w_row)[-1] if len(row) else 0.0) + model.intercept
     score_before = float(expit(margin0))
     if score_before < threshold:
         raise ValueError("prediction already below threshold; nothing to explain")

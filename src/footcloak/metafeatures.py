@@ -4,7 +4,8 @@ Items are grouped into k metafeatures either by non-negative matrix
 factorization of the training footprint (X ~ W H, Frobenius objective,
 multiplicative updates) or by an externally supplied item -> category
 mapping. Each item gets exactly one metafeature: the argmax of its H
-column, ties to the lowest metafeature index.
+column, ties to the lowest metafeature index. A model spans exactly the
+item space it was built on: the activity-filtered items of a task.
 """
 
 from __future__ import annotations
@@ -35,23 +36,25 @@ _CATEGORY_HEADERS = {("item_id", "category"), ("item", "category")}
 
 @dataclass(frozen=True, eq=False)
 class MetafeatureModel:
-    """Exclusive item -> metafeature assignment plus the loading matrix.
+    """Exclusive item -> metafeature assignment, one entry per item.
 
-    k counts all metafeature ids, H is (k, n_items). For domain mappings
-    H is a 0/1 indicator and the last id is the reserved uncategorized
-    group (stored in .reserved); reserved is None for NMF groupings.
+    k counts all metafeature ids. loading[j] is item j's weight in its own
+    metafeature assignment[j]: its NMF loading there (0 where the item's
+    whole H column is 0), or 1.0 for a domain category. For domain
+    mappings the last id is the reserved uncategorized group (stored in
+    .reserved); reserved is None for NMF groupings.
     """
 
     k: int
-    H: np.ndarray
     assignment: np.ndarray
+    loading: np.ndarray
     source: str
     labels: tuple[str, ...] | None = None
     reserved: int | None = None
 
     @property
     def n_items(self) -> int:
-        return self.H.shape[1]
+        return len(self.assignment)
 
     def members(self, mf: int) -> np.ndarray:
         """Item indices assigned to metafeature mf."""
@@ -123,14 +126,9 @@ def assign_exclusive(H: np.ndarray) -> np.ndarray:
     """Assign each item to the metafeature with the largest loading.
 
     Ties break to the lowest metafeature index. Items with an all-zero
-    column land on metafeature 0; flag them via zero_loading_items.
+    column land on metafeature 0 with loading 0.
     """
     return np.argmax(H, axis=0).astype(np.int64)
-
-
-def zero_loading_items(H: np.ndarray) -> np.ndarray:
-    """Boolean mask of items whose entire loading column is zero."""
-    return ~np.any(H > 0.0, axis=0)
 
 
 def build_nmf_metafeatures(
@@ -142,15 +140,12 @@ def build_nmf_metafeatures(
 ) -> MetafeatureModel:
     """Fit NMF on the training footprint and wrap the exclusive assignment."""
     _, H, _ = nmf_fit(X, k, max_iters=max_iters, tol=tol, seed=seed)
-    zero = zero_loading_items(H)
-    if zero.any():
-        logger.debug("build_nmf_metafeatures: %d zero-loading items", int(zero.sum()))
-    return MetafeatureModel(
-        k=k,
-        H=H,
-        assignment=assign_exclusive(H),
-        source=SOURCE_NMF,
-    )
+    assignment = assign_exclusive(H)
+    loading = H[assignment, np.arange(X.n_items)]
+    zero = int(np.count_nonzero(loading == 0.0))
+    if zero:
+        logger.debug("build_nmf_metafeatures: %d zero-loading items", zero)
+    return MetafeatureModel(k, assignment, loading, SOURCE_NMF)
 
 
 def task_nmf_metafeatures(
@@ -177,8 +172,9 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
 
     Categories take ids in first-seen order; items absent from the file
     go to a reserved trailing 'uncategorized' metafeature that cloaking
-    never sweeps. Items in the file but not in the item space are
-    ignored. Malformed rows raise ValueError with the line number.
+    never sweeps. item_ids is the item space the model spans; items in
+    the file but not in it are ignored. Malformed rows raise ValueError
+    with the line number.
     """
     n_items = len(item_ids)
     _, (items, cats), bad = _read_columns(path, _CATEGORY_HEADERS)
@@ -196,17 +192,9 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
     n_cat = len(cat_names)
     reserved = n_cat
     item_cat[item_cat < 0] = reserved
-    k = n_cat + 1
-    H = np.zeros((k, n_items))
-    H[item_cat, np.arange(n_items)] = 1.0
     labels = cat_names + ("uncategorized",)
     return MetafeatureModel(
-        k=k,
-        H=H,
-        assignment=item_cat,
-        source=SOURCE_DOMAIN,
-        labels=labels,
-        reserved=reserved,
+        n_cat + 1, item_cat, np.ones(n_items), SOURCE_DOMAIN, labels, reserved
     )
 
 
@@ -217,13 +205,13 @@ def load_domain_categories(path, item_ids) -> MetafeatureModel:
 def top_items(mfm: MetafeatureModel, item_ids, top_n: int = 10) -> dict:
     """Per metafeature: the top-loading assigned items with their weights.
 
-    Within a metafeature, its assigned items are ranked by H loading
+    Within a metafeature, its assigned items are ranked by loading
     (descending, ties to the lower item index).
     """
     report = {}
     for mf in range(mfm.k):
         members = mfm.members(mf)
-        loads = mfm.H[mf, members]
+        loads = mfm.loading[members]
         order = np.lexsort((members, -loads))[:top_n]
         label = mfm.labels[mf] if mfm.labels else str(mf)
         report[str(mf)] = {

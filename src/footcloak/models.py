@@ -214,19 +214,16 @@ def _lbfgsb(fun, n: int, max_iter: int):
             return x, g, task
 
 
-def item_weights(model: LinearModel, items: np.ndarray) -> np.ndarray:
-    """The model's weight of each item index; an item at or beyond
-    model.n_items is outside the model vocabulary and weighs 0."""
-    items = np.asarray(items, dtype=np.int64)
-    valid = items < model.n_items
-    w = np.zeros(items.shape)
-    w[valid] = model.weights[items[valid]]
-    return w
-
-
 def decision_margins(model: LinearModel, m: FootprintMatrix) -> np.ndarray:
-    """w.x + b per user, with w from item_weights."""
-    return m.times(item_weights(model, np.arange(m.n_items))) + model.intercept
+    """w.x + b per user; the model must weigh exactly the matrix's items."""
+    check_width("model", model.n_items, m)
+    return m.times(model.weights) + model.intercept
+
+
+def check_width(what: str, n_items: int, m: FootprintMatrix) -> None:
+    """Raise ValueError unless what covers exactly the items of m."""
+    if n_items != m.n_items:
+        raise ValueError(f"{what} covers {n_items} items; the matrix has {m.n_items}")
 
 
 def predict_scores(model: LinearModel, m: FootprintMatrix) -> np.ndarray:

@@ -60,7 +60,6 @@ from .models import (
     ThresholdSpec,
     decision_margins,
     fit_classifier,
-    item_weights,
     predict_scores,
     quantile_threshold,
 )
@@ -230,7 +229,7 @@ def build_protection_context(
     # reproduces threshold0 bit for bit
     train_margins = ReaddMargins.build(
         decision_margins(model, train_reduced),
-        [item_weights(model, d) for d in train_plan.dropped],
+        [model.weights[d] for d in train_plan.dropped],
     )
     thresholds = tuple(
         quantile_threshold(expit(train_margins.at(f)), config.quantile).value
@@ -292,7 +291,7 @@ def protection_flags(
     for i in users:
         dropped = ctx.test_plan.dropped[i]
         removed = cloaked_mask(dropped, directives[i], mfm)
-        readd_weights.append(np.where(removed, 0.0, item_weights(ctx.model, dropped)))
+        readd_weights.append(np.where(removed, 0.0, ctx.model.weights[dropped]))
     margins = ReaddMargins.build(
         decision_margins(ctx.model, cloaked)[users], readd_weights
     )

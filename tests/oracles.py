@@ -329,8 +329,7 @@ def predict_score(model: LinearModel, row: np.ndarray) -> float:
     if model.kind != KIND_CLASSIFIER:
         raise ValueError("predict_score requires a binary classifier")
     row = np.asarray(row, dtype=np.int64)
-    valid = row[row < model.n_items]
-    margin = float(model.weights[valid].sum()) + model.intercept
+    margin = float(model.weights[row].sum()) + model.intercept
     return float(expit(margin))
 
 
@@ -359,8 +358,7 @@ def cloak_cost(
 
 
 def _linear_removal_scorer(model: LinearModel, row: np.ndarray):
-    valid = row < model.n_items
-    w_row = np.where(valid, model.weights[np.where(valid, row, 0)], 0.0)
+    w_row = model.weights[row]
     margin0 = float(w_row.sum()) + model.intercept
     lookup = {int(j): float(w) for j, w in zip(row, w_row)}
 

@@ -28,10 +28,8 @@ from oracles import apply_cloak, cloak_cost, predict_score
 def _mfm(assignment, reserved=None, source="nmf"):
     assignment = np.asarray(assignment, dtype=np.int64)
     k = int(assignment.max()) + 1
-    H = np.zeros((k, len(assignment)))
-    H[assignment, np.arange(len(assignment))] = 1.0
     return MetafeatureModel(
-        k=k, H=H, assignment=assignment, source=source, reserved=reserved
+        k, assignment, np.ones(len(assignment)), source, reserved=reserved
     )
 
 
@@ -41,10 +39,10 @@ _ROW = np.arange(6)
 _TH = 0.7
 
 
-def _one_row(row, user="u0"):
-    row = np.asarray(row, dtype=np.int64)
-    n = int(row.max()) + 1 if row.size else 1
-    return from_rows([row], n, (user,), tuple(f"it{j}" for j in range(n)))
+def _one_row(row, n_items=len(_ROW), user="u0"):
+    """A one-user matrix over items 0..n_items-1 holding row."""
+    items = tuple(f"it{j}" for j in range(n_items))
+    return from_rows([np.asarray(row, dtype=np.int64)], n_items, (user,), items)
 
 
 def _cloak(
@@ -52,9 +50,9 @@ def _cloak(
     quantile_tol=0.90, user="u0",
 ):
     """cloak_population over a one-row matrix: the row's directive or None."""
+    m = _one_row(row, model.n_items, user)
     directives, not_found = cloak_population(
-        strategy, model, _one_row(row, user), [0], threshold, mfm, scores,
-        quantile_tol,
+        strategy, model, m, [0], threshold, mfm, scores, quantile_tol
     )
     assert len(directives) + not_found == 1
     return directives.get(0)
@@ -105,18 +103,13 @@ def test_mf_superset_of_fg():
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_items=st.integers(1, 12),
-    width_delta=st.integers(-3, 2),
     threshold=st.floats(0.01, 0.99),
     reserved=st.booleans(),
 )
-def test_mf_finds_none_exactly_when_fg_does(
-    seed, n_items, width_delta, threshold, reserved
-):
+def test_mf_finds_none_exactly_when_fg_does(seed, n_items, threshold, reserved):
     # the spillover experiment directs the same users under FG and MF
     rng = np.random.default_rng(seed)
-    model = LinearModel(
-        rng.normal(0.3, 1.0, max(1, n_items + width_delta)), float(rng.normal()), 1.0
-    )
+    model = LinearModel(rng.normal(0.3, 1.0, n_items), float(rng.normal()), 1.0)
     row = np.flatnonzero(rng.random(n_items) < 0.6)
     assignment = rng.integers(0, 3, n_items)
     mfm = _mfm(assignment, reserved=int(assignment.max()) if reserved else None)
@@ -201,6 +194,21 @@ def test_population_checks_strategy_before_any_row():
             cloak_population(strategy, _MODEL, m, [], _TH)
 
 
+def test_population_checks_item_spaces_before_any_row():
+    # the model and the metafeature model must each cover exactly the
+    # matrix's items; one item narrower or wider is an error naming both
+    m = _one_row(_ROW)
+    for width in (5, 7):
+        model = LinearModel(np.ones(width), 0.0, 1.0)
+        message = f"^model covers {width} items; the matrix has 6$"
+        with pytest.raises(ValueError, match=message):
+            cloak_population(STRATEGY_FG, model, m, [], _TH)
+        mfm = _mfm(np.arange(width) % 3)
+        for strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
+            with pytest.raises(ValueError, match="^metafeature " + message[1:]):
+                cloak_population(strategy, _MODEL, m, [], _TH, mfm)
+
+
 def test_fg_and_fg_tol_ignore_mfm():
     mfm = _mfm([0, 1, 0, 2, 2, 0])
     scores = np.arange(1, 101) / 100.0
@@ -241,10 +249,6 @@ def test_mf_suppresses_future_items_in_swept_groups():
     # item 2 and 5 were never in the original row but share group 0
     future = np.arange(6)
     np.testing.assert_array_equal(apply_cloak(future, d, mfm), [3, 4])
-    # items beyond the metafeature vocabulary are kept
-    np.testing.assert_array_equal(
-        apply_cloak(np.array([2, 7]), d, mfm), [7]
-    )
 
 
 def test_apply_cloak_idempotent():
@@ -271,21 +275,19 @@ def test_apply_cloak_empty_row():
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_items=st.integers(1, 12),
-    narrower=st.integers(0, 3),
     density=st.floats(0.0, 0.8),
 )
-def test_cloak_matrix_matches_apply_cloak(seed, n_items, narrower, density):
+def test_cloak_matrix_matches_apply_cloak(seed, n_items, density):
     # every row of cloak_matrix is apply_cloak's row, or the row itself
-    # when it has no directive; the mfm may cover fewer items than the
-    # matrix, and rows may be empty
+    # when it has no directive; rows may be empty
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, 10, n_items, density)
-    assignment = rng.integers(0, 4, max(1, n_items - narrower))
+    assignment = rng.integers(0, 4, n_items)
     mfm = _mfm(assignment, reserved=int(assignment.max()))
     directives = {}
     for i in np.flatnonzero(rng.random(m.n_users) < 0.6):
         strategy = rng.choice([STRATEGY_FG, STRATEGY_MF, STRATEGY_DOMAIN_MF])
-        feats = np.flatnonzero(rng.random(n_items + 2) < 0.3)
+        feats = np.flatnonzero(rng.random(n_items) < 0.3)
         metas = set()
         if strategy != STRATEGY_FG:
             metas = set(np.flatnonzero(rng.random(mfm.k) < 0.4).tolist())
@@ -349,6 +351,6 @@ def test_directive_roundtrip(tmp_path):
             f"it{j}" for j in sorted(orig.cloaked_features)
         ]
         assert back["cloaked_metafeatures"] == sorted(orig.cloaked_metafeatures)
-        assert back["created_at_fraction"] == orig.created_at_fraction
+        assert back["created_at_fraction"] == 0.0
     text = path.read_text()
     assert '"config_hash": "h"' in text and '"seed": 3' in text

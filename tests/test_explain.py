@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from footcloak.data import from_rows
 from footcloak.explain import linear_explain
-from footcloak.models import KIND_REGRESSOR, LinearModel
+from footcloak.models import KIND_REGRESSOR, LinearModel, predict_scores
 
 from oracles import sedc_explain
 
 
 def _score(model, active):
     active = np.asarray(active, dtype=np.int64)
-    active = active[active < len(model.weights)]
     return float(expit(model.weights[active].sum() + model.intercept))
 
 
@@ -184,11 +184,18 @@ def test_sedc_and_linear_agree_on_larger_rows():
     assert checked >= 15
 
 
-def test_out_of_vocab_items_are_inert():
-    # item 5 is outside the model vocabulary, so it never helps a crossing
-    model = LinearModel(np.array([2.0, 1.0]), 0.0, 1.0)
-    row = np.array([0, 1, 5])
-    for fn in (sedc_explain, linear_explain):
-        exp = fn(model, row, 0.6)
-        assert exp.features == (0, 1)
-        assert exp.score_after == pytest.approx(0.5, abs=1e-12)
+def test_score_before_is_predict_scores_bit_for_bit():
+    # a user scored exactly at the threshold, as when a test footprint
+    # equals the footprint of the training user that set it, is explained,
+    # never "already below threshold": linear_explain sums the row's
+    # weights as the CSR product of predict_scores does
+    rng = np.random.default_rng(7)
+    n_items = 20
+    items = tuple(f"i{j}" for j in range(n_items))
+    for _ in range(300):
+        model = LinearModel(rng.normal(0.0, 1.0, n_items), float(rng.normal()), 1.0)
+        row = np.flatnonzero(rng.random(n_items) < 0.6)
+        score = predict_scores(model, from_rows([row], n_items, ("u0",), items))[0]
+        exp = linear_explain(model, row, score)
+        if exp is not None:
+            assert exp.score_before == score

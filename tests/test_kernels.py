@@ -19,7 +19,6 @@ from footcloak import _util, models
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.models import LinearModel, decision_margins, logreg_value_and_grad
 
-from conftest import random_footprints
 from oracles import dense, scipy_csr
 
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -116,79 +115,24 @@ def test_sparsetools_missing_or_without_a_product_is_an_import_error(monkeypatch
 
 
 @_SETTINGS
-@given(data=st.data(), m=footprints(), width_delta=st.integers(-3, 3))
-def test_decision_margins_matches_dense(data, m: FootprintMatrix, width_delta):
-    # the model may be narrower (out-of-vocabulary items count 0), as wide
-    # as, or wider (unused weights) than the matrix
-    width = max(0, m.n_items + width_delta)
-    w = data.draw(_floats((width,)))
+@given(data=st.data(), m=footprints())
+def test_decision_margins_matches_dense(data, m: FootprintMatrix):
+    w = data.draw(_floats((m.n_items,)))
     b = data.draw(st.floats(-5.0, 5.0))
-    X = dense(m)
-    w_dense = np.zeros(m.n_items)
-    n = min(width, m.n_items)
-    w_dense[:n] = w[:n]
     got = decision_margins(LinearModel(w, b, 1.0), m)
     assert got.shape == (m.n_users,)
-    np.testing.assert_allclose(got, X @ w_dense + b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, dense(m) @ w + b, rtol=1e-12, atol=1e-12)
 
 
-def _random_csr(rng, n, m, density=0.3, empty_rows=False):
-    mat = random_footprints(rng, n, m, density)
-    if empty_rows:
-        rows = [mat.row(i) if i % 3 else np.empty(0, np.int64) for i in range(n)]
-        mat = from_rows(rows, m, mat.user_ids, mat.item_ids)
-    return mat
-
-
-def _row_margins_loop(m: FootprintMatrix, w, b):
-    # per-row sum of the weights of the active items, one row at a time
-    return np.array([w[m.row(i)].sum() + b for i in range(m.n_users)])
-
-
-def _scatter_add_rows_loop(m: FootprintMatrix, v):
-    # X^T v: add v[i] to every active item of row i
-    out = np.zeros(m.n_items)
-    for i in range(m.n_users):
-        out[m.row(i)] += v[i]
-    return out
-
-
-@pytest.mark.parametrize("empty_rows", [False, True])
-def test_row_margins_backends_agree(empty_rows):
-    # X w + b (decision_margins) agrees with a per-row loop
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        m = _random_csr(rng, 17, 23, empty_rows=empty_rows)
-        w = rng.normal(size=23)
-        b = rng.normal()
-        loop = _row_margins_loop(m, w, b)
-        got = decision_margins(LinearModel(w, b, 1.0), m)
-        np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(m.times(w) + b, loop, rtol=1e-12, atol=1e-12)
-
-
-def test_row_margins_ignores_out_of_vocab():
-    # row references item 5 but the model only knows 4 items
-    m = from_rows([np.array([0, 5])], 6, ("u0",), tuple(f"i{j}" for j in range(6)))
-    model = LinearModel(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1.0)
-    np.testing.assert_allclose(decision_margins(model, m), [3.0])
-
-
-def test_scatter_add_rows_backends_agree():
-    # X^T v agrees with a per-row scatter-add loop
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        m = _random_csr(rng, 19, 31, empty_rows=True)
-        v = rng.normal(size=19)
-        loop = _scatter_add_rows_loop(m, v)
-        np.testing.assert_allclose(m.t_times(v), loop, rtol=1e-12, atol=1e-12)
-
-
-def test_scatter_add_rows_matches_dense():
-    rng = np.random.default_rng(2)
-    m = _random_csr(rng, 12, 9)
-    v = rng.normal(size=12)
-    np.testing.assert_allclose(m.t_times(v), dense(m).T @ v, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("width", [4, 6])
+def test_decision_margins_rejects_another_item_space(width):
+    # a model one item narrower or wider than the matrix is an error that
+    # names both widths, never a silent pad or cut
+    m = from_rows([np.array([0, 4])], 5, ("u0",), tuple(f"i{j}" for j in range(5)))
+    model = LinearModel(np.ones(width), 0.0, 1.0)
+    message = f"^model covers {width} items; the matrix has 5$"
+    with pytest.raises(ValueError, match=message):
+        decision_margins(model, m)
 
 
 @_SETTINGS

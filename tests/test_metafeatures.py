@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from footcloak.metafeatures import (
     metafeature_report,
     nmf_fit,
     top_items,
-    zero_loading_items,
 )
 
 import oracles
@@ -155,7 +155,6 @@ def test_assign_exclusive_examples_and_ties():
     got = assign_exclusive(H)
     # col 0 -> 1; col 1 ties 0.5/0.5 -> lowest index 0; col 2 ties -> 0; col 3 all zero -> 0
     np.testing.assert_array_equal(got, [1, 0, 0, 0])
-    np.testing.assert_array_equal(zero_loading_items(H), [False, False, False, True])
 
 
 def test_members_partition_items():
@@ -164,6 +163,10 @@ def test_members_partition_items():
     mfm = build_nmf_metafeatures(m, k=4, seed=2)
     seen = np.concatenate([mfm.members(mf) for mf in range(mfm.k)])
     assert sorted(seen.tolist()) == list(range(22))
+    # each item's loading is its H entry in its own metafeature
+    _, H, _ = nmf_fit(m, k=4, seed=2)
+    np.testing.assert_array_equal(mfm.assignment, assign_exclusive(H))
+    np.testing.assert_array_equal(mfm.loading, H[mfm.assignment, np.arange(22)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +182,7 @@ def test_domain_mapping_basic(tmp_path):
     assert mfm.labels == ("music", "film", "uncategorized")
     assert mfm.reserved == 2
     np.testing.assert_array_equal(mfm.assignment, [0, 2, 1, 0, 2])
-    # H is a one-hot indicator
-    np.testing.assert_array_equal(mfm.H.sum(axis=0), np.ones(5))
-    np.testing.assert_array_equal(mfm.H[0], [1, 0, 0, 1, 0])
+    np.testing.assert_array_equal(mfm.loading, np.ones(5))
     assert mfm.source == "domain"
 
 
@@ -214,6 +215,24 @@ def test_domain_mapping_malformed_row_errors(tmp_path):
         load_domain_categories(path, ("a", "b"))
 
 
+def test_domain_mapping_allocates_per_item(tmp_path):
+    # one category per item: the model holds one assignment and one
+    # loading per item, never a categories x items indicator, which alone
+    # would take 8 * (n + 1) * n bytes
+    n = 3000
+    path = tmp_path / "cats.csv"
+    path.write_text("".join(f"i{j},c{j}\n" for j in range(n)))
+    tracemalloc.start()
+    try:
+        mfm = load_domain_categories(path, _ids("i", n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mfm.k == n + 1 and mfm.reserved == n
+    np.testing.assert_array_equal(mfm.assignment, np.arange(n))
+    assert peak < 1000 * n
+
+
 def test_domain_mapping_all_uncategorized(tmp_path):
     path = tmp_path / "cats.csv"
     path.write_text("item_id,category\n")
@@ -234,9 +253,8 @@ def test_top_items_ranking_and_report(tmp_path):
             [0.0, 0.4, 0.0, 0.0],
         ]
     )
-    mfm = MetafeatureModel(
-        k=2, H=H, assignment=assign_exclusive(H), source="nmf"
-    )
+    assignment = assign_exclusive(H)
+    mfm = MetafeatureModel(2, assignment, H[assignment, np.arange(4)], "nmf")
     ids = ("w", "x", "y", "z")
     rep = top_items(mfm, ids, top_n=2)
     got0 = [e["item_id"] for e in rep["0"]["top_items"]]

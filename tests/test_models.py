@@ -71,11 +71,6 @@ def test_predict_log3_gives_three_quarters():
     assert predict_score(model, np.array([0])) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_predict_ignores_out_of_vocab():
-    model = LinearModel(np.array([1.0]), 0.0, 1.0)
-    assert predict_score(model, np.array([0, 7])) == predict_score(model, np.array([0]))
-
-
 # ---------------------------------------------------------------------------
 # training
 

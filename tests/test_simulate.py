@@ -16,7 +16,7 @@ from footcloak.cloak import (
     STRATEGY_MF,
     cloak_population,
 )
-from footcloak.data import LabelTable
+from footcloak.data import LabelTable, filter_min_activity
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
 from footcloak.models import (
     LinearModel,
@@ -119,7 +119,7 @@ def test_nmf_fit_once_at_the_first_mf_run(small_synth, monkeypatch):
     monkeypatch.setattr(
         simulate, "task_nmf_metafeatures", lambda *a: fits.append(a) or fit(*a)
     )
-    contexts = (_random_context(s, 0.5, (0.0, 1.0), 0) for s in range(20))
+    contexts = (_random_context(s, 0.5, (0.0, 1.0)) for s in range(20))
     ctx = next(c for c in contexts if c is not None)
     for strategy in (STRATEGY_FG, STRATEGY_FG_TOL, STRATEGY_DOMAIN_MF):
         run_strategy(ctx, strategy)
@@ -247,24 +247,23 @@ _ORACLE_STRATEGIES = (STRATEGY_FG, STRATEGY_MF, STRATEGY_FG_TOL, STRATEGY_DOMAIN
 _fraction = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 
-def _random_context(seed, drop_fraction, schedule, width_delta):
+def _random_context(seed, drop_fraction, schedule):
     """A protection context on random footprints whose classifier has
-    random weights; the model may be narrower or wider than the item space,
-    and the domain mapping narrower, so out-of-vocabulary guards are hit."""
+    random weights. The footprints are already activity-filtered, so the
+    model and the domain mapping span the context's item space."""
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, 48, 30, density=rng.uniform(0.05, 0.5))
+    m = filter_min_activity(m, 1, 1)
     labels = LabelTable({"t": rng.integers(0, 2, m.n_users).astype(float)}, m.n_users)
 
     def fit(mat, *_):
-        w = rng.normal(size=max(1, mat.n_items + width_delta))
-        model = LinearModel(w, float(rng.normal()), 1.0)
+        model = LinearModel(rng.normal(size=mat.n_items), float(rng.normal()), 1.0)
         return 1.0, model, predict_scores(model, mat)
 
-    n_domain = m.n_items - 2
-    assignment = rng.integers(0, 4, n_domain)
-    H = np.zeros((4, n_domain))
-    H[assignment, np.arange(n_domain)] = 1.0
-    domain = MetafeatureModel(4, H, assignment, SOURCE_DOMAIN, reserved=3)
+    assignment = rng.integers(0, 4, m.n_items)
+    domain = MetafeatureModel(
+        4, assignment, np.ones(m.n_items), SOURCE_DOMAIN, reserved=3
+    )
     config = ExperimentConfig(
         seed=seed,
         quantile=0.6,
@@ -289,13 +288,10 @@ def _random_context(seed, drop_fraction, schedule, width_delta):
     drop_fraction=_fraction,
     fractions=st.lists(_fraction, min_size=1, max_size=5),
     with_zero=st.booleans(),
-    width_delta=st.integers(-3, 2),
 )
-def test_closed_form_matches_readd_oracle(
-    seed, drop_fraction, fractions, with_zero, width_delta
-):
+def test_closed_form_matches_readd_oracle(seed, drop_fraction, fractions, with_zero):
     schedule = tuple(([0.0] if with_zero else []) + fractions)
-    ctx = _random_context(seed, drop_fraction, schedule, width_delta)
+    ctx = _random_context(seed, drop_fraction, schedule)
     assume(ctx is not None)
     q = ctx.config.quantile
     oracle_th = []
