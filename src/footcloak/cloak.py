@@ -143,7 +143,6 @@ def cloaked_mask(
 ) -> np.ndarray:
     """True for each item of row the directive removes: a cloaked feature,
     or an item assigned to a cloaked metafeature."""
-    row = np.asarray(row, dtype=np.int64)
     if directive.cloaked_metafeatures and mfm is None:
         raise ValueError("directive sweeps metafeatures; a metafeature model is required")
     feats = np.fromiter(directive.cloaked_features, dtype=np.int64)

@@ -1,11 +1,11 @@
 """Footprint data structures and deterministic data operations.
 
 A footprint is a sparse binary user-item matrix: x[i, j] = 1 when user i
-has the item j in their behavioral record. Rows are stored CSR-style with
-ascending item indices. External string ids are kept alongside so that
-every artifact written to disk speaks item/user ids, not dense indices.
-Every product with the matrix (FootprintMatrix.times and t_times) runs
-scipy's compiled CSR/CSC kernels on these arrays.
+has the item j in their behavioral record. Rows are stored once, CSR-style,
+in read-only int32 arrays (int64 past 2**31 - 1), with ascending indices.
+External string ids are kept alongside, so every artifact written to disk
+speaks item/user ids. Every product (FootprintMatrix.times and t_times)
+runs scipy's CSR/CSC kernels on these arrays and one shared array of ones.
 """
 
 from __future__ import annotations
@@ -26,14 +26,16 @@ logger = logging.getLogger(__name__)
 
 _FOOTPRINT_HEADERS = {("user_id", "item_id"), ("user", "item")}
 _LABEL_HEADERS = {("user_id", "task_name", "value"), ("user_id", "task", "value")}
+_ONES = [np.ones(0)]  # the entries of every matrix: one buffer, grown, never written
 
 
 @dataclass(frozen=True, eq=False)
 class FootprintMatrix:
     """Sparse binary user-item matrix with external id maps.
 
-    indptr/indices follow the CSR convention; indices are strictly
-    ascending within each row (set semantics, no duplicates).
+    indptr/indices follow the CSR convention (indices strictly ascending in
+    a row), read-only, int32 while nnz, n_users and n_items fit, else int64;
+    products read them as stored, with a view of one shared array of ones.
     """
 
     indptr: np.ndarray
@@ -41,6 +43,15 @@ class FootprintMatrix:
     n_items: int
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        largest = max(self.nnz, self.n_users, self.n_items)
+        index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+        for name in ("indptr", "indices"):
+            # a view, so the caller's array keeps its own writeable flag
+            arr = getattr(self, name).astype(index, copy=False).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_users(self) -> int:
@@ -73,7 +84,7 @@ class FootprintMatrix:
         counts = self.indptr[order + 1] - starts
         indptr = _indptr(counts)
         gather = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        indices = self.indices[gather].astype(np.int64, copy=False)
+        indices = self.indices[gather]
         users = tuple(self.user_ids[i] for i in order)
         return FootprintMatrix(indptr, indices, self.n_items, users, self.item_ids)
 
@@ -84,20 +95,6 @@ class FootprintMatrix:
         return FootprintMatrix(
             kept_before[self.indptr], self.indices[keep], self.n_items,
             self.user_ids, self.item_ids,
-        )
-
-    @cached_property
-    def _kernel_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """indptr and indices in the index type scipy's CSR matrix picks
-        (int32 when every index and count fits, else int64) and float64
-        ones as the entries: the arrays the sparse products read. Cached,
-        as a logistic fit makes two products per evaluation."""
-        fits = max(self.nnz, self.n_users, self.n_items) <= np.iinfo(np.int32).max
-        index = np.int32 if fits else np.int64
-        return (
-            self.indptr.astype(index),
-            self.indices.astype(index),
-            np.ones(self.nnz, dtype=np.float64),
         )
 
     def times(self, V) -> np.ndarray:
@@ -119,7 +116,11 @@ class FootprintMatrix:
         if V.ndim not in (1, 2) or V.shape[0] != n_in:
             raise ValueError(f"shape {V.shape} does not have {n_in} rows")
         kernels = sparsetools()
-        arrays = self._kernel_arrays
+        ones = _ONES[0]  # read once, so a concurrent swap cannot shorten it
+        if len(ones) < self.nnz:
+            ones = _ONES[0] = np.ones(self.nnz)
+            ones.flags.writeable = False
+        arrays = (self.indptr, self.indices, ones[: self.nnz])
         if V.ndim == 1 or V.shape[1] == 1:
             out = np.zeros(n_out)
             matvec = getattr(kernels, form + "_matvec")
@@ -594,7 +595,7 @@ def make_drop_plan(
         row = m.row(i)
         d = round_half_up(drop_fraction * len(row))
         perm = rng.permutation(len(row))
-        dropped.append(row[perm[:d]].copy())
+        dropped.append(row[perm[:d]])
     return DropPlan(tuple(dropped))
 
 
@@ -606,7 +607,7 @@ def apply_drop(m: FootprintMatrix, plan: DropPlan) -> FootprintMatrix:
     counts = np.fromiter(map(len, plan.dropped), dtype=np.int64, count=m.n_users)
     dropped = np.repeat(np.arange(m.n_users, dtype=np.int64), counts) * m.n_items
     dropped += np.concatenate([np.empty(0, dtype=np.int64), *plan.dropped])
-    keys = rows * m.n_items + m.indices  # ascending, so a binary search finds them
+    keys = rows * m.n_items + m.indices  # int64, ascending: a binary search finds them
     found = np.searchsorted(keys, dropped)
     hit = found < m.nnz
     found, dropped = found[hit], dropped[hit]

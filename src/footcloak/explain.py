@@ -49,7 +49,6 @@ def linear_explain(
     """
     if model.kind != KIND_CLASSIFIER:
         raise ValueError("explanations require a binary classifier")
-    row = np.asarray(row, dtype=np.int64)
     w_row = model.weights[row]
     # summed left to right from 0, as the CSR product of predict_scores
     # does, so score_before is predict_scores' score bit for bit

@@ -71,8 +71,8 @@ logger = logging.getLogger(__name__)
 class ProtectionCurve:
     """Protection over simulated time for one task and strategy.
 
-    A protection rate over an empty population is undefined and held as
-    None (null in JSON, an empty CSV field).
+    Undefined values, such as a protection rate over an empty population,
+    are held as None (null in JSON, an empty CSV field).
     """
 
     task: str
@@ -357,7 +357,7 @@ def run_strategy(
                 (~protected[list(config.schedule).index(0.0)]).sum()
             )
             if 0.0 in config.schedule
-            else -1,
+            else None,
             "avg_cloak_cost_full": avg_cost,
         }
     )

@@ -269,6 +269,16 @@ def test_simulate_manifest_replay(data, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_simulate_without_fraction_zero_writes_null(data, tmp_path):
+    # with no 0.0 in the schedule, unprotected_at_creation is undefined:
+    # null, as every undefined value in the result files, not a sentinel
+    out = tmp_path / "nz"
+    assert _run(*_simulate_args(data, out, "--schedule", "0.5,1")) == 0
+    curve = _strict_json(out / "protection_curve.json")
+    assert curve["fractions"] == [0.5, 1.0]
+    assert curve["diagnostics"]["unprotected_at_creation"] is None
+
+
 # ---------------------------------------------------------------------------
 # spillover and report
 

@@ -300,6 +300,7 @@ def test_cloak_matrix_matches_apply_cloak(seed, n_items, density):
     assert (out.n_items, out.user_ids, out.item_ids) == (
         m.n_items, m.user_ids, m.item_ids
     )
+    assert out.indptr.dtype == out.indices.dtype == np.int32
     for i in range(m.n_users):
         want = m.row(i)
         if i in directives:

@@ -190,6 +190,7 @@ def test_filter_matches_oracle():
         mu, mi = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         got = filter_min_activity(m, mu, mi)
         want = _brute_filter(m, mu, mi)
+        assert got.indptr.dtype == got.indices.dtype == np.int32
         assert dense(got).shape == want.shape
         np.testing.assert_array_equal(dense(got), want)
 

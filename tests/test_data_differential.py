@@ -113,6 +113,7 @@ def test_load_triplets_matches_line_oracle(scratch, text):
         return
     assert (got.user_ids, got.item_ids) == want[:2]
     _assert_equal_arrays((got.indptr, got.indices), want[2:])
+    assert got.indptr.dtype == got.indices.dtype == np.int32
 
 
 @st.composite
@@ -286,6 +287,32 @@ def test_quoted_fields_and_unterminated_quote(tmp_path):
 # whole-array matrix operations
 
 
+def test_keys_past_int32_stay_exact(tmp_path):
+    # 40,000 users x 70,000 items: the key user * n_items + item passes
+    # 2**31 from user 30,678 on, where an int32 key would wrap; the loader
+    # and apply_drop build their keys in int64 and must match the oracles
+    n_users, n_items = 40_000, 70_000
+    lines = [f"u{j % n_users},i{j}" for j in range(n_items)]  # every id once
+    last = [(n_users - 1, 0), (n_users - 1, n_items - 1), (n_users - 2, 7),
+            (n_users - 2, 30_000), (n_users - 1, 0), (n_users - 3, 69_000)]
+    lines += [f"u{u},i{j}" for u, j in last]  # one duplicate pair
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    m = load_triplets(path)
+    want = oracles.load_triplets(path)
+    assert (m.user_ids, m.item_ids) == want[:2]
+    _assert_equal_arrays((m.indptr, m.indices), want[2:])
+    assert m.nnz == n_items + len(last) - 1
+    empty = np.empty(0, dtype=np.int64)
+    plan = DropPlan(
+        (empty,) * (n_users - 3)
+        + (np.array([69_000]), np.array([30_000, 5]), np.array([n_items - 1, 0]))
+    )
+    got, want = apply_drop(m, plan), oracles.apply_drop(m, plan)
+    _assert_equal_arrays((got.indptr, got.indices), (want.indptr, want.indices))
+    assert got.row(n_users - 1).tolist() == [n_users - 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -307,6 +334,7 @@ def test_apply_drop_matches_setdiff_oracle(seed, shape, density, from_plan):
         )
     got, want = apply_drop(m, plan), oracles.apply_drop(m, plan)
     _assert_equal_arrays((got.indptr, got.indices), (want.indptr, want.indices))
+    assert got.indptr.dtype == got.indices.dtype == np.int32
     assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
 
 
@@ -323,6 +351,7 @@ def test_select_users_matches_concat_oracle(seed, shape, density, size):
     order = rng.integers(0, shape[0], size)  # repeats allowed
     got, want = m.select_users(order), oracles.select_users(m, order)
     _assert_equal_arrays((got.indptr, got.indices), (want.indptr, want.indices))
+    assert got.indptr.dtype == got.indices.dtype == np.int32
     assert got.user_ids == want.user_ids and got.n_items == want.n_items
 
 
@@ -338,6 +367,7 @@ def test_from_rows_validation_matches_row_oracle(rows, n_items):
     want = oracles.from_rows_error(arrays, n_items)
     if want is None:
         m = from_rows(arrays, n_items, users, items)
+        assert m.indptr.dtype == m.indices.dtype == np.int32
         np.testing.assert_array_equal(m.indices, np.concatenate([[]] + rows))
         assert list(np.diff(m.indptr)) == [len(r) for r in rows]
     else:

@@ -8,6 +8,7 @@ zero items.
 """
 
 import importlib.machinery
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from footcloak import _util, models
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.models import LinearModel, decision_margins, logreg_value_and_grad
 
+from conftest import random_footprints
 from oracles import dense, scipy_csr
 
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -72,6 +74,46 @@ def test_products_and_column_means_match_scipy_bit_for_bit(data, m: FootprintMat
     if m.n_users:
         want = np.asarray(X.mean(axis=0)).ravel()
         assert np.array_equal(models._column_means(m), want)
+
+
+def test_index_arrays_are_stored_once_read_only():
+    # indptr and indices share one index type: int32 while nnz, n_users and
+    # n_items fit, int64 past that (no array here has 2**31 entries). Neither
+    # can be written, so no product reads a structure the rows do not show;
+    # the caller's own arrays keep their flags.
+    indptr, indices = np.array([0, 2, 3], np.int32), np.array([0, 4, 1], np.int32)
+    m = FootprintMatrix(indptr, indices, 5, ("u0", "u1"), tuple("abcde"))
+    assert m.indptr.dtype == m.indices.dtype == np.int32
+    assert indptr.flags.writeable and indices.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m.row(0)[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        m.indices[0] = 1
+    v = np.array([1.0, 10.0, 0.0, 0.0, 100.0])
+    assert m.times(v).tolist() == m.select_users(np.arange(2)).times(v).tolist()
+    assert m.times(v).tolist() == [101.0, 10.0]
+    wide = FootprintMatrix(indptr.astype(np.int64), indices, 2**31, ("u0", "u1"), ())
+    keep = np.array([True, False, True])
+    for w in (wide, wide.select_users(np.array([1, 0])), wide.keep_entries(keep)):
+        assert w.indptr.dtype == w.indices.dtype == np.int64
+
+
+def test_first_product_allocates_only_its_output():
+    # a product reads the matrix's own index arrays and a view of the shared
+    # ones, so a matrix's first product allocates its output and a few small
+    # objects, no copy of its structure (36k entries here)
+    m = random_footprints(np.random.default_rng(0), 400, 300, density=0.3)
+    m.times(np.ones(m.n_items))  # the shared ones now cover this many entries
+    for product, n_rows in (("times", m.n_items), ("t_times", m.n_users)):
+        fresh = m.select_users(np.arange(m.n_users))  # never multiplied
+        V = np.ones((n_rows, 2))
+        tracemalloc.start()
+        try:
+            out = getattr(fresh, product)(V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4096
 
 
 def test_sparsetools_missing_or_without_a_product_is_an_import_error(monkeypatch):
