@@ -42,7 +42,6 @@ _EXPORTS = {
     "models": (
         "ConvergenceError",
         "LinearModel",
-        "ThresholdSpec",
         "auc",
         "grid_search_cv",
         "pearson",

@@ -231,13 +231,13 @@ def _cmd_train(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> 
     matrix, labels = _load_dataset(cfg)
     task = cfg["task"]
     clf = fit_task_classifier(task, matrix, labels, econf)
-    threshold = clf.threshold.value
+    threshold = clf.threshold
     test_scores = predict_scores(clf.model, clf.test.matrix)
     metrics = {
         "task": task,
         "best_c": clf.best_c,
         "threshold": threshold,
-        "threshold_quantile": clf.threshold.quantile,
+        "threshold_quantile": econf.quantile,
         "n_train": clf.train.matrix.n_users,
         "n_test": clf.test.matrix.n_users,
         "auc_test": auc(test_scores, clf.test.labels.values[task]),
@@ -258,7 +258,7 @@ def _positive_test_user(clf, uid: str) -> int:
     """Test row of user uid, who must score at or above the threshold."""
     from .models import predict_scores
 
-    test, threshold = clf.test.matrix, clf.threshold.value
+    test, threshold = clf.test.matrix, clf.threshold
     if uid not in test.user_index:
         raise ValueError(f"user {uid!r} is not in the test partition")
     i = test.user_index[uid]
@@ -280,7 +280,7 @@ def _cmd_explain(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -
 
     matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
-    threshold = clf.threshold.value
+    threshold = clf.threshold
     row = clf.test.matrix.row(_positive_test_user(clf, uid))
     expl = linear_explain(clf.model, row, threshold)
     if expl is None:
@@ -314,7 +314,7 @@ def _cmd_cloak(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> 
     check_strategy(econf, strategy)
     matrix, labels = _load_dataset(cfg)
     clf = fit_task_classifier(cfg["task"], matrix, labels, econf)
-    test, threshold = clf.test.matrix, clf.threshold.value
+    test, threshold = clf.test.matrix, clf.threshold
     if cfg.get("user"):
         targets = [_positive_test_user(clf, cfg["user"])]
     else:
@@ -374,7 +374,7 @@ def _cmd_simulate(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) 
 
 
 def _cmd_spillover(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
-    from .spillover import report_to_dict, run_spillover_experiment, spillover_csv
+    from .spillover import run_spillover_experiment, spillover_csv
 
     traits = _names(cfg, "traits")
     matrix, labels = _load_dataset(cfg)
@@ -387,7 +387,7 @@ def _cmd_spillover(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict)
         f"{outdir / 'spillover.json'}"
     )
     return {
-        "spillover.json": {**report_to_dict(report), **meta},
+        "spillover.json": {**dataclasses.asdict(report), **meta},
         "spillover.csv": spillover_csv(report),
     }
 

@@ -99,9 +99,10 @@ def cloak_population(
     explanation feature, and keep those groups suppressed. FG_TOL explains
     against the quantile_tol threshold of population_scores (the scores
     that set threshold) for a safety margin; that must not exceed
-    threshold. FG and FG_TOL ignore mfm. The strategy, and that the model
-    and mfm cover exactly the items of matrix, are checked, and FG_TOL's
-    threshold computed, once before the first row.
+    threshold. FG and FG_TOL ignore mfm. The strategy and the inputs it
+    needs, and that the model and mfm cover exactly the items of matrix,
+    are checked, and FG_TOL's threshold computed, once before the first
+    row.
 
     Returns the directives keyed by row, in the order of rows, and the
     count of rows that got none because no explanation exists.
@@ -112,6 +113,10 @@ def cloak_population(
                 f"{strategy} requires metafeatures (NMF or a domain category mapping)"
             )
     elif strategy in (STRATEGY_FG, STRATEGY_FG_TOL):
+        if strategy == STRATEGY_FG_TOL and population_scores is None:
+            raise ValueError(
+                f"{strategy} requires population_scores (the scores that set threshold)"
+            )
         mfm = None
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -119,7 +124,7 @@ def cloak_population(
     if mfm is not None:
         check_width("metafeature model", mfm.n_items, matrix)
     if strategy == STRATEGY_FG_TOL:
-        tol = quantile_threshold(population_scores, quantile_tol).value
+        tol = quantile_threshold(population_scores, quantile_tol)
         if tol > threshold:
             raise ValueError("tolerance threshold exceeds the prediction threshold")
         threshold = tol

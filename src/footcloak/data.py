@@ -600,7 +600,8 @@ def make_drop_plan(
 
 
 def apply_drop(m: FootprintMatrix, plan: DropPlan) -> FootprintMatrix:
-    """Matrix with each user's planned dropped items removed."""
+    """Matrix with each user's planned dropped items removed; a planned
+    item the row no longer holds (cloaking removed it) is ignored."""
     if len(plan.dropped) != m.n_users:
         raise ValueError("plan does not cover this matrix's users")
     rows = np.repeat(np.arange(m.n_users, dtype=np.int64), m.degrees())

@@ -76,18 +76,6 @@ class LinearModel:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """A decision threshold: the k-th largest score at quantile q.
-
-    k = max(1, floor(n * (1 - q))). Scores >= value count as positive;
-    cloaking succeeds only strictly below value.
-    """
-
-    quantile: float
-    value: float
-
-
 # ---------------------------------------------------------------------------
 # logistic regression
 
@@ -327,7 +315,7 @@ class TaskClassifier:
     best_c: float
     model: LinearModel
     train_scores: np.ndarray
-    threshold: ThresholdSpec
+    threshold: float
 
 
 def fit_task_classifier(
@@ -358,8 +346,12 @@ def fit_task_classifier(
 # thresholds and metrics
 
 
-def quantile_threshold(scores: np.ndarray, q: float = 0.95) -> ThresholdSpec:
-    """Threshold at the k-th largest score, k = max(1, floor(n * (1 - q)))."""
+def quantile_threshold(scores: np.ndarray, q: float = 0.95) -> float:
+    """Threshold at the k-th largest score, k = max(1, floor(n * (1 - q))).
+
+    A score at or above the threshold counts as positive; cloaking succeeds
+    only strictly below it.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     if n == 0:
@@ -367,8 +359,7 @@ def quantile_threshold(scores: np.ndarray, q: float = 0.95) -> ThresholdSpec:
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
     k = max(1, int(math.floor(n * (1.0 - q))))
-    value = float(np.partition(scores, n - k)[n - k])
-    return ThresholdSpec(float(q), value)
+    return float(np.partition(scores, n - k)[n - k])
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:

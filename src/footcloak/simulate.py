@@ -7,14 +7,15 @@ decision threshold moves, recomputed at each fraction from the uncloaked
 training scores. A user counts as protected at fraction f when their
 cloaked score is strictly below that fraction's threshold.
 
-The schedule is evaluated in closed form. Re-adding fraction f restores
-the first round_half_up(f * len) items of each user's drop order, so the
-re-added sets are nested prefixes and the margin at f is the reduced
-margin plus a prefix sum of the weights over that order (with the
-directive's cloaked items weighted 0 for cloaked users). The reduced
-margins are `decision_margins` of `cloak.cloak_matrix`. No re-added
-matrix is built; the tests check this against the slow, obvious path:
-rebuild each re-added matrix, then the per-user oracle
+Each strategy cloaks the full test rows once, and that one matrix gives
+both protection and cost. The schedule is evaluated in closed form.
+Re-adding fraction f restores the first round_half_up(f * len) items of
+each user's drop order, so the re-added sets are nested prefixes and the
+margin at f is the margin at 0.0 plus a prefix sum of the weights over
+that order. At 0.0 a user's row is the cloaked full row less its drops; a
+re-added item weighs 0 when cloaking removed it from the full row. No
+re-added matrix is built; the tests check this against the slow, obvious
+path: rebuild each re-added matrix, then the per-user oracle
 `tests/oracles.py::apply_cloak`.
 """
 
@@ -40,11 +41,9 @@ from ._util import (
 from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_MF,
-    CloakDirective,
     check_strategy,
     cloak_matrix,
     cloak_population,
-    cloaked_mask,
 )
 from .data import (
     DropPlan,
@@ -57,7 +56,6 @@ from .data import (
 from .metafeatures import MetafeatureModel, task_nmf_metafeatures
 from .models import (
     LinearModel,
-    ThresholdSpec,
     decision_margins,
     fit_classifier,
     predict_scores,
@@ -72,7 +70,10 @@ class ProtectionCurve:
     """Protection over simulated time for one task and strategy.
 
     Undefined values, such as a protection rate over an empty population,
-    are held as None (null in JSON, an empty CSV field).
+    are held as None (null in JSON, an empty CSV field). population_size
+    counts the directed users; diagnostics["population_size"] counts the
+    targeted users, positive under both thresholds. The two differ by
+    diagnostics["not_found"], the targeted users with no explanation.
     """
 
     task: str
@@ -142,15 +143,15 @@ class ProtectionContext:
     drop plans, target population. Built once, reused across strategies.
 
     thresholds holds the decision threshold of each schedule fraction,
-    from the uncloaked training scores; at 0.0 it equals threshold0.value
+    from the uncloaked training scores; at 0.0 it equals threshold0
     exactly.
     """
 
     task: str
     config: ExperimentConfig
     model: LinearModel
-    threshold0: ThresholdSpec
-    threshold_full: ThresholdSpec
+    threshold0: float
+    threshold_full: float
     train_reduced: FootprintMatrix
     train_plan: DropPlan
     test_reduced: FootprintMatrix
@@ -211,12 +212,12 @@ def build_protection_context(
     )
     threshold0 = quantile_threshold(train_scores_reduced, config.quantile)
     test_scores_reduced = predict_scores(model, test_reduced)
-    positives0 = test_scores_reduced >= threshold0.value
+    positives0 = test_scores_reduced >= threshold0
 
     threshold_full = quantile_threshold(
         predict_scores(model, train.matrix), config.quantile
     )
-    positives_full = predict_scores(model, test.matrix) >= threshold_full.value
+    positives_full = predict_scores(model, test.matrix) >= threshold_full
     population = np.nonzero(positives0 & positives_full)[0]
     if len(population) == 0:
         raise ValueError(
@@ -232,7 +233,7 @@ def build_protection_context(
         [model.weights[d] for d in train_plan.dropped],
     )
     thresholds = tuple(
-        quantile_threshold(expit(train_margins.at(f)), config.quantile).value
+        quantile_threshold(expit(train_margins.at(f)), config.quantile)
         for f in config.schedule
     )
 
@@ -274,39 +275,38 @@ def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[Metafeature
 
 
 def protection_flags(
-    ctx: ProtectionContext,
-    directives: dict[int, CloakDirective],
-    mfm: Optional[MetafeatureModel] = None,
+    ctx: ProtectionContext, cloaked: FootprintMatrix, users: np.ndarray
 ) -> np.ndarray:
-    """protected[k, u]: whether the u-th directive user (ascending test
-    row) scores strictly below ctx.thresholds[k].
+    """protected[k, u]: whether test row users[u] scores strictly below
+    ctx.thresholds[k], where cloaked holds the cloaked full test rows.
 
-    The reduced margins are decision_margins of the cloaked reduced rows,
-    the same w.x + b the thresholds come from. Re-added items the
-    directive cloaks weigh 0.
+    The margins at 0.0 are decision_margins of the cloaked rows less their
+    planned drops, the same w.x + b the thresholds come from. A re-added
+    item weighs its model weight while the cloaked row holds it, and 0
+    once cloaking has removed it.
     """
-    users = sorted(directives)
-    cloaked = cloak_matrix(ctx.test_reduced, directives, mfm)
+    weights = ctx.model.weights
     readd_weights = []
     for i in users:
         dropped = ctx.test_plan.dropped[i]
-        removed = cloaked_mask(dropped, directives[i], mfm)
-        readd_weights.append(np.where(removed, 0.0, ctx.model.weights[dropped]))
+        held = np.isin(dropped, cloaked.row(i))
+        readd_weights.append(np.where(held, weights[dropped], 0.0))
+    reduced = apply_drop(cloaked, ctx.test_plan)
     margins = ReaddMargins.build(
-        decision_margins(ctx.model, cloaked)[users], readd_weights
+        decision_margins(ctx.model, reduced)[users], readd_weights
     )
     schedule = zip(ctx.config.schedule, ctx.thresholds)
     return np.array([expit(margins.at(f)) < th for f, th in schedule])
 
 
-def run_strategy(
-    ctx: ProtectionContext, strategy: str
-) -> tuple[ProtectionCurve, Optional[float]]:
-    """Protection curve plus the average cloaking cost on full rows.
+def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:
+    """Protection curve of one strategy over the context's population.
 
-    The schedule is evaluated in closed form by protection_flags, with no
-    re-added matrix built. The cost is None when no population user got a
-    directive.
+    Directives explain the reduced rows against threshold0. One cloak of
+    the full test rows feeds both the schedule, evaluated in closed form
+    by protection_flags, and the average cloaking cost,
+    diagnostics["avg_cloak_cost_full"]: None when no population user got
+    a directive.
     """
     config = ctx.config
     check_strategy(config, strategy)
@@ -316,12 +316,13 @@ def run_strategy(
         ctx.model,
         ctx.test_reduced,
         ctx.population,
-        ctx.threshold0.value,
+        ctx.threshold0,
         mfm,
         ctx.train_scores_reduced,
         config.tolerance_quantile,
     )
     pop = np.array(sorted(directives), dtype=np.int64)
+    cloaked = cloak_matrix(ctx.test_full, directives, mfm)
 
     y = ctx.test_labels[pop]
     groups = {"tp": y == 1.0, "fp": y == 0.0}
@@ -329,7 +330,7 @@ def run_strategy(
         if not members.any():
             logger.debug("run_strategy: group %s empty for %s", name, ctx.task)
 
-    protected = protection_flags(ctx, directives, mfm)
+    protected = protection_flags(ctx, cloaked, pop)
 
     def rate(flags: np.ndarray) -> Optional[float]:
         return float(np.mean(flags)) if flags.size else None
@@ -342,9 +343,7 @@ def run_strategy(
     }
     # a directive user's full row is never empty: it holds the explanation
     degrees = ctx.test_full.degrees()[pop]
-    cloaked_degrees = cloak_matrix(ctx.test_full, directives, mfm).degrees()[pop]
-    costs = (degrees - cloaked_degrees) / degrees
-    avg_cost = float(np.mean(costs)) if len(pop) else None
+    costs = (degrees - cloaked.degrees()[pop]) / degrees
 
     diagnostics = dict(ctx.diagnostics)
     diagnostics.update(
@@ -358,10 +357,10 @@ def run_strategy(
             )
             if 0.0 in config.schedule
             else None,
-            "avg_cloak_cost_full": avg_cost,
+            "avg_cloak_cost_full": float(np.mean(costs)) if len(pop) else None,
         }
     )
-    curve = ProtectionCurve(
+    return ProtectionCurve(
         task=ctx.task,
         strategy=strategy,
         fractions=tuple(float(f) for f in config.schedule),
@@ -374,7 +373,6 @@ def run_strategy(
         quantile=config.quantile,
         seed=config.seed,
     )
-    return curve, avg_cost
 
 
 def run_protection_experiment(
@@ -388,8 +386,7 @@ def run_protection_experiment(
     """End-to-end protection experiment for one task and strategy."""
     check_strategy(config, strategy)
     ctx = build_protection_context(task, matrix, labels, config, domain=domain)
-    curve, _ = run_strategy(ctx, strategy)
-    return curve
+    return run_strategy(ctx, strategy)
 
 
 def tradeoff_report(
@@ -413,13 +410,13 @@ def tradeoff_report(
     for task in tasks:
         ctx = build_protection_context(task, matrix, labels, config, domain=domain)
         for strategy in strategies:
-            curve, cost = run_strategy(ctx, strategy)
+            curve = run_strategy(ctx, strategy)
             idx = curve.fractions.index(1.0)
             rows.append(
                 TradeoffRow(
                     task=task,
                     strategy=strategy,
-                    avg_cloak_cost=cost,
+                    avg_cloak_cost=curve.diagnostics["avg_cloak_cost_full"],
                     protection_at_full=curve.protection[idx],
                     population_size=curve.population_size,
                 )

@@ -41,14 +41,15 @@ class SpilloverRow:
 
     A correlation that is undefined (the trait's values or its predictions
     are constant over the population) is None: null in JSON, an empty CSV
-    field.
+    field. The field names are the JSON keys: spillover.json is the
+    report's dataclasses.asdict.
     """
 
     trait: str
     n: int
-    r_none: Optional[float]
-    r_fg: Optional[float]
-    r_mf: Optional[float]
+    pearson_none: Optional[float]
+    pearson_fg: Optional[float]
+    pearson_mf: Optional[float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +88,7 @@ def run_spillover_experiment(
             raise ValueError(f"unknown trait {trait!r}")
 
     clf = fit_task_classifier(sensitive_task, matrix, labels, config)
-    train, test, threshold = clf.train, clf.test, clf.threshold.value
+    train, test, threshold = clf.train, clf.test, clf.threshold
     positives = np.nonzero(predict_scores(clf.model, test.matrix) >= threshold)[0]
     mfm = task_nmf_metafeatures(train.matrix, config, STREAM_NMF)
 
@@ -183,35 +184,13 @@ def run_spillover_experiment(
 # serialization
 
 
-def report_to_dict(report: SpilloverReport) -> dict:
-    return {
-        "sensitive_task": report.sensitive_task,
-        "population_mode": report.population_mode,
-        "n_population": report.n_population,
-        "small_population": report.small_population,
-        "quantile": report.quantile,
-        "seed": report.seed,
-        "rows": [
-            {
-                "trait": r.trait,
-                "n": r.n,
-                "pearson_none": r.r_none,
-                "pearson_fg": r.r_fg,
-                "pearson_mf": r.r_mf,
-            }
-            for r in report.rows
-        ],
-        "diagnostics": report.diagnostics,
-    }
-
-
 def spillover_csv(report: SpilloverReport) -> str:
     """CSV mirror: trait, strategy, pearson_r, n."""
     return csv_text(
         ("trait", "strategy", "pearson_r", "n"),
         [
-            (r.trait, strategy, val, r.n)
+            (r.trait, strategy, getattr(r, f"pearson_{strategy}"), r.n)
             for r in report.rows
-            for strategy, val in (("none", r.r_none), ("fg", r.r_fg), ("mf", r.r_mf))
+            for strategy in ("none", "fg", "mf")
         ],
     )

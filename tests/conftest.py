@@ -8,8 +8,9 @@ from footcloak import synth
 from footcloak._util import write_results
 from footcloak.data import from_rows
 
-# HYPOTHESIS_PROFILE=ci loads the ci profile: CI runs the CLI fuzz test on
-# its own under it, with a larger example budget than Tier-1's
+# HYPOTHESIS_PROFILE=ci loads the ci profile: CI runs the CLI fuzz test and
+# the cloak and protection oracle tests on their own under it, with a larger
+# example budget than Tier-1's
 settings.register_profile("ci", max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

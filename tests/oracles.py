@@ -34,7 +34,7 @@ from scipy import linalg, optimize, sparse
 from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up, serial_blas
-from footcloak.cloak import CloakDirective, cloaked_mask
+from footcloak.cloak import CloakDirective
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.explain import Explanation
 from footcloak.metafeatures import MetafeatureModel
@@ -338,10 +338,18 @@ def apply_cloak(
     directive: CloakDirective,
     mfm: Optional[MetafeatureModel] = None,
 ) -> np.ndarray:
-    """Footprint row after the directive: cloaked items and all items in
-    cloaked metafeatures removed. Idempotent."""
-    row = np.asarray(row, dtype=np.int64)
-    return row[~cloaked_mask(row, directive, mfm)]
+    """Footprint row after the directive, item by item: an item goes if it
+    is a cloaked feature or its metafeature is cloaked. Idempotent."""
+    metas = directive.cloaked_metafeatures
+    if metas and mfm is None:
+        raise ValueError("directive sweeps metafeatures; a metafeature model is required")
+    kept = [
+        j
+        for j in map(int, row)
+        if j not in directive.cloaked_features
+        and not (metas and int(mfm.assignment[j]) in metas)
+    ]
+    return np.array(kept, dtype=np.int64)
 
 
 def cloak_cost(

@@ -75,9 +75,9 @@ def protection_runs(synth_by_seed):
             )
             curves, costs = {}, {}
             for strategy in STRATEGIES:
-                curve, cost = run_strategy(ctx, strategy)
+                curve = run_strategy(ctx, strategy)
                 curves[strategy] = curve
-                costs[strategy] = cost
+                costs[strategy] = curve.diagnostics["avg_cloak_cost_full"]
             runs[(seed, task)] = {"ctx": ctx, "curves": curves, "costs": costs}
     return {"runs": runs, "elapsed": time.perf_counter() - t0}
 
@@ -169,10 +169,10 @@ def test_criterion_2_cloak_construction(protection_runs):
     violations = 0
     for entry in runs.values():
         ctx = entry["ctx"]
-        th0 = ctx.threshold0.value
+        th0 = ctx.threshold0
         tol = quantile_threshold(
             ctx.train_scores_reduced, ctx.config.tolerance_quantile
-        ).value
+        )
         for strategy, target in ((STRATEGY_FG, th0), (STRATEGY_FG_TOL, tol)):
             directives, _ = cloak_population(
                 strategy, ctx.model, ctx.test_reduced, ctx.population, th0,
@@ -410,8 +410,12 @@ def test_criterion_8_tradeoff_dominance(protection_runs):
 def test_criterion_9_spillover_ordering(spillover_runs):
     fg_drops, mf_drops = [], []
     for report in spillover_runs:
-        fg_drops.append(np.mean([abs(r.r_none - r.r_fg) for r in report.rows]))
-        mf_drops.append(np.mean([abs(r.r_none - r.r_mf) for r in report.rows]))
+        fg_drops.append(
+            np.mean([abs(r.pearson_none - r.pearson_fg) for r in report.rows])
+        )
+        mf_drops.append(
+            np.mean([abs(r.pearson_none - r.pearson_mf) for r in report.rows])
+        )
     fg_mean = float(np.mean(fg_drops))
     mf_mean = float(np.mean(mf_drops))
     _criterion(

@@ -122,6 +122,14 @@ def test_train_outputs(data, tmp_path, capsys):
     assert "train:" in capsys.readouterr().out
 
 
+def test_train_metrics_record_the_configured_quantile(data, tmp_path):
+    out = tmp_path / "q"
+    assert _run(*_train_args(data, out, "--quantile", 0.9)) == 0
+    text = (out / "train_metrics.json").read_text()
+    assert '"threshold_quantile": 0.9\n' in text
+    assert json.loads(text)["threshold_quantile"] == 0.9
+
+
 def test_train_rerun_byte_identical(data, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert _run(*_train_args(data, out1)) == 0
@@ -210,7 +218,7 @@ def low_test_user(data):
     clf = fit_task_classifier("task_a", matrix, labels, ExperimentConfig(quantile=0.9))
     scores = predict_scores(clf.model, clf.test.matrix)
     i = int(np.argmin(scores))
-    return clf.test.matrix.user_ids[i], float(scores[i]), clf.threshold.value
+    return clf.test.matrix.user_ids[i], float(scores[i]), clf.threshold
 
 
 @pytest.mark.parametrize(

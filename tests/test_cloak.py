@@ -192,6 +192,8 @@ def test_population_checks_strategy_before_any_row():
     for strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
         with pytest.raises(ValueError, match="requires metafeatures"):
             cloak_population(strategy, _MODEL, m, [], _TH)
+    with pytest.raises(ValueError, match="requires population_scores"):
+        cloak_population(STRATEGY_FG_TOL, _MODEL, m, [], _TH)
 
 
 def test_population_checks_item_spaces_before_any_row():
@@ -271,7 +273,7 @@ def test_apply_cloak_empty_row():
     assert out.size == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_items=st.integers(1, 12),

@@ -327,21 +327,20 @@ def test_fewer_than_two_folds_rejected():
 
 def test_quantile_threshold_hundred_scores():
     scores = np.arange(1, 101) / 100.0
-    spec = quantile_threshold(scores, 0.95)
-    assert spec.value == pytest.approx(0.96)
-    assert int((scores >= spec.value).sum()) == 5
+    th = quantile_threshold(scores, 0.95)
+    assert th == pytest.approx(0.96)
+    assert int((scores >= th).sum()) == 5
 
 
 def test_quantile_threshold_median():
     scores = np.arange(1, 101) / 100.0
-    spec = quantile_threshold(scores, 0.5)
-    assert spec.value == pytest.approx(0.51)
-    assert int((scores >= spec.value).sum()) == 50
+    th = quantile_threshold(scores, 0.5)
+    assert th == pytest.approx(0.51)
+    assert int((scores >= th).sum()) == 50
 
 
 def test_quantile_threshold_k_at_least_one():
-    spec = quantile_threshold(np.array([0.2, 0.9, 0.5]), 0.95)
-    assert spec.value == 0.9
+    assert quantile_threshold(np.array([0.2, 0.9, 0.5]), 0.95) == 0.9
 
 
 def test_quantile_threshold_positive_count_invariant():
@@ -350,10 +349,10 @@ def test_quantile_threshold_positive_count_invariant():
         n = int(rng.integers(5, 200))
         scores = rng.random(n)
         q = float(rng.uniform(0.05, 0.99))
-        spec = quantile_threshold(scores, q)
+        th = quantile_threshold(scores, q)
         k = max(1, math.floor(n * (1 - q)))
         # with distinct scores, exactly k land at or above the threshold
-        assert int((scores >= spec.value).sum()) == k
+        assert int((scores >= th).sum()) == k
 
 
 def test_quantile_threshold_errors():

@@ -13,7 +13,6 @@ from footcloak.spillover import (
     POPULATION_ALL_TEST,
     POPULATION_CLOAKED,
     run_spillover_experiment,
-    report_to_dict,
     spillover_csv,
 )
 
@@ -41,7 +40,7 @@ def test_report_shape(report):
     assert [r.trait for r in report.rows] == _TRAITS
     for r in report.rows:
         assert r.n == report.n_population
-        for v in (r.r_none, r.r_fg, r.r_mf):
+        for v in (r.pearson_none, r.pearson_fg, r.pearson_mf):
             assert -1.0 <= v <= 1.0
 
 
@@ -61,8 +60,8 @@ def test_small_population_flagged(report, small_synth, caplog):
 def test_mf_disrupts_more_than_fg(report):
     # MF removes a superset of FG per user, so on average it moves the
     # secondary predictions at least as much
-    drop_fg = np.mean([abs(r.r_none - r.r_fg) for r in report.rows])
-    drop_mf = np.mean([abs(r.r_none - r.r_mf) for r in report.rows])
+    drop_fg = np.mean([abs(r.pearson_none - r.pearson_fg) for r in report.rows])
+    drop_mf = np.mean([abs(r.pearson_none - r.pearson_mf) for r in report.rows])
     assert drop_mf >= drop_fg - 0.05
 
 
@@ -81,7 +80,7 @@ def test_all_test_population(small_synth):
     assert rep.n_population > rep.diagnostics["n_cloaked"]
     # uncloaked users dominate, so the three columns stay close together
     row = rep.rows[0]
-    assert abs(row.r_none - row.r_fg) <= abs(row.r_none) + 1e-9
+    assert abs(row.pearson_none - row.pearson_fg) <= abs(row.pearson_none) + 1e-9
 
 
 def test_deterministic(small_synth, report):
@@ -177,7 +176,7 @@ def test_population_too_small_errors(small_synth):
 def test_report_serialization(report, tmp_path):
     jpath = tmp_path / "spill.json"
     cpath = tmp_path / "spill.csv"
-    obj = {**report_to_dict(report), "config_hash": "x", "seed": 6}
+    obj = {**dataclasses.asdict(report), "config_hash": "x", "seed": 6}
     write_results(tmp_path, {"spill.json": obj, "spill.csv": spillover_csv(report)})
     obj = json.loads(jpath.read_text())
     assert obj["config_hash"] == "x"
@@ -189,14 +188,14 @@ def test_report_serialization(report, tmp_path):
         "pearson_fg",
         "pearson_mf",
     }
-    assert obj["rows"] == report_to_dict(report)["rows"]
+    assert obj["rows"] == [dataclasses.asdict(r) for r in report.rows]
 
     lines = cpath.read_text().splitlines()
     assert lines[0] == "trait,strategy,pearson_r,n"
     assert len(lines) == 1 + 3 * len(report.rows)
     trait, strategy, val, n = lines[1].split(",")
     assert trait == "trait_a" and strategy == "none"
-    assert float(val) == report.rows[0].r_none
+    assert float(val) == report.rows[0].pearson_none
     assert int(n) == report.rows[0].n
 
     # a trait name from the labels file may hold the CSV delimiter and quote
@@ -205,4 +204,4 @@ def test_report_serialization(report, tmp_path):
     write_results(tmp_path, {"spill.csv": odd_csv})
     with open(cpath, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1] == ['a,"b"', "none", repr(odd.r_none), str(odd.n)]
+    assert rows[1] == ['a,"b"', "none", repr(odd.pearson_none), str(odd.n)]
