@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_choices": ("STRATEGY_DOMAIN_MF", "STRATEGY_FG", "STRATEGY_FG_TOL", "STRATEGY_MF"),
     "_util": ("ExperimentConfig",),
-    "cloak": ("CloakDirective", "cloak_matrix", "cloak_population"),
+    "cloak": ("cloak_matrix",),
     "data": (
         "DropPlan",
         "FootprintMatrix",

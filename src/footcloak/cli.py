@@ -306,7 +306,8 @@ def _cmd_explain(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -
 
 def _cmd_cloak(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> dict:
     from ._util import STREAM_NMF
-    from .cloak import check_strategy, cloak_population, directives_to_dict
+    from .cloak import check_strategy, directives_to_dict, strategy_threshold
+    from .explain import explain_population
     from .metafeatures import metafeature_report, task_nmf_metafeatures
     from .models import fit_task_classifier, predict_scores
 
@@ -324,30 +325,25 @@ def _cmd_cloak(cfg: dict, econf: ExperimentConfig, outdir: Path, meta: dict) -> 
         mfm = task_nmf_metafeatures(clf.train.matrix, econf, STREAM_NMF)
     elif strategy == STRATEGY_DOMAIN_MF:
         mfm = _domain_model(cfg, matrix)
-    directives, not_found = cloak_population(
-        strategy,
+    explained, not_found = explain_population(
         clf.model,
         test,
         targets,
-        threshold,
-        mfm,
-        clf.train_scores,
-        econf.tolerance_quantile,
+        strategy_threshold(econf, strategy, threshold, clf.train_scores),
     )
     print(
-        f"cloak: {len(directives)} directives ({cfg['strategy']}), "
+        f"cloak: {len(explained)} directives ({cfg['strategy']}), "
         f"{not_found} without explanation -> {outdir / 'directives.json'}"
     )
-    item_ids = clf.filtered.item_ids
     files = {
         "directives.json": {
-            **directives_to_dict(directives.values(), item_ids),
+            **directives_to_dict(strategy, test, explained, mfm),
             **meta,
             "not_found": not_found,
         }
     }
     if mfm is not None:
-        files["metafeatures.json"] = metafeature_report(mfm, item_ids)
+        files["metafeatures.json"] = metafeature_report(mfm, test.item_ids)
     return files
 
 

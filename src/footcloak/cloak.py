@@ -1,16 +1,16 @@
-"""Cloaking directives: which likes to remove, and what to keep suppressed.
+"""Cloaking: which likes to remove, and which groups to keep suppressed.
 
-A directive freezes the outcome of explaining one positive prediction.
-FG removes just the explanation features. MF additionally sweeps every
-active item sharing a metafeature with an explanation feature, and keeps
-those metafeatures suppressed as new likes arrive. FG_TOL explains
-against a lower tolerance threshold for a safety margin, with no future
-persistence.
+A cloak is a minimal explanation (explain.explain_population) plus an
+optional grouping. FG removes just the explanation features. MF and
+DOMAIN_MF pass a grouping, NMF metafeatures or domain categories: they
+also remove every item whose group holds an explanation feature (never
+the reserved uncategorized group), and keep removing such items as new
+likes arrive. FG_TOL explains against a lower tolerance threshold,
+strategy_threshold, for a safety margin, with no grouping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,155 +18,73 @@ import numpy as np
 from ._choices import STRATEGY_DOMAIN_MF, STRATEGY_FG, STRATEGY_FG_TOL, STRATEGY_MF
 from ._util import ExperimentConfig
 from .data import FootprintMatrix
-from .explain import linear_explain
+from .explain import Explanation
 from .metafeatures import MetafeatureModel
-from .models import LinearModel, check_width, quantile_threshold
+from .models import check_width, quantile_threshold
 
-
-@dataclass(frozen=True, eq=False)
-class CloakDirective:
-    """Frozen record of one user's cloaking decision.
-
-    cloaked_features are item indices removed from the current footprint
-    (always a superset of the explanation). cloaked_metafeatures stay
-    suppressed over time: any item assigned to them is removed whenever
-    the directive is applied, including items liked after creation.
-    """
-
-    user: str
-    strategy: str
-    cloaked_features: frozenset[int]
-    cloaked_metafeatures: frozenset[int]
+_STRATEGIES = (STRATEGY_FG, STRATEGY_MF, STRATEGY_DOMAIN_MF, STRATEGY_FG_TOL)
 
 
 def check_strategy(config: ExperimentConfig, strategy: str) -> None:
-    """Reject settings a strategy cannot run with, before any work."""
+    """Reject an unknown strategy, or settings it cannot run with, before
+    any work."""
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == STRATEGY_FG_TOL and config.tolerance_quantile > config.quantile:
         raise ValueError("tolerance_quantile must not exceed quantile")
 
 
-def _in_metafeatures(
-    row: np.ndarray, metas: frozenset[int], mfm: Optional[MetafeatureModel]
-) -> np.ndarray:
-    """True for each item of row assigned to one of metas."""
-    if not metas:
-        return np.zeros(row.shape, dtype=bool)
-    return np.isin(mfm.assignment[row], np.fromiter(metas, dtype=np.int64))
-
-
-def _directive(
+def strategy_threshold(
+    config: ExperimentConfig,
     strategy: str,
-    model: LinearModel,
-    row: np.ndarray,
     threshold: float,
-    mfm: Optional[MetafeatureModel],
-    user: str,
-) -> Optional[CloakDirective]:
-    """Explain row against threshold and freeze the outcome as a directive.
-
-    The explanation features are always cloaked. With mfm, their
-    metafeatures (less mfm.reserved) are swept: every item of row assigned
-    to one is cloaked too, and they stay suppressed. Returns None when no
-    explanation exists.
-    """
-    expl = linear_explain(model, row, threshold)
-    if expl is None:
-        return None
-    metas = frozenset()
-    if mfm is not None:
-        metas = frozenset(int(mfm.assignment[f]) for f in expl.features)
-        metas -= {mfm.reserved}
-    swept = row[_in_metafeatures(row, metas, mfm)].tolist()
-    cloaked = frozenset(expl.features) | frozenset(swept)
-    return CloakDirective(user, strategy, cloaked, metas)
+    train_scores: np.ndarray,
+) -> float:
+    """The threshold a strategy explains against: threshold, or for FG_TOL
+    the tolerance_quantile threshold of train_scores (the scores that set
+    threshold), which must not exceed threshold."""
+    if strategy != STRATEGY_FG_TOL:
+        return threshold
+    tol = quantile_threshold(train_scores, config.tolerance_quantile)
+    if tol > threshold:
+        raise ValueError("tolerance threshold exceeds the prediction threshold")
+    return tol
 
 
-def cloak_population(
-    strategy: str,
-    model: LinearModel,
-    matrix: FootprintMatrix,
-    rows,
-    threshold: float,
-    mfm: Optional[MetafeatureModel] = None,
-    population_scores: Optional[np.ndarray] = None,
-    quantile_tol: float = 0.90,
-) -> tuple[dict[int, CloakDirective], int]:
-    """Directive for each of the given rows of matrix under the named strategy.
-
-    FG cloaks each row's explanation against threshold. MF and DOMAIN_MF
-    also cloak the row's items that share a group of mfm (NMF metafeatures
-    or domain categories, never the reserved uncategorized group) with an
-    explanation feature, and keep those groups suppressed. FG_TOL explains
-    against the quantile_tol threshold of population_scores (the scores
-    that set threshold) for a safety margin; that must not exceed
-    threshold. FG and FG_TOL ignore mfm. The strategy and the inputs it
-    needs, and that the model and mfm cover exactly the items of matrix,
-    are checked, and FG_TOL's threshold computed, once before the first
-    row.
-
-    Returns the directives keyed by row, in the order of rows, and the
-    count of rows that got none because no explanation exists.
-    """
-    if strategy in (STRATEGY_MF, STRATEGY_DOMAIN_MF):
-        if mfm is None:
-            raise ValueError(
-                f"{strategy} requires metafeatures (NMF or a domain category mapping)"
-            )
-    elif strategy in (STRATEGY_FG, STRATEGY_FG_TOL):
-        if strategy == STRATEGY_FG_TOL and population_scores is None:
-            raise ValueError(
-                f"{strategy} requires population_scores (the scores that set threshold)"
-            )
-        mfm = None
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    check_width("model", model.n_items, matrix)
-    if mfm is not None:
-        check_width("metafeature model", mfm.n_items, matrix)
-    if strategy == STRATEGY_FG_TOL:
-        tol = quantile_threshold(population_scores, quantile_tol)
-        if tol > threshold:
-            raise ValueError("tolerance threshold exceeds the prediction threshold")
-        threshold = tol
-
-    directives: dict[int, CloakDirective] = {}
-    not_found = 0
-    for i in map(int, rows):
-        row, user = matrix.row(i), matrix.user_ids[i]
-        d = _directive(strategy, model, row, threshold, mfm, user)
-        if d is None:
-            not_found += 1
-        else:
-            directives[i] = d
-    return directives, not_found
+def _groups(features: tuple[int, ...], mfm: MetafeatureModel) -> np.ndarray:
+    """The groups of mfm that features fall in, less mfm.reserved, sorted."""
+    groups = np.unique(mfm.assignment[np.asarray(features, dtype=np.int64)])
+    return groups[groups != mfm.reserved] if mfm.reserved is not None else groups
 
 
 def cloaked_mask(
     row: np.ndarray,
-    directive: CloakDirective,
+    features: tuple[int, ...],
     mfm: Optional[MetafeatureModel] = None,
 ) -> np.ndarray:
-    """True for each item of row the directive removes: a cloaked feature,
-    or an item assigned to a cloaked metafeature."""
-    if directive.cloaked_metafeatures and mfm is None:
-        raise ValueError("directive sweeps metafeatures; a metafeature model is required")
-    feats = np.fromiter(directive.cloaked_features, dtype=np.int64)
-    swept = _in_metafeatures(row, directive.cloaked_metafeatures, mfm)
-    return np.isin(row, feats) | swept
+    """True for each item of row that the cloak of an explanation's
+    features removes: a feature, or with mfm an item whose group one of
+    the features falls in."""
+    mask = np.isin(row, features)
+    if mfm is not None:
+        mask |= np.isin(mfm.assignment[row], _groups(features, mfm))
+    return mask
 
 
 def cloak_matrix(
     matrix: FootprintMatrix,
-    directives: dict[int, CloakDirective],
+    explained: dict[int, Explanation],
     mfm: Optional[MetafeatureModel] = None,
 ) -> FootprintMatrix:
-    """matrix with each directive (keyed by row) applied to its row, as the
-    per-row oracle `tests/oracles.py::apply_cloak` does; rows without one,
-    the ids and the item space kept."""
+    """matrix with each explained row (keyed by row) cloaked, as the per-row
+    oracle `tests/oracles.py::apply_cloak` does; other rows, the ids and
+    the item space kept."""
+    if mfm is not None:
+        check_width("metafeature model", mfm.n_items, matrix)
     keep = np.ones(matrix.nnz, dtype=bool)
-    for i, d in directives.items():
+    for i, expl in explained.items():
         entries = slice(matrix.indptr[i], matrix.indptr[i + 1])
-        keep[entries] = ~cloaked_mask(matrix.indices[entries], d, mfm)
+        keep[entries] = ~cloaked_mask(matrix.indices[entries], expl.features, mfm)
     return matrix.keep_entries(keep)
 
 
@@ -174,22 +92,36 @@ def cloak_matrix(
 # serialization
 
 
-def directives_to_dict(directives, item_ids) -> dict:
-    """Directives as a JSON object with external item ids.
+def directives_to_dict(
+    strategy: str,
+    matrix: FootprintMatrix,
+    explained: dict[int, Explanation],
+    mfm: Optional[MetafeatureModel] = None,
+) -> dict:
+    """The cloak of each explained row of matrix as a JSON object of
+    directives with external ids.
 
-    Metafeature ids are integers into the paired metafeature model; they
-    are only meaningful next to that model's report. Every directive takes
-    effect at re-add fraction 0, its created_at_fraction.
+    cloaked_features lists the row's items the cloak removes, in item-index
+    order. cloaked_metafeatures lists the groups of mfm it keeps
+    suppressed: integers into mfm, only meaningful next to that model's
+    report. Every directive takes effect at re-add fraction 0, its
+    created_at_fraction.
     """
-    return {
-        "directives": [
+    if mfm is not None:
+        check_width("metafeature model", mfm.n_items, matrix)
+    directives = []
+    for i, expl in explained.items():
+        row = matrix.row(i)
+        removed = row[cloaked_mask(row, expl.features, mfm)]
+        directives.append(
             {
-                "user": d.user,
-                "strategy": d.strategy,
+                "user": matrix.user_ids[i],
+                "strategy": strategy,
                 "created_at_fraction": 0.0,
-                "cloaked_features": [item_ids[j] for j in sorted(d.cloaked_features)],
-                "cloaked_metafeatures": sorted(d.cloaked_metafeatures),
+                "cloaked_features": [matrix.item_ids[j] for j in removed],
+                "cloaked_metafeatures": (
+                    [] if mfm is None else _groups(expl.features, mfm).tolist()
+                ),
             }
-            for d in directives
-        ]
-    }
+        )
+    return {"directives": directives}

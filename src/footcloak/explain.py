@@ -4,7 +4,8 @@ An explanation is a smallest set of a user's active items whose removal
 (replacement by the all-zeros training median) pushes the model score
 strictly below the decision threshold. For a linear model, removing items
 in descending weight order is optimal, so linear_explain finds one
-exactly without search.
+exactly without search; explain_population explains many rows of a
+matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ._util import expit
-from .models import KIND_CLASSIFIER, LinearModel
+from .data import FootprintMatrix
+from .models import KIND_CLASSIFIER, LinearModel, check_width
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,3 +74,24 @@ def linear_explain(
         score_after=float(prefix_scores[t]),
         target_threshold=float(threshold),
     )
+
+
+def explain_population(
+    model: LinearModel, matrix: FootprintMatrix, rows, threshold: float
+) -> tuple[dict[int, Explanation], int]:
+    """linear_explain of each of the given rows of matrix against threshold.
+
+    That the model covers exactly the items of matrix is checked once,
+    before the first row. Returns the explanations keyed by row, in the
+    order of rows, and the count of rows that have none.
+    """
+    check_width("model", model.n_items, matrix)
+    explained: dict[int, Explanation] = {}
+    not_found = 0
+    for i in map(int, rows):
+        expl = linear_explain(model, matrix.row(i), threshold)
+        if expl is None:
+            not_found += 1
+        else:
+            explained[i] = expl
+    return explained, not_found

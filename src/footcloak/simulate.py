@@ -43,7 +43,7 @@ from .cloak import (
     STRATEGY_MF,
     check_strategy,
     cloak_matrix,
-    cloak_population,
+    strategy_threshold,
 )
 from .data import (
     DropPlan,
@@ -53,6 +53,7 @@ from .data import (
     make_drop_plan,
     task_split,
 )
+from .explain import explain_population
 from .metafeatures import MetafeatureModel, task_nmf_metafeatures
 from .models import (
     LinearModel,
@@ -267,9 +268,13 @@ def build_protection_context(
 
 
 def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[MetafeatureModel]:
+    """The grouping a strategy sweeps: the NMF metafeatures for MF, the
+    domain categories for DOMAIN_MF, none for FG and FG_TOL."""
     if strategy == STRATEGY_MF:
         return ctx.nmf
     if strategy == STRATEGY_DOMAIN_MF:
+        if ctx.domain is None:
+            raise ValueError(f"{strategy} requires a domain category mapping")
         return ctx.domain
     return None
 
@@ -302,27 +307,25 @@ def protection_flags(
 def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:
     """Protection curve of one strategy over the context's population.
 
-    Directives explain the reduced rows against threshold0. One cloak of
-    the full test rows feeds both the schedule, evaluated in closed form
-    by protection_flags, and the average cloaking cost,
-    diagnostics["avg_cloak_cost_full"]: None when no population user got
-    a directive.
+    The population's reduced rows are explained against the strategy's
+    threshold (threshold0, or FG_TOL's tolerance threshold), and the
+    explanations and the strategy's grouping cloak the full test rows.
+    That one cloak feeds both the schedule, evaluated in closed form by
+    protection_flags, and the average cloaking cost,
+    diagnostics["avg_cloak_cost_full"]: None when no population user has
+    an explanation.
     """
     config = ctx.config
     check_strategy(config, strategy)
     mfm = _strategy_mfm(ctx, strategy)
-    directives, not_found = cloak_population(
-        strategy,
-        ctx.model,
-        ctx.test_reduced,
-        ctx.population,
-        ctx.threshold0,
-        mfm,
-        ctx.train_scores_reduced,
-        config.tolerance_quantile,
+    threshold = strategy_threshold(
+        config, strategy, ctx.threshold0, ctx.train_scores_reduced
     )
-    pop = np.array(sorted(directives), dtype=np.int64)
-    cloaked = cloak_matrix(ctx.test_full, directives, mfm)
+    explained, not_found = explain_population(
+        ctx.model, ctx.test_reduced, ctx.population, threshold
+    )
+    pop = np.array(sorted(explained), dtype=np.int64)
+    cloaked = cloak_matrix(ctx.test_full, explained, mfm)
 
     y = ctx.test_labels[pop]
     groups = {"tp": y == 1.0, "fp": y == 0.0}

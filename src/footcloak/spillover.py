@@ -18,8 +18,9 @@ import numpy as np
 
 from ._choices import POPULATION_ALL_TEST, POPULATION_CLOAKED
 from ._util import STREAM_NMF, STREAM_RIDGE, ExperimentConfig, csv_text, derive_seed
-from .cloak import STRATEGY_FG, STRATEGY_MF, cloak_matrix, cloak_population
+from .cloak import cloak_matrix
 from .data import FootprintMatrix, LabelTable
+from .explain import explain_population
 from .metafeatures import task_nmf_metafeatures
 from .models import (
     decision_margins,
@@ -75,11 +76,11 @@ def run_spillover_experiment(
     """Measure secondary-trait correlation before and after cloaking.
 
     The sensitive classifier is trained on the full training split, its
-    threshold set at the training-score quantile; positive test users get
-    FG and MF directives. Secondary ridge models are trained per trait on
-    uncloaked training rows only. population='cloaked' evaluates over the
-    cloaked users; 'all-test' evaluates over every test user, with
-    directives applied where they exist.
+    threshold set at the training-score quantile; each positive test user
+    is explained once, and FG and MF cloak the same explanations.
+    Secondary ridge models are trained per trait on uncloaked training rows
+    only. population='cloaked' evaluates over the cloaked users; 'all-test'
+    evaluates over every test user, cloaked where they have an explanation.
     """
     if population not in (POPULATION_CLOAKED, POPULATION_ALL_TEST):
         raise ValueError(f"unknown population mode {population!r}")
@@ -92,16 +93,10 @@ def run_spillover_experiment(
     positives = np.nonzero(predict_scores(clf.model, test.matrix) >= threshold)[0]
     mfm = task_nmf_metafeatures(train.matrix, config, STREAM_NMF)
 
-    # MF finds no explanation exactly where FG finds none (both explain the
-    # same row against the same threshold), so MF directs the same users
-    fg, not_found = cloak_population(
-        STRATEGY_FG, clf.model, test.matrix, positives, threshold
+    explained, not_found = explain_population(
+        clf.model, test.matrix, positives, threshold
     )
-    mf, _ = cloak_population(
-        STRATEGY_MF, clf.model, test.matrix, positives, threshold, mfm
-    )
-
-    cloaked = np.array(sorted(fg), dtype=np.int64)
+    cloaked = np.array(sorted(explained), dtype=np.int64)
     if population == POPULATION_CLOAKED:
         pop = cloaked
     else:
@@ -134,8 +129,8 @@ def run_spillover_experiment(
     # the test footprints uncloaked, FG-cloaked and MF-cloaked
     states = (
         test.matrix,
-        cloak_matrix(test.matrix, fg),
-        cloak_matrix(test.matrix, mf, mfm),
+        cloak_matrix(test.matrix, explained),
+        cloak_matrix(test.matrix, explained, mfm),
     )
 
     def trait_row(trait: str) -> SpilloverRow:

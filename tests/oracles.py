@@ -10,8 +10,9 @@ factorization of the dense centered Gram matrix of the train rows. The
 explanation oracle is the best-first SEDC search of Martens & Provost
 (2014), which `footcloak.explain.linear_explain` makes exact for linear
 models; the scoring oracle scores one active-item set, the cloaking oracle
-applies one directive to one row, as `footcloak.cloak.cloak_matrix` does to
-a whole matrix, and the cost oracle counts one cloaked row's removed items.
+cloaks one row by one explanation's features, as `footcloak.cloak.cloak_matrix`
+does to a whole matrix, and the cost oracle counts one cloaked row's removed
+items.
 The logistic-fit oracle is `scipy.optimize.minimize(method="L-BFGS-B")`,
 whose loop over scipy's compiled setulb `footcloak.models._lbfgsb` repeats.
 The sparse-product oracles are the dense matrix and `scipy.sparse`'s
@@ -34,7 +35,6 @@ from scipy import linalg, optimize, sparse
 from scipy.special import expit
 
 from footcloak._util import DEFAULT_ALPHA_GRID, round_half_up, serial_blas
-from footcloak.cloak import CloakDirective
 from footcloak.data import FootprintMatrix, from_rows
 from footcloak.explain import Explanation
 from footcloak.metafeatures import MetafeatureModel
@@ -335,33 +335,36 @@ def predict_score(model: LinearModel, row: np.ndarray) -> float:
 
 def apply_cloak(
     row: np.ndarray,
-    directive: CloakDirective,
+    features,
     mfm: Optional[MetafeatureModel] = None,
 ) -> np.ndarray:
-    """Footprint row after the directive, item by item: an item goes if it
-    is a cloaked feature or its metafeature is cloaked. Idempotent."""
-    metas = directive.cloaked_metafeatures
-    if metas and mfm is None:
-        raise ValueError("directive sweeps metafeatures; a metafeature model is required")
+    """Footprint row after cloaking an explanation's features, item by item:
+    an item goes if it is a feature or, with mfm, if its group is one the
+    features fall in, other than mfm.reserved. Idempotent."""
+    features = {int(f) for f in features}
+    groups = set()
+    if mfm is not None:
+        groups = {int(mfm.assignment[f]) for f in features} - {mfm.reserved}
     kept = [
         j
         for j in map(int, row)
-        if j not in directive.cloaked_features
-        and not (metas and int(mfm.assignment[j]) in metas)
+        if j not in features
+        and (mfm is None or int(mfm.assignment[j]) not in groups)
     ]
     return np.array(kept, dtype=np.int64)
 
 
 def cloak_cost(
     row: np.ndarray,
-    directive: CloakDirective,
+    features,
     mfm: Optional[MetafeatureModel] = None,
 ) -> float:
-    """Share of the row's items the directive removes; 0 for an empty row."""
+    """Share of the row's items the cloak of features removes; 0 for an
+    empty row."""
     row = np.asarray(row, dtype=np.int64)
     if row.size == 0:
         return 0.0
-    remaining = apply_cloak(row, directive, mfm)
+    remaining = apply_cloak(row, features, mfm)
     return (row.size - remaining.size) / row.size
 
 

@@ -20,10 +20,10 @@ from footcloak.cloak import (
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    cloak_population,
+    strategy_threshold,
 )
 from footcloak.data import from_rows
-from footcloak.explain import linear_explain
+from footcloak.explain import explain_population, linear_explain
 from footcloak.metafeatures import assign_exclusive, nmf_fit
 from footcloak.models import (
     LinearModel,
@@ -174,15 +174,16 @@ def test_criterion_2_cloak_construction(protection_runs):
             ctx.train_scores_reduced, ctx.config.tolerance_quantile
         )
         for strategy, target in ((STRATEGY_FG, th0), (STRATEGY_FG_TOL, tol)):
-            directives, _ = cloak_population(
-                strategy, ctx.model, ctx.test_reduced, ctx.population, th0,
-                population_scores=ctx.train_scores_reduced,
-                quantile_tol=ctx.config.tolerance_quantile,
+            threshold = strategy_threshold(
+                ctx.config, strategy, th0, ctx.train_scores_reduced
             )
-            for i, d in directives.items():
+            explained, _ = explain_population(
+                ctx.model, ctx.test_reduced, ctx.population, threshold
+            )
+            for i, expl in explained.items():
                 checked += 1
                 row = ctx.test_reduced.row(i)
-                if predict_score(ctx.model, apply_cloak(row, d)) >= target:
+                if predict_score(ctx.model, apply_cloak(row, expl.features)) >= target:
                     violations += 1
     _criterion(
         2,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from footcloak import cli, cloak, models, simulate
+from footcloak import cli, explain, models, simulate
 from footcloak._util import ExperimentConfig, canonical_json
 from footcloak.cli import main
 from footcloak.data import load_labels, load_triplets
@@ -396,7 +396,7 @@ def test_fg_tol_cloak_checks_bound_before_fitting(
 
 def test_no_directive_writes_null(data, tmp_path, monkeypatch, capsys):
     # no population user gets a directive: rates and costs are undefined
-    monkeypatch.setattr(cloak, "linear_explain", lambda *a, **k: None)
+    monkeypatch.setattr(explain, "linear_explain", lambda *a, **k: None)
     out = tmp_path / "sim"
     assert _run(*_simulate_args(data, out)) == 0
     curve = _strict_json(out / "protection_curve.json")

@@ -15,9 +15,10 @@ from footcloak.cloak import (
     STRATEGY_FG_TOL,
     STRATEGY_MF,
     cloak_matrix,
-    cloak_population,
+    strategy_threshold,
 )
 from footcloak.data import LabelTable, filter_min_activity
+from footcloak.explain import explain_population
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
 from footcloak.models import (
     LinearModel,
@@ -110,6 +111,24 @@ def test_strategy_errors(ctx):
         run_strategy(ctx, "BOGUS")
     with pytest.raises(ValueError, match="domain"):
         run_strategy(ctx, STRATEGY_DOMAIN_MF)
+
+
+def test_unknown_strategy_fails_before_any_work(ctx, small_synth, monkeypatch):
+    # the library entry points check every strategy name before they build
+    # a context, so no classifier is fit
+    def no_fit(*_):
+        raise AssertionError("fit before the strategy check")
+
+    monkeypatch.setattr(simulate, "fit_classifier", no_fit)
+    res = small_synth
+    with pytest.raises(ValueError, match="^unknown strategy 'NOPE'$"):
+        run_protection_experiment("task_a", "NOPE", res.matrix, res.labels, _CONFIG)
+    with pytest.raises(ValueError, match="^unknown strategy 'NOPE'$"):
+        tradeoff_report(
+            ["task_a"], [STRATEGY_FG, "NOPE"], res.matrix, res.labels, _CONFIG
+        )
+    with pytest.raises(ValueError, match="^unknown strategy 'NOPE'$"):
+        run_strategy(ctx, "NOPE")
 
 
 def test_nmf_fit_once_at_the_first_mf_run(small_synth, monkeypatch):
@@ -314,34 +333,32 @@ def test_closed_form_matches_readd_oracle(seed, drop_fraction, fractions, with_z
         oracle_th.append(quantile_threshold(scores, q))
     for strategy in _ORACLE_STRATEGIES:
         mfm = simulate._strategy_mfm(ctx, strategy)
-        directives, _ = cloak_population(
-            strategy,
-            ctx.model,
-            ctx.test_reduced,
-            ctx.population,
-            ctx.threshold0,
-            mfm,
-            ctx.train_scores_reduced,
-            ctx.config.tolerance_quantile,
+        threshold = strategy_threshold(
+            ctx.config, strategy, ctx.threshold0, ctx.train_scores_reduced
         )
-        users = np.array(sorted(directives), dtype=np.int64)
-        cloaked = cloak_matrix(ctx.test_full, directives, mfm)
+        explained, _ = explain_population(
+            ctx.model, ctx.test_reduced, ctx.population, threshold
+        )
+        users = np.array(sorted(explained), dtype=np.int64)
+        cloaked = cloak_matrix(ctx.test_full, explained, mfm)
         protected = protection_flags(ctx, cloaked, users)
         np.testing.assert_allclose(ctx.thresholds, oracle_th, rtol=1e-12, atol=0)
-        assert protected.shape == (len(schedule), len(directives))
+        assert protected.shape == (len(schedule), len(explained))
         oracle = np.zeros(protected.shape, dtype=bool)
         tie = np.zeros(protected.shape, dtype=bool)
         for k, f in enumerate(schedule):
             test_f = readd(ctx.test_reduced, ctx.test_plan, f)
-            for u, i in enumerate(sorted(directives)):
-                kept = apply_cloak(test_f.row(i), directives[i], mfm)
+            for u, i in enumerate(users):
+                kept = apply_cloak(test_f.row(i), explained[i].features, mfm)
                 score = predict_score(ctx.model, kept)
                 oracle[k, u] = score < oracle_th[k]
                 tie[k, u] = abs(score - oracle_th[k]) < 1e-12
         np.testing.assert_array_equal(protected[~tie], oracle[~tie], err_msg=strategy)
         curve = run_strategy(ctx, strategy)
         assert curve.thresholds == ctx.thresholds
-        costs = [cloak_cost(ctx.test_full.row(i), directives[i], mfm) for i in users]
+        costs = [
+            cloak_cost(ctx.test_full.row(i), explained[i].features, mfm) for i in users
+        ]
         expect_cost = float(np.mean(costs)) if costs else None
         assert curve.diagnostics["avg_cloak_cost_full"] == expect_cost
         if not tie.any():

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from footcloak import ExperimentConfig, models, spillover
+from footcloak import ExperimentConfig, explain, models, spillover
 from footcloak._util import write_results
 from footcloak.data import LabelTable
 from footcloak.spillover import (
@@ -63,6 +63,21 @@ def test_mf_disrupts_more_than_fg(report):
     drop_fg = np.mean([abs(r.pearson_none - r.pearson_fg) for r in report.rows])
     drop_mf = np.mean([abs(r.pearson_none - r.pearson_mf) for r in report.rows])
     assert drop_mf >= drop_fg - 0.05
+
+
+def test_each_positive_user_explained_once(small_synth, monkeypatch):
+    # FG and MF cloak the same explanations: one linear_explain call per
+    # positive test user
+    calls = []
+    explain_row = explain.linear_explain
+    monkeypatch.setattr(
+        explain, "linear_explain", lambda *a: calls.append(a) or explain_row(*a)
+    )
+    res = small_synth
+    rep = run_spillover_experiment(
+        "task_a", ["trait_a"], res.matrix, res.labels, _CONFIG
+    )
+    assert len(calls) == rep.diagnostics["n_positive"] > 0
 
 
 def test_all_test_population(small_synth):
