@@ -6,6 +6,11 @@ in read-only int32 arrays (int64 past 2**31 - 1), with ascending indices.
 External string ids are kept alongside, so every artifact written to disk
 speaks item/user ids. Every product (FootprintMatrix.times and t_times)
 runs scipy's CSR/CSC kernels on these arrays and one shared array of ones.
+
+The loaders read a file in blocks of whole lines (_BLOCK_BYTES, 1 MiB),
+never the whole file at once: a load holds one block's working set, about
+ten times its bytes, plus 16 bytes per row, and load_triplets then at most
+two int64 arrays of one entry per row.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from pathlib import Path
+from itertools import count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -248,36 +252,76 @@ _BYTE_FLAGS[0x80:] = _HIGH
 _BYTE_FLAGS[ord('"')] |= _QUOTE
 
 
+_BLOCK_BYTES = 1 << 20  # bytes read at a time; a block grows only to hold a longer line
+
+
 def _read_columns(
     path, headers
 ) -> tuple[np.ndarray, list[tuple[tuple[str, ...], np.ndarray]], int | None]:
     """Read a delimited file once into columns of codes over stripped fields.
 
-    The file's bytes (see _read_utf8) are tokenized as UTF-8, which never
-    holds "\n", ",", "\t" or '"' inside a multi-byte character. Lines are
-    split at "\n" only (after the universal-newline translation), so line
-    numbers are the file's own.
-    Blank lines are skipped; the delimiter is a tab when the first non-blank
-    line holds one, else a comma. Lines holding a double quote go through
-    csv.reader one at a time, so an unterminated quote cannot swallow the
-    next line; every other line is split at the delimiter. A first row
-    matching `headers` (compared lowercased) is dropped. Every row must have
-    len(header) non-empty fields.
+    The file is read in blocks of whole lines (see _line_blocks), and each
+    block is split into rows and fields by _split_block: blank lines are
+    skipped, the delimiter is a tab when the first non-blank line holds one,
+    else a comma, and a first row matching `headers` (compared lowercased)
+    is dropped. Every row must have len(header) non-empty fields.
 
-    Fields are grouped by their raw bytes, and only the distinct raw values
-    are decoded and stripped, so no Python object is made per field. Each
-    column is (distinct stripped values in first-seen order, int64 code per
-    row). Also returned: the 1-based line numbers of the rows and the line
-    number of the first malformed row (None when there is none). The rows
-    returned are the ones before it, so a caller's own checks on them come
-    first, as a line-by-line loader's would.
+    Each block's distinct names join one table per column, so a name's code
+    is its rank of first appearance in the file. Each column is (distinct
+    stripped values in first-seen order, int32 code per row). Also
+    returned: the 1-based line numbers of the rows and the line number of
+    the first malformed row (None when there is none). The rows returned
+    are the ones before it, so a caller's own checks on them come first, as
+    a line-by-line loader's would. Memory is one block's working set plus
+    8 + 4 * width bytes per row: the line numbers and codes grow in place
+    (realloc), so no copy of all of them is made.
     """
     width = len(next(iter(headers)))
-    raw = _read_utf8(path)
-    buf = np.empty(len(raw) + 1, dtype=np.uint8)
-    buf[:-1] = np.frombuffer(raw, dtype=np.uint8)
-    buf[-1] = ord("\n")  # so the last line ends at a newline too
-    del raw
+    tables = [{} for _ in range(width)]  # stripped value -> code, first-seen order
+    numbers, columns = bytearray(), [bytearray() for _ in tables]
+    delim = bad = None
+    blocks = _line_blocks(path)
+    for raw, before in blocks:
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        delim, rows, fields = _split_block(buf, width, delim, headers)
+        for (names, column, seen), table, out in zip(fields, tables, columns):
+            found = np.fromiter(map(table.get, names, repeat(-1)), np.int32, len(names))
+            # names of kept rows that the table lacks join it in first-seen order
+            new = np.flatnonzero((found < 0) & (seen < len(column)))
+            new = new[np.argsort(seen[new])].tolist()
+            table.update(zip(dict.fromkeys(names[j] for j in new), count(len(table))))
+            found[new] = [table[names[j]] for j in new]
+            out += found[column].data
+        kept = len(fields[0][1])
+        numbers += (rows[:kept] + np.int64(before + 1)).data
+        if kept < len(rows):
+            bad = before + int(rows[kept]) + 1
+            break
+    for _ in blocks:  # the rest of the file is still checked as UTF-8
+        pass
+    numbers = np.frombuffer(numbers, dtype=np.int64)
+    columns = [(tuple(t), np.frombuffer(c, np.int32)) for t, c in zip(tables, columns)]
+    return numbers, columns, bad
+
+
+def _split_block(buf: np.ndarray, width: int, delim: str | None, headers):
+    """The rows and fields of a block of whole lines, each ending at "\n".
+
+    Returns (delim, rows, fields). delim None means no non-blank line came
+    before this block: the delimiter is then set from the block's first
+    non-blank line, and a first row matching `headers` is dropped. rows are
+    the 0-based line indices of the block's non-blank lines, less a dropped
+    header. Each of the `width` fields is (names, one index into names per
+    row, the row where each name first appears) for the rows up to the
+    first malformed one, so a row past them in `rows` is malformed.
+
+    The block is tokenized as UTF-8, which never holds "\n", ",", "\t" or
+    '"' inside a multi-byte character. Lines holding a double quote go
+    through csv.reader one at a time, so an unterminated quote cannot
+    swallow the next line; every other line is split at the delimiter.
+    Fields are grouped by their raw bytes, and only the distinct raw values
+    are decoded and stripped, so no Python object is made per field.
+    """
     pos_t = np.int32 if len(buf) < 2**31 else np.int64  # byte offsets, line indices
     ends = np.flatnonzero(buf == ord("\n")).astype(pos_t)
     starts = np.concatenate((np.zeros(1, pos_t), ends[:-1] + 1))
@@ -287,8 +331,11 @@ def _read_columns(
     lines = _decode_all(buf, starts[high], ends[high])
     nonblank[high] = [bool(v.strip()) for v in lines]
     rows = np.flatnonzero(nonblank).astype(pos_t)
-    tab = len(rows) > 0 and ord("\t") in buf[starts[rows[0]] : ends[rows[0]]]
-    delim = "\t" if tab else ","
+    if not len(rows):
+        return delim, rows, [([], rows, rows)] * width
+    is_first = delim is None
+    if is_first:
+        delim = "\t" if ord("\t") in buf[starts[rows[0]] : ends[rows[0]]] else ","
     marks = np.flatnonzero(buf == ord(delim)).astype(pos_t)
     first = np.searchsorted(marks, starts).astype(pos_t)  # a line's first mark
     counts = np.diff(first, append=len(marks))[rows] + 1  # fields per row
@@ -301,53 +348,66 @@ def _read_columns(
     wrong = np.flatnonzero(counts != width)
     n_rows = int(wrong[0]) if len(wrong) else len(counts)
     start = 0
-    if n_rows:
+    if is_first and n_rows:
         line = _decode_all(buf, starts[:1], ends[:1])[0]
         head = records[0] if quoted[0] else line.split(delim)
         start = int(tuple(f.strip().lower() for f in head) in headers)
     plain = np.flatnonzero(~quoted[start:n_rows]) + start
     by_csv = np.flatnonzero(quoted[start:n_rows]) + start
-    end, columns = n_rows, []
+    end, fields = n_rows, []
     for k in range(width):  # a plain row's field k ends at its k-th mark
         s = starts[plain] if k == 0 else marks[first[plain] + k - 1] + 1
         e = ends[plain] if k == width - 1 else marks[first[plain] + k]
         codes, raw_first = _factorize(buf, s, e)
         names = _decode_all(buf, s[raw_first], e[raw_first])
-        names = [v.strip() for v in names + [records[i][k] for i in by_csv]]
-        seen = np.concatenate((plain[raw_first], by_csv)).argsort().tolist()
-        in_order = dict.fromkeys([names[j] for j in seen])
-        index = {v: c for c, v in enumerate(in_order)}
-        remap = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
-        column = np.empty(n_rows - start, dtype=np.int64)
-        column[plain - start] = remap[codes]
-        column[by_csv - start] = remap[len(raw_first) :]
-        if "" in index:
-            end = min(end, start + int(np.argmax(column == index[""])))
-        columns.append((tuple(index), column))
-    numbers = rows + 1
-    bad = int(numbers[end]) if end < len(numbers) else None
-    kept = end - start
-    columns = [  # codes are first-seen, so the kept rows use the first values
-        (values[: int(column[:kept].max(initial=-1)) + 1], column[:kept])
-        for values, column in columns
-    ]
-    return numbers[start:end], columns, bad
+        names = list(map(str.strip, names + [records[i][k] for i in by_csv]))
+        column = np.empty(n_rows - start, dtype=pos_t)
+        column[plain - start] = codes
+        column[by_csv - start] = np.arange(len(raw_first), len(names))
+        if "" in names:
+            empty = np.array([v == "" for v in names])[column]
+            end = min(end, start + int(np.argmax(empty)))
+        seen = np.concatenate((plain[raw_first], by_csv)) - start  # a name's first row
+        fields.append((names, column, seen))
+    return delim, rows[start:], [(n, c[: end - start], f) for n, c, f in fields]
 
 
-def _read_utf8(path) -> bytes:
-    """The file's UTF-8 bytes with read_text()'s universal newlines ("\r\n"
-    and a lone "\r" become "\n") and one leading byte-order mark dropped.
-    A file that is not UTF-8 raises ValueError naming the line of the
-    first bad byte, counted by the same newlines."""
-    raw = Path(path).read_bytes()
-    if not raw.isascii():
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            head = raw[: err.start]
-            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-            raise ValueError(f"line {line}: not valid UTF-8") from None
-    return raw.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+def _line_blocks(path):
+    """The file's UTF-8 bytes in blocks of whole lines, each with the number
+    of lines before it.
+
+    Blocks hold read_text()'s universal newlines ("\r\n" and a lone "\r"
+    become "\n", also where a block edge splits them), every line ends at
+    "\n", and one leading byte-order mark is dropped. A block is about
+    _BLOCK_BYTES long, or one line when a line is longer. A file that is
+    not UTF-8 raises ValueError naming the line of the first bad byte,
+    counted by the same newlines.
+    """
+    with open(path, "rb") as f:
+        rest, before = f.read(3).removeprefix(b"\xef\xbb\xbf"), 0
+        while True:
+            chunk = f.read(max(_BLOCK_BYTES, len(rest)))  # doubles through a long line
+            data = rest + chunk
+            cut = len(data)
+            if chunk:  # up to the last line end, less a last "\r" that may start "\r\n"
+                n = cut - data.endswith(b"\r")
+                cut = max(data.rfind(b"\n", 0, n), data.rfind(b"\r", 0, n)) + 1
+            block, rest = data[:cut], data[cut:]
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if not chunk and block and not block.endswith(b"\n"):
+                block += b"\n"  # so the last line ends at a newline too
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    line = before + block.count(b"\n", 0, err.start) + 1
+                    raise ValueError(f"line {line}: not valid UTF-8") from None
+            if block:
+                yield block, before
+            if not chunk:
+                return
+            before += block.count(b"\n")
 
 
 def _decode_all(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -431,16 +491,25 @@ def load_triplets(path) -> FootprintMatrix:
     indices in first-seen order. Malformed rows raise ValueError with
     the 1-based line number.
     """
-    _, columns, bad = _read_columns(path, _FOOTPRINT_HEADERS)
+    columns, bad = _read_columns(path, _FOOTPRINT_HEADERS)[1:]  # no line numbers
     if bad is not None:
         raise ValueError(f"line {bad}: expected 2 fields 'user_id,item_id'")
-    (user_ids, user_codes), (item_ids, item_codes) = columns
+    (user_ids, users), (item_ids, items) = columns
     n_items = len(item_ids)
-    keys = np.sort(user_codes * n_items + item_codes)
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, less its hash pass
-    rows, indices = np.divmod(keys, max(n_items, 1))
-    indptr = _indptr(np.bincount(rows, minlength=len(user_ids)))
-    return FootprintMatrix(indptr, indices, n_items, user_ids, item_ids)
+    keys = users.astype(np.int64)  # user * n_items + item, built in place
+    keys *= n_items
+    keys += items
+    del columns, users, items  # the codes go before the sort
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)  # np.unique, less its hash pass
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    del new
+    row_starts = np.arange(len(user_ids) + 1, dtype=np.int64) * n_items
+    indptr = np.searchsorted(keys, row_starts)
+    keys %= max(n_items, 1)  # now each entry's item
+    return FootprintMatrix(indptr, keys, n_items, user_ids, item_ids)
 
 
 def load_labels(path, matrix: FootprintMatrix) -> LabelTable:

@@ -86,7 +86,8 @@ def nmf_fit(
     relative objective decrease falls below tol. Returns (W, H, objectives)
     where objectives[t] is the Frobenius objective after iteration t; the
     sequence is non-increasing. The updates run on one BLAS thread, so the
-    result does not depend on the thread count.
+    result does not depend on the thread count, and each is computed in
+    place in W, H and the one product it divides by.
     """
     n, m = X.n_users, X.n_items
     if k < 1:
@@ -106,11 +107,15 @@ def nmf_fit(
         objectives = []
         prev = None
         for _ in range(max_iters):
-            # W <- W * (X H^T) / (W (H H^T))
-            W = W * (XHt / np.maximum(W @ HHt, _EPS))
-            # H <- H * (W^T X) / ((W^T W) H)
+            # W <- W * (X H^T) / (W (H H^T)), in place
+            ratio = W @ HHt
+            np.maximum(ratio, _EPS, out=ratio)
+            W *= np.divide(XHt, ratio, out=ratio)
+            # H <- H * (W^T X) / ((W^T W) H), in place
             WtW = W.T @ W
-            H = H * (X.t_times(W).T / np.maximum(WtW @ H, _EPS))
+            ratio = WtW @ H
+            np.maximum(ratio, _EPS, out=ratio)
+            H *= np.divide(X.t_times(W).T, ratio, out=ratio)
 
             XHt = X.times(H.T)
             HHt = H @ H.T

@@ -13,6 +13,8 @@ models; the scoring oracle scores one active-item set, the cloaking oracle
 cloaks one row by one explanation's features, as `footcloak.cloak.cloak_matrix`
 does to a whole matrix, and the cost oracle counts one cloaked row's removed
 items.
+The NMF oracle writes each multiplicative update as one expression, where
+`footcloak.metafeatures.nmf_fit` updates its factors in place.
 The logistic-fit oracle is `scipy.optimize.minimize(method="L-BFGS-B")`,
 whose loop over scipy's compiled setulb `footcloak.models._lbfgsb` repeats.
 The sparse-product oracles are the dense matrix and `scipy.sparse`'s
@@ -69,11 +71,18 @@ def scipy_csr(m: FootprintMatrix) -> sparse.csr_matrix:
 def read_records(path):
     """Non-blank lines as (1-based line number, stripped fields).
 
-    One leading U+FEFF is dropped. Lines come from `str.splitlines` and the
-    delimiter from the first line, blank or not; the array reader differs
-    from this on exactly those two points.
+    A line that is not UTF-8 raises ValueError naming it, before any
+    record is read. One leading U+FEFF is dropped. Lines come from
+    `str.splitlines` and the delimiter from the first line, blank or not;
+    the array reader differs from this on exactly those two points.
     """
-    lines = Path(path).read_text().removeprefix("\ufeff").splitlines()
+    data = Path(path).read_bytes()
+    for ln, line in enumerate(data.splitlines(), start=1):  # at "\n", "\r\n", "\r"
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"line {ln}: not valid UTF-8") from None
+    lines = data.decode("utf-8").removeprefix("\ufeff").splitlines()
     delim = ("\t" if "\t" in lines[0] else ",") if lines else ","
     records = []
     for ln, raw in enumerate(lines, start=1):
@@ -206,6 +215,28 @@ def from_rows_error(rows, n_items):
         if np.any(np.diff(arr) <= 0):
             return f"row {i}: item indices must be strictly ascending"
     return None
+
+
+def nmf_fit(X, k, max_iters, tol, seed):
+    """(W, H, objectives) of `footcloak.metafeatures.nmf_fit`, each
+    multiplicative update written as one expression of fresh temporaries."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.0, 1.0, size=(X.n_users, k))
+    H = rng.uniform(0.0, 1.0, size=(k, X.n_items))
+    with serial_blas():
+        XHt, HHt = X.times(H.T), H @ H.T
+        objectives, prev = [], None
+        for _ in range(max_iters):
+            W = W * (XHt / np.maximum(W @ HHt, 1e-12))
+            WtW = W.T @ W
+            H = H * (X.t_times(W).T / np.maximum(WtW @ H, 1e-12))
+            XHt, HHt = X.times(H.T), H @ H.T
+            obj = X.nnz - 2.0 * float(np.sum(W * XHt)) + float(np.sum(WtW * HHt))
+            objectives.append(obj)
+            if prev is not None and prev > 0 and (prev - obj) / prev < tol:
+                break
+            prev = obj
+    return W, H, np.array(objectives)
 
 
 def logreg_objective(m, y01, C):

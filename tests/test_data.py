@@ -152,6 +152,31 @@ def test_load_triplets_memory_is_bounded_by_file_size(tmp_path):
     assert peak <= 10 * path.stat().st_size
 
 
+def test_load_triplets_peak_grows_at_most_40_bytes_per_line(tmp_path, monkeypatch):
+    """From a 50k- to a 200k-line file, the tracemalloc peak of load_triplets
+    grows by at most 40 bytes per added line. The block is 64 KiB, so both
+    files span several blocks and the per-block working set is the same in
+    both."""
+    import tracemalloc
+
+    from footcloak import data
+
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 1 << 16)
+    peaks = []
+    for n in (50_000, 200_000):
+        path = tmp_path / f"f{n}.csv"
+        lines = (f"u{j // 100:05d},i{j * 7919 % 5000:05d}\n" for j in range(n))
+        path.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            m = load_triplets(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert m.nnz == n
+    assert peaks[1] - peaks[0] <= 40 * 150_000
+
+
 # ---------------------------------------------------------------------------
 # filtering
 

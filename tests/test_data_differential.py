@@ -4,11 +4,14 @@ Readers must give the same ids, CSR arrays, labels and categories as the
 line-by-line loaders, or the same ValueError message with the same line
 number. Files are generated with ids that hold delimiters, quotes, tabs,
 spaces and non-ASCII characters, with blank lines, CRLF endings, header
-rows, duplicate pairs and malformed rows.
+rows, duplicate pairs and malformed rows. The block-edge tests add lone CR
+endings, a byte-order mark and invalid UTF-8, and shrink the reader's block
+to a few bytes, so each of these falls across a block edge.
 """
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from footcloak import data
 from footcloak.data import (
     DropPlan,
     apply_drop,
@@ -55,7 +59,7 @@ def _line(draw, delim, width, pools):
 
 
 @st.composite
-def delimited_files(draw, width, headers, pools):
+def delimited_files(draw, width, headers, pools, newlines=("\n", "\r\n")):
     delim = draw(st.sampled_from([",", "\t"]))
     lines = [_line(draw, delim, width, pools) for _ in range(draw(st.integers(0, 12)))]
     if draw(st.booleans()):
@@ -63,14 +67,14 @@ def delimited_files(draw, width, headers, pools):
         if draw(st.booleans()):
             header = tuple(h.upper() for h in header)
         lines.insert(draw(st.integers(0, min(2, len(lines)))), delim.join(header))
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    text = draw(st.sampled_from(newlines)).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))
 
 
 def _comparable(text):
     """The oracle sniffs the delimiter on the first line even when it is
     blank; keep files where that gives the reader's answer."""
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     nonblank = [line for line in lines if line.strip()]
     return not nonblank or ("\t" in lines[0]) == ("\t" in nonblank[0])
 
@@ -95,19 +99,36 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("differential") / "input.csv"
 
 
+_ALL_NEWLINES = ("\n", "\r\n", "\r")
+_BAD_UTF8 = [b"\xff", b"\xe9", b"\xc3", b"\x80", b"\xed\xa0\x80"]  # last: a surrogate
+
+
 @st.composite
-def footprint_files(draw):
+def _encoded(draw, text):
+    """The text's UTF-8 bytes, perhaps after a byte-order mark, and in about
+    one file of four an invalid UTF-8 sequence inserted anywhere."""
+    raw = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+    if draw(st.sampled_from([False, False, False, True])):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(_BAD_UTF8)) + raw[at:]
+    return raw
+
+
+def _blocks_of(n_bytes):
+    """The reader's block size patched to n_bytes."""
+    return mock.patch.object(data, "_BLOCK_BYTES", n_bytes)
+
+
+@st.composite
+def footprint_files(draw, newlines=("\n", "\r\n")):
     users, items = draw(_ids), draw(_ids)
-    return draw(delimited_files(2, oracles.FOOTPRINT_HEADERS, [users, items]))
+    pools = [users, items]
+    return draw(delimited_files(2, oracles.FOOTPRINT_HEADERS, pools, newlines))
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=footprint_files())
-def test_load_triplets_matches_line_oracle(scratch, text):
-    assume(_comparable(text))
-    scratch.write_text(text)
-    want, want_err = _run(oracles.load_triplets, scratch)
-    got, got_err = _run(load_triplets, scratch)
+def _triplets_agree(path):
+    want, want_err = _run(oracles.load_triplets, path)
+    got, got_err = _run(load_triplets, path)
     assert got_err == want_err
     if want_err:
         return
@@ -116,25 +137,40 @@ def test_load_triplets_matches_line_oracle(scratch, text):
     assert got.indptr.dtype == got.indices.dtype == np.int32
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=footprint_files())
+def test_load_triplets_matches_line_oracle(scratch, text):
+    assume(_comparable(text))
+    scratch.write_text(text)
+    _triplets_agree(scratch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=footprint_files(_ALL_NEWLINES), draw=st.data(), block=st.integers(1, 48))
+def test_load_triplets_matches_line_oracle_across_block_edges(
+    scratch, text, draw, block
+):
+    assume(_comparable(text))
+    scratch.write_bytes(draw.draw(_encoded(text)))
+    with _blocks_of(block):
+        _triplets_agree(scratch)
+
+
 @st.composite
-def label_files(draw):
+def label_files(draw, newlines=("\n", "\r\n")):
     users, tasks = draw(_ids), draw(_ids)
-    text = draw(delimited_files(3, oracles.LABEL_HEADERS, [users, tasks, _VALUES]))
+    pools = [users, tasks, _VALUES]
+    text = draw(delimited_files(3, oracles.LABEL_HEADERS, pools, newlines))
     known = draw(st.lists(st.sampled_from(users), unique=True, max_size=len(users)))
     return text, [u.strip() or "_" for u in known]
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=label_files())
-def test_load_labels_matches_line_oracle(scratch, case):
-    text, user_ids = case
-    assume(_comparable(text) and len(set(user_ids)) == len(user_ids))
-    scratch.write_text(text)
+def _labels_agree(path, user_ids):
     m = from_rows(
         [np.zeros(1, dtype=np.int64)] * len(user_ids), 1, user_ids, ("i",)
     )
-    want, want_err = _run(oracles.load_labels, scratch, m.user_ids)
-    got, got_err = _run(load_labels, scratch, m)
+    want, want_err = _run(oracles.load_labels, path, m.user_ids)
+    got, got_err = _run(load_labels, path, m)
     assert got_err == want_err
     if want_err:
         return
@@ -143,12 +179,42 @@ def test_load_labels_matches_line_oracle(scratch, case):
         np.testing.assert_array_equal(got.values[task], arr)
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=label_files())
+def test_load_labels_matches_line_oracle(scratch, case):
+    text, user_ids = case
+    assume(_comparable(text) and len(set(user_ids)) == len(user_ids))
+    scratch.write_text(text)
+    _labels_agree(scratch, user_ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=label_files(_ALL_NEWLINES), draw=st.data(), block=st.integers(1, 48))
+def test_load_labels_matches_line_oracle_across_block_edges(scratch, case, draw, block):
+    text, user_ids = case
+    assume(_comparable(text) and len(set(user_ids)) == len(user_ids))
+    scratch.write_bytes(draw.draw(_encoded(text)))
+    with _blocks_of(block):
+        _labels_agree(scratch, user_ids)
+
+
 @st.composite
-def category_files(draw):
+def category_files(draw, newlines=("\n", "\r\n")):
     items, cats = draw(_ids), draw(_ids)
-    text = draw(delimited_files(2, oracles.CATEGORY_HEADERS, [items, cats]))
+    text = draw(delimited_files(2, oracles.CATEGORY_HEADERS, [items, cats], newlines))
     space = draw(st.lists(st.sampled_from(items), unique=True, max_size=len(items)))
     return text, tuple(space + ["_extra"])
+
+
+def _categories_agree(path, item_ids):
+    want, want_err = _run(oracles.load_domain_categories, path, item_ids)
+    got, got_err = _run(load_domain_categories, path, item_ids)
+    assert got_err == want_err
+    if want_err:
+        return
+    names, item_cat = want
+    assert got.labels == names + ("uncategorized",)
+    np.testing.assert_array_equal(got.assignment, np.where(item_cat < 0, len(names), item_cat))
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,14 +223,45 @@ def test_load_domain_categories_matches_line_oracle(scratch, case):
     text, item_ids = case
     assume(_comparable(text))
     scratch.write_text(text)
-    want, want_err = _run(oracles.load_domain_categories, scratch, item_ids)
-    got, got_err = _run(load_domain_categories, scratch, item_ids)
-    assert got_err == want_err
-    if want_err:
-        return
-    names, item_cat = want
-    assert got.labels == names + ("uncategorized",)
-    np.testing.assert_array_equal(got.assignment, np.where(item_cat < 0, len(names), item_cat))
+    _categories_agree(scratch, item_ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=category_files(_ALL_NEWLINES), draw=st.data(), block=st.integers(1, 48))
+def test_load_domain_categories_matches_line_oracle_across_block_edges(
+    scratch, case, draw, block
+):
+    text, item_ids = case
+    assume(_comparable(text))
+    scratch.write_bytes(draw.draw(_encoded(text)))
+    with _blocks_of(block):
+        _categories_agree(scratch, item_ids)
+
+
+_EVERY_EDGE = (
+    # a BOM, a header, CRLF, blank and whitespace lines, a lone CR, quoted
+    # fields, multi-byte characters, a duplicate pair and no last newline
+    '\ufeffuser_id,item_id\r\n\r\n"u,1",\u4e2d\ru2, \xe9 \n \xa0 \r\n'
+    'u2,"i ""q"""\r\r\nu3,\xe9\nu2, \xe9'
+)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _EVERY_EDGE.encode(),
+        (_EVERY_EDGE + "\nu4\nu5,i5\n").encode(),  # a bad row
+        _EVERY_EDGE.encode().replace(b"u3", b"u\xe93"),  # an invalid byte
+        _EVERY_EDGE.encode().replace(b"\xbf", b"\xbf\xe4", 1),  # a split character
+    ],
+    ids=["clean", "bad-row", "invalid-byte", "bad-after-bom"],
+)
+def test_every_block_size_reads_as_the_line_oracle(tmp_path, raw):
+    path = tmp_path / "f.csv"
+    path.write_bytes(raw)
+    for block in range(1, len(raw) + 2):
+        with _blocks_of(block):
+            _triplets_agree(path)
 
 
 # ---------------------------------------------------------------------------

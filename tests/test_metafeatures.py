@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from footcloak._util import write_results
 from footcloak.data import from_rows
@@ -107,6 +109,26 @@ def test_nmf_reused_products_match_recomputed_bit_for_bit():
     np.testing.assert_array_equal(objectives, np.array(ref))
     np.testing.assert_array_equal(W, W_ref)
     np.testing.assert_array_equal(H, H_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    density=st.floats(0.0, 1.0),
+    k=st.integers(1, 6),
+    max_iters=st.integers(1, 40),
+    tol=st.sampled_from([0.0, 1e-4, 1e-2]),
+)
+def test_nmf_in_place_updates_match_expression_oracle(
+    seed, shape, density, k, max_iters, tol
+):
+    m = random_footprints(np.random.default_rng(seed), *shape, density=density)
+    k = min(k, *shape)
+    got = nmf_fit(m, k, max_iters=max_iters, tol=tol, seed=seed)
+    want = oracles.nmf_fit(m, k, max_iters, tol, seed)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_nmf_tol_stops_early():
