@@ -140,10 +140,13 @@ def _config_hash(command: str, cfg: dict) -> str:
 
 
 def _names(cfg: dict, key: str) -> list[str]:
-    """The names a comma-separated list setting holds: at least one."""
+    """The names a comma-separated list setting holds: at least one, each once."""
     names = [name.strip() for name in cfg[key].split(",") if name.strip()]
     if not names:
         raise ValueError(f"{key} must list at least one name")
+    repeats = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeats:
+        raise ValueError(f"{key} lists {repeats[0]!r} more than once")
     return names
 
 

@@ -83,21 +83,17 @@ class FootprintMatrix:
 
     def select_users(self, order: np.ndarray) -> "FootprintMatrix":
         """New matrix with the given rows, in the given order; item space kept."""
-        order = np.asarray(order, dtype=np.int64)
-        starts = self.indptr[order]
-        counts = self.indptr[order + 1] - starts
-        indptr = _indptr(counts)
-        gather = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        indices = self.indices[gather]
+        indptr, gather = _select_entries(self.indptr, order)
         users = tuple(self.user_ids[i] for i in order)
-        return FootprintMatrix(indptr, indices, self.n_items, users, self.item_ids)
+        return FootprintMatrix(
+            indptr, self.indices[gather], self.n_items, users, self.item_ids
+        )
 
     def keep_entries(self, keep: np.ndarray) -> "FootprintMatrix":
         """New matrix with the stored entries where keep (one flag per entry,
         in storage order) is True; ids and item space kept."""
-        kept_before = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
         return FootprintMatrix(
-            kept_before[self.indptr], self.indices[keep], self.n_items,
+            _indptr(keep)[self.indptr], self.indices[keep], self.n_items,
             self.user_ids, self.item_ids,
         )
 
@@ -200,6 +196,15 @@ class LabelTable:
     def labeled_mask(self, task: str) -> np.ndarray:
         return ~np.isnan(self.values[task])
 
+    def check_labeled(self, name: str, kind: str = "task") -> None:
+        """Reject a name the labels never held, and one that labels no user."""
+        if name not in self.values:
+            raise ValueError(f"unknown {kind} {name!r}")
+        if not self.labeled_mask(name).any():
+            raise ValueError(
+                f"{kind} {name!r} has no labeled user among the footprints' users"
+            )
+
     def select_users(self, order: np.ndarray) -> "LabelTable":
         order = np.asarray(order, dtype=np.int64)
         vals = {t: arr[order] for t, arr in self.values.items()}
@@ -217,18 +222,26 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class DropPlan:
-    """Per-user record of which items were dropped and in what re-add order.
-
-    dropped[i] holds user i's removed items in a fixed random permutation
-    order; re-adding a fraction f restores the first round(f * len) of them,
-    so re-added sets are nested across fractions.
+    """Per stored entry of a matrix, its rank in its user's re-add order,
+    or -1 when kept (int32 ranks); indptr and indices are that matrix's own
+    arrays. Re-adding a fraction f restores each user's entries of rank
+    below round(f * dropped), so re-added sets are nested across fractions.
     """
 
-    dropped: tuple[np.ndarray, ...]
+    ranks: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def select_users(self, order: np.ndarray) -> "DropPlan":
-        order = np.asarray(order, dtype=np.int64)
-        return DropPlan(tuple(self.dropped[i] for i in order))
+    def select_users(self, order: np.ndarray, matrix: FootprintMatrix) -> "DropPlan":
+        """The plan of matrix, which holds the rows order of the plan's
+        matrix, as its select_users(order) gives them."""
+        indptr, gather = _select_entries(self.indptr, order)
+        if not (
+            np.array_equal(indptr, matrix.indptr)
+            and np.array_equal(self.indices[gather], matrix.indices)
+        ):
+            raise ValueError("matrix does not hold the plan's selected rows")
+        return DropPlan(self.ranks[gather], matrix.indptr, matrix.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +253,16 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr
+
+
+def _select_entries(indptr: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
+    """The row pointers of rows order of a CSR matrix, and the storage
+    position of each of their entries."""
+    order = np.asarray(order, dtype=np.int64)
+    starts = indptr[order]
+    counts = indptr[order + 1] - starts
+    selected = _indptr(counts)
+    return selected, np.repeat(starts - selected[:-1], counts) + np.arange(selected[-1])
 
 
 # Byte flags for the tokenizer. A line is blank when str.strip() empties it:
@@ -516,9 +539,10 @@ def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
     """Load (user_id, task_name, value) rows aligned to matrix users.
 
     Values parse as floats; users absent from the matrix are skipped
-    (they may have been filtered out upstream). Missing combinations, and
-    nan values, stay NaN. Malformed rows and infinite values raise
-    ValueError with the line number.
+    (they may have been filtered out upstream), and a task whose rows all
+    name such users stays, all NaN. Missing combinations, and nan values,
+    stay NaN. Malformed rows and infinite values raise ValueError with the
+    line number.
     """
     numbers, (users, tasks, (raws, value_codes)), bad = _read_columns(
         path, _LABEL_HEADERS
@@ -543,8 +567,8 @@ def load_labels(path, matrix: FootprintMatrix) -> LabelTable:
     rows = _lookup(matrix.user_index, users)
     known = rows >= 0
     skipped = len(rows) - int(known.sum())
-    task_names, task_codes = _first_seen(tasks[0], tasks[1][known])
-    keys = task_codes * matrix.n_users + rows[known]
+    task_names = tasks[0]  # each task the file names, labeled user or not
+    keys = tasks[1][known].astype(np.int64) * matrix.n_users + rows[known]
     last = _last_occurrence(keys)
     table = np.full((len(task_names), matrix.n_users), np.nan)
     table.flat[keys[last]] = floats[value_codes[known][last]]
@@ -620,11 +644,10 @@ def task_split(
     """Filter inactivity, keep the users labeled for a binary task, split.
 
     Returns the filtered, labeled matrix and its train/test partitions,
-    whose indices point into that matrix. An unknown or non-binary task
-    raises ValueError.
+    whose indices point into that matrix. An unknown or non-binary task,
+    or one that labels no user, raises ValueError.
     """
-    if task not in labels.values:
-        raise ValueError(f"unknown task {task!r}")
+    labels.check_labeled(task)
     fm = filter_min_activity(matrix, min_user, min_item)
     if fm.n_users == 0:
         raise ValueError(
@@ -652,35 +675,24 @@ def make_drop_plan(
 ) -> DropPlan:
     """Choose a uniform random subset of each user's items to drop.
 
-    Per user, round(drop_fraction * degree) items are removed; the dropped
-    items are stored in a random permutation order that later re-adds
+    Per user, round(drop_fraction * degree) items are removed: the first
+    ones of one random permutation of the row, whose order later re-adds
     follow, so re-added sets are nested across fractions.
     """
     if not 0.0 <= drop_fraction <= 1.0:
         raise ValueError("drop_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    dropped = []
-    for i in range(m.n_users):
-        row = m.row(i)
-        d = round_half_up(drop_fraction * len(row))
-        perm = rng.permutation(len(row))
-        dropped.append(row[perm[:d]])
-    return DropPlan(tuple(dropped))
+    ranks = np.full(m.nnz, -1, dtype=np.int32)
+    steps = np.arange(int(m.degrees().max(initial=0)), dtype=np.int32)
+    for start, end in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()):
+        d = round_half_up(drop_fraction * (end - start))
+        ranks[start:end][rng.permutation(end - start)[:d]] = steps[:d]
+    return DropPlan(ranks, m.indptr, m.indices)
 
 
 def apply_drop(m: FootprintMatrix, plan: DropPlan) -> FootprintMatrix:
-    """Matrix with each user's planned dropped items removed; a planned
-    item the row no longer holds (cloaking removed it) is ignored."""
-    if len(plan.dropped) != m.n_users:
-        raise ValueError("plan does not cover this matrix's users")
-    rows = np.repeat(np.arange(m.n_users, dtype=np.int64), m.degrees())
-    counts = np.fromiter(map(len, plan.dropped), dtype=np.int64, count=m.n_users)
-    dropped = np.repeat(np.arange(m.n_users, dtype=np.int64), counts) * m.n_items
-    dropped += np.concatenate([np.empty(0, dtype=np.int64), *plan.dropped])
-    keys = rows * m.n_items + m.indices  # int64, ascending: a binary search finds them
-    found = np.searchsorted(keys, dropped)
-    hit = found < m.nnz
-    found, dropped = found[hit], dropped[hit]
-    keep = np.ones(m.nnz, dtype=bool)
-    keep[found[keys[found] == dropped]] = False  # items not in the row are ignored
-    return m.keep_entries(keep)
+    """m less the entries the plan drops; m must be the matrix the plan was
+    drawn from or selected for."""
+    if plan.indices is not m.indices:
+        raise ValueError("plan was drawn from other rows")
+    return m.keep_entries(plan.ranks < 0)

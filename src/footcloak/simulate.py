@@ -12,11 +12,12 @@ both protection and cost. The schedule is evaluated in closed form.
 Re-adding fraction f restores the first round_half_up(f * len) items of
 each user's drop order, so the re-added sets are nested prefixes and the
 margin at f is the margin at 0.0 plus a prefix sum of the weights over
-that order. At 0.0 a user's row is the cloaked full row less its drops; a
-re-added item weighs 0 when cloaking removed it from the full row. No
-re-added matrix is built; the tests check this against the slow, obvious
-path: rebuild each re-added matrix, then the per-user oracle
-`tests/oracles.py::apply_cloak`.
+that order, placed by the drop plan's re-add ranks. At 0.0 a user's row
+is the cloaked full row less its drops; a re-added item weighs 0 when
+cloaking removed it from the full row (protection_flags matches the
+cloaked entries to the full ones by key). No re-added matrix is built;
+the tests check this against the slow, obvious path: rebuild each
+re-added matrix, then the per-user oracle `tests/oracles.py::apply_cloak`.
 """
 
 from __future__ import annotations
@@ -104,38 +105,27 @@ class TradeoffRow:
     population_size: int
 
 
-@dataclass(frozen=True, eq=False)
-class ReaddMargins:
-    """Decision margins of a set of users at any re-add fraction.
+def readd_margins(
+    base: np.ndarray, plan: DropPlan, weights: np.ndarray, fractions: Sequence[float]
+) -> list[np.ndarray]:
+    """The margins at each re-add fraction of the plan's users, whose margins
+    on the reduced rows are base; weights holds one per stored entry.
 
-    base[i] is user i's margin on the reduced row; sums holds, per user
-    and starting at offsets[i], 0.0 followed by the running sum of the
-    weights over the user's drop order. Built in O(dropped items).
+    Each dropped entry's weight sits at its user's offset plus 1 plus its
+    rank, after the user's 0.0, and one cumsum per user's slice keeps the
+    bits of that user's running sum (a cumsum of all less offsets would not).
     """
-
-    base: np.ndarray
-    lengths: np.ndarray
-    offsets: np.ndarray
-    sums: np.ndarray
-
-    @classmethod
-    def build(
-        cls, base: np.ndarray, readd_weights: Sequence[np.ndarray]
-    ) -> "ReaddMargins":
-        """readd_weights[i] holds the weights of user i's dropped items in
-        re-add order."""
-        lengths = np.array([len(w) for w in readd_weights], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(lengths + 1)[:-1])).astype(np.int64)
-        sums = np.concatenate(
-            [np.zeros(0)] + [np.concatenate(([0.0], np.cumsum(w))) for w in readd_weights]
-        )
-        return cls(np.asarray(base, dtype=np.float64), lengths, offsets, sums)
-
-    def at(self, fraction: float) -> np.ndarray:
-        """Margins once the first round_half_up(fraction * len) dropped
-        items of every user are back."""
-        t = np.floor(fraction * self.lengths + 0.5).astype(np.int64)
-        return self.base + self.sums[self.offsets + t]
+    dropped = np.flatnonzero(plan.ranks >= 0)
+    lengths = np.diff(np.searchsorted(dropped, plan.indptr))  # per user
+    offsets = np.cumsum(lengths + 1) - lengths - 1
+    sums = np.zeros(len(dropped) + len(lengths))
+    at = np.repeat(offsets + 1, lengths)
+    at += plan.ranks[dropped]
+    sums[at] = weights[dropped]
+    for start, end in zip((offsets + 1).tolist(), (offsets + 1 + lengths).tolist()):
+        np.cumsum(sums[start:end], out=sums[start:end])
+    t = (np.floor(f * lengths + 0.5).astype(np.int64) for f in fractions)
+    return [base + sums[offsets + ti] for ti in t]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +190,9 @@ def build_protection_context(
     plan = make_drop_plan(
         fm, config.drop_fraction, derive_seed(config.seed, STREAM_PROTECTION_DROP)
     )
-    train_plan = plan.select_users(train.indices)
-    test_plan = plan.select_users(test.indices)
+    train_plan = plan.select_users(train.indices, train.matrix)
+    test_plan = plan.select_users(test.indices, test.matrix)
+    del plan  # only the partitions' plans are read from here on
     train_reduced = apply_drop(train.matrix, train_plan)
     test_reduced = apply_drop(test.matrix, test_plan)
 
@@ -229,13 +220,12 @@ def build_protection_context(
 
     # the same w.x + b that train_scores_reduced came from, so fraction 0.0
     # reproduces threshold0 bit for bit
-    train_margins = ReaddMargins.build(
-        decision_margins(model, train_reduced),
-        [model.weights[d] for d in train_plan.dropped],
+    train_margins = readd_margins(
+        decision_margins(model, train_reduced), train_plan,
+        model.weights[train_plan.indices], config.schedule,
     )
     thresholds = tuple(
-        quantile_threshold(expit(train_margins.at(f)), config.quantile)
-        for f in config.schedule
+        quantile_threshold(expit(m), config.quantile) for m in train_margins
     )
 
     diagnostics = {
@@ -288,20 +278,35 @@ def protection_flags(
     The margins at 0.0 are decision_margins of the cloaked rows less their
     planned drops, the same w.x + b the thresholds come from. A re-added
     item weighs its model weight while the cloaked row holds it, and 0
-    once cloaking has removed it.
+    once cloaking has removed it. Only the rows users are read, so the work
+    follows the population, not the test split.
     """
-    weights = ctx.model.weights
-    readd_weights = []
-    for i in users:
-        dropped = ctx.test_plan.dropped[i]
-        held = np.isin(dropped, cloaked.row(i))
-        readd_weights.append(np.where(held, weights[dropped], 0.0))
-    reduced = apply_drop(cloaked, ctx.test_plan)
-    margins = ReaddMargins.build(
-        decision_margins(ctx.model, reduced)[users], readd_weights
+    full = ctx.test_full.select_users(users)
+    plan = ctx.test_plan.select_users(users, full)
+    cloaked = cloaked.select_users(users)
+    held = _held_entries(full, cloaked)
+    weights = np.where(held, ctx.model.weights[plan.indices], 0.0)
+    reduced = cloaked.keep_entries(plan.ranks[held] < 0)
+    margins = readd_margins(
+        decision_margins(ctx.model, reduced), plan, weights, ctx.config.schedule
     )
-    schedule = zip(ctx.config.schedule, ctx.thresholds)
-    return np.array([expit(margins.at(f)) < th for f, th in schedule])
+    return np.array([expit(m) < th for m, th in zip(margins, ctx.thresholds)])
+
+
+def _held_entries(full: FootprintMatrix, part: FootprintMatrix) -> np.ndarray:
+    """held[e]: whether part, whose rows are subsets of full's rows, holds
+    full's stored entry e. Entries match by the key user * n_items + item in
+    int64: at 58k users x 56k items the keys pass 2**31."""
+    keys, part_keys = (
+        np.repeat(np.arange(m.n_users, dtype=np.int64) * full.n_items, m.degrees())
+        + m.indices
+        for m in (full, part)
+    )
+    held = np.zeros(full.nnz + 1, dtype=bool)  # a key past full's last: the spare
+    held[np.searchsorted(keys, part_keys)] = True
+    if part.n_users != full.n_users or not np.array_equal(keys[held[:-1]], part_keys):
+        raise ValueError("the cloaked rows are not subsets of the full test rows")
+    return held[:-1]
 
 
 def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:

@@ -85,8 +85,7 @@ def run_spillover_experiment(
     if population not in (POPULATION_CLOAKED, POPULATION_ALL_TEST):
         raise ValueError(f"unknown population mode {population!r}")
     for trait in traits:
-        if trait not in labels.values:
-            raise ValueError(f"unknown trait {trait!r}")
+        labels.check_labeled(trait, "trait")
 
     clf = fit_task_classifier(sensitive_task, matrix, labels, config)
     train, test, threshold = clf.train, clf.test, clf.threshold

@@ -4,7 +4,9 @@ scoring, kept as test oracles.
 Each function is the per-line or per-row implementation the array code in
 `footcloak.data` and `footcloak.metafeatures` replaced: one `csv.reader`
 per line, dict/set loaders, `np.setdiff1d` per row, list-concatenated row
-gathers and the matrix-rebuilding re-add. The ridge oracle is the dual
+gathers, the drop plan as one item array per user (`dropped_items` reads
+those lists back from a plan's re-add ranks) and the matrix-rebuilding
+re-add. The ridge oracle is the dual
 solve `footcloak.models` replaced: per fold and alpha, a Cholesky
 factorization of the dense centered Gram matrix of the train rows. The
 explanation oracle is the best-first SEDC search of Martens & Provost
@@ -137,12 +139,11 @@ def load_labels(path, user_ids):
             raise ValueError(f"line {ln}: value {raw!r} is not a number") from None
         if val in (np.inf, -np.inf):
             raise ValueError(f"line {ln}: value {raw!r} is not a finite number")
-        i = user_index.get(uid)
-        if i is None:
-            continue
-        if task not in values:
+        if task not in values:  # a task is kept when no user of it is known
             values[task] = np.full(len(user_ids), np.nan)
-        values[task][i] = val
+        i = user_index.get(uid)
+        if i is not None:
+            values[task][i] = val
     return values
 
 
@@ -177,9 +178,36 @@ def select_users(m, order):
     return FootprintMatrix(indptr, indices, m.n_items, users, m.item_ids)
 
 
+def make_drop_plan(m, drop_fraction=0.5, seed=0):
+    """Each user's dropped items in re-add order, one array per user: the
+    first round(drop_fraction * degree) items of one permutation of the
+    row, drawn user by user from one generator."""
+    rng = np.random.default_rng(seed)
+    dropped = []
+    for i in range(m.n_users):
+        row = m.row(i)
+        d = round_half_up(drop_fraction * len(row))
+        perm = rng.permutation(len(row))
+        dropped.append(row[perm[:d]])
+    return dropped
+
+
+def dropped_items(plan):
+    """Each user's dropped items in re-add order, read from the plan's
+    ranks one row and one rank at a time."""
+    dropped = []
+    for i in range(len(plan.indptr) - 1):
+        entries = slice(plan.indptr[i], plan.indptr[i + 1])
+        ranks, items = plan.ranks[entries], plan.indices[entries]
+        n = int((ranks >= 0).sum())
+        dropped.append(np.array([items[ranks == k][0] for k in range(n)], dtype=np.int64))
+    return dropped
+
+
 def apply_drop(m, plan):
     """Each user's planned items removed with one `np.setdiff1d` per row."""
-    rows = [np.setdiff1d(m.row(i), plan.dropped[i]) for i in range(m.n_users)]
+    dropped = dropped_items(plan)
+    rows = [np.setdiff1d(m.row(i), dropped[i]) for i in range(m.n_users)]
     return from_rows(rows, m.n_items, m.user_ids, m.item_ids)
 
 
@@ -191,11 +219,12 @@ def readd(m_reduced, plan, fraction):
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    if len(plan.dropped) != m_reduced.n_users:
+    dropped = dropped_items(plan)
+    if len(dropped) != m_reduced.n_users:
         raise ValueError("plan does not cover this matrix's users")
     rows = []
     for i in range(m_reduced.n_users):
-        drp = plan.dropped[i]
+        drp = dropped[i]
         t = round_half_up(fraction * len(drp))
         if t == 0:
             rows.append(m_reduced.row(i))

@@ -615,6 +615,21 @@ _FAILED_RUNS = {
         None,
         "traits must list at least one name",
     ),
+    "report-repeated-task": (
+        ("report", "--tasks", "task_a,task_b,task_a"),
+        None,
+        "tasks lists 'task_a' more than once",
+    ),
+    "report-repeated-strategy-in-config": (
+        ("report", "--tasks", "task_a"),
+        "strategies=fg, mf,fg\n",
+        "strategies lists 'fg' more than once",
+    ),
+    "spillover-repeated-trait": (
+        ("spillover", "--task", "task_a", "--traits", "trait_a,trait_b,trait_b"),
+        None,
+        "traits lists 'trait_b' more than once",
+    ),
     "simulate-schedule-not-a-number": (
         ("simulate", "--task", "task_a", "--schedule", "a,b"),
         None,
@@ -813,6 +828,79 @@ def test_unknown_task_is_structured_error(data, tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ValueError" and "nope" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("report", "--tasks", "task_a,task_a", "--strategies", "fg"),
+        ("report", "--tasks", "task_a", "--strategies", "fg,mf,mf"),
+        ("spillover", "--task", "task_a", "--traits", "trait_a,trait_a"),
+    ],
+    ids=["tasks", "strategies", "traits"],
+)
+def test_repeated_list_name_fails_before_any_work(
+    data, tmp_path, capsys, monkeypatch, args
+):
+    def no_load(*_):
+        raise AssertionError("data loaded before the list check")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_load)
+    rc = _run(
+        *args, "--footprints", data["footprints"], "--labels", data["labels"],
+        "--out", tmp_path / "out",
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].endswith("more than once")
+
+
+_NO_USER = "has no labeled user among the footprints' users"
+# (args, whether the footprints file holds only its header, message): the
+# labels add task_x and trait_x rows that name only users absent from the
+# footprints, and a header-only footprints file matches no label row
+_UNLABELED_CASES = {
+    "train-absent-users": (("train", "--task", "task_x"), False, f"task 'task_x' {_NO_USER}"),
+    "train-header-only": (("train", "--task", "task_a"), True, f"task 'task_a' {_NO_USER}"),
+    "train-unknown": (("train", "--task", "task_y"), False, "unknown task 'task_y'"),
+    "spillover-absent-users": (
+        ("spillover", "--task", "task_a", "--traits", "trait_a,trait_x"),
+        False,
+        f"trait 'trait_x' {_NO_USER}",
+    ),
+    "spillover-header-only": (
+        ("spillover", "--task", "task_a", "--traits", "trait_a"),
+        True,
+        f"trait 'trait_a' {_NO_USER}",
+    ),
+    "spillover-unknown": (
+        ("spillover", "--task", "task_a", "--traits", "trait_y"),
+        False,
+        "unknown trait 'trait_y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNLABELED_CASES))
+def test_task_with_no_footprint_user_names_the_cause(data, tmp_path, capsys, case):
+    args, header_only, message = _UNLABELED_CASES[case]
+    labels = tmp_path / "labels.csv"
+    labels.write_text(
+        data["labels"].read_text()
+        + "ghost1,task_x,1\nghost2,task_x,0\nghost1,trait_x,0.5\n"
+    )
+    footprints = data["footprints"]
+    if header_only:
+        footprints = tmp_path / "footprints.csv"
+        footprints.write_text("user_id,item_id\n")
+    rc = _run(
+        *args, "--footprints", footprints, "--labels", labels,
+        "--out", tmp_path / "out",
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
 
 
 def test_usage_error_exits_two(capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from footcloak.data import (
-    DropPlan,
     apply_drop,
     filter_min_activity,
     from_rows,
@@ -17,7 +16,7 @@ from footcloak.data import LabelTable
 from footcloak.metafeatures import load_domain_categories
 
 from conftest import random_footprints
-from oracles import dense, readd
+from oracles import dense, dropped_items, readd
 
 
 def _write(tmp_path, name, text):
@@ -289,19 +288,18 @@ def test_drop_plan_sizes_round_half_away():
     m = from_rows(
         [np.sort(r) for r in rows], 10, ("u0", "u1", "u2"), tuple(f"i{j}" for j in range(10))
     )
-    plan = make_drop_plan(m, 0.5, seed=0)
-    assert len(plan.dropped[0]) == 5
-    assert len(plan.dropped[1]) == 2  # round(1.5) away from zero
-    assert len(plan.dropped[2]) == 0
+    dropped = dropped_items(make_drop_plan(m, 0.5, seed=0))
+    assert [len(d) for d in dropped] == [5, 2, 0]  # round(1.5) away from zero
 
 
 def test_drop_plan_subset_of_row():
     rng = np.random.default_rng(10)
     m = random_footprints(rng, 15, 25)
     plan = make_drop_plan(m, 0.4, seed=2)
-    for i in range(15):
-        assert set(plan.dropped[i]) <= set(m.row(i))
-        assert len(set(plan.dropped[i])) == len(plan.dropped[i])
+    assert plan.indptr is m.indptr and plan.indices is m.indices  # no copy
+    for i, dropped in enumerate(dropped_items(plan)):
+        assert set(dropped) <= set(m.row(i))
+        assert len(set(dropped)) == len(dropped)
 
 
 def test_readd_nested_and_identity():
@@ -346,17 +344,31 @@ def test_drop_plan_deterministic():
     m = random_footprints(rng, 8, 15)
     p1 = make_drop_plan(m, 0.5, seed=9)
     p2 = make_drop_plan(m, 0.5, seed=9)
-    for a, b in zip(p1.dropped, p2.dropped):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(p1.ranks, p2.ranks)
 
 
 def test_drop_plan_select_users():
     rng = np.random.default_rng(14)
     m = random_footprints(rng, 10, 12)
     plan = make_drop_plan(m, 0.5, seed=8)
-    sub = plan.select_users(np.array([3, 7]))
-    np.testing.assert_array_equal(sub.dropped[0], plan.dropped[3])
-    np.testing.assert_array_equal(sub.dropped[1], plan.dropped[7])
+    order = np.array([3, 7])
+    part = m.select_users(order)
+    sub = plan.select_users(order, part)
+    assert sub.indptr is part.indptr and sub.indices is part.indices
+    dropped, sub_dropped = dropped_items(plan), dropped_items(sub)
+    np.testing.assert_array_equal(sub_dropped[0], dropped[3])
+    np.testing.assert_array_equal(sub_dropped[1], dropped[7])
+    with pytest.raises(ValueError, match="selected rows"):
+        plan.select_users(order, m.select_users(np.array([7, 3])))
+
+
+def test_apply_drop_rejects_a_plan_of_other_rows():
+    rng = np.random.default_rng(15)
+    m = random_footprints(rng, 10, 12)
+    plan = make_drop_plan(m, 0.5, seed=8)
+    for other in (m.select_users(np.arange(9)), m.select_users(np.arange(10)[::-1])):
+        with pytest.raises(ValueError, match="plan was drawn from other rows"):
+            apply_drop(other, plan)
 
 
 def test_from_rows_validates():

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import oracles
 from footcloak import data
 from footcloak.data import (
-    DropPlan,
     apply_drop,
     from_rows,
     load_labels,
@@ -387,7 +386,7 @@ def test_quoted_fields_and_unterminated_quote(tmp_path):
 def test_keys_past_int32_stay_exact(tmp_path):
     # 40,000 users x 70,000 items: the key user * n_items + item passes
     # 2**31 from user 30,678 on, where an int32 key would wrap; the loader
-    # and apply_drop build their keys in int64 and must match the oracles
+    # builds its keys in int64 and must match the oracle
     n_users, n_items = 40_000, 70_000
     lines = [f"u{j % n_users},i{j}" for j in range(n_items)]  # every id once
     last = [(n_users - 1, 0), (n_users - 1, n_items - 1), (n_users - 2, 7),
@@ -400,14 +399,6 @@ def test_keys_past_int32_stay_exact(tmp_path):
     assert (m.user_ids, m.item_ids) == want[:2]
     _assert_equal_arrays((m.indptr, m.indices), want[2:])
     assert m.nnz == n_items + len(last) - 1
-    empty = np.empty(0, dtype=np.int64)
-    plan = DropPlan(
-        (empty,) * (n_users - 3)
-        + (np.array([69_000]), np.array([30_000, 5]), np.array([n_items - 1, 0]))
-    )
-    got, want = apply_drop(m, plan), oracles.apply_drop(m, plan)
-    _assert_equal_arrays((got.indptr, got.indices), (want.indptr, want.indices))
-    assert got.row(n_users - 1).tolist() == [n_users - 1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,24 +406,36 @@ def test_keys_past_int32_stay_exact(tmp_path):
     seed=st.integers(0, 10_000),
     shape=st.tuples(st.integers(0, 12), st.integers(1, 15)),
     density=st.floats(0.0, 1.0),
-    from_plan=st.booleans(),
 )
-def test_apply_drop_matches_setdiff_oracle(seed, shape, density, from_plan):
+def test_apply_drop_matches_setdiff_oracle(seed, shape, density):
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, *shape, density=density)
-    if from_plan:
-        plan = make_drop_plan(m, float(rng.uniform()), seed)
-    else:  # any in-range items, present in the row or not, in any order
-        plan = DropPlan(
-            tuple(
-                rng.permutation(shape[1])[: rng.integers(0, shape[1] + 1)]
-                for _ in range(shape[0])
-            )
-        )
+    plan = make_drop_plan(m, float(rng.uniform()), seed)
     got, want = apply_drop(m, plan), oracles.apply_drop(m, plan)
     _assert_equal_arrays((got.indptr, got.indices), (want.indptr, want.indices))
     assert got.indptr.dtype == got.indices.dtype == np.int32
     assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.tuples(st.integers(0, 12), st.integers(1, 15)),
+    density=st.floats(0.0, 1.0),
+    drop_fraction=st.floats(0.0, 1.0),
+)
+def test_drop_plan_matches_list_oracle(seed, shape, density, drop_fraction):
+    # the rank plan lists each user's dropped items in the re-add order of
+    # the per-user draws, from the same seed
+    m = random_footprints(np.random.default_rng(seed), *shape, density=density)
+    plan = make_drop_plan(m, drop_fraction, seed)
+    want = oracles.make_drop_plan(m, drop_fraction, seed)
+    got = oracles.dropped_items(plan)
+    assert len(got) == len(want) == m.n_users
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert plan.ranks.dtype == np.int32 and len(plan.ranks) == m.nnz
+    assert (plan.ranks >= 0).sum() == sum(map(len, want))
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,7 +17,7 @@ from footcloak.cloak import (
     cloak_matrix,
     strategy_threshold,
 )
-from footcloak.data import LabelTable, filter_min_activity
+from footcloak.data import LabelTable, filter_min_activity, from_rows
 from footcloak.explain import explain_population
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
 from footcloak.models import (
@@ -163,6 +163,30 @@ def test_run_strategy_cloaks_the_full_rows_once(ctx, monkeypatch):
         calls.clear()
         run_strategy(ctx, strategy)
         assert len(calls) == 1 and calls[0] is ctx.test_full
+
+
+def test_held_entries_keys_past_int32():
+    # 40,000 users x 70,000 items: the key user * n_items + item passes
+    # 2**31 from user 30,678 on, where an int32 key would wrap; the held
+    # check builds its keys in int64 and must find every kept entry
+    n_users, n_items = 40_000, 70_000
+    rows = [
+        np.array([u, u + n_users]) if u + n_users < n_items else np.array([u])
+        for u in range(n_users)
+    ]
+    rows[-1] = np.array([0, n_users - 1, n_items - 1])
+    rows[-2] = np.array([7, 30_000, n_users - 2])
+    full = from_rows(
+        rows, n_items, [f"u{i}" for i in range(n_users)], [f"i{j}" for j in range(n_items)]
+    )
+    keep = np.random.default_rng(0).random(full.nnz) < 0.5
+    keep[-6:] = [True, False, True, False, True, False]
+    np.testing.assert_array_equal(
+        simulate._held_entries(full, full.keep_entries(keep)), keep
+    )
+    moved = from_rows(rows[:-1] + [np.array([1])], n_items, full.user_ids, full.item_ids)
+    with pytest.raises(ValueError, match="not subsets"):
+        simulate._held_entries(full, moved)
 
 
 def test_unknown_task_errors(small_synth):
