@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from hashlib import sha256
 from pathlib import Path
@@ -529,6 +530,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "numpy" not in sys.modules:
+        # a fresh process: every solver loop runs on one BLAS thread anyway,
+        # and starting OpenBLAS's thread pool costs a process more than any
+        # BLAS call here gains from it; a value the user set still wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from ._util import write_results  # numpy loads once the command line parses
 
     try:

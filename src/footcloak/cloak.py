@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._choices import STRATEGY_DOMAIN_MF, STRATEGY_FG, STRATEGY_FG_TOL, STRATEGY_MF
-from ._util import ExperimentConfig
+from ._util import ExperimentConfig, unique_sorted
 from .data import FootprintMatrix
 from .explain import Explanation
 from .metafeatures import MetafeatureModel
@@ -53,7 +53,7 @@ def strategy_threshold(
 
 def _groups(features: tuple[int, ...], mfm: MetafeatureModel) -> np.ndarray:
     """The groups of mfm that features fall in, less mfm.reserved, sorted."""
-    groups = np.unique(mfm.assignment[np.asarray(features, dtype=np.int64)])
+    groups = unique_sorted(mfm.assignment[np.asarray(features, dtype=np.int64)])
     return groups[groups != mfm.reserved] if mfm.reserved is not None else groups
 
 

@@ -131,7 +131,9 @@ def readd_margins(
 @dataclass(frozen=True, eq=False)
 class ProtectionContext:
     """Everything shared by strategies for one task: model, thresholds,
-    drop plans, target population. Built once, reused across strategies.
+    the test rows' drop plan, target population. Built once, reused across
+    strategies. The training rows' plan is read only while the thresholds
+    are built, so the context does not hold it (nor the rows it references).
 
     thresholds holds the decision threshold of each schedule fraction,
     from the uncloaked training scores; at 0.0 it equals threshold0
@@ -144,7 +146,6 @@ class ProtectionContext:
     threshold0: float
     threshold_full: float
     train_reduced: FootprintMatrix
-    train_plan: DropPlan
     test_reduced: FootprintMatrix
     test_full: FootprintMatrix
     test_plan: DropPlan
@@ -244,7 +245,6 @@ def build_protection_context(
         threshold0=threshold0,
         threshold_full=threshold_full,
         train_reduced=train_reduced,
-        train_plan=train_plan,
         test_reduced=test_reduced,
         test_full=test.matrix,
         test_plan=test_plan,

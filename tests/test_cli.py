@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -917,3 +918,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_main_leaves_the_environment_once_numpy_is_loaded(tmp_path, monkeypatch):
+    # only a fresh process gets the one-thread OpenBLAS default: here numpy
+    # and its OpenBLAS are already loaded, so main sets nothing
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    args = ("--users", 20, "--items", 30, "--topics", 3, "--mean-likes", 5)
+    assert _run("synth", "--out", tmp_path / "d", *args) == 0
+    assert dict(os.environ) == before

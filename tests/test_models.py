@@ -131,10 +131,15 @@ def test_train_two_starts_agree():
 
 
 def test_train_rejects_single_class():
+    # the single-class check comes before the 0/1 check: labels all 2.0
+    # fail both and name the single class
     rng = np.random.default_rng(23)
     m = random_footprints(rng, 5, 4)
-    with pytest.raises(ValueError):
-        train_logreg_l2(m, np.ones(5), C=1.0)
+    for y in (np.ones(5), np.full(5, 2.0)):
+        with pytest.raises(ValueError, match="^training labels contain a single class$"):
+            train_logreg_l2(m, y, C=1.0)
+    with pytest.raises(ValueError, match="^labels must be 0/1$"):
+        train_logreg_l2(m, np.array([0.0, 2.0, 0.0, 2.0, 0.0]), C=1.0)
 
 
 def test_train_rejects_bad_c_and_nan():
@@ -511,7 +516,9 @@ def test_dataset_commands_load_no_scipy_module_but_two_extensions(
     # fits and sparse products run scipy's compiled setulb and sparsetools,
     # each loaded on its own: no command that reads a dataset loads a scipy
     # package, nor the numpy.f2py and numpy.testing that importing
-    # scipy.sparse would bring
+    # scipy.sparse would bring, nor the numpy.ma that np.unique without a
+    # return_ option imports in numpy 2.4 (the CV grid, the fit's label
+    # check and the MF cloak's groups each find distinct values)
     src = str(Path(footcloak.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     data = ["--footprints", str(tiny_dataset_dir / "footprints.csv"),
@@ -529,7 +536,7 @@ def test_dataset_commands_load_no_scipy_module_but_two_extensions(
     code = (
         "import json, sys, footcloak.cli\n"
         "allowed = {'scipy.optimize._lbfgsb', 'scipy.sparse._sparsetools'}\n"
-        "banned = ('scipy', 'numpy.f2py', 'numpy.testing')\n"
+        "banned = ('scipy', 'numpy.f2py', 'numpy.testing', 'numpy.ma')\n"
         "loaded = {}\n"
         f"for argv in {argvs!r}:\n"
         "    assert footcloak.cli.main(argv) == 0\n"

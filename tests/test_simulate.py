@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from footcloak import simulate
-from footcloak._util import DEFAULT_SCHEDULE, write_results
+from footcloak._util import (
+    DEFAULT_SCHEDULE,
+    STREAM_PROTECTION_DROP,
+    STREAM_PROTECTION_SPLIT,
+    derive_seed,
+    write_results,
+)
 from footcloak.cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_FG,
@@ -17,7 +23,14 @@ from footcloak.cloak import (
     cloak_matrix,
     strategy_threshold,
 )
-from footcloak.data import LabelTable, filter_min_activity, from_rows
+from footcloak.data import (
+    LabelTable,
+    apply_drop,
+    filter_min_activity,
+    from_rows,
+    make_drop_plan,
+    task_split,
+)
 from footcloak.explain import explain_population
 from footcloak.metafeatures import SOURCE_DOMAIN, MetafeatureModel
 from footcloak.models import (
@@ -139,7 +152,7 @@ def test_nmf_fit_once_at_the_first_mf_run(small_synth, monkeypatch):
     monkeypatch.setattr(
         simulate, "task_nmf_metafeatures", lambda *a: fits.append(a) or fit(*a)
     )
-    contexts = (_random_context(s, 0.5, (0.0, 1.0)) for s in range(20))
+    contexts = (_random_context(s, 0.5, (0.0, 1.0))[0] for s in range(20))
     ctx = next(c for c in contexts if c is not None)
     for strategy in (STRATEGY_FG, STRATEGY_FG_TOL, STRATEGY_DOMAIN_MF):
         run_strategy(ctx, strategy)
@@ -306,8 +319,10 @@ _fraction = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 def _random_context(seed, drop_fraction, schedule):
     """A protection context on random footprints whose classifier has
-    random weights. The footprints are already activity-filtered, so the
-    model and the domain mapping span the context's item space."""
+    random weights, and its training rows' drop plan; (None, None) when its
+    target population is empty. The footprints are already
+    activity-filtered, so the model and the domain mapping span the
+    context's item space."""
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, 48, 30, density=rng.uniform(0.05, 0.5))
     m = filter_min_activity(m, 1, 1)
@@ -334,9 +349,28 @@ def _random_context(seed, drop_fraction, schedule):
     )
     with mock.patch.object(simulate, "fit_classifier", fit):
         try:
-            return build_protection_context("t", m, labels, config, domain=domain)
+            ctx = build_protection_context("t", m, labels, config, domain=domain)
         except ValueError:  # empty target population
-            return None
+            return None, None
+    return ctx, _train_plan(ctx, m, labels)
+
+
+def _train_plan(ctx, m, labels):
+    """The training rows' drop plan that built ctx, drawn again from its
+    config's seed: the context keeps only the test rows' plan."""
+    config = ctx.config
+    fm, train, _ = task_split(
+        m, labels, ctx.task, config.min_user, config.min_item, config.train_frac,
+        derive_seed(config.seed, STREAM_PROTECTION_SPLIT),
+    )
+    plan = make_drop_plan(
+        fm, config.drop_fraction, derive_seed(config.seed, STREAM_PROTECTION_DROP)
+    )
+    train_plan = plan.select_users(train.indices, train.matrix)
+    reduced = apply_drop(train.matrix, train_plan)
+    assert np.array_equal(reduced.indptr, ctx.train_reduced.indptr)
+    assert np.array_equal(reduced.indices, ctx.train_reduced.indices)
+    return train_plan
 
 
 @settings(deadline=None)
@@ -348,12 +382,12 @@ def _random_context(seed, drop_fraction, schedule):
 )
 def test_closed_form_matches_readd_oracle(seed, drop_fraction, fractions, with_zero):
     schedule = tuple(([0.0] if with_zero else []) + fractions)
-    ctx = _random_context(seed, drop_fraction, schedule)
+    ctx, train_plan = _random_context(seed, drop_fraction, schedule)
     assume(ctx is not None)
     q = ctx.config.quantile
     oracle_th = []
     for f in schedule:
-        scores = predict_scores(ctx.model, readd(ctx.train_reduced, ctx.train_plan, f))
+        scores = predict_scores(ctx.model, readd(ctx.train_reduced, train_plan, f))
         oracle_th.append(quantile_threshold(scores, q))
     for strategy in _ORACLE_STRATEGIES:
         mfm = simulate._strategy_mfm(ctx, strategy)

@@ -1,6 +1,7 @@
 """serial_blas: the solver loops run on one OpenBLAS thread, every library
 gets its thread count back, and the solvers' results stop depending on the
-thread count around them."""
+thread count around them. A command starts every OpenBLAS on one thread
+unless OPENBLAS_NUM_THREADS is set."""
 
 import contextlib
 import json
@@ -173,3 +174,38 @@ def test_nmf_before_any_fit_still_serializes_scipy_blas():
     assert names == [g.__name__ for g, _ in CONTROLS]
     assert first == last == [1] * len(CONTROLS)
     assert after == [2] * len(CONTROLS)
+
+
+def _thread_counts_after_a_command(tmp_path, threads):
+    """The thread count of every OpenBLAS in a fresh process that ran
+    synth through cli.main, with OPENBLAS_NUM_THREADS set to threads (None:
+    unset); the lookup then maps scipy's OpenBLAS too."""
+    src = str(Path(footcloak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    argv = ["synth", "--users", "20", "--items", "30", "--topics", "3",
+            "--mean-likes", "5", "--out", str(tmp_path / "data")]
+    code = (
+        "import footcloak.cli\n"
+        f"assert footcloak.cli.main({argv!r}) == 0\n"
+        "import footcloak._util as u  # numpy loads in main, not before\n"
+        "print([get() for get, _ in u._openblas_thread_controls()])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_a_command_starts_every_blas_on_one_thread(tmp_path):
+    assert _thread_counts_after_a_command(tmp_path, None) == [1] * len(CONTROLS)
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps threads at the CPUs"
+)
+def test_a_set_thread_count_wins_over_the_commands_default(tmp_path):
+    assert _thread_counts_after_a_command(tmp_path, 2) == [2] * len(CONTROLS)
