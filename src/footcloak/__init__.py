@@ -18,12 +18,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_choices": ("STRATEGY_DOMAIN_MF", "STRATEGY_FG", "STRATEGY_FG_TOL", "STRATEGY_MF"),
     "_util": ("ExperimentConfig",),
-    "cloak": ("cloak_matrix",),
+    "cloak": ("cloak_entries",),
     "data": (
-        "DropPlan",
         "FootprintMatrix",
         "LabelTable",
-        "apply_drop",
         "filter_min_activity",
         "from_rows",
         "load_labels",

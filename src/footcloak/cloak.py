@@ -71,21 +71,21 @@ def cloaked_mask(
     return mask
 
 
-def cloak_matrix(
+def cloak_entries(
     matrix: FootprintMatrix,
     explained: dict[int, Explanation],
     mfm: Optional[MetafeatureModel] = None,
-) -> FootprintMatrix:
-    """matrix with each explained row (keyed by row) cloaked, as the per-row
-    oracle `tests/oracles.py::apply_cloak` does; other rows, the ids and
-    the item space kept."""
+) -> np.ndarray:
+    """keep[e]: whether the cloak keeps matrix's stored entry e. Each
+    explained row (keyed by row) is cloaked as the per-row oracle
+    `tests/oracles.py::apply_cloak` does; other rows are kept whole."""
     if mfm is not None:
         check_width("metafeature model", mfm.n_items, matrix)
     keep = np.ones(matrix.nnz, dtype=bool)
     for i, expl in explained.items():
         entries = slice(matrix.indptr[i], matrix.indptr[i + 1])
         keep[entries] = ~cloaked_mask(matrix.indices[entries], expl.features, mfm)
-    return matrix.keep_entries(keep)
+    return keep
 
 
 # ---------------------------------------------------------------------------

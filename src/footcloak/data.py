@@ -220,30 +220,6 @@ class Partition:
     indices: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class DropPlan:
-    """Per stored entry of a matrix, its rank in its user's re-add order,
-    or -1 when kept (int32 ranks); indptr and indices are that matrix's own
-    arrays. Re-adding a fraction f restores each user's entries of rank
-    below round(f * dropped), so re-added sets are nested across fractions.
-    """
-
-    ranks: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def select_users(self, order: np.ndarray, matrix: FootprintMatrix) -> "DropPlan":
-        """The plan of matrix, which holds the rows order of the plan's
-        matrix, as its select_users(order) gives them."""
-        indptr, gather = _select_entries(self.indptr, order)
-        if not (
-            np.array_equal(indptr, matrix.indptr)
-            and np.array_equal(self.indices[gather], matrix.indices)
-        ):
-            raise ValueError("matrix does not hold the plan's selected rows")
-        return DropPlan(self.ranks[gather], matrix.indptr, matrix.indices)
-
-
 # ---------------------------------------------------------------------------
 # loading
 
@@ -672,12 +648,14 @@ def task_split(
 
 def make_drop_plan(
     m: FootprintMatrix, drop_fraction: float = 0.5, seed: int = 0
-) -> DropPlan:
+) -> np.ndarray:
     """Choose a uniform random subset of each user's items to drop.
 
-    Per user, round(drop_fraction * degree) items are removed: the first
-    ones of one random permutation of the row, whose order later re-adds
-    follow, so re-added sets are nested across fractions.
+    Returns, per stored entry of m, its rank in its user's re-add order, or
+    -1 when kept (int32). Per user, round(drop_fraction * degree) items are
+    dropped: the first ones of one random permutation of the row. Re-adding
+    a fraction f restores each user's entries of rank below
+    round(f * dropped), so re-added sets are nested across fractions.
     """
     if not 0.0 <= drop_fraction <= 1.0:
         raise ValueError("drop_fraction must be in [0, 1]")
@@ -687,12 +665,4 @@ def make_drop_plan(
     for start, end in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()):
         d = round_half_up(drop_fraction * (end - start))
         ranks[start:end][rng.permutation(end - start)[:d]] = steps[:d]
-    return DropPlan(ranks, m.indptr, m.indices)
-
-
-def apply_drop(m: FootprintMatrix, plan: DropPlan) -> FootprintMatrix:
-    """m less the entries the plan drops; m must be the matrix the plan was
-    drawn from or selected for."""
-    if plan.indices is not m.indices:
-        raise ValueError("plan was drawn from other rows")
-    return m.keep_entries(plan.ranks < 0)
+    return ranks

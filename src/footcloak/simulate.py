@@ -12,10 +12,11 @@ both protection and cost. The schedule is evaluated in closed form.
 Re-adding fraction f restores the first round_half_up(f * len) items of
 each user's drop order, so the re-added sets are nested prefixes and the
 margin at f is the margin at 0.0 plus a prefix sum of the weights over
-that order, placed by the drop plan's re-add ranks. At 0.0 a user's row
-is the cloaked full row less its drops; a re-added item weighs 0 when
-cloaking removed it from the full row (protection_flags matches the
-cloaked entries to the full ones by key). No re-added matrix is built;
+that order, placed by the drop plan's re-add ranks. The drop plan and the
+cloak are each one array over the full rows' stored entries, gathered
+with the rows they belong to. At 0.0 a user's row is the cloaked full row
+less its drops; a re-added item weighs 0 when cloaking removed it from
+the full row. No re-added matrix is built;
 the tests check this against the slow, obvious path: rebuild each
 re-added matrix, then the per-user oracle `tests/oracles.py::apply_cloak`.
 """
@@ -43,14 +44,13 @@ from .cloak import (
     STRATEGY_DOMAIN_MF,
     STRATEGY_MF,
     check_strategy,
-    cloak_matrix,
+    cloak_entries,
     strategy_threshold,
 )
 from .data import (
-    DropPlan,
     FootprintMatrix,
     LabelTable,
-    apply_drop,
+    _select_entries,
     make_drop_plan,
     task_split,
 )
@@ -106,22 +106,32 @@ class TradeoffRow:
 
 
 def readd_margins(
-    base: np.ndarray, plan: DropPlan, weights: np.ndarray, fractions: Sequence[float]
+    model: LinearModel,
+    rows: FootprintMatrix,
+    ranks: np.ndarray,
+    held: np.ndarray,
+    fractions: Sequence[float],
 ) -> list[np.ndarray]:
-    """The margins at each re-add fraction of the plan's users, whose margins
-    on the reduced rows are base; weights holds one per stored entry.
+    """The margins w.x + b of rows at each re-add fraction. ranks is the
+    rows' drop plan (make_drop_plan) and held[e] whether entry e is held,
+    one of each per stored entry: at 0.0 a row is its held entries less
+    its drops, and a re-added entry weighs its model weight when held, 0
+    when not.
 
     Each dropped entry's weight sits at its user's offset plus 1 plus its
     rank, after the user's 0.0, and one cumsum per user's slice keeps the
     bits of that user's running sum (a cumsum of all less offsets would not).
     """
-    dropped = np.flatnonzero(plan.ranks >= 0)
-    lengths = np.diff(np.searchsorted(dropped, plan.indptr))  # per user
+    if len(ranks) != rows.nnz or len(held) != rows.nnz:
+        raise ValueError("ranks and held need one value per stored entry of rows")
+    base = decision_margins(model, rows.keep_entries(held & (ranks < 0)))
+    dropped = np.flatnonzero(ranks >= 0)
+    lengths = np.diff(np.searchsorted(dropped, rows.indptr))  # per user
     offsets = np.cumsum(lengths + 1) - lengths - 1
     sums = np.zeros(len(dropped) + len(lengths))
     at = np.repeat(offsets + 1, lengths)
-    at += plan.ranks[dropped]
-    sums[at] = weights[dropped]
+    at += ranks[dropped]
+    sums[at] = np.where(held[dropped], model.weights[rows.indices[dropped]], 0.0)
     for start, end in zip((offsets + 1).tolist(), (offsets + 1 + lengths).tolist()):
         np.cumsum(sums[start:end], out=sums[start:end])
     t = (np.floor(f * lengths + 0.5).astype(np.int64) for f in fractions)
@@ -131,9 +141,10 @@ def readd_margins(
 @dataclass(frozen=True, eq=False)
 class ProtectionContext:
     """Everything shared by strategies for one task: model, thresholds,
-    the test rows' drop plan, target population. Built once, reused across
+    the test rows' drop plan (test_ranks, one re-add rank per stored entry
+    of test_full), target population. Built once, reused across
     strategies. The training rows' plan is read only while the thresholds
-    are built, so the context does not hold it (nor the rows it references).
+    are built, so the context does not hold it.
 
     thresholds holds the decision threshold of each schedule fraction,
     from the uncloaked training scores; at 0.0 it equals threshold0
@@ -148,7 +159,7 @@ class ProtectionContext:
     train_reduced: FootprintMatrix
     test_reduced: FootprintMatrix
     test_full: FootprintMatrix
-    test_plan: DropPlan
+    test_ranks: np.ndarray
     train_scores_reduced: np.ndarray
     thresholds: tuple[float, ...]
     test_labels: np.ndarray
@@ -188,14 +199,16 @@ def build_protection_context(
         config.train_frac,
         derive_seed(config.seed, STREAM_PROTECTION_SPLIT),
     )
-    plan = make_drop_plan(
+    ranks = make_drop_plan(
         fm, config.drop_fraction, derive_seed(config.seed, STREAM_PROTECTION_DROP)
     )
-    train_plan = plan.select_users(train.indices, train.matrix)
-    test_plan = plan.select_users(test.indices, test.matrix)
-    del plan  # only the partitions' plans are read from here on
-    train_reduced = apply_drop(train.matrix, train_plan)
-    test_reduced = apply_drop(test.matrix, test_plan)
+    # each partition's ranks, gathered as its select_users gathered its rows
+    train_ranks, test_ranks = (
+        ranks[_select_entries(fm.indptr, part.indices)[1]] for part in (train, test)
+    )
+    del ranks
+    train_reduced = train.matrix.keep_entries(train_ranks < 0)
+    test_reduced = test.matrix.keep_entries(test_ranks < 0)
 
     best_c, model, train_scores_reduced = fit_classifier(
         train_reduced,
@@ -222,8 +235,8 @@ def build_protection_context(
     # the same w.x + b that train_scores_reduced came from, so fraction 0.0
     # reproduces threshold0 bit for bit
     train_margins = readd_margins(
-        decision_margins(model, train_reduced), train_plan,
-        model.weights[train_plan.indices], config.schedule,
+        model, train.matrix, train_ranks, np.ones(train.matrix.nnz, dtype=bool),
+        config.schedule,
     )
     thresholds = tuple(
         quantile_threshold(expit(m), config.quantile) for m in train_margins
@@ -247,7 +260,7 @@ def build_protection_context(
         train_reduced=train_reduced,
         test_reduced=test_reduced,
         test_full=test.matrix,
-        test_plan=test_plan,
+        test_ranks=test_ranks,
         train_scores_reduced=train_scores_reduced,
         thresholds=thresholds,
         test_labels=test.labels.values[task],
@@ -270,43 +283,26 @@ def _strategy_mfm(ctx: ProtectionContext, strategy: str) -> Optional[Metafeature
 
 
 def protection_flags(
-    ctx: ProtectionContext, cloaked: FootprintMatrix, users: np.ndarray
+    ctx: ProtectionContext, keep: np.ndarray, users: np.ndarray
 ) -> np.ndarray:
     """protected[k, u]: whether test row users[u] scores strictly below
-    ctx.thresholds[k], where cloaked holds the cloaked full test rows.
+    ctx.thresholds[k] once cloaked, where keep holds the cloak's flag for
+    each stored entry of the full test rows (cloak_entries).
 
     The margins at 0.0 are decision_margins of the cloaked rows less their
     planned drops, the same w.x + b the thresholds come from. A re-added
-    item weighs its model weight while the cloaked row holds it, and 0
-    once cloaking has removed it. Only the rows users are read, so the work
+    item weighs its model weight while the cloak keeps it, and 0 once
+    cloaking has removed it. Only the rows users are read, so the work
     follows the population, not the test split.
     """
-    full = ctx.test_full.select_users(users)
-    plan = ctx.test_plan.select_users(users, full)
-    cloaked = cloaked.select_users(users)
-    held = _held_entries(full, cloaked)
-    weights = np.where(held, ctx.model.weights[plan.indices], 0.0)
-    reduced = cloaked.keep_entries(plan.ranks[held] < 0)
+    if len(keep) != ctx.test_full.nnz:
+        raise ValueError("keep needs one flag per stored entry of the full test rows")
+    gather = _select_entries(ctx.test_full.indptr, users)[1]
     margins = readd_margins(
-        decision_margins(ctx.model, reduced), plan, weights, ctx.config.schedule
+        ctx.model, ctx.test_full.select_users(users), ctx.test_ranks[gather],
+        keep[gather], ctx.config.schedule,
     )
     return np.array([expit(m) < th for m, th in zip(margins, ctx.thresholds)])
-
-
-def _held_entries(full: FootprintMatrix, part: FootprintMatrix) -> np.ndarray:
-    """held[e]: whether part, whose rows are subsets of full's rows, holds
-    full's stored entry e. Entries match by the key user * n_items + item in
-    int64: at 58k users x 56k items the keys pass 2**31."""
-    keys, part_keys = (
-        np.repeat(np.arange(m.n_users, dtype=np.int64) * full.n_items, m.degrees())
-        + m.indices
-        for m in (full, part)
-    )
-    held = np.zeros(full.nnz + 1, dtype=bool)  # a key past full's last: the spare
-    held[np.searchsorted(keys, part_keys)] = True
-    if part.n_users != full.n_users or not np.array_equal(keys[held[:-1]], part_keys):
-        raise ValueError("the cloaked rows are not subsets of the full test rows")
-    return held[:-1]
 
 
 def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:
@@ -330,7 +326,7 @@ def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:
         ctx.model, ctx.test_reduced, ctx.population, threshold
     )
     pop = np.array(sorted(explained), dtype=np.int64)
-    cloaked = cloak_matrix(ctx.test_full, explained, mfm)
+    keep = cloak_entries(ctx.test_full, explained, mfm)
 
     y = ctx.test_labels[pop]
     groups = {"tp": y == 1.0, "fp": y == 0.0}
@@ -338,7 +334,7 @@ def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:
         if not members.any():
             logger.debug("run_strategy: group %s empty for %s", name, ctx.task)
 
-    protected = protection_flags(ctx, cloaked, pop)
+    protected = protection_flags(ctx, keep, pop)
 
     def rate(flags: np.ndarray) -> Optional[float]:
         return float(np.mean(flags)) if flags.size else None
@@ -351,7 +347,7 @@ def run_strategy(ctx: ProtectionContext, strategy: str) -> ProtectionCurve:
     }
     # a directive user's full row is never empty: it holds the explanation
     degrees = ctx.test_full.degrees()[pop]
-    costs = (degrees - cloaked.degrees()[pop]) / degrees
+    costs = (degrees - ctx.test_full.keep_entries(keep).degrees()[pop]) / degrees
 
     diagnostics = dict(ctx.diagnostics)
     diagnostics.update(

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._choices import POPULATION_ALL_TEST, POPULATION_CLOAKED
 from ._util import STREAM_NMF, STREAM_RIDGE, ExperimentConfig, csv_text, derive_seed
-from .cloak import cloak_matrix
+from .cloak import cloak_entries
 from .data import FootprintMatrix, LabelTable
 from .explain import explain_population
 from .metafeatures import task_nmf_metafeatures
@@ -128,8 +128,8 @@ def run_spillover_experiment(
     # the test footprints uncloaked, FG-cloaked and MF-cloaked
     states = (
         test.matrix,
-        cloak_matrix(test.matrix, explained),
-        cloak_matrix(test.matrix, explained, mfm),
+        test.matrix.keep_entries(cloak_entries(test.matrix, explained)),
+        test.matrix.keep_entries(cloak_entries(test.matrix, explained, mfm)),
     )
 
     def trait_row(trait: str) -> SpilloverRow:

@@ -5,14 +5,14 @@ Each function is the per-line or per-row implementation the array code in
 `footcloak.data` and `footcloak.metafeatures` replaced: one `csv.reader`
 per line, dict/set loaders, `np.setdiff1d` per row, list-concatenated row
 gathers, the drop plan as one item array per user (`dropped_items` reads
-those lists back from a plan's re-add ranks) and the matrix-rebuilding
-re-add. The ridge oracle is the dual
+those lists back from a matrix's per-entry re-add ranks) and the
+matrix-rebuilding re-add. The ridge oracle is the dual
 solve `footcloak.models` replaced: per fold and alpha, a Cholesky
 factorization of the dense centered Gram matrix of the train rows. The
 explanation oracle is the best-first SEDC search of Martens & Provost
 (2014), which `footcloak.explain.linear_explain` makes exact for linear
 models; the scoring oracle scores one active-item set, the cloaking oracle
-cloaks one row by one explanation's features, as `footcloak.cloak.cloak_matrix`
+cloaks one row by one explanation's features, as `footcloak.cloak.cloak_entries`
 does to a whole matrix, and the cost oracle counts one cloaked row's removed
 items.
 The NMF oracle writes each multiplicative update as one expression, where
@@ -192,36 +192,38 @@ def make_drop_plan(m, drop_fraction=0.5, seed=0):
     return dropped
 
 
-def dropped_items(plan):
-    """Each user's dropped items in re-add order, read from the plan's
-    ranks one row and one rank at a time."""
+def dropped_items(m, ranks):
+    """Each user's dropped items in re-add order, read from the re-add
+    ranks of m's stored entries one row and one rank at a time."""
+    if len(ranks) != m.nnz:
+        raise ValueError("ranks need one value per stored entry")
     dropped = []
-    for i in range(len(plan.indptr) - 1):
-        entries = slice(plan.indptr[i], plan.indptr[i + 1])
-        ranks, items = plan.ranks[entries], plan.indices[entries]
-        n = int((ranks >= 0).sum())
-        dropped.append(np.array([items[ranks == k][0] for k in range(n)], dtype=np.int64))
+    for i in range(m.n_users):
+        row_ranks, items = ranks[m.indptr[i] : m.indptr[i + 1]], m.row(i)
+        n = int((row_ranks >= 0).sum())
+        dropped.append(
+            np.array([items[row_ranks == k][0] for k in range(n)], dtype=np.int64)
+        )
     return dropped
 
 
-def apply_drop(m, plan):
+def apply_drop(m, ranks):
     """Each user's planned items removed with one `np.setdiff1d` per row."""
-    dropped = dropped_items(plan)
+    dropped = dropped_items(m, ranks)
     rows = [np.setdiff1d(m.row(i), dropped[i]) for i in range(m.n_users)]
     return from_rows(rows, m.n_items, m.user_ids, m.item_ids)
 
 
-def readd(m_reduced, plan, fraction):
-    """Restore the first round(fraction * len(dropped)) items per user.
+def readd(m, ranks, fraction):
+    """m less its planned drops, with the first round(fraction * len(dropped))
+    of each user's dropped items restored.
 
-    fraction=0 returns the reduced matrix unchanged; fraction=1 restores
-    the original matrix exactly.
+    fraction=0 returns the reduced matrix; fraction=1 restores m exactly.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    dropped = dropped_items(plan)
-    if len(dropped) != m_reduced.n_users:
-        raise ValueError("plan does not cover this matrix's users")
+    dropped = dropped_items(m, ranks)
+    m_reduced = apply_drop(m, ranks)
     rows = []
     for i in range(m_reduced.n_users):
         drp = dropped[i]

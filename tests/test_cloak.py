@@ -11,7 +11,7 @@ from footcloak.cloak import (
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    cloak_matrix,
+    cloak_entries,
     cloaked_mask,
     directives_to_dict,
     strategy_threshold,
@@ -59,8 +59,9 @@ def _explain(row, threshold, model=_MODEL):
 
 
 def _cloak(row, expl, mfm=None):
-    """The row cloaked by one explanation, through cloak_matrix."""
-    return cloak_matrix(_one_row(row), {0: expl}, mfm).row(0)
+    """The row cloaked by one explanation, through cloak_entries."""
+    m = _one_row(row)
+    return m.indices[cloak_entries(m, {0: expl}, mfm)]
 
 
 def _tol_config(tolerance_quantile):
@@ -129,7 +130,7 @@ def test_mf_finds_none_exactly_when_fg_does(seed, n_items, threshold, reserved):
         return
     m = _one_row(row, n_items)
     explained, not_found = explain_population(model, m, [0], threshold)
-    fg, mf = cloak_matrix(m, explained), cloak_matrix(m, explained, mfm)
+    fg, mf = (m.keep_entries(cloak_entries(m, explained, g)) for g in (None, mfm))
     assert not_found == (fg.nnz == m.nnz) == (mf.nnz == m.nnz)
     assert set(mf.row(0)) <= set(fg.row(0))
 
@@ -201,7 +202,7 @@ def test_population_checks_item_spaces_before_any_row():
             explain_population(model, m, [], _TH)
         mfm = _mfm(np.arange(width) % 3)
         with pytest.raises(ValueError, match="^metafeature " + message[1:]):
-            cloak_matrix(m, {}, mfm)
+            cloak_entries(m, {}, mfm)
         with pytest.raises(ValueError, match="^metafeature " + message[1:]):
             directives_to_dict(STRATEGY_MF, m, {}, mfm)
 
@@ -282,14 +283,16 @@ def _mfm_variants(rng, n_items):
     n_items=st.integers(1, 12),
     density=st.floats(0.0, 0.8),
 )
-def test_cloak_matrix_matches_apply_cloak(seed, n_items, density):
-    # every row of cloak_matrix is apply_cloak's row, or the row itself
-    # when it has no explanation; rows may be empty
+def test_cloak_entries_match_apply_cloak(seed, n_items, density):
+    # every row that cloak_entries keeps is apply_cloak's row, or the row
+    # itself when it has no explanation; rows may be empty
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, 10, n_items, density)
     explained = _draw_explained(rng, m)
     for mfm in _mfm_variants(rng, n_items):
-        out = cloak_matrix(m, explained, mfm)
+        keep = cloak_entries(m, explained, mfm)
+        assert keep.dtype == bool and keep.shape == (m.nnz,)
+        out = m.keep_entries(keep)
         assert (out.n_items, out.user_ids, out.item_ids) == (
             m.n_items, m.user_ids, m.item_ids
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from footcloak.data import (
-    apply_drop,
+    _select_entries,
     filter_min_activity,
     from_rows,
     load_labels,
@@ -288,16 +288,16 @@ def test_drop_plan_sizes_round_half_away():
     m = from_rows(
         [np.sort(r) for r in rows], 10, ("u0", "u1", "u2"), tuple(f"i{j}" for j in range(10))
     )
-    dropped = dropped_items(make_drop_plan(m, 0.5, seed=0))
+    dropped = dropped_items(m, make_drop_plan(m, 0.5, seed=0))
     assert [len(d) for d in dropped] == [5, 2, 0]  # round(1.5) away from zero
 
 
 def test_drop_plan_subset_of_row():
     rng = np.random.default_rng(10)
     m = random_footprints(rng, 15, 25)
-    plan = make_drop_plan(m, 0.4, seed=2)
-    assert plan.indptr is m.indptr and plan.indices is m.indices  # no copy
-    for i, dropped in enumerate(dropped_items(plan)):
+    ranks = make_drop_plan(m, 0.4, seed=2)
+    assert ranks.dtype == np.int32 and ranks.shape == (m.nnz,)
+    for i, dropped in enumerate(dropped_items(m, ranks)):
         assert set(dropped) <= set(m.row(i))
         assert len(set(dropped)) == len(dropped)
 
@@ -305,38 +305,36 @@ def test_drop_plan_subset_of_row():
 def test_readd_nested_and_identity():
     rng = np.random.default_rng(11)
     m = random_footprints(rng, 12, 30)
-    plan = make_drop_plan(m, 0.5, seed=3)
-    reduced = apply_drop(m, plan)
+    ranks = make_drop_plan(m, 0.5, seed=3)
+    reduced = m.keep_entries(ranks < 0)
     prev_sets = None
     for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
-        cur = readd(reduced, plan, frac)
+        cur = readd(m, ranks, frac)
         cur_sets = [set(cur.row(i)) for i in range(12)]
         if prev_sets is not None:
             for a, b in zip(prev_sets, cur_sets):
                 assert a <= b
         prev_sets = cur_sets
-    full = readd(reduced, plan, 1.0)
+    full = readd(m, ranks, 1.0)
     np.testing.assert_array_equal(full.indices, m.indices)
     np.testing.assert_array_equal(full.indptr, m.indptr)
-    zero = readd(reduced, plan, 0.0)
+    zero = readd(m, ranks, 0.0)
     np.testing.assert_array_equal(zero.indices, reduced.indices)
 
 
 def test_readd_counts_round_half_away():
     row = np.arange(10)
     m = from_rows([row], 10, ("u0",), tuple(f"i{j}" for j in range(10)))
-    plan = make_drop_plan(m, 0.5, seed=4)  # 5 dropped
-    reduced = apply_drop(m, plan)
-    assert len(readd(reduced, plan, 0.3).row(0)) == 5 + 2  # round(1.5) = 2
-    assert len(readd(reduced, plan, 0.2).row(0)) == 5 + 1
+    ranks = make_drop_plan(m, 0.5, seed=4)  # 5 dropped
+    assert len(readd(m, ranks, 0.3).row(0)) == 5 + 2  # round(1.5) = 2
+    assert len(readd(m, ranks, 0.2).row(0)) == 5 + 1
 
 
 def test_readd_rejects_bad_fraction():
     m = from_rows([np.array([0])], 1, ("u0",), ("a",))
-    plan = make_drop_plan(m, 0.5, seed=0)
-    reduced = apply_drop(m, plan)
+    ranks = make_drop_plan(m, 0.5, seed=0)
     with pytest.raises(ValueError):
-        readd(reduced, plan, 1.5)
+        readd(m, ranks, 1.5)
 
 
 def test_drop_plan_deterministic():
@@ -344,31 +342,23 @@ def test_drop_plan_deterministic():
     m = random_footprints(rng, 8, 15)
     p1 = make_drop_plan(m, 0.5, seed=9)
     p2 = make_drop_plan(m, 0.5, seed=9)
-    np.testing.assert_array_equal(p1.ranks, p2.ranks)
+    np.testing.assert_array_equal(p1, p2)
 
 
 def test_drop_plan_select_users():
+    # a partition's ranks are the plan's ranks gathered as select_users
+    # gathers the partition's rows
     rng = np.random.default_rng(14)
     m = random_footprints(rng, 10, 12)
-    plan = make_drop_plan(m, 0.5, seed=8)
+    ranks = make_drop_plan(m, 0.5, seed=8)
     order = np.array([3, 7])
     part = m.select_users(order)
-    sub = plan.select_users(order, part)
-    assert sub.indptr is part.indptr and sub.indices is part.indices
-    dropped, sub_dropped = dropped_items(plan), dropped_items(sub)
+    indptr, gather = _select_entries(m.indptr, order)
+    np.testing.assert_array_equal(indptr, part.indptr)
+    sub = ranks[gather]
+    dropped, sub_dropped = dropped_items(m, ranks), dropped_items(part, sub)
     np.testing.assert_array_equal(sub_dropped[0], dropped[3])
     np.testing.assert_array_equal(sub_dropped[1], dropped[7])
-    with pytest.raises(ValueError, match="selected rows"):
-        plan.select_users(order, m.select_users(np.array([7, 3])))
-
-
-def test_apply_drop_rejects_a_plan_of_other_rows():
-    rng = np.random.default_rng(15)
-    m = random_footprints(rng, 10, 12)
-    plan = make_drop_plan(m, 0.5, seed=8)
-    for other in (m.select_users(np.arange(9)), m.select_users(np.arange(10)[::-1])):
-        with pytest.raises(ValueError, match="plan was drawn from other rows"):
-            apply_drop(other, plan)
 
 
 def test_from_rows_validates():

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import oracles
 from footcloak import data
 from footcloak.data import (
-    apply_drop,
     from_rows,
     load_labels,
     load_triplets,
@@ -407,11 +406,11 @@ def test_keys_past_int32_stay_exact(tmp_path):
     shape=st.tuples(st.integers(0, 12), st.integers(1, 15)),
     density=st.floats(0.0, 1.0),
 )
-def test_apply_drop_matches_setdiff_oracle(seed, shape, density):
+def test_drop_plan_keep_entries_matches_setdiff_oracle(seed, shape, density):
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, *shape, density=density)
-    plan = make_drop_plan(m, float(rng.uniform()), seed)
-    got, want = apply_drop(m, plan), oracles.apply_drop(m, plan)
+    ranks = make_drop_plan(m, float(rng.uniform()), seed)
+    got, want = m.keep_entries(ranks < 0), oracles.apply_drop(m, ranks)
     _assert_equal_arrays((got.indptr, got.indices), (want.indptr, want.indices))
     assert got.indptr.dtype == got.indices.dtype == np.int32
     assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
@@ -428,14 +427,14 @@ def test_drop_plan_matches_list_oracle(seed, shape, density, drop_fraction):
     # the rank plan lists each user's dropped items in the re-add order of
     # the per-user draws, from the same seed
     m = random_footprints(np.random.default_rng(seed), *shape, density=density)
-    plan = make_drop_plan(m, drop_fraction, seed)
+    ranks = make_drop_plan(m, drop_fraction, seed)
     want = oracles.make_drop_plan(m, drop_fraction, seed)
-    got = oracles.dropped_items(plan)
+    got = oracles.dropped_items(m, ranks)
     assert len(got) == len(want) == m.n_users
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
-    assert plan.ranks.dtype == np.int32 and len(plan.ranks) == m.nnz
-    assert (plan.ranks >= 0).sum() == sum(map(len, want))
+    assert ranks.dtype == np.int32 and len(ranks) == m.nnz
+    assert (ranks >= 0).sum() == sum(map(len, want))
 
 
 @settings(max_examples=100, deadline=None)

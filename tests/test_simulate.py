@@ -20,14 +20,13 @@ from footcloak.cloak import (
     STRATEGY_FG,
     STRATEGY_FG_TOL,
     STRATEGY_MF,
-    cloak_matrix,
+    cloak_entries,
     strategy_threshold,
 )
 from footcloak.data import (
     LabelTable,
-    apply_drop,
+    _select_entries,
     filter_min_activity,
-    from_rows,
     make_drop_plan,
     task_split,
 )
@@ -43,6 +42,7 @@ from footcloak.simulate import (
     build_protection_context,
     curve_csv,
     protection_flags,
+    readd_margins,
     run_protection_experiment,
     run_strategy,
     tradeoff_report,
@@ -168,9 +168,9 @@ def test_nmf_fit_once_at_the_first_mf_run(small_synth, monkeypatch):
 def test_run_strategy_cloaks_the_full_rows_once(ctx, monkeypatch):
     # one cloak of the full test rows serves both protection and cost
     calls = []
-    cloak = simulate.cloak_matrix
+    cloak = simulate.cloak_entries
     monkeypatch.setattr(
-        simulate, "cloak_matrix", lambda m, *a: calls.append(m) or cloak(m, *a)
+        simulate, "cloak_entries", lambda m, *a: calls.append(m) or cloak(m, *a)
     )
     for strategy in (STRATEGY_FG, STRATEGY_MF, STRATEGY_FG_TOL):
         calls.clear()
@@ -178,28 +178,22 @@ def test_run_strategy_cloaks_the_full_rows_once(ctx, monkeypatch):
         assert len(calls) == 1 and calls[0] is ctx.test_full
 
 
-def test_held_entries_keys_past_int32():
-    # 40,000 users x 70,000 items: the key user * n_items + item passes
-    # 2**31 from user 30,678 on, where an int32 key would wrap; the held
-    # check builds its keys in int64 and must find every kept entry
-    n_users, n_items = 40_000, 70_000
-    rows = [
-        np.array([u, u + n_users]) if u + n_users < n_items else np.array([u])
-        for u in range(n_users)
-    ]
-    rows[-1] = np.array([0, n_users - 1, n_items - 1])
-    rows[-2] = np.array([7, 30_000, n_users - 2])
-    full = from_rows(
-        rows, n_items, [f"u{i}" for i in range(n_users)], [f"i{j}" for j in range(n_items)]
+def test_readd_margins_and_protection_flags_reject_wrong_lengths(ctx):
+    # ranks, held and keep each hold one value per stored entry of their rows
+    full, ranks = ctx.test_full, ctx.test_ranks
+    held = np.ones(full.nnz, dtype=bool)
+    wrong = (
+        (ranks[:-1], held),
+        (np.append(ranks, -1), held),
+        (ranks, held[:-1]),
+        (ranks, np.append(held, True)),
     )
-    keep = np.random.default_rng(0).random(full.nnz) < 0.5
-    keep[-6:] = [True, False, True, False, True, False]
-    np.testing.assert_array_equal(
-        simulate._held_entries(full, full.keep_entries(keep)), keep
-    )
-    moved = from_rows(rows[:-1] + [np.array([1])], n_items, full.user_ids, full.item_ids)
-    with pytest.raises(ValueError, match="not subsets"):
-        simulate._held_entries(full, moved)
+    for r, h in wrong:
+        with pytest.raises(ValueError, match="one value per stored entry of rows"):
+            readd_margins(ctx.model, full, r, h, ctx.config.schedule)
+    for keep in (held[:-1], np.append(held, True)):
+        with pytest.raises(ValueError, match="one flag per stored entry"):
+            protection_flags(ctx, keep, ctx.population)
 
 
 def test_unknown_task_errors(small_synth):
@@ -319,10 +313,10 @@ _fraction = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 def _random_context(seed, drop_fraction, schedule):
     """A protection context on random footprints whose classifier has
-    random weights, and its training rows' drop plan; (None, None) when its
-    target population is empty. The footprints are already
-    activity-filtered, so the model and the domain mapping span the
-    context's item space."""
+    random weights, and its training rows with their drop plan's ranks;
+    (None, None) when its target population is empty. The footprints are
+    already activity-filtered, so the model and the domain mapping span
+    the context's item space."""
     rng = np.random.default_rng(seed)
     m = random_footprints(rng, 48, 30, density=rng.uniform(0.05, 0.5))
     m = filter_min_activity(m, 1, 1)
@@ -356,21 +350,21 @@ def _random_context(seed, drop_fraction, schedule):
 
 
 def _train_plan(ctx, m, labels):
-    """The training rows' drop plan that built ctx, drawn again from its
-    config's seed: the context keeps only the test rows' plan."""
+    """The training rows and their drop plan's ranks that built ctx, drawn
+    again from its config's seed: the context keeps only the test rows'
+    ranks."""
     config = ctx.config
     fm, train, _ = task_split(
         m, labels, ctx.task, config.min_user, config.min_item, config.train_frac,
         derive_seed(config.seed, STREAM_PROTECTION_SPLIT),
     )
-    plan = make_drop_plan(
+    ranks = make_drop_plan(
         fm, config.drop_fraction, derive_seed(config.seed, STREAM_PROTECTION_DROP)
-    )
-    train_plan = plan.select_users(train.indices, train.matrix)
-    reduced = apply_drop(train.matrix, train_plan)
+    )[_select_entries(fm.indptr, train.indices)[1]]
+    reduced = train.matrix.keep_entries(ranks < 0)
     assert np.array_equal(reduced.indptr, ctx.train_reduced.indptr)
     assert np.array_equal(reduced.indices, ctx.train_reduced.indices)
-    return train_plan
+    return train.matrix, ranks
 
 
 @settings(deadline=None)
@@ -382,12 +376,12 @@ def _train_plan(ctx, m, labels):
 )
 def test_closed_form_matches_readd_oracle(seed, drop_fraction, fractions, with_zero):
     schedule = tuple(([0.0] if with_zero else []) + fractions)
-    ctx, train_plan = _random_context(seed, drop_fraction, schedule)
+    ctx, train = _random_context(seed, drop_fraction, schedule)
     assume(ctx is not None)
     q = ctx.config.quantile
     oracle_th = []
     for f in schedule:
-        scores = predict_scores(ctx.model, readd(ctx.train_reduced, train_plan, f))
+        scores = predict_scores(ctx.model, readd(*train, f))
         oracle_th.append(quantile_threshold(scores, q))
     for strategy in _ORACLE_STRATEGIES:
         mfm = simulate._strategy_mfm(ctx, strategy)
@@ -398,14 +392,14 @@ def test_closed_form_matches_readd_oracle(seed, drop_fraction, fractions, with_z
             ctx.model, ctx.test_reduced, ctx.population, threshold
         )
         users = np.array(sorted(explained), dtype=np.int64)
-        cloaked = cloak_matrix(ctx.test_full, explained, mfm)
-        protected = protection_flags(ctx, cloaked, users)
+        keep = cloak_entries(ctx.test_full, explained, mfm)
+        protected = protection_flags(ctx, keep, users)
         np.testing.assert_allclose(ctx.thresholds, oracle_th, rtol=1e-12, atol=0)
         assert protected.shape == (len(schedule), len(explained))
         oracle = np.zeros(protected.shape, dtype=bool)
         tie = np.zeros(protected.shape, dtype=bool)
         for k, f in enumerate(schedule):
-            test_f = readd(ctx.test_reduced, ctx.test_plan, f)
+            test_f = readd(ctx.test_full, ctx.test_ranks, f)
             for u, i in enumerate(users):
                 kept = apply_cloak(test_f.row(i), explained[i].features, mfm)
                 score = predict_score(ctx.model, kept)
@@ -422,3 +416,35 @@ def test_closed_form_matches_readd_oracle(seed, drop_fraction, fractions, with_z
         if not tie.any():
             expect = [float(np.mean(p)) if p.size else None for p in oracle]
             assert list(curve.protection) == expect
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(0, 10),
+    drop_fraction=_fraction,
+    held_rate=st.floats(0.0, 1.0),
+    fractions=st.lists(_fraction, min_size=1, max_size=5),
+)
+def test_readd_margins_matches_rebuild_oracle(
+    seed, n_users, drop_fraction, held_rate, fractions
+):
+    # any held mask, not only a cloak's: an unheld kept entry is out of
+    # every fraction's row, and an unheld dropped entry re-adds nothing.
+    # Besides a random mask, every kept entry unheld and every dropped
+    # entry unheld.
+    rng = np.random.default_rng(seed)
+    m = random_footprints(rng, n_users, 15, density=rng.uniform(0.0, 0.6))
+    model = LinearModel(rng.normal(size=m.n_items), float(rng.normal()), 1.0)
+    ranks = make_drop_plan(m, drop_fraction, seed)
+    for held in (rng.random(m.nnz) < held_rate, ranks >= 0, ranks < 0):
+        got = readd_margins(model, m, ranks, held, fractions)
+        assert len(got) == len(fractions)
+        for f, margins in zip(fractions, got):
+            rebuilt = readd(m, ranks, f)
+            assert margins.shape == (m.n_users,)
+            for i in range(m.n_users):
+                held_items = m.row(i)[held[m.indptr[i] : m.indptr[i + 1]]]
+                items = np.intersect1d(rebuilt.row(i), held_items)
+                want = float(model.weights[items].sum()) + model.intercept
+                assert margins[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
