@@ -11,15 +11,25 @@ runs, so --version, --help and usage errors load no numpy. A command's
 config keys are its flags less --out and --config. Config files are plain
 key=value lines or a previously written manifest.json; explicit flags win
 over config entries.
+
+The footprints and labels a command reads are parsed once per content:
+_load_dataset keeps the parsed arrays in a cache directory (_cache_dir),
+keyed by SHA-256 over the entry format, the reader's source (data.py) and
+the file's bytes, and a repeated command reads them back with np.load. The
+directory is a deployment path, not a config key: it enters neither the
+manifest nor the config hash, and no output byte depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import gc
 import json
 import logging
 import os
+import stat
 import sys
 from hashlib import sha256
 from pathlib import Path
@@ -38,6 +48,8 @@ from ._choices import (
 if TYPE_CHECKING:  # the stages load numpy: each command imports its own
     from ._util import ExperimentConfig
     from .synth import SynthConfig
+
+logger = logging.getLogger(__name__)
 
 _STRATEGY_BY_FLAG = {
     "fg": STRATEGY_FG,
@@ -195,12 +207,134 @@ def _settings(command: str, cfg: dict) -> SynthConfig | ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _load_dataset(cfg: dict):
-    from .data import load_labels, load_triplets
+# names the layout of a cache entry; a layout change must change it
+_CACHE_FORMAT = b"footcloak parsed-input cache 1\n"
+_READER = Path(__file__).with_name("data.py")  # its bytes key every entry
 
-    m = load_triplets(cfg["footprints"])
-    labels = load_labels(cfg["labels"], m)
-    return m, labels
+
+def _cache_dir() -> Path | None:
+    """The parsed-input cache: FOOTCLOAK_CACHE_DIR (set empty: no cache),
+    else $XDG_CACHE_HOME/footcloak, else ~/.cache/footcloak."""
+    env = os.environ.get("FOOTCLOAK_CACHE_DIR")
+    if env is not None:
+        return Path(env) if env else None
+    try:
+        base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    except RuntimeError:  # no home directory
+        return None
+    return Path(base, "footcloak")
+
+
+def _content_key(path, *parts: bytes) -> str | None:
+    """SHA-256 over the entry format, parts and a regular file's bytes, read
+    in 1 MiB blocks; None for anything else (hashing would use a FIFO up) or
+    a path that cannot be read, which the parser then reports."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        digest = sha256(_CACHE_FORMAT)
+        for part in parts:
+            digest.update(part)
+        with open(path, "rb") as f:
+            while block := f.read(1 << 20):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _cached(path: Path | None, parse, to_arrays, from_arrays):
+    """from_arrays(the arrays of the cache entry at path), else parse(),
+    whose to_arrays(result) is then written whole to path (a per-process
+    temporary file, then os.replace). An entry that fails to load is a
+    miss, and a failed write leaves the command uncached."""
+    import zipfile
+
+    import numpy as np
+
+    if path is None:
+        return parse()
+    try:
+        with np.load(path, allow_pickle=False) as entry:
+            result = from_arrays(dict(entry.items()))
+        logger.debug("parsed-input cache hit: %s", path)
+        return result
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        logger.debug("parsed-input cache miss: %s (%s)", path, exc)
+    result = parse()
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(temp, "wb") as f:
+            np.savez(f, **to_arrays(result))
+        os.replace(temp, path)
+    except (OSError, ValueError) as exc:
+        logger.debug("parsed-input cache not written: %s (%s)", path, exc)
+        with contextlib.suppress(OSError):
+            temp.unlink()
+    return result
+
+
+def _id_blob(ids):
+    """The ids as one UTF-8 byte array joined by "\n", which no id holds."""
+    import numpy as np
+
+    return np.frombuffer("\n".join(ids).encode(), dtype=np.uint8)
+
+
+def _blob_ids(blob, count: int) -> tuple[str, ...]:
+    """The count ids of an _id_blob; no id is empty."""
+    ids = tuple(blob.tobytes().decode().split("\n")) if count else ()
+    if len(ids) != count:
+        raise ValueError(f"cache entry holds {len(ids)} ids, not {count}")
+    return ids
+
+
+def _load_dataset(cfg: dict):
+    """The footprints, then the labels aligned to them, each read back from
+    the parsed-input cache or parsed and stored there."""
+    import numpy as np
+
+    from .data import FootprintMatrix, LabelTable, load_labels, load_triplets
+
+    def read_matrix(a):
+        n_users, n_items = len(a["indptr"]) - 1, int(a["n_items"])
+        return FootprintMatrix(
+            a["indptr"], a["indices"], n_items,
+            _blob_ids(a["user_ids"], n_users), _blob_ids(a["item_ids"], n_items),
+        )
+
+    def read_labels(a):
+        names = _blob_ids(a["tasks"], len(a["table"]))
+        return LabelTable(dict(zip(names, a["table"])), m.n_users)
+
+    directory, key = _cache_dir(), None
+    if directory is not None:
+        with contextlib.suppress(OSError):  # an unreadable reader: no cache
+            reader = sha256(_READER.read_bytes()).digest()
+            key = _content_key(cfg["footprints"], b"footprints", reader)
+    m = _cached(
+        key and directory / f"{key}.footprints.npz",
+        lambda: load_triplets(cfg["footprints"]),
+        lambda fm: dict(
+            indptr=fm.indptr, indices=fm.indices, n_items=fm.n_items,
+            user_ids=_id_blob(fm.user_ids), item_ids=_id_blob(fm.item_ids),
+        ),
+        read_matrix,
+    )
+    # a label table is aligned to the matrix's users, so its key takes the
+    # footprints key in
+    key = key and _content_key(cfg["labels"], b"labels", reader, key.encode())
+    table = _cached(
+        key and directory / f"{key}.labels.npz",
+        lambda: load_labels(cfg["labels"], m),
+        lambda t: dict(
+            tasks=_id_blob(t.task_names),
+            table=np.reshape(list(t.values.values()), (len(t.values), t.n_users)),
+        ),
+        read_labels,
+    )
+    return m, table
 
 
 def _domain_model(cfg: dict, matrix):
@@ -556,5 +690,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The footcloak script and python -m footcloak.cli: exit with main's
+    status, its outputs written, without collecting every object at exit
+    (gc.freeze). main itself never freezes: tests and notebooks call it."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,6 +15,16 @@ settings.register_profile("ci", max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def parsed_input_cache(tmp_path_factory):
+    """Every command, in-process or a child process, caches parsed inputs in
+    a directory of this session's own, never in the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("parsed-input-cache")
+        mp.setenv("FOOTCLOAK_CACHE_DIR", str(path))
+        yield path
+
+
 @pytest.fixture(scope="session")
 def small_synth():
     """Shared mid-size synthetic dataset for pipeline-level module tests."""
