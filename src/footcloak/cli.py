@@ -13,11 +13,12 @@ key=value lines or a previously written manifest.json; explicit flags win
 over config entries.
 
 The footprints and labels a command reads are parsed once per content:
-_load_dataset keeps the parsed arrays in a cache directory (_cache_dir),
-keyed by SHA-256 over the entry format, the reader's source (data.py) and
-the file's bytes, and a repeated command reads them back with np.load. The
-directory is a deployment path, not a config key: it enters neither the
-manifest nor the config hash, and no output byte depends on it.
+_load_dataset keeps both parsed inputs as one entry in a cache directory
+(_cache_dir), keyed by SHA-256 over the entry format, the reader's source
+(data.py) and both files' bytes, and a repeated command reads them back
+with one np.load. The directory is a deployment path, not a config key: it
+enters neither the manifest nor the config hash, and no output byte
+depends on it.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _settings(command: str, cfg: dict) -> SynthConfig | ExperimentConfig:
 
 
 # names the layout of a cache entry; a layout change must change it
-_CACHE_FORMAT = b"footcloak parsed-input cache 1\n"
+_CACHE_FORMAT = b"footcloak parsed-input cache 2\n"
 _READER = Path(__file__).with_name("data.py")  # its bytes key every entry
 
 
@@ -225,54 +226,28 @@ def _cache_dir() -> Path | None:
     return Path(base, "footcloak")
 
 
-def _content_key(path, *parts: bytes) -> str | None:
-    """SHA-256 over the entry format, parts and a regular file's bytes, read
-    in 1 MiB blocks; None for anything else (hashing would use a FIFO up) or
-    a path that cannot be read, which the parser then reports."""
+def _cache_entry(cfg: dict) -> Path | None:
+    """The cache entry of cfg's footprints and labels: <key>.npz, where key
+    is SHA-256 over the entry format, the reader's bytes and each input's
+    SHA-256 (read in 1 MiB blocks), footprints first. None without a cache
+    directory, or when an input is not a regular file (hashing would use a
+    FIFO up) or cannot be read, which the parser then reports."""
+    directory = _cache_dir()
+    if directory is None:
+        return None
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        digest = sha256(_CACHE_FORMAT)
-        for part in parts:
-            digest.update(part)
-        with open(path, "rb") as f:
-            while block := f.read(1 << 20):
-                digest.update(block)
+        key = sha256(_CACHE_FORMAT + _READER.read_bytes())
+        for path in (cfg["footprints"], cfg["labels"]):
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                return None
+            digest = sha256()
+            with open(path, "rb") as f:
+                while block := f.read(1 << 20):
+                    digest.update(block)
+            key.update(digest.digest())
     except OSError:
         return None
-    return digest.hexdigest()
-
-
-def _cached(path: Path | None, parse, to_arrays, from_arrays):
-    """from_arrays(the arrays of the cache entry at path), else parse(),
-    whose to_arrays(result) is then written whole to path (a per-process
-    temporary file, then os.replace). An entry that fails to load is a
-    miss, and a failed write leaves the command uncached."""
-    import zipfile
-
-    import numpy as np
-
-    if path is None:
-        return parse()
-    try:
-        with np.load(path, allow_pickle=False) as entry:
-            result = from_arrays(dict(entry.items()))
-        logger.debug("parsed-input cache hit: %s", path)
-        return result
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        logger.debug("parsed-input cache miss: %s (%s)", path, exc)
-    result = parse()
-    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(temp, "wb") as f:
-            np.savez(f, **to_arrays(result))
-        os.replace(temp, path)
-    except (OSError, ValueError) as exc:
-        logger.debug("parsed-input cache not written: %s (%s)", path, exc)
-        with contextlib.suppress(OSError):
-            temp.unlink()
-    return result
+    return directory / f"{key.hexdigest()}.npz"
 
 
 def _id_blob(ids):
@@ -291,50 +266,56 @@ def _blob_ids(blob, count: int) -> tuple[str, ...]:
 
 
 def _load_dataset(cfg: dict):
-    """The footprints, then the labels aligned to them, each read back from
-    the parsed-input cache or parsed and stored there."""
+    """The footprints and the labels aligned to them, read back from their
+    parsed-input cache entry, or parsed and stored there (a per-process
+    temporary file, then os.replace). An entry that fails to load is a
+    miss, and a failed write leaves the command uncached."""
+    import zipfile
+
     import numpy as np
 
     from .data import FootprintMatrix, LabelTable, load_labels, load_triplets
 
-    def read_matrix(a):
-        n_users, n_items = len(a["indptr"]) - 1, int(a["n_items"])
-        return FootprintMatrix(
-            a["indptr"], a["indices"], n_items,
-            _blob_ids(a["user_ids"], n_users), _blob_ids(a["item_ids"], n_items),
-        )
-
-    def read_labels(a):
-        names = _blob_ids(a["tasks"], len(a["table"]))
-        return LabelTable(dict(zip(names, a["table"])), m.n_users)
-
-    directory, key = _cache_dir(), None
-    if directory is not None:
-        with contextlib.suppress(OSError):  # an unreadable reader: no cache
-            reader = sha256(_READER.read_bytes()).digest()
-            key = _content_key(cfg["footprints"], b"footprints", reader)
-    m = _cached(
-        key and directory / f"{key}.footprints.npz",
-        lambda: load_triplets(cfg["footprints"]),
-        lambda fm: dict(
-            indptr=fm.indptr, indices=fm.indices, n_items=fm.n_items,
-            user_ids=_id_blob(fm.user_ids), item_ids=_id_blob(fm.item_ids),
-        ),
-        read_matrix,
-    )
-    # a label table is aligned to the matrix's users, so its key takes the
-    # footprints key in
-    key = key and _content_key(cfg["labels"], b"labels", reader, key.encode())
-    table = _cached(
-        key and directory / f"{key}.labels.npz",
-        lambda: load_labels(cfg["labels"], m),
-        lambda t: dict(
-            tasks=_id_blob(t.task_names),
-            table=np.reshape(list(t.values.values()), (len(t.values), t.n_users)),
-        ),
-        read_labels,
-    )
-    return m, table
+    entry = _cache_entry(cfg)
+    if entry is not None:
+        try:
+            with np.load(entry, allow_pickle=False) as a:
+                n_users, n_items = len(a["indptr"]) - 1, int(a["n_items"])
+                m = FootprintMatrix(
+                    a["indptr"], a["indices"], n_items,
+                    _blob_ids(a["user_ids"], n_users),
+                    _blob_ids(a["item_ids"], n_items),
+                )
+                table = a["table"]
+                names = _blob_ids(a["tasks"], len(table))
+            logger.debug("parsed-input cache hit: %s", entry)
+            return m, LabelTable(dict(zip(names, table)), n_users)
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            logger.debug("parsed-input cache miss: %s (%s)", entry, exc)
+    m = load_triplets(cfg["footprints"])
+    labels = load_labels(cfg["labels"], m)
+    # an input rewritten since it was hashed would be stored under the key
+    # of bytes the parser did not read
+    if entry is None or _cache_entry(cfg) != entry:
+        return m, labels
+    temp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with open(temp, "wb") as f:
+            np.savez(
+                f, indptr=m.indptr, indices=m.indices, n_items=m.n_items,
+                user_ids=_id_blob(m.user_ids), item_ids=_id_blob(m.item_ids),
+                tasks=_id_blob(labels.task_names),
+                table=np.reshape(
+                    list(labels.values.values()), (len(labels.values), m.n_users)
+                ),
+            )
+        os.replace(temp, entry)
+    except (OSError, ValueError) as exc:
+        logger.debug("parsed-input cache not written: %s (%s)", entry, exc)
+        with contextlib.suppress(OSError):
+            temp.unlink()
+    return m, labels
 
 
 def _domain_model(cfg: dict, matrix):

@@ -1,11 +1,12 @@
 """The CLI's parsed-input cache against the library parse.
 
-cli._load_dataset reads the footprints and labels from a cache entry keyed
-by the reader's source and the file's bytes, or parses them and writes the
-entry. A miss, a hit and the library parse must give the same arrays
-(dtype included), ids and label values; a bad entry, an unwritable or
-disabled cache and an input that is no regular file all fall back to the
-parse; and the cache changes no output byte.
+cli._load_dataset reads the footprints and labels from one cache entry
+keyed by the reader's source and both files' bytes, or parses them and
+writes the entry. A miss, a hit and the library parse must give the same
+arrays (dtype included), ids and label values; a bad entry, an unwritable
+or disabled cache, an input that is no regular file and an input rewritten
+during the parse all fall back to the parse; and the cache changes no
+output byte.
 """
 
 import gc
@@ -121,7 +122,7 @@ def test_miss_then_hit_match_the_library_parse(case):
         with mock.patch.dict(os.environ, FOOTCLOAK_CACHE_DIR=str(tmp / "cache")):
             miss, miss_err = _outcome(cli._load_dataset, cfg)
             if miss_err is None:
-                assert _entries(tmp / "cache") == ["footprints.npz", "labels.npz"]
+                assert _entries(tmp / "cache") == ["npz"]
                 with _no_parse():
                     hit = cli._load_dataset(cfg)
         want, want_err = _outcome(_library, cfg)
@@ -168,54 +169,77 @@ def test_a_bad_entry_is_parsed_again_and_rewritten(dataset, damage, caplog):
         _assert_same(cli._load_dataset(cfg), want)
     assert [r.message.split(":")[0] for r in caplog.records] == [
         "parsed-input cache miss"
-    ] * 2
+    ]
     with _no_parse():
         _assert_same(cli._load_dataset(cfg), want)
-    assert _entries(cache) == ["footprints.npz", "labels.npz"]
+    assert _entries(cache) == ["npz"]
 
 
 def test_an_edited_input_or_reader_misses(dataset, tmp_path, monkeypatch):
     cfg, cache = dataset
     cli._load_dataset(cfg)
     # the same pairs, users first seen in another order: the same labels
-    # file aligns to other rows, so its entry misses too
+    # file aligns to other rows
     lines = cfg["footprints"].read_bytes().splitlines(keepends=True)
     footprints = tmp_path / "footprints.csv"
     footprints.write_bytes(b"".join(lines[:1] + lines[:0:-1]))
     cfg = {**cfg, "footprints": footprints}
     _assert_same(cli._load_dataset(cfg), _library(cfg))
-    assert len(_entries(cache)) == 4
+    assert _entries(cache) == ["npz"] * 2
     labels = tmp_path / "labels.csv"
     labels.write_bytes(cfg["labels"].read_bytes() + b"u_new,task_a,1\n")
     cfg = {**cfg, "labels": labels}
-    _assert_same(cli._load_dataset(cfg), _library(cfg))  # a labels miss only
-    assert _entries(cache) == ["footprints.npz"] * 2 + ["labels.npz"] * 3
+    with mock.patch.object(data, "load_triplets", wraps=data.load_triplets) as parse:
+        _assert_same(cli._load_dataset(cfg), _library(cfg))
+    assert parse.call_count == 1  # a labels edit parses the footprints again
+    assert _entries(cache) == ["npz"] * 3
     reader = tmp_path / "data.py"
     reader.write_bytes(Path(data.__file__).read_bytes() + b"\n")
     monkeypatch.setattr(cli, "_READER", reader)
     _assert_same(cli._load_dataset(cfg), _library(cfg))
-    assert len(_entries(cache)) == 7
+    assert _entries(cache) == ["npz"] * 4
+
+
+def test_an_input_rewritten_during_the_parse_is_not_stored(dataset, tmp_path):
+    cfg, cache = dataset
+    full = cfg["footprints"].read_bytes()
+    footprints = tmp_path / "footprints.csv"
+    footprints.write_bytes(full)
+    cfg = {**cfg, "footprints": footprints}
+    parse = data.load_triplets
+
+    def rewrite_then_parse(path):  # the file changes after it was hashed
+        lines = full.splitlines(keepends=True)
+        footprints.write_bytes(b"".join(lines[: len(lines) // 2]))
+        return parse(path)
+
+    with mock.patch.object(data, "load_triplets", rewrite_then_parse):
+        cli._load_dataset(cfg)
+    footprints.write_bytes(full)
+    _assert_same(cli._load_dataset(cfg), _library(cfg))
+    assert _entries(cache) == ["npz"]  # from the second load only
 
 
 def test_a_fifo_input_is_parsed_and_not_cached(dataset, tmp_path):
     cfg, cache = dataset
-    fifo = tmp_path / "footprints.fifo"
-    os.mkfifo(fifo)
-    got = {}
-    threads = [
-        threading.Thread(target=target, daemon=True)
-        for target in (
-            lambda: fifo.write_bytes(cfg["footprints"].read_bytes()),
-            lambda: got.update(dataset=cli._load_dataset({**cfg, "footprints": fifo})),
-        )
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:  # a load that read the FIFO twice waits forever
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-    _assert_same(got["dataset"], _library(cfg))
-    assert _entries(cache) == []  # the labels key takes the footprints key in
+    for key in ("footprints", "labels"):
+        fifo = tmp_path / f"{key}.fifo"
+        os.mkfifo(fifo)
+        got = {}
+        threads = [
+            threading.Thread(target=target, daemon=True)
+            for target in (
+                lambda: fifo.write_bytes(cfg[key].read_bytes()),
+                lambda: got.update(dataset=cli._load_dataset({**cfg, key: fifo})),
+            )
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:  # a load that read the FIFO twice waits forever
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        _assert_same(got["dataset"], _library(cfg))
+        assert _entries(cache) == []
 
 
 def test_a_missing_input_raises_as_the_parser_does(dataset, tmp_path):
@@ -258,7 +282,7 @@ def test_cold_warm_unwritable_and_off_write_the_same_bytes(
     want = _tree(tmp_path / "cold")
     for name in runs:
         assert _tree(tmp_path / name) == want
-    assert _entries(tmp_path / "cache") == ["footprints.npz", "labels.npz"]
+    assert _entries(tmp_path / "cache") == ["npz"]
     assert not (tmp_path / "xdg").exists() and not (tmp_path / "home").exists()
 
 
