@@ -1,7 +1,8 @@
 """Small shared helpers: deterministic rounding, the logistic function,
 sorted distinct values, the experiment config and its seed-stream table,
 the one result-file writer, scipy's compiled L-BFGS-B routine and sparse
-kernels, and serial_blas for the iterative solvers."""
+kernels, and the loaded OpenBLAS builds: serial_blas for the iterative
+solvers, and their config strings."""
 
 from __future__ import annotations
 
@@ -259,29 +260,24 @@ def sparsetools():
     return module
 
 
-# Names of the thread-count functions an OpenBLAS build exports, with "{}"
-# for get or set: scipy's wheel prefixes them scipy_, numpy's ILP64 wheel
-# also suffixes them 64_
-_OPENBLAS_THREAD_FUNCS = tuple(
-    f"{prefix}_{{}}_num_threads{suffix}"
-    for prefix in ("scipy_openblas", "openblas")
-    for suffix in ("64_", "")
+# the symbol prefix and suffix of an OpenBLAS build's functions: scipy's
+# wheel prefixes them scipy_, numpy's ILP64 wheel also suffixes them 64_
+_OPENBLAS_NAMES = tuple(
+    (prefix, suffix) for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
 )
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """The (get, set) thread-count functions of every OpenBLAS loaded in
-    this process; () where there is none (another BLAS, or no /proc).
+def _openblas_libraries() -> list[tuple]:
+    """(library, symbol prefix, suffix) of every OpenBLAS loaded in this
+    process; [] where there is none (another BLAS, or no /proc).
 
-    /proc/self/maps is read once, at the first call. Importing footcloak
-    maps no OpenBLAS, as it loads neither numpy nor scipy; numpy's is
-    mapped with this module, which imports numpy, and scipy's sparse
-    kernels (sparsetools) link no BLAS. scipy's own OpenBLAS is mapped by
-    the L-BFGS-B extension, which links it and which a model's first fit
-    loads, so the lookup loads that extension first: a lookup made before
-    any fit (NMF's, say) then still finds the library every later fit runs
-    on.
+    Importing footcloak maps no OpenBLAS, as it loads neither numpy nor
+    scipy; numpy's is mapped with this module, which imports numpy, and
+    scipy's sparse kernels (sparsetools) link no BLAS. scipy's own OpenBLAS
+    is mapped by the L-BFGS-B extension, which links it and which a model's
+    first fit loads, so the lookup loads that extension first: a lookup
+    made before any fit (NMF's, say) then still finds the library every
+    later fit runs on.
     """
     lbfgsb_setulb()  # maps scipy's OpenBLAS
 
@@ -291,22 +287,52 @@ def _openblas_thread_controls() -> tuple:
                 {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
             )
     except OSError:
-        return ()
-    controls = []
+        return []
+    found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_THREAD_FUNCS:
-            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
-                get = getattr(lib, name.format("get"))
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_ = getattr(lib, name.format("set"))
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+        for prefix, suffix in _OPENBLAS_NAMES:
+            if all(
+                hasattr(lib, f"{prefix}_{op}_num_threads{suffix}") for op in ("get", "set")
+            ):
+                found.append((lib, prefix, suffix))
                 break
+    return found
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every loaded OpenBLAS;
+    () where there is none. Looked up once, at the first call."""
+    controls = []
+    for lib, prefix, suffix in _openblas_libraries():
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
     return tuple(controls)
+
+
+@functools.cache
+def openblas_configs() -> tuple[str, ...]:
+    """The config string of every loaded OpenBLAS, as its get_config gives
+    it: version, build options and the core kernel the CPU chose, such as
+    "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"; a
+    build without get_config gives its file name. Looked up once, at the
+    first call."""
+    configs = []
+    for lib, prefix, suffix in _openblas_libraries():
+        get_config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+        if get_config is None:
+            configs.append(Path(lib._name).name)
+            continue
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        configs.append(get_config().decode(errors="replace"))
+    return tuple(configs)
 
 
 @contextlib.contextmanager

@@ -12,19 +12,20 @@ config keys are its flags less --out and --config. Config files are plain
 key=value lines or a previously written manifest.json; explicit flags win
 over config entries.
 
-The footprints and labels a command reads are parsed once per content:
-_load_dataset keeps both parsed inputs as one entry in a cache directory
-(_cache_dir), keyed by SHA-256 over the entry format, the reader's source
-(data.py) and both files' bytes, and a repeated command reads them back
-with one np.load. The directory is a deployment path, not a config key: it
-enters neither the manifest nor the config hash, and no output byte
-depends on it.
+Each command that reads a dataset computes its costliest stages once per
+content: main opens the store (_store) for the length of the command, and
+the parsed footprints and labels (_load_dataset), each classifier fit
+(models.fit_classifier) and each NMF (metafeatures.task_nmf_metafeatures)
+are read back from an entry keyed by SHA-256 over their inputs, arguments
+and code, or computed and stored there. The store's directory is a
+deployment path, not a config key: it enters neither the manifest nor the
+config hash, and no output byte depends on it. A library caller, which
+never opens the store, computes every stage.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import json
@@ -36,7 +37,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, _store
 from ._choices import (
     POPULATION_ALL_TEST,
     POPULATION_CLOAKED,
@@ -208,35 +209,15 @@ def _settings(command: str, cfg: dict) -> SynthConfig | ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-# names the layout of a cache entry; a layout change must change it
-_CACHE_FORMAT = b"footcloak parsed-input cache 2\n"
-_READER = Path(__file__).with_name("data.py")  # its bytes key every entry
-
-
-def _cache_dir() -> Path | None:
-    """The parsed-input cache: FOOTCLOAK_CACHE_DIR (set empty: no cache),
-    else $XDG_CACHE_HOME/footcloak, else ~/.cache/footcloak."""
-    env = os.environ.get("FOOTCLOAK_CACHE_DIR")
-    if env is not None:
-        return Path(env) if env else None
-    try:
-        base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    except RuntimeError:  # no home directory
+def _dataset_entry(cfg: dict):
+    """The store entry of cfg's footprints and labels, keyed by each input's
+    SHA-256 (read in 1 MiB blocks), footprints first. None without an open
+    store, or when an input is not a regular file (hashing would use a FIFO
+    up) or cannot be read, which the parser then reports."""
+    if not _store.is_open():
         return None
-    return Path(base, "footcloak")
-
-
-def _cache_entry(cfg: dict) -> Path | None:
-    """The cache entry of cfg's footprints and labels: <key>.npz, where key
-    is SHA-256 over the entry format, the reader's bytes and each input's
-    SHA-256 (read in 1 MiB blocks), footprints first. None without a cache
-    directory, or when an input is not a regular file (hashing would use a
-    FIFO up) or cannot be read, which the parser then reports."""
-    directory = _cache_dir()
-    if directory is None:
-        return None
+    digests = []
     try:
-        key = sha256(_CACHE_FORMAT + _READER.read_bytes())
         for path in (cfg["footprints"], cfg["labels"]):
             if not stat.S_ISREG(os.stat(path).st_mode):
                 return None
@@ -244,10 +225,11 @@ def _cache_entry(cfg: dict) -> Path | None:
             with open(path, "rb") as f:
                 while block := f.read(1 << 20):
                     digest.update(block)
-            key.update(digest.digest())
+            digests.append(digest.digest())
     except OSError:
         return None
-    return directory / f"{key.hexdigest()}.npz"
+    # this module's bytes key the entry too: _load_dataset sets its layout
+    return _store.entry("dataset", ("cli.py", "data.py"), digests)
 
 
 def _id_blob(ids):
@@ -261,60 +243,47 @@ def _blob_ids(blob, count: int) -> tuple[str, ...]:
     """The count ids of an _id_blob; no id is empty."""
     ids = tuple(blob.tobytes().decode().split("\n")) if count else ()
     if len(ids) != count:
-        raise ValueError(f"cache entry holds {len(ids)} ids, not {count}")
+        raise ValueError(f"store entry holds {len(ids)} ids, not {count}")
     return ids
+
+
+def _dataset(a: dict):
+    """The footprints and labels that _load_dataset stored as a."""
+    from .data import FootprintMatrix, LabelTable
+
+    n_users, n_items = len(a["indptr"]) - 1, int(a["n_items"])
+    m = FootprintMatrix(
+        a["indptr"], a["indices"], n_items,
+        _blob_ids(a["user_ids"], n_users), _blob_ids(a["item_ids"], n_items),
+    )
+    names = _blob_ids(a["tasks"], len(a["table"]))
+    return m, LabelTable(dict(zip(names, a["table"])), n_users)
 
 
 def _load_dataset(cfg: dict):
     """The footprints and the labels aligned to them, read back from their
-    parsed-input cache entry, or parsed and stored there (a per-process
-    temporary file, then os.replace). An entry that fails to load is a
-    miss, and a failed write leaves the command uncached."""
-    import zipfile
-
+    store entry, or parsed and stored there."""
     import numpy as np
 
-    from .data import FootprintMatrix, LabelTable, load_labels, load_triplets
+    from .data import load_labels, load_triplets
 
-    entry = _cache_entry(cfg)
-    if entry is not None:
-        try:
-            with np.load(entry, allow_pickle=False) as a:
-                n_users, n_items = len(a["indptr"]) - 1, int(a["n_items"])
-                m = FootprintMatrix(
-                    a["indptr"], a["indices"], n_items,
-                    _blob_ids(a["user_ids"], n_users),
-                    _blob_ids(a["item_ids"], n_items),
-                )
-                table = a["table"]
-                names = _blob_ids(a["tasks"], len(table))
-            logger.debug("parsed-input cache hit: %s", entry)
-            return m, LabelTable(dict(zip(names, table)), n_users)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            logger.debug("parsed-input cache miss: %s (%s)", entry, exc)
+    entry = _dataset_entry(cfg)
+    dataset = _store.load(entry, _dataset)
+    if dataset is not None:
+        return dataset
     m = load_triplets(cfg["footprints"])
     labels = load_labels(cfg["labels"], m)
     # an input rewritten since it was hashed would be stored under the key
     # of bytes the parser did not read
-    if entry is None or _cache_entry(cfg) != entry:
-        return m, labels
-    temp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
-    try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        with open(temp, "wb") as f:
-            np.savez(
-                f, indptr=m.indptr, indices=m.indices, n_items=m.n_items,
-                user_ids=_id_blob(m.user_ids), item_ids=_id_blob(m.item_ids),
-                tasks=_id_blob(labels.task_names),
-                table=np.reshape(
-                    list(labels.values.values()), (len(labels.values), m.n_users)
-                ),
-            )
-        os.replace(temp, entry)
-    except (OSError, ValueError) as exc:
-        logger.debug("parsed-input cache not written: %s (%s)", entry, exc)
-        with contextlib.suppress(OSError):
-            temp.unlink()
+    if entry is not None and _dataset_entry(cfg) == entry:
+        _store.save(entry, dict(
+            indptr=m.indptr, indices=m.indices, n_items=m.n_items,
+            user_ids=_id_blob(m.user_ids), item_ids=_id_blob(m.item_ids),
+            tasks=_id_blob(labels.task_names),
+            table=np.reshape(
+                list(labels.values.values()), (len(labels.values), m.n_users)
+            ),
+        ))
     return m, labels
 
 
@@ -658,7 +627,8 @@ def main(argv=None) -> int:
         settings = _settings(args.command, cfg)
         outdir = Path(args.out)
         meta = {"config_hash": _config_hash(args.command, cfg), "seed": cfg["seed"]}
-        files = _COMMANDS[args.command][0](cfg, settings, outdir, meta)
+        with _store.opened():  # for this command only
+            files = _COMMANDS[args.command][0](cfg, settings, outdir, meta)
         # written last, the manifest marks a complete run
         manifest = {"command": args.command, "version": __version__, "config": cfg}
         write_results(outdir, {**files, "manifest.json": {**manifest, **meta}})

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _store
 from ._util import ExperimentConfig, derive_seed, serial_blas
 from .data import (
     FootprintMatrix,
@@ -153,19 +154,35 @@ def build_nmf_metafeatures(
     return MetafeatureModel(k, assignment, loading, SOURCE_NMF)
 
 
+# the modules that compute an NMF: their bytes key its store entry
+_NMF_SOURCES = ("metafeatures.py", "data.py", "_util.py")
+
+
 def task_nmf_metafeatures(
     train: FootprintMatrix, config: ExperimentConfig, stream: int
 ) -> MetafeatureModel:
     """NMF metafeatures of a task classifier's training rows, with the
     config's k, iteration cap and tolerance, seeded from the config's seed
-    and the given seed stream."""
-    return build_nmf_metafeatures(
-        train,
-        config.k_metafeatures,
-        max_iters=config.nmf_max_iters,
-        tol=config.nmf_tol,
-        seed=derive_seed(config.seed, stream),
+    and the given seed stream.
+
+    While a command runs, they are read back from the store (_store) when
+    it holds them for the same rows, settings, seed and code, and stored
+    there otherwise.
+    """
+    k, max_iters, tol = config.k_metafeatures, config.nmf_max_iters, config.nmf_tol
+    seed = derive_seed(config.seed, stream)
+    entry = _store.entry(
+        "nmf",
+        _NMF_SOURCES,
+        (train.indptr, train.indices, train.n_items, k, max_iters, tol, seed),
     )
+    mfm = _store.load(
+        entry, lambda a: MetafeatureModel(k, a["assignment"], a["loading"], SOURCE_NMF)
+    )
+    if mfm is None:
+        mfm = build_nmf_metafeatures(train, k, max_iters=max_iters, tol=tol, seed=seed)
+        _store.save(entry, {"assignment": mfm.assignment, "loading": mfm.loading})
+    return mfm
 
 
 # ---------------------------------------------------------------------------

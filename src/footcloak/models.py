@@ -31,6 +31,7 @@ from hashlib import sha256
 
 import numpy as np
 
+from . import _store
 from ._util import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_C_GRID,
@@ -292,17 +293,38 @@ def _cv_choice(scores: np.ndarray, name: str) -> int:
     return int(np.argmax(means))
 
 
+# the modules that compute a fit: their bytes key its store entry
+_FIT_SOURCES = ("models.py", "data.py", "_util.py")
+
+
 def fit_classifier(
     m: FootprintMatrix, y01: np.ndarray, folds: int, seed: int
 ) -> tuple[float, LinearModel, np.ndarray]:
-    """Pick C by cross-validation, fit on all rows, score the training rows.
+    """Pick C from DEFAULT_C_GRID by cross-validation, fit on all rows,
+    score the training rows.
 
     Returns (best_c, model, train_scores); the caller sets its threshold
-    from train_scores.
+    from train_scores. While a command runs, the model (best_c is its C)
+    is read back from the store (_store) when it holds one for the same
+    rows, labels, folds, seed, grid and code, and stored there otherwise;
+    the scores are computed either way.
     """
-    best_c = grid_search_cv(m, y01, folds=folds, seed=seed)
-    model = train_logreg_l2(m, y01, best_c)
-    return best_c, model, predict_scores(model, m)
+    y01 = np.asarray(y01, dtype=np.float64)
+    entry = _store.entry(
+        "fit",
+        _FIT_SOURCES,
+        (m.indptr, m.indices, m.n_items, y01, folds, seed, DEFAULT_C_GRID),
+    )
+    model = _store.load(
+        entry, lambda a: LinearModel(a["weights"], float(a["intercept"]), float(a["C"]))
+    )
+    if model is None:
+        best_c = grid_search_cv(m, y01, DEFAULT_C_GRID, folds, seed)
+        model = train_logreg_l2(m, y01, best_c)
+        _store.save(
+            entry, {"weights": model.weights, "intercept": model.intercept, "C": model.C}
+        )
+    return model.C, model, predict_scores(model, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,14 +15,15 @@ settings.register_profile("ci", max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def parsed_input_cache(tmp_path_factory):
-    """Every command, in-process or a child process, caches parsed inputs in
-    a directory of this session's own, never in the user's cache."""
-    with pytest.MonkeyPatch.context() as mp:
-        path = tmp_path_factory.mktemp("parsed-input-cache")
-        mp.setenv("FOOTCLOAK_CACHE_DIR", str(path))
-        yield path
+@pytest.fixture(autouse=True)
+def store_dir(tmp_path_factory, monkeypatch):
+    """Every command, in-process or a child process, keeps its store in a
+    directory of this test's own: never in the user's cache, and never
+    holding an entry an earlier test wrote, so a test that patches a stage
+    the store caches sees the patch run."""
+    path = tmp_path_factory.mktemp("store")
+    monkeypatch.setenv("FOOTCLOAK_CACHE_DIR", str(path))
+    return path
 
 
 @pytest.fixture(scope="session")

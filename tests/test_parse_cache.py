@@ -1,8 +1,8 @@
-"""The CLI's parsed-input cache against the library parse.
+"""The store's dataset entries against the library parse.
 
-cli._load_dataset reads the footprints and labels from one cache entry
-keyed by the reader's source and both files' bytes, or parses them and
-writes the entry. A miss, a hit and the library parse must give the same
+With the store open, cli._load_dataset reads the footprints and labels
+from one store entry keyed by the reader's and the CLI's source and both
+files' bytes, or parses them and writes the entry. A miss, a hit and the library parse must give the same
 arrays (dtype included), ids and label values; a bad entry, an unwritable
 or disabled cache, an input that is no regular file and an input rewritten
 during the parse all fall back to the parse; and the cache changes no
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from footcloak import cli, data
+from footcloak import _store, cli, data
 from footcloak.data import load_labels, load_triplets
 
 # an id starts with a letter, so no id strips to empty; the rest holds the
@@ -119,10 +119,13 @@ def test_miss_then_hit_match_the_library_parse(case):
         cfg = {"footprints": tmp / "footprints.csv", "labels": tmp / "labels.csv"}
         cfg["footprints"].write_bytes(case[0])
         cfg["labels"].write_bytes(case[1])
-        with mock.patch.dict(os.environ, FOOTCLOAK_CACHE_DIR=str(tmp / "cache")):
+        with (
+            mock.patch.dict(os.environ, FOOTCLOAK_CACHE_DIR=str(tmp / "cache")),
+            _store.opened(),
+        ):
             miss, miss_err = _outcome(cli._load_dataset, cfg)
             if miss_err is None:
-                assert _entries(tmp / "cache") == ["npz"]
+                assert _entries(tmp / "cache") == ["dataset.npz"]
                 with _no_parse():
                     hit = cli._load_dataset(cfg)
         want, want_err = _outcome(_library, cfg)
@@ -134,14 +137,15 @@ def test_miss_then_hit_match_the_library_parse(case):
 
 @pytest.fixture
 def dataset(tiny_dataset_dir, tmp_path, monkeypatch):
-    """The tiny dataset's files, and an empty cache directory in use."""
+    """The tiny dataset's files, and the store open in an empty directory."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("FOOTCLOAK_CACHE_DIR", str(cache))
     cfg = {
         "footprints": tiny_dataset_dir / "footprints.csv",
         "labels": tiny_dataset_dir / "labels.csv",
     }
-    return cfg, cache
+    with _store.opened():
+        yield cfg, cache
 
 
 def _truncate(raw):
@@ -165,14 +169,12 @@ def test_a_bad_entry_is_parsed_again_and_rewritten(dataset, damage, caplog):
     _assert_same(cli._load_dataset(cfg), want)
     for entry in cache.iterdir():
         entry.write_bytes(damage(entry.read_bytes()))
-    with caplog.at_level(logging.DEBUG, logger="footcloak.cli"):
+    with caplog.at_level(logging.DEBUG, logger="footcloak._store"):
         _assert_same(cli._load_dataset(cfg), want)
-    assert [r.message.split(":")[0] for r in caplog.records] == [
-        "parsed-input cache miss"
-    ]
+    assert [r.message.split(":")[0] for r in caplog.records] == ["store miss"]
     with _no_parse():
         _assert_same(cli._load_dataset(cfg), want)
-    assert _entries(cache) == ["npz"]
+    assert _entries(cache) == ["dataset.npz"]
 
 
 def test_an_edited_input_or_reader_misses(dataset, tmp_path, monkeypatch):
@@ -185,19 +187,22 @@ def test_an_edited_input_or_reader_misses(dataset, tmp_path, monkeypatch):
     footprints.write_bytes(b"".join(lines[:1] + lines[:0:-1]))
     cfg = {**cfg, "footprints": footprints}
     _assert_same(cli._load_dataset(cfg), _library(cfg))
-    assert _entries(cache) == ["npz"] * 2
+    assert _entries(cache) == ["dataset.npz"] * 2
     labels = tmp_path / "labels.csv"
     labels.write_bytes(cfg["labels"].read_bytes() + b"u_new,task_a,1\n")
     cfg = {**cfg, "labels": labels}
     with mock.patch.object(data, "load_triplets", wraps=data.load_triplets) as parse:
         _assert_same(cli._load_dataset(cfg), _library(cfg))
     assert parse.call_count == 1  # a labels edit parses the footprints again
-    assert _entries(cache) == ["npz"] * 3
-    reader = tmp_path / "data.py"
-    reader.write_bytes(Path(data.__file__).read_bytes() + b"\n")
-    monkeypatch.setattr(cli, "_READER", reader)
-    _assert_same(cli._load_dataset(cfg), _library(cfg))
-    assert _entries(cache) == ["npz"] * 4
+    assert _entries(cache) == ["dataset.npz"] * 3
+    for n, module in enumerate(("data.py", "cli.py"), start=4):
+        sources = tmp_path / f"sources-{n}"
+        shutil.copytree(_store._SOURCES, sources)
+        with open(sources / module, "ab") as f:
+            f.write(b"\n")
+        monkeypatch.setattr(_store, "_SOURCES", sources)
+        _assert_same(cli._load_dataset(cfg), _library(cfg))
+        assert _entries(cache) == ["dataset.npz"] * n
 
 
 def test_an_input_rewritten_during_the_parse_is_not_stored(dataset, tmp_path):
@@ -217,7 +222,7 @@ def test_an_input_rewritten_during_the_parse_is_not_stored(dataset, tmp_path):
         cli._load_dataset(cfg)
     footprints.write_bytes(full)
     _assert_same(cli._load_dataset(cfg), _library(cfg))
-    assert _entries(cache) == ["npz"]  # from the second load only
+    assert _entries(cache) == ["dataset.npz"]  # from the second load only
 
 
 def test_a_fifo_input_is_parsed_and_not_cached(dataset, tmp_path):
@@ -282,7 +287,7 @@ def test_cold_warm_unwritable_and_off_write_the_same_bytes(
     want = _tree(tmp_path / "cold")
     for name in runs:
         assert _tree(tmp_path / name) == want
-    assert _entries(tmp_path / "cache") == ["npz"]
+    assert _entries(tmp_path / "cache") == ["dataset.npz", "fit.npz"]
     assert not (tmp_path / "xdg").exists() and not (tmp_path / "home").exists()
 
 
@@ -290,11 +295,11 @@ def test_the_default_cache_follows_xdg_then_home(monkeypatch, tmp_path):
     monkeypatch.delenv("FOOTCLOAK_CACHE_DIR")
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    assert cli._cache_dir() == tmp_path / "xdg" / "footcloak"
+    assert _store.cache_dir() == tmp_path / "xdg" / "footcloak"
     monkeypatch.delenv("XDG_CACHE_HOME")
-    assert cli._cache_dir() == tmp_path / ".cache" / "footcloak"
+    assert _store.cache_dir() == tmp_path / ".cache" / "footcloak"
     monkeypatch.setenv("FOOTCLOAK_CACHE_DIR", "")
-    assert cli._cache_dir() is None
+    assert _store.cache_dir() is None
 
 
 def test_main_never_freezes_and_run_does(tiny_dataset_dir, tmp_path, monkeypatch):
