@@ -1,5 +1,6 @@
 """The content-addressed store of what commands compute: each dataset's
-parsed footprints and labels, each classifier fit and each NMF.
+parsed footprints and labels, each classifier fit, each NMF and each
+spillover ridge.
 
 An entry is one .npz file, <key>.<kind>.npz, in the store's directory
 (cache_dir). Its key is SHA-256 over the store's format, the entry's kind,
@@ -126,7 +127,7 @@ def load(path: Path | None, build):
     try:
         with np.load(path, allow_pickle=False) as npz:
             result = build({name: npz[name] for name in npz.files})
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         logger.debug("store miss: %s (%s)", path, exc)
         return None
     logger.debug("store hit: %s", path)

@@ -642,6 +642,10 @@ def fit_ridge(
     at its chosen alpha. Item-space weights are w = X_c^T beta. Runs on one
     BLAS thread, and a column's model does not depend on the columns
     fitted with it.
+
+    While a command runs, the models are read back from the store (_store)
+    when it holds them for the same rows, targets, alpha grid, folds, seed
+    and code, and stored there otherwise.
     """
     if m.n_users < folds + 1:
         raise ValueError("need more users than folds")
@@ -657,6 +661,18 @@ def fit_ridge(
     alphas = np.array(sorted(float(a) for a in alpha_grid))
     if len(alphas) and alphas[0] <= 0:
         raise ValueError("alpha must be positive")
+    entry = _store.entry(
+        "ridge", _FIT_SOURCES, (m.indptr, m.indices, m.n_items, Y, alphas, folds, seed)
+    )
+    stored = _store.load(
+        entry,
+        lambda a: [
+            LinearModel(w, float(b), float(alpha), KIND_REGRESSOR)
+            for w, b, alpha in zip(a["weights"], a["intercepts"], a["alphas"])
+        ],
+    )
+    if stored is not None:
+        return stored
 
     # ||K||_inf = max(X X^T 1), as binary rows make K nonnegative
     k_norm = float(np.max(m.times(m.t_times(np.ones(m.n_users)))))
@@ -684,6 +700,9 @@ def fit_ridge(
         beta = _shifted_cg(m, mu, Yt - ybar[:, None], grid, roundoff)[:, 0]
         W = _centered_t_times(m, mu, beta)
         intercepts = ybar - np.sum(W * mu, axis=1)
+    _store.save(
+        entry, {"weights": W, "intercepts": intercepts, "alphas": np.array(chosen)}
+    )
     return [
         LinearModel(w, float(b), alpha, KIND_REGRESSOR)
         for w, b, alpha in zip(W, intercepts, chosen)

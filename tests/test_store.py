@@ -1,11 +1,13 @@
-"""The store's fit and NMF entries against the uncached library calls.
+"""The store's fit, NMF and ridge entries against the uncached library
+calls.
 
-While cli.main runs a command, models.fit_classifier and
-metafeatures.task_nmf_metafeatures read their results back from the store
-(_store) or compute and store them. A miss, a hit that computes nothing and
-the library call with the store closed must give the same model, scores
-and metafeatures bit for bit; each ingredient of a key, changed alone,
-must miss; and after cli.main returns the store is closed, so a library
+While cli.main runs a command, models.fit_classifier,
+metafeatures.task_nmf_metafeatures and models.fit_ridge read their results
+back from the store (_store) or compute and store them. A miss, a hit that
+computes nothing and the library call with the store closed must give the
+same model, scores, metafeatures and ridge models bit for bit; each
+ingredient of a key, changed alone, must miss; an entry that does not load
+is a miss; and after cli.main returns the store is closed, so a library
 call computes.
 """
 
@@ -16,12 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from footcloak import _store, cli, metafeatures, models
-from footcloak._util import ExperimentConfig
+from footcloak._util import DEFAULT_ALPHA_GRID, ExperimentConfig
 from footcloak.data import from_rows
 from footcloak.metafeatures import task_nmf_metafeatures
-from footcloak.models import fit_classifier
+from footcloak.models import fit_classifier, fit_ridge
 
 
 @pytest.fixture
@@ -133,6 +136,43 @@ def test_an_nmf_miss_hit_and_library_call_agree(m, k, max_iters, tol, seed, stre
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+def _same_model(got, want):
+    assert got.C == want.C and got.kind == want.kind
+    assert got.weights.dtype == want.weights.dtype
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    m=_footprints(min_users=3),
+    alpha_grid=st.sampled_from([DEFAULT_ALPHA_GRID, (1e-3,), (1e3, 0.5, 2.0)]),
+    folds=st.integers(2, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_a_ridge_miss_hit_and_library_call_agree(data, m, alpha_grid, folds, seed):
+    values = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-5.0, 5.0))
+    columns = data.draw(st.integers(1, 3))
+    Y = data.draw(arrays(np.float64, (m.n_users, columns), elements=values))
+    with pytest.MonkeyPatch.context() as mp:
+        store = _store.cache_dir()
+        shutil.rmtree(store, ignore_errors=True)
+        with _store.opened():
+            miss, miss_err = _outcome(fit_ridge, m, Y, alpha_grid, folds, seed)
+            if miss_err is None:
+                assert _kinds(store) == ["ridge.npz"]
+                mp.setattr(models, "_shifted_cg", _fails("the shifted CG"))
+                hit = fit_ridge(m, Y, alpha_grid, folds, seed)
+    want, want_err = _outcome(fit_ridge, m, Y, alpha_grid, folds, seed)
+    assert miss_err == want_err
+    if want_err is None:
+        for got in (miss, hit):
+            assert len(got) == len(want) == columns
+            for g, w in zip(got, want):
+                _same_model(g, w)
+
+
 # ---------------------------------------------------------------------------
 # every ingredient of a key, changed alone, misses
 
@@ -147,6 +187,16 @@ def _fit_args():
 def _nmf_args():
     config = ExperimentConfig(seed=5, k_metafeatures=2, nmf_max_iters=5, nmf_tol=1e-4)
     return {"train": _matrix(_ROWS, 4), "config": config, "stream": 7}
+
+
+_TARGETS = np.random.default_rng(3).normal(size=(len(_ROWS), 1))
+
+
+def _ridge_args():
+    return {
+        "m": _matrix(_ROWS, 4), "Y": _TARGETS.copy(), "alpha_grid": DEFAULT_ALPHA_GRID,
+        "folds": 3, "seed": 5,
+    }
 
 
 def _edit_source(name):
@@ -217,6 +267,12 @@ def _one_label():
     return edit
 
 
+def _one_target(mp, tmp_path, args):
+    Y = args["Y"].copy()
+    Y[0, 0] += 1.0
+    return {**args, "Y": Y}
+
+
 def _c_grid(mp, tmp_path, args):
     mp.setattr(models, "DEFAULT_C_GRID", (1e-2, 1.0, 100.0))
     return args
@@ -251,6 +307,21 @@ _NMF_EDITS = {
     **{
         f"{name} bytes": _edit_source(name)
         for name in ("metafeatures.py", "data.py", "_util.py")
+    },
+    **{name: _edit_environment(at) for name, at in _ENVIRONMENT.items()},
+}
+
+_RIDGE_EDITS = {
+    "one index": _one_index("m"),
+    "one row boundary": _one_boundary("m"),
+    "item count": _one_more_item("m"),
+    "one target value": _one_target,
+    "alpha grid": _with(alpha_grid=(0.5, 2.0)),
+    "folds": _with(folds=2),
+    "seed": _with(seed=6),
+    **{
+        f"{name} bytes": _edit_source(name)
+        for name in ("models.py", "data.py", "_util.py")
     },
     **{name: _edit_environment(at) for name, at in _ENVIRONMENT.items()},
 }
@@ -300,6 +371,22 @@ def test_a_changed_nmf_ingredient_misses(edit, store, tmp_path, monkeypatch):
     assert _kinds(store) == ["nmf.npz"] * 2
 
 
+@pytest.mark.parametrize("edit", _RIDGE_EDITS, ids=list(_RIDGE_EDITS))
+def test_a_changed_ridge_ingredient_misses(edit, store, tmp_path, monkeypatch):
+    args = _ridge_args()
+    assert _computes(models, "_shifted_cg", fit_ridge, args)
+    assert not _computes(models, "_shifted_cg", fit_ridge, _ridge_args())
+    args = _RIDGE_EDITS[edit](monkeypatch, tmp_path, _ridge_args())
+    assert _computes(models, "_shifted_cg", fit_ridge, args)
+    assert _kinds(store) == ["ridge.npz"] * 2
+
+
+def test_the_alpha_grid_is_keyed_sorted(store):
+    assert _computes(models, "_shifted_cg", fit_ridge, _ridge_args())
+    args = {**_ridge_args(), "alpha_grid": DEFAULT_ALPHA_GRID[::-1]}
+    assert not _computes(models, "_shifted_cg", fit_ridge, args)
+
+
 # ---------------------------------------------------------------------------
 # only cli.main opens the store
 
@@ -325,3 +412,54 @@ def test_a_library_call_never_touches_the_store(store_dir):
         assert _computes(models, "grid_search_cv", fit_classifier, _fit_args())
         assert _computes(metafeatures, "nmf_fit", task_nmf_metafeatures, _nmf_args())
     assert not any(store_dir.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# spillover through cli.main
+
+
+def _spillover(data_dir, out, traits, population="all-test"):
+    return cli.main([
+        "spillover", "--footprints", str(data_dir / "footprints.csv"),
+        "--labels", str(data_dir / "labels.csv"), "--task", "task_a",
+        "--traits", traits, "--population", population, "--quantile", "0.9",
+        "--k", "8", "--nmf-max-iters", "20", "--out", str(out),
+    ])
+
+
+def _files(out) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_spillover_on_the_cloaked_users_reads_the_ridge_of_all_test(
+    tiny_dataset_dir, tmp_path, store_dir, monkeypatch
+):
+    # both populations fit the ridge on the same training users
+    assert _spillover(tiny_dataset_dir, tmp_path / "all", "trait_a,trait_b") == 0
+    entries = _kinds(store_dir)
+    assert entries.count("ridge.npz") == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(models, "_shifted_cg", _fails("the shifted CG"))
+        assert _spillover(
+            tiny_dataset_dir, tmp_path / "cloaked", "trait_a,trait_b", "cloaked"
+        ) == 0
+    assert _kinds(store_dir) == entries
+    monkeypatch.setenv("FOOTCLOAK_CACHE_DIR", "")
+    assert _spillover(
+        tiny_dataset_dir, tmp_path / "cloaked-off", "trait_a,trait_b", "cloaked"
+    ) == 0
+    assert _files(tmp_path / "cloaked") == _files(tmp_path / "cloaked-off")
+
+
+@pytest.mark.parametrize("kind", ["dataset", "fit", "nmf", "ridge"])
+def test_an_empty_entry_is_a_miss(kind, tiny_dataset_dir, tmp_path, store_dir):
+    # what a crash between the write and the rename can leave behind
+    assert _spillover(tiny_dataset_dir, tmp_path / "cold", "trait_a,trait_b") == 0
+    emptied = sorted(store_dir.glob(f"*.{kind}.npz"))
+    assert emptied
+    for path in emptied:
+        path.write_bytes(b"")
+    assert _spillover(tiny_dataset_dir, tmp_path / "again", "trait_a,trait_b") == 0
+    assert _files(tmp_path / "again") == _files(tmp_path / "cold")
+    assert sorted(store_dir.glob(f"*.{kind}.npz")) == emptied
+    assert all(path.stat().st_size > 0 for path in emptied)
