@@ -1,6 +1,6 @@
-"""The content-addressed store of what commands compute: each dataset's
-parsed footprints and labels, each classifier fit, each NMF and each
-spillover ridge.
+"""The content-addressed store of what commands compute: each generated
+dataset, each dataset's parsed footprints and labels, each classifier fit,
+each NMF and each spillover ridge.
 
 An entry is one .npz file, <key>.<kind>.npz, in the store's directory
 (cache_dir). Its key is SHA-256 over the store's format, the entry's kind,
@@ -65,12 +65,13 @@ def is_open() -> bool:
 
 
 @functools.cache
-def _environment() -> tuple[str, ...]:
+def _environment(scipy_blas: bool = True) -> tuple[str, ...]:
     """What the numbers depend on besides footcloak's own code: numpy's
     version, the text of scipy's version.py (version and git revision;
     importing scipy would cost a command its package import) and every
     loaded OpenBLAS's config string, which names its core kernel: ddot and
-    dgemm round differently on different kernels."""
+    dgemm round differently on different kernels. scipy's OpenBLAS, which
+    the fits run on, is loaded for the lookup unless scipy_blas is False."""
     import importlib.util
 
     import numpy as np
@@ -79,7 +80,7 @@ def _environment() -> tuple[str, ...]:
 
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
     scipy_version = Path(scipy_dir, "version.py").read_text()
-    return (np.__version__, scipy_version, *openblas_configs())
+    return (np.__version__, scipy_version, *openblas_configs(scipy_blas))
 
 
 def _digest(part) -> bytes:
@@ -96,10 +97,13 @@ def _digest(part) -> bytes:
     return sha256(f"{type(part).__name__} {part!r}".encode()).digest()
 
 
-def entry(kind: str, sources: tuple[str, ...], parts) -> Path | None:
+def entry(
+    kind: str, sources: tuple[str, ...], parts, scipy_blas: bool = True
+) -> Path | None:
     """The path of kind's entry for parts, computed by the package modules
     named in sources; None when the store is closed or a source cannot be
-    read."""
+    read. A kind computed without scipy's OpenBLAS passes scipy_blas=False
+    (_environment)."""
     if _directory is None:
         return None
     key = sha256(_FORMAT)
@@ -109,7 +113,7 @@ def entry(kind: str, sources: tuple[str, ...], parts) -> Path | None:
             key.update(_digest((_SOURCES / name).read_bytes()))
     except OSError:
         return None
-    for part in (*_environment(), *parts):
+    for part in (*_environment(scipy_blas), *parts):
         key.update(_digest(part))
     return _directory / f"{key.hexdigest()}.{kind}.npz"
 

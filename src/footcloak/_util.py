@@ -267,7 +267,7 @@ _OPENBLAS_NAMES = tuple(
 )
 
 
-def _openblas_libraries() -> list[tuple]:
+def _openblas_libraries(scipy_blas: bool = True) -> list[tuple]:
     """(library, symbol prefix, suffix) of every OpenBLAS loaded in this
     process; [] where there is none (another BLAS, or no /proc).
 
@@ -275,11 +275,12 @@ def _openblas_libraries() -> list[tuple]:
     scipy; numpy's is mapped with this module, which imports numpy, and
     scipy's sparse kernels (sparsetools) link no BLAS. scipy's own OpenBLAS
     is mapped by the L-BFGS-B extension, which links it and which a model's
-    first fit loads, so the lookup loads that extension first: a lookup
-    made before any fit (NMF's, say) then still finds the library every
-    later fit runs on.
+    first fit loads, so unless scipy_blas is False the lookup loads that
+    extension first: a lookup made before any fit (NMF's, say) then still
+    finds the library every later fit runs on.
     """
-    lbfgsb_setulb()  # maps scipy's OpenBLAS
+    if scipy_blas:
+        lbfgsb_setulb()  # maps scipy's OpenBLAS
 
     try:
         with open("/proc/self/maps") as fh:
@@ -318,14 +319,15 @@ def _openblas_thread_controls() -> tuple:
 
 
 @functools.cache
-def openblas_configs() -> tuple[str, ...]:
+def openblas_configs(scipy_blas: bool = True) -> tuple[str, ...]:
     """The config string of every loaded OpenBLAS, as its get_config gives
     it: version, build options and the core kernel the CPU chose, such as
     "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"; a
-    build without get_config gives its file name. Looked up once, at the
-    first call."""
+    build without get_config gives its file name. Looked up once per
+    scipy_blas, at the first call; with scipy_blas False, scipy's OpenBLAS
+    is not loaded for the lookup."""
     configs = []
-    for lib, prefix, suffix in _openblas_libraries():
+    for lib, prefix, suffix in _openblas_libraries(scipy_blas):
         get_config = getattr(lib, f"{prefix}_get_config{suffix}", None)
         if get_config is None:
             configs.append(Path(lib._name).name)

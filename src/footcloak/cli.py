@@ -12,16 +12,16 @@ config keys are its flags less --out and --config. Config files are plain
 key=value lines or a previously written manifest.json; explicit flags win
 over config entries.
 
-Each command that reads a dataset computes its costliest stages once per
-content: main opens the store (_store) for the length of the command, and
-the parsed footprints and labels (_load_dataset), each classifier fit
-(models.fit_classifier), each NMF (metafeatures.task_nmf_metafeatures) and
-each spillover ridge (models.fit_ridge) are read back from an
-entry keyed by SHA-256 over their inputs, arguments and code, or computed
-and stored there. The store's directory is a deployment path, not a
-config key: it enters neither the manifest nor the config hash, and no
-output byte depends on it. A library caller, which never opens the store,
-computes every stage.
+Each command computes its costliest stages once per content: main opens
+the store (_store) for the length of the command, and synth's dataset
+(synth.generate), the parsed footprints and labels (_load_dataset), each
+classifier fit (models.fit_classifier), each NMF
+(metafeatures.task_nmf_metafeatures) and each spillover ridge
+(models.fit_ridge) are read back from an entry keyed by SHA-256 over their
+inputs, arguments and code, or computed and stored there. The store's
+directory is a deployment path, not a config key: it enters neither the
+manifest nor the config hash, and no output byte depends on it. A library
+caller, which never opens the store, computes every stage.
 """
 
 from __future__ import annotations

@@ -374,7 +374,8 @@ def fit_task_classifier(
 
 
 def quantile_threshold(scores: np.ndarray, q: float = 0.95) -> float:
-    """Threshold at the k-th largest score, k = max(1, floor(n * (1 - q))).
+    """Threshold at the k-th largest score, k = max(1, floor(n * (1 - q))),
+    with q taken as the decimal it prints as (0.9 is 9/10).
 
     A score at or above the threshold counts as positive; cloaking succeeds
     only strictly below it.
@@ -385,8 +386,20 @@ def quantile_threshold(scores: np.ndarray, q: float = 0.95) -> float:
         raise ValueError("empty score population")
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
-    k = max(1, int(math.floor(n * (1.0 - q))))
+    # in integers: in floating point k comes out one short where n(1 - q)
+    # is whole and 1 - q rounds down, as 20 * (1 - 0.9) = 1.9999999999999996
+    num, den = _decimal_ratio(q)
+    k = max(1, n * (den - num) // den)
     return float(np.partition(scores, n - k)[n - k])
+
+
+def _decimal_ratio(q: float) -> tuple[int, int]:
+    """q as the integers num / den of the decimal it prints as: 0.9 is
+    9 / 10 and 1.5e-05 is 15 / 1000000. fractions.Fraction(repr(q)) gives
+    the same ratio, but importing fractions costs a command about 1 MB."""
+    mantissa, _, exponent = repr(float(q)).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    return int(whole + digits), 10 ** (len(digits) - int(exponent or 0))
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:

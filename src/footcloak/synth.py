@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import _store
 from ._util import expit
 from .data import FootprintMatrix, LabelTable, from_rows
 
@@ -262,6 +263,10 @@ def _sample_rows(rng, blocks, zipf, aff, like_counts):
     return rows, resamples, overflow_shifts
 
 
+# the modules that compute a dataset: their bytes key its store entry
+_SYNTH_SOURCES = ("synth.py", "data.py", "_util.py")
+
+
 def generate(config: SynthConfig) -> SynthResult:
     """Generate a footprint matrix with planted topics and linked labels.
 
@@ -272,7 +277,49 @@ def generate(config: SynthConfig) -> SynthResult:
     replays `Generator.choice` without replacement; the oracle test pins
     it to numpy's own `choice`, so a numpy release that changes `choice`
     fails that test instead of silently changing the datasets.
+
+    While a command runs, the result is read back from the store (_store)
+    when it holds one for the same config and code (numpy's version, part
+    of every key, fixes the random streams), and stored there otherwise.
     """
+    # synth runs on numpy's OpenBLAS alone: the lookup loads no scipy
+    entry = _store.entry(
+        "synth", _SYNTH_SOURCES, tuple(asdict(config).items()), scipy_blas=False
+    )
+    result = _store.load(entry, lambda a: _stored(config, a))
+    if result is None:
+        result = _generate(config)
+        _store.save(entry, {
+            "indptr": result.matrix.indptr,
+            "indices": result.matrix.indices,
+            "labels": np.array(list(result.labels.values.values())),
+            "item_topics": result.item_topics,
+            "affinities": result.affinities,
+            "diagnostics": np.array(list(result.diagnostics.values())),
+        })
+    return result
+
+
+def _ids(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i:05d}" for i in range(count))
+
+
+def _stored(config: SynthConfig, a: dict) -> SynthResult:
+    """The SynthResult that generate stored as a; its ids and task names
+    follow from the config."""
+    n, m, k = config.n_users, config.n_items, config.k_topics
+    matrix = FootprintMatrix(a["indptr"], a["indices"], m, _ids("u", n), _ids("i", m))
+    links = (*default_binary_links(k), *default_continuous_links(k))
+    labels = LabelTable(dict(zip((l.name for l in links), a["labels"])), n)
+    resamples, overflow_shifts = a["diagnostics"].tolist()
+    diagnostics = {"resamples": resamples, "overflow_shifts": overflow_shifts}
+    return SynthResult(
+        matrix, labels, a["item_topics"], a["affinities"], config, diagnostics
+    )
+
+
+def _generate(config: SynthConfig) -> SynthResult:
+    """generate's result, computed."""
     n, m, k = config.n_users, config.n_items, config.k_topics
     rng = np.random.default_rng(config.seed)
 
@@ -291,9 +338,7 @@ def generate(config: SynthConfig) -> SynthResult:
     if resamples:
         logger.debug("generate: %d infeasible topic splits resampled", resamples)
 
-    user_ids = tuple(f"u{i:05d}" for i in range(n))
-    item_ids = tuple(f"i{j:05d}" for j in range(m))
-    matrix = from_rows(rows, m, user_ids, item_ids)
+    matrix = from_rows(rows, m, _ids("u", n), _ids("i", m))
 
     values: dict[str, np.ndarray] = {}
     for link in default_binary_links(k):

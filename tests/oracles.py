@@ -11,8 +11,9 @@ solve `footcloak.models` replaced: per fold and alpha, a Cholesky
 factorization of the dense centered Gram matrix of the train rows. The
 explanation oracle is the best-first SEDC search of Martens & Provost
 (2014), which `footcloak.explain.linear_explain` makes exact for linear
-models; the scoring oracle scores one active-item set, the cloaking oracle
-cloaks one row by one explanation's features, as `footcloak.cloak.cloak_entries`
+models; the threshold oracle takes the k-th largest score in integer
+arithmetic; the scoring oracle scores one active-item set, the cloaking
+oracle cloaks one row by one explanation's features, as `footcloak.cloak.cloak_entries`
 does to a whole matrix, and the cost oracle counts one cloaked row's removed
 items.
 The NMF oracle writes each multiplicative update as one expression, where
@@ -393,6 +394,14 @@ def predict_score(model: LinearModel, row: np.ndarray) -> float:
     row = np.asarray(row, dtype=np.int64)
     margin = float(model.weights[row].sum()) + model.intercept
     return float(expit(margin))
+
+
+def quantile_threshold(scores, q_num: int, q_den: int) -> float:
+    """The k-th largest score, k = max(1, floor(n(1 - q))) for the decimal
+    q = q_num / q_den, in integer arithmetic, by a full sort."""
+    n = len(scores)
+    k = max(1, n * (q_den - q_num) // q_den)
+    return sorted(scores)[n - k]
 
 
 def apply_cloak(

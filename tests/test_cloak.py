@@ -153,7 +153,7 @@ def test_domain_mf_never_sweeps_reserved():
 
 def test_fg_tol_crosses_lower_threshold():
     tol = strategy_threshold(_tol_config(0.90), STRATEGY_FG_TOL, 0.96, _SCORES)
-    assert tol == 0.92
+    assert tol == 0.91  # the 10th largest of 100: floor(100 * (1 - 0.90))
     expl = _explain(_ROW, tol)
     assert predict_score(_MODEL, apply_cloak(_ROW, expl.features)) < 0.91
     fg = _explain(_ROW, 0.96)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
 
@@ -358,6 +359,32 @@ def test_quantile_threshold_positive_count_invariant():
         k = max(1, math.floor(n * (1 - q)))
         # with distinct scores, exactly k land at or above the threshold
         assert int((scores >= th).sum()) == k
+
+
+_DECIMAL_Q = st.one_of(
+    st.integers(1, 99).map(lambda num: (num, 100)),
+    st.integers(1, 999).map(lambda num: (num, 1000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3000), q=_DECIMAL_Q)
+# 20 * (1 - 0.9) is 1.9999999999999996 in floating point
+@example(n=20, q=(90, 100))
+@example(n=100, q=(90, 100))
+@example(n=1000, q=(300, 1000))
+def test_quantile_threshold_matches_exact_oracle(n, q):
+    scores = np.random.default_rng(n).permutation(n).astype(np.float64)
+    want = oracles.quantile_threshold(scores.tolist(), *q)
+    assert quantile_threshold(scores, q[0] / q[1]) == want
+
+
+@given(q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(q=1.5e-05)
+@example(q=5e-324)
+def test_decimal_ratio_is_the_printed_decimal(q):
+    num, den = models._decimal_ratio(q)
+    assert Fraction(num, den) == Fraction(repr(q))
 
 
 def test_quantile_threshold_errors():

@@ -1,30 +1,32 @@
-"""The store's fit, NMF and ridge entries against the uncached library
-calls.
+"""The store's fit, NMF, ridge and synth entries against the uncached
+library calls.
 
 While cli.main runs a command, models.fit_classifier,
-metafeatures.task_nmf_metafeatures and models.fit_ridge read their results
-back from the store (_store) or compute and store them. A miss, a hit that
-computes nothing and the library call with the store closed must give the
-same model, scores, metafeatures and ridge models bit for bit; each
-ingredient of a key, changed alone, must miss; an entry that does not load
-is a miss; and after cli.main returns the store is closed, so a library
-call computes.
+metafeatures.task_nmf_metafeatures, models.fit_ridge and synth.generate read
+their results back from the store (_store) or compute and store them. A
+miss, a hit that computes nothing and the library call with the store closed
+must give the same model, scores, metafeatures, ridge models and dataset bit
+for bit; each ingredient of a key, changed alone, must miss; an entry that
+does not load is a miss; and after cli.main returns the store is closed, so
+a library call computes.
 """
 
+import dataclasses
 import shutil
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from footcloak import _store, cli, metafeatures, models
-from footcloak._util import DEFAULT_ALPHA_GRID, ExperimentConfig
+from footcloak import _store, cli, metafeatures, models, synth
+from footcloak._util import DEFAULT_ALPHA_GRID, ExperimentConfig, canonical_json
 from footcloak.data import from_rows
 from footcloak.metafeatures import task_nmf_metafeatures
 from footcloak.models import fit_classifier, fit_ridge
+from footcloak.synth import SynthConfig, dataset_files, generate
 
 
 @pytest.fixture
@@ -173,6 +175,68 @@ def test_a_ridge_miss_hit_and_library_call_agree(data, m, alpha_grid, folds, see
                 _same_model(g, w)
 
 
+def _same_dataset(got, want):
+    """Equal SynthResults, array for array, and the same dataset files."""
+    for name in ("indptr", "indices"):
+        g, w = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert (got.matrix.n_items, got.matrix.user_ids, got.matrix.item_ids) == (
+        want.matrix.n_items, want.matrix.user_ids, want.matrix.item_ids
+    )
+    assert got.labels.n_users == want.labels.n_users
+    assert got.labels.task_names == want.labels.task_names
+    for task, w in want.labels.values.items():
+        g = got.labels.values[task]
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    for name in ("item_topics", "affinities"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got.config == want.config
+    assert got.diagnostics == want.diagnostics
+    assert [type(v) for v in got.diagnostics.values()] == [int, int]
+    files, want_files = dataset_files(got), dataset_files(want)
+    assert list(files) == list(want_files)
+    for name, want_text in want_files.items():
+        text = files[name]
+        if not isinstance(text, str):  # the ground-truth sidecar
+            text, want_text = canonical_json(text), canonical_json(want_text)
+        assert text == want_text
+
+
+@st.composite
+def _synth_configs(draw):
+    # small inventories, so that topic splits are resampled and shifted
+    k = draw(st.integers(1, 4))
+    n_items = draw(st.integers(k, 24))
+    return SynthConfig(
+        n_users=draw(st.integers(2, 20)),
+        n_items=n_items,
+        k_topics=k,
+        dirichlet_alpha=draw(st.sampled_from([0.05, 0.3, 5.0])),
+        popularity_exponent=draw(st.sampled_from([-2.0, 0.0, 1.1, 3.0])),
+        mean_likes=draw(st.integers(0, n_items)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_synth_configs())
+# 630 resampled splits and 30 overflow shifts
+@example(SynthConfig(n_users=40, n_items=12, k_topics=6, mean_likes=10, seed=5))
+def test_a_synth_miss_hit_and_library_call_agree(cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        store = _store.cache_dir()
+        shutil.rmtree(store, ignore_errors=True)
+        with _store.opened():
+            miss = generate(cfg)
+            assert _kinds(store) == ["synth.npz"]
+            mp.setattr(synth, "_sample_rows", _fails("the choice replay"))
+            hit = generate(cfg)
+    want = generate(cfg)
+    for got in (miss, hit):
+        _same_dataset(got, want)
+
+
 # ---------------------------------------------------------------------------
 # every ingredient of a key, changed alone, misses
 
@@ -199,6 +263,13 @@ def _ridge_args():
     }
 
 
+_SYNTH = SynthConfig(n_users=12, n_items=30, k_topics=3, mean_likes=8, seed=5)
+
+
+def _synth_args():
+    return {"config": _SYNTH}
+
+
 def _edit_source(name):
     """Point the store at a copy of the package whose module name has one
     more byte."""
@@ -218,9 +289,14 @@ def _edit_environment(at):
     """Give the store another library environment: its item at changed."""
 
     def edit(mp, tmp_path, args):
-        env = list(_store._environment())
-        env[at] += " other"
-        mp.setattr(_store, "_environment", lambda: tuple(env))
+        environment = _store._environment
+
+        def changed(scipy_blas=True):
+            env = list(environment(scipy_blas))
+            env[at] += " other"
+            return tuple(env)
+
+        mp.setattr(_store, "_environment", changed)
         return args
 
     return edit
@@ -327,6 +403,27 @@ _RIDGE_EDITS = {
 }
 
 
+_SYNTH_EDITS = {
+    **{
+        name: _with(config=dataclasses.replace(_SYNTH, **{name: value}))
+        for name, value in (
+            ("n_users", 13), ("n_items", 31), ("k_topics", 4),
+            ("dirichlet_alpha", 0.4), ("popularity_exponent", 1.2),
+            ("mean_likes", 9), ("seed", 6),
+        )
+    },
+    **{
+        f"{name} bytes": _edit_source(name)
+        for name in ("synth.py", "data.py", "_util.py")
+    },
+    **{name: _edit_environment(at) for name, at in _ENVIRONMENT.items()},
+}
+
+
+def test_every_synth_config_field_has_an_edit():
+    assert {f.name for f in dataclasses.fields(SynthConfig)} <= set(_SYNTH_EDITS)
+
+
 def _computes(target, name, call, args) -> bool:
     """Whether call(**args) ran target.name: a store miss."""
     with mock.patch.object(target, name, wraps=getattr(target, name)) as spy:
@@ -381,6 +478,16 @@ def test_a_changed_ridge_ingredient_misses(edit, store, tmp_path, monkeypatch):
     assert _kinds(store) == ["ridge.npz"] * 2
 
 
+@pytest.mark.parametrize("edit", _SYNTH_EDITS, ids=list(_SYNTH_EDITS))
+def test_a_changed_synth_ingredient_misses(edit, store, tmp_path, monkeypatch):
+    args = _synth_args()
+    assert _computes(synth, "_sample_rows", generate, args)
+    assert not _computes(synth, "_sample_rows", generate, _synth_args())
+    args = _SYNTH_EDITS[edit](monkeypatch, tmp_path, _synth_args())
+    assert _computes(synth, "_sample_rows", generate, args)
+    assert _kinds(store) == ["synth.npz"] * 2
+
+
 def test_the_alpha_grid_is_keyed_sorted(store):
     assert _computes(models, "_shifted_cg", fit_ridge, _ridge_args())
     args = {**_ridge_args(), "alpha_grid": DEFAULT_ALPHA_GRID[::-1]}
@@ -411,7 +518,29 @@ def test_a_library_call_never_touches_the_store(store_dir):
     for _ in range(2):
         assert _computes(models, "grid_search_cv", fit_classifier, _fit_args())
         assert _computes(metafeatures, "nmf_fit", task_nmf_metafeatures, _nmf_args())
+        assert _computes(synth, "_sample_rows", generate, _synth_args())
     assert not any(store_dir.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# synth through cli.main
+
+
+def _synth(out):
+    return cli.main([
+        "synth", "--users", "260", "--items", "300", "--topics", "4",
+        "--mean-likes", "25", "--seed", "5", "--out", str(out),
+    ])
+
+
+def test_a_warm_synth_never_replays_the_choices(tmp_path, store_dir, monkeypatch):
+    assert _synth(tmp_path / "cold") == 0
+    entries = _kinds(store_dir)
+    assert entries == ["synth.npz"]
+    monkeypatch.setattr(synth, "_sample_rows", _fails("the choice replay"))
+    assert _synth(tmp_path / "warm") == 0
+    assert _kinds(store_dir) == entries
+    assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +580,21 @@ def test_spillover_on_the_cloaked_users_reads_the_ridge_of_all_test(
     assert _files(tmp_path / "cloaked") == _files(tmp_path / "cloaked-off")
 
 
-@pytest.mark.parametrize("kind", ["dataset", "fit", "nmf", "ridge"])
-def test_an_empty_entry_is_a_miss(kind, tiny_dataset_dir, tmp_path, store_dir):
+@pytest.mark.parametrize("kind", ["dataset", "fit", "nmf", "ridge", "synth"])
+def test_an_empty_entry_is_a_miss(kind, tmp_path, store_dir):
+    def synth_and_spillover(run):
+        data = tmp_path / "data"  # one path, so the manifests agree
+        assert _synth(data) == 0
+        dataset = _files(data)
+        assert _spillover(data, tmp_path / run, "trait_a,trait_b") == 0
+        return dataset, _files(tmp_path / run)
+
     # what a crash between the write and the rename can leave behind
-    assert _spillover(tiny_dataset_dir, tmp_path / "cold", "trait_a,trait_b") == 0
+    cold = synth_and_spillover("cold")
     emptied = sorted(store_dir.glob(f"*.{kind}.npz"))
     assert emptied
     for path in emptied:
         path.write_bytes(b"")
-    assert _spillover(tiny_dataset_dir, tmp_path / "again", "trait_a,trait_b") == 0
-    assert _files(tmp_path / "again") == _files(tmp_path / "cold")
+    assert synth_and_spillover("again") == cold
     assert sorted(store_dir.glob(f"*.{kind}.npz")) == emptied
     assert all(path.stat().st_size > 0 for path in emptied)
